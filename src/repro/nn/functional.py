@@ -1,10 +1,35 @@
 """Fused functional ops: activations, convolution, pooling, norm, losses.
 
-Convolution uses a stride-tricks ``sliding_window_view`` im2col with an
-einsum contraction; its backward scatters through a KH×KW loop (the classic
-vectorized col2im) instead of ``np.add.at`` which is an order of magnitude
-slower.  BatchNorm and cross-entropy get hand-written backwards to keep the
-tape short on the hot path.
+Convolution is im2col + GEMM.  One strided copy lays the (zero-padded) input
+out as a column matrix and plain ``np.matmul`` does the rest; grouped and
+depthwise convolutions are the same call with a group axis on both operands.
+
+*Layout.*  Columns are ``(N, G, K, Q)`` — ``K = C/G * KH * KW`` taps, ``Q``
+positions per image — so ``(G, F/G, K) @ cols`` lands in output layout.  With
+stride 1 a column runs along whole padded rows (``Q = (OH-1) * padded_width +
+OW``): each tap is one long contiguous run per image rather than OH short
+ones, which is what the copy's cost depends on, and the few positions between
+rows are skipped when the result is gathered back into an image.  Strided
+convolutions copy exactly ``OH * OW`` positions.
+
+*Fold rule.*  Batched per-sample GEMMs degenerate when ``Q`` is small (a 1x1
+map is a matrix-vector product per sample), so when one image has at most
+``_FOLD_MAX_POSITIONS`` positions the batch is folded into the GEMM's long
+side instead: columns ``(G, K, N*Q)``, one GEMM per group.  The arrangement
+is chosen from the call's own shapes, forward and backward independently.
+
+*Backward.*  For stride 1 the input gradient is the correlation of the padded
+output gradient with the flipped kernel, and the columns built for it also
+give the weight gradient when contracted with ``x``; strided convolutions
+rebuild the forward columns for the weight gradient and scatter the column
+gradient tap by tap (KH*KW slice-adds, not ``np.add.at``).  The column matrix
+is never kept on the tape: it is KH*KW times the size of the activation it
+came from (several MB per in-flight resnet turn, times the pool's threads),
+and rebuilding it costs one copy.
+
+BatchNorm and cross-entropy get hand-written backwards to keep the tape short
+on the hot path; BatchNorm's training pass centres ``x`` once and its backward
+reuses the two reductions the affine gradients need.
 """
 
 from __future__ import annotations
@@ -38,6 +63,10 @@ __all__ = [
 ]
 
 _Pair = Union[int, Tuple[int, int]]
+
+#: conv2d folds the batch into the GEMM's long side when one image has at most
+#: this many column positions (per-sample GEMMs that thin are all overhead)
+_FOLD_MAX_POSITIONS = 32
 
 
 def _pair(value: _Pair) -> Tuple[int, int]:
@@ -148,13 +177,102 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return out
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int, ph: int, pw: int) -> Tuple[np.ndarray, Tuple[int, int]]:
-    """Return windows of shape (N, C, OH, OW, KH, KW) as a *view* when possible."""
-    if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::sh, ::sw, :, :]
-    return windows, (windows.shape[2], windows.shape[3])
+def _windows(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
+    """Pooling windows of shape (N, C, OH, OW, KH, KW), as a view."""
+    return sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw, :, :]
+
+
+def _strided(a: np.ndarray, shape: Tuple[int, ...], strides: Tuple[int, ...]) -> np.ndarray:
+    """``as_strided`` over a C-contiguous array, minus the ~6 µs of Python it
+    costs per call (conv2d makes several per layer) and with numpy checking
+    that the view stays inside ``a``."""
+    return np.ndarray(shape, a.dtype, a, 0, strides)
+
+
+def _pad2d(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """Zero-pad the two image axes; the result is always C-contiguous."""
+    if not (ph or pw):
+        return np.ascontiguousarray(x)
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+    out[:, :, ph : ph + h, pw : pw + w] = x
+    return out
+
+
+def _arrangement(oh: int, ow: int, padded_width: int, unit_stride: bool) -> Tuple[int, bool]:
+    """``(pitch, fold)`` for OH x OW positions read from rows ``padded_width``
+    wide: the distance between the starts of two rows of positions, and whether
+    one image has few enough of them to fold the batch into the GEMM."""
+    pitch = padded_width if unit_stride else ow
+    return pitch, (oh - 1) * pitch + ow <= _FOLD_MAX_POSITIONS
+
+
+def _columns(
+    xp: np.ndarray, groups: int, kh: int, kw: int, sh: int, sw: int, oh: int, ow: int, fold: bool
+) -> np.ndarray:
+    """Column matrix of a padded, C-contiguous input in one strided copy:
+    ``(N, G, K, Q)``, or ``(G, K, N*Q)`` when ``fold`` (see the module docstring).
+
+    With stride 1, ``Q = (OH-1) * pitch + OW`` with ``pitch`` the padded width;
+    the ``pitch - OW`` positions between rows hold neighbouring values, which
+    :func:`_image_view` steps over and :func:`_to_positions` meets with zeros.
+    """
+    n, c, _, wp = xp.shape
+    k = (c // groups) * kh * kw
+    if kh == kw == sh == sw == 1 and not fold:
+        return xp.reshape(n, groups, k, oh * ow)
+    sn, sc, sy, sx = xp.strides
+    if sh == sw == 1:
+        q = (oh - 1) * wp + ow
+        shape, strides = (q,), (sx,)
+    else:
+        q = oh * ow
+        shape, strides = (oh, ow), (sy * sh, sx * sw)
+    if fold:
+        shape, strides = (c, kh, kw, n) + shape, (sc, sy, sx, sn) + strides
+    else:
+        shape, strides = (n, c, kh, kw) + shape, (sn, sc, sy, sx) + strides
+    cols = np.empty(shape, dtype=xp.dtype)
+    np.copyto(cols, _strided(xp, shape, strides))
+    return cols.reshape((groups, k, n * q) if fold else (n, groups, k, q))
+
+
+def _image_view(buf: np.ndarray, n: int, oh: int, ow: int, pitch: int, fold: bool) -> np.ndarray:
+    """(N, R, OH, OW) view of a C-contiguous position-major buffer — (N, .., Q)
+    rows, or (.., N*Q) when ``fold`` — that steps over the gaps between rows."""
+    q = (oh - 1) * pitch + ow
+    r = buf.shape[-3] * buf.shape[-2]  # (G, R/G) precede the positions in both layouts
+    s = buf.itemsize
+    strides = (q * s, n * q * s, pitch * s, s) if fold else (r * q * s, q * s, pitch * s, s)
+    return _strided(buf, (n, r, oh, ow), strides)
+
+
+def _to_positions(a: np.ndarray, groups: int, pitch: int, fold: bool) -> np.ndarray:
+    """Lay an (N, R, OH, OW) image out the way :func:`_columns` lays positions
+    out — (N, G, R/G, Q), or (G, R/G, N*Q) — with zeros in the gaps between rows."""
+    n, r, oh, ow = a.shape
+    if pitch == ow and not fold:
+        return a.reshape(n, groups, r // groups, oh * ow)
+    q = (oh - 1) * pitch + ow
+    shape = (groups, r // groups, n * q) if fold else (n, groups, r // groups, q)
+    buf = np.zeros(shape, dtype=a.dtype)
+    _image_view(buf, n, oh, ow, pitch, fold)[...] = a
+    return buf
+
+
+def _matmul_image(
+    a: np.ndarray, cols: np.ndarray, n: int, oh: int, ow: int, pitch: int, fold: bool
+) -> np.ndarray:
+    """``a @ cols`` with the positions gathered back into a contiguous
+    (N, R, OH, OW) image that owns its memory (so ``_accumulate`` keeps it)."""
+    if pitch == ow and not fold:  # already in image layout: let the GEMM write it
+        out = np.empty((n, a.shape[0] * a.shape[1], oh, ow), dtype=np.result_type(a, cols))
+        np.matmul(a, cols, out=out.reshape(n, a.shape[0], a.shape[1], oh * ow))
+        return out
+    view = _image_view(np.matmul(a, cols), n, oh, ow, pitch, fold)
+    out = np.empty(view.shape, dtype=view.dtype)
+    np.copyto(out, view)
+    return out
 
 
 def conv2d(
@@ -172,67 +290,69 @@ def conv2d(
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
     n, c, h, w = x.data.shape
-    f, c_per_group, kh, kw = weight.data.shape
-    if c != c_per_group * groups:
-        raise ValueError(f"conv2d channel mismatch: x has {c}, weight implies {c_per_group * groups}")
+    f, cg, kh, kw = weight.data.shape
+    if c != cg * groups:
+        raise ValueError(f"conv2d channel mismatch: x has {c}, weight implies {cg * groups}")
     if f % groups:
         raise ValueError(f"out_channels {f} not divisible by groups {groups}")
-
-    cols, (oh, ow) = _im2col(x.data, kh, kw, sh, sw, ph, pw)
-
-    if groups == 1:
-        out = np.einsum("nchwij,fcij->nfhw", cols, weight.data, optimize=True)
-    elif groups == c and c_per_group == 1:
-        # depthwise fast path
-        out = np.einsum("nchwij,cij->nchw", cols, weight.data[:, 0], optimize=True)
-        if f != c:  # depth multiplier > 1 unsupported by the fast path
-            raise ValueError("depthwise conv requires out_channels == in_channels")
-    else:
-        f_per_group = f // groups
-        out = np.empty((n, f, oh, ow), dtype=x.data.dtype)
-        for g in range(groups):
-            cs = slice(g * c_per_group, (g + 1) * c_per_group)
-            fs = slice(g * f_per_group, (g + 1) * f_per_group)
-            out[:, fs] = np.einsum("nchwij,fcij->nfhw", cols[:, cs], weight.data[fs], optimize=True)
-    out = np.ascontiguousarray(out)
+    oh = (h + 2 * ph - kh) // sh + 1
+    ow = (w + 2 * pw - kw) // sw + 1
+    if oh < 1 or ow < 1:
+        raise ValueError(f"conv2d kernel {(kh, kw)} exceeds the padded input {(h + 2 * ph, w + 2 * pw)}")
+    fg = f // groups
+    unit_stride = sh == sw == 1
+    pitch, fold = _arrangement(oh, ow, w + 2 * pw, unit_stride)
+    xp = _pad2d(x.data, ph, pw)
+    w3 = weight.data.reshape(groups, fg, cg * kh * kw)
+    # the columns die here: backward rebuilds what it needs (see the module docstring)
+    out = _matmul_image(w3, _columns(xp, groups, kh, kw, sh, sw, oh, ow, fold), n, oh, ow, pitch, fold)
     if bias is not None:
         out += bias.data.reshape(1, -1, 1, 1)
 
+    if unit_stride and ph < kh and pw < kw:
+        # Stride 1: the input gradient is the correlation of the zero-padded
+        # output gradient with the flipped, channel-transposed kernel, and the
+        # same columns contracted with x give the (flipped) weight gradient —
+        # one column matrix for both, no scatter, and only x itself is kept.
+        def _bw_inputs(g: np.ndarray) -> None:
+            bpitch, bfold = _arrangement(h, w, w + kw - 1, True)
+            gcols = _columns(_pad2d(g, kh - 1 - ph, kw - 1 - pw), groups, kh, kw, 1, 1, h, w, bfold)
+            if weight.requires_grad:
+                gw = np.matmul(gcols, _to_positions(x.data, groups, bpitch, bfold).swapaxes(-1, -2))
+                if not bfold:
+                    gw = gw.sum(axis=0)
+                gw = gw.reshape(groups, fg, kh, kw, cg)[:, :, ::-1, ::-1].transpose(0, 1, 4, 2, 3)
+                weight._accumulate(gw.reshape(weight.data.shape))
+            if x.requires_grad:
+                wf = w3.reshape(groups, fg, cg, kh, kw)[:, :, :, ::-1, ::-1].transpose(0, 2, 1, 3, 4)
+                wf = wf.reshape(groups, cg, fg * kh * kw)
+                x._accumulate(_matmul_image(wf, gcols, n, h, w, bpitch, bfold))
+
+    else:
+        # Strided (or padded beyond the kernel): weight gradient from the
+        # rebuilt columns, input gradient by scattering the column gradient
+        # tap by tap — rows and columns no window covers stay zero.
+        def _bw_inputs(g: np.ndarray) -> None:
+            g3 = _to_positions(g, groups, pitch, fold)
+            if weight.requires_grad:
+                gw = np.matmul(g3, _columns(xp, groups, kh, kw, sh, sw, oh, ow, fold).swapaxes(-1, -2))
+                if not fold:
+                    gw = gw.sum(axis=0)
+                weight._accumulate(gw.reshape(weight.data.shape))
+            if x.requires_grad:
+                gcols = _image_view(np.matmul(w3.swapaxes(-1, -2), g3), n, oh, ow, pitch, fold)
+                gcols = gcols.reshape(n, c, kh, kw, oh, ow)
+                gx = np.zeros(xp.shape, dtype=x.data.dtype)
+                for i in range(kh):
+                    for j in range(kw):
+                        gx[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += gcols[:, :, i, j]
+                if ph or pw:
+                    gx = gx[:, :, ph : ph + h, pw : pw + w]
+                x._accumulate(gx)
+
     def _bw(grad: np.ndarray) -> None:
         g = np.asarray(grad)
-        if weight.requires_grad:
-            if groups == 1:
-                gw = np.einsum("nfhw,nchwij->fcij", g, cols, optimize=True)
-            elif groups == c and c_per_group == 1:
-                gw = np.einsum("nchw,nchwij->cij", g, cols, optimize=True)[:, None, :, :]
-            else:
-                f_per_group = f // groups
-                gw = np.empty_like(weight.data)
-                for gi in range(groups):
-                    cs = slice(gi * c_per_group, (gi + 1) * c_per_group)
-                    fs = slice(gi * f_per_group, (gi + 1) * f_per_group)
-                    gw[fs] = np.einsum("nfhw,nchwij->fcij", g[:, fs], cols[:, cs], optimize=True)
-            weight._accumulate(gw)
-        if x.requires_grad:
-            # grad w.r.t. the im2col windows, then scatter back (col2im)
-            if groups == 1:
-                gcols = np.einsum("nfhw,fcij->nchwij", g, weight.data, optimize=True)
-            elif groups == c and c_per_group == 1:
-                gcols = np.einsum("nchw,cij->nchwij", g, weight.data[:, 0], optimize=True)
-            else:
-                f_per_group = f // groups
-                gcols = np.empty((n, c, oh, ow, kh, kw), dtype=x.data.dtype)
-                for gi in range(groups):
-                    cs = slice(gi * c_per_group, (gi + 1) * c_per_group)
-                    fs = slice(gi * f_per_group, (gi + 1) * f_per_group)
-                    gcols[:, cs] = np.einsum("nfhw,fcij->nchwij", g[:, fs], weight.data[fs], optimize=True)
-            gx = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.data.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    gx[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += gcols[:, :, :, :, i, j]
-            if ph or pw:
-                gx = gx[:, :, ph : ph + h, pw : pw + w]
-            x._accumulate(gx)
+        _bw_inputs(g)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)))
 
@@ -251,7 +371,8 @@ def max_pool2d(x: Tensor, kernel_size: _Pair, stride: Optional[_Pair] = None) ->
     n, c, h, w = x.data.shape
     if h < kh or w < kw:
         return x  # input already smaller than the window (deep nets on tiny images)
-    windows, (oh, ow) = _im2col(x.data, kh, kw, sh, sw, 0, 0)
+    windows = _windows(x.data, kh, kw, sh, sw)
+    oh, ow = windows.shape[2:4]
     flat = windows.reshape(n, c, oh, ow, kh * kw)
     arg = flat.argmax(axis=-1)
     data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
@@ -277,7 +398,8 @@ def avg_pool2d(x: Tensor, kernel_size: _Pair, stride: Optional[_Pair] = None) ->
     n, c, h, w = x.data.shape
     if h < kh or w < kw:
         return x  # input already smaller than the window
-    windows, (oh, ow) = _im2col(x.data, kh, kw, sh, sw, 0, 0)
+    windows = _windows(x.data, kh, kw, sh, sw)
+    oh, ow = windows.shape[2:4]
     data = windows.mean(axis=(-1, -2))
     scale = 1.0 / (kh * kw)
 
@@ -335,39 +457,44 @@ def batch_norm(
     else:
         raise ValueError(f"batch_norm expects 2-D or 4-D input, got {x.data.ndim}-D")
 
+    m = x.data.size / x.data.shape[1]
     if training:
         mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
-        m = x.data.size / x.data.shape[1]
+        x_hat = x.data - mean.reshape(shape)
+        data = x_hat * x_hat
+        var = data.sum(axis=axes) / m  # == x.data.var(axis=axes), without centering twice
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
         running_var += momentum * var * (m / max(m - 1.0, 1.0))  # unbiased, as torch
+        inv_std = 1.0 / np.sqrt(var + eps)
+        x_hat *= inv_std.reshape(shape)
+        np.multiply(x_hat, weight.data.reshape(shape), out=data)
+        data += bias.data.reshape(shape)
     else:
-        mean = running_mean
-        var = running_var
-
-    inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x.data - mean.reshape(shape)) * inv_std.reshape(shape)
-    data = x_hat * weight.data.reshape(shape) + bias.data.reshape(shape)
+        inv_std = 1.0 / np.sqrt(running_var + eps)
+        x_hat = (x.data - running_mean.reshape(shape)) * inv_std.reshape(shape)
+        data = x_hat * weight.data.reshape(shape) + bias.data.reshape(shape)
 
     def _bw(grad: np.ndarray) -> None:
         g = np.asarray(grad)
+        gx = g * x_hat
+        sum_gx = gx.sum(axis=axes)
+        sum_g = g.sum(axis=axes)
         if weight.requires_grad:
-            weight._accumulate((g * x_hat).sum(axis=axes))
+            weight._accumulate(sum_gx)
         if bias.requires_grad:
-            bias._accumulate(g.sum(axis=axes))
+            bias._accumulate(sum_g)
         if x.requires_grad:
-            w = weight.data.reshape(shape)
             if training:
-                m = x.data.size / x.data.shape[1]
-                gxhat = g * w
-                term1 = gxhat
-                term2 = gxhat.mean(axis=axes, keepdims=True)
-                term3 = x_hat * (gxhat * x_hat).mean(axis=axes, keepdims=True)
-                x._accumulate((term1 - term2 - term3) * inv_std.reshape(shape))
+                # w * inv_std * (g - mean(g) - x_hat * mean(g * x_hat)), in the one temporary
+                np.multiply(x_hat, (sum_gx / m).reshape(shape), out=gx)
+                np.subtract(g, gx, out=gx)
+                gx -= (sum_g / m).reshape(shape)
+                gx *= (weight.data * inv_std).reshape(shape)
+                x._accumulate(gx)
             else:
-                x._accumulate(g * w * inv_std.reshape(shape))
+                x._accumulate(g * weight.data.reshape(shape) * inv_std.reshape(shape))
 
     return Tensor._make(data.astype(x.data.dtype, copy=False), (x, weight, bias), _bw)
 

@@ -145,11 +145,10 @@ class TrimmedMean(RobustAggregator):
         self.counters["rejected"] += 2 * k
         out: State = {}
         for key in float_keys:
-            stack = np.sort(
-                np.stack([np.asarray(s[key], dtype=np.float64) for s in states]), axis=0
-            )
-            core = stack[k: n - k] if k else stack
-            out[key] = core.mean(axis=0).astype(np.asarray(states[0][key]).dtype)
+            stack = np.stack([np.asarray(s[key], dtype=np.float64) for s in states])
+            if k:  # nothing to trim: the plain mean needs no order
+                stack = np.sort(stack, axis=0)[k: n - k]
+            out[key] = stack.mean(axis=0).astype(np.asarray(states[0][key]).dtype)
         return out
 
 

@@ -52,14 +52,17 @@ def make_spec(
     seed: int = 0,
     model_kwargs=None,
     algo_kwargs=None,
+    model: str = "mlp",
+    dataset: str = "blobs",
+    dataset_kwargs=None,
 ):
     return ExperimentSpec(
         topology="centralized",
         num_clients=NUM_CLIENTS,
         pool_size=pool_size,
         data={
-            "dataset": "blobs",
-            "kwargs": {"train_size": 384, "test_size": 96},
+            "dataset": dataset,
+            "kwargs": {"train_size": 384, "test_size": 96, **(dataset_kwargs or {})},
             "partition": partition,
             "partition_alpha": 0.5,
             "batch_size": 32,
@@ -67,7 +70,7 @@ def make_spec(
         train={
             "algorithm": algorithm,
             "algorithm_kwargs": {"lr": 0.05, "local_epochs": 1, **(algo_kwargs or {})},
-            "model": "mlp",
+            "model": model,
             "model_kwargs": dict(model_kwargs or {}),
             "global_rounds": 2,
         },
@@ -127,6 +130,22 @@ def test_pooled_matches_dedicated(algorithm, policy):
     pooled = run_spec(make_spec(algorithm, policy, pool_size=2))
     dedicated = run_spec(make_spec(algorithm, policy, pool_size=None))
     assert_identical(pooled, dedicated)
+
+
+@pytest.mark.parametrize("policy", ["sync", "fedasync"])
+def test_pooled_matches_dedicated_conv_model(policy):
+    # every other cell trains an MLP; this one runs conv2d + batch_norm
+    # (strided, 1x1 and folded layers of a narrow resnet18 on 8x8 images),
+    # so a kernel buffer that outlived a turn or was shared between the two
+    # pool threads shows up as pooled != dedicated, not as a worse loss
+    def conv_spec(pool_size):
+        return make_spec(
+            "fedavg", policy, pool_size,
+            model="resnet18", model_kwargs={"base_width": 4},
+            dataset="cifar10", dataset_kwargs={"image_size": 8, "train_size": 192, "test_size": 48},
+        )
+
+    assert_identical(run_spec(conv_spec(2)), run_spec(conv_spec(None)))
 
 
 def test_pooled_matches_dedicated_with_stateful_compression():

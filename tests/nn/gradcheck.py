@@ -27,3 +27,50 @@ def assert_grad_close(analytic: np.ndarray, numeric: np.ndarray, atol: float = 1
     __tracebackhide__ = True
     err = np.abs(np.asarray(analytic) - numeric).max()
     assert err < atol, f"gradient mismatch: max abs err {err:.3e} (atol {atol})"
+
+
+def conv2d_reference(x, w, b, stride, padding, groups, grad_out=None):
+    """Direct-loop cross-correlation, one output element at a time.
+
+    Returns ``out`` alone, or ``(out, gx, gw, gb)`` for an upstream gradient
+    ``grad_out`` — the reference every conv2d arrangement is compared against.
+    Computed in float64 whatever the input dtype, so a float32 result is
+    compared with the exact value, not with another rounding of it.
+    """
+    x, w = x.astype(np.float64), w.astype(np.float64)
+    (sh, sw), (ph, pw) = stride, padding
+    n, c, h, wd = x.shape
+    f, cg, kh, kw = w.shape
+    fg = f // groups
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    oh = (h + 2 * ph - kh) // sh + 1
+    ow = (wd + 2 * pw - kw) // sw + 1
+    out = np.zeros((n, f, oh, ow), dtype=x.dtype)
+    gxp, gw, gb = np.zeros_like(xp), np.zeros_like(w), np.zeros(f, dtype=x.dtype)
+    for fi in range(f):
+        cs = slice((fi // fg) * cg, (fi // fg + 1) * cg)
+        for i in range(oh):
+            for j in range(ow):
+                rows, cols = slice(i * sh, i * sh + kh), slice(j * sw, j * sw + kw)
+                patch = xp[:, cs, rows, cols]
+                out[:, fi, i, j] = (patch * w[fi]).sum(axis=(1, 2, 3))
+                if grad_out is not None:
+                    go = grad_out[:, fi, i, j]
+                    gw[fi] += (go[:, None, None, None] * patch).sum(axis=0)
+                    gxp[:, cs, rows, cols] += go[:, None, None, None] * w[fi]
+                    gb[fi] += go.sum()
+    if b is not None:
+        out += b.reshape(1, -1, 1, 1)
+    if grad_out is None:
+        return out
+    return out, gxp[:, :, ph : ph + h, pw : pw + wd], gw, gb
+
+
+def assert_matches(actual: np.ndarray, reference: np.ndarray, rtol: float) -> None:
+    """Max abs error within ``rtol`` of the reference's largest magnitude."""
+    __tracebackhide__ = True
+    actual, reference = np.asarray(actual), np.asarray(reference)
+    assert actual.shape == reference.shape, f"shape {actual.shape} != {reference.shape}"
+    scale = max(1.0, float(np.abs(reference).max(initial=0.0)))
+    err = float(np.abs(actual - reference).max(initial=0.0))
+    assert err <= rtol * scale, f"max abs err {err:.3e} > {rtol:g} x {scale:.3g}"
