@@ -1,24 +1,24 @@
 #!/usr/bin/env python3
-"""Live cluster runtime: one coordinator, N real node processes, one kill.
+"""Live cluster runtime: one engine, N real worker processes, one kill.
 
 The same :class:`ExperimentSpec` that runs simulated switches to real
-processes with ``mode="live"`` plus a ``cluster`` block.  This script
-plays both roles on localhost:
+processes by naming a ``tcp://`` broker.  This script plays both roles on
+localhost:
 
-1. builds a live spec (TCP coordinator, quorum of ``--nodes`` members);
-2. starts the run — the coordinator binds immediately and waits for the
-   joining quorum;
-3. spawns ``--nodes`` ``python -m repro node tcp://...`` subprocesses that
+1. builds a live spec (``broker: tcp://127.0.0.1:0?min_nodes=N&…``);
+2. starts the run — the broker binds when the engine is built and the run
+   waits for the joining quorum;
+3. spawns ``--nodes`` ``python -m repro worker tcp://...`` subprocesses that
    join, rebuild the trainer from the published spec, and serve turns;
-4. optionally SIGKILLs one node mid-run (``--kill``) to demonstrate
+4. optionally SIGKILLs one worker mid-run (``--kill``) to demonstrate
    phi/lease failure detection: the dead member is evicted, its clients
    orphan out of the selection set, and the run still completes.
 
 Run:  python examples/live_cluster.py [--nodes 3] [--updates 24] [--kill]
 
-In a real deployment you skip step 3: start the coordinator with
-``python -m repro mode=live +cluster.bind=0.0.0.0:7070 +cluster.min_nodes=3``
-on one machine and ``python -m repro node tcp://host:7070`` on the others.
+In a real deployment you skip step 3: start the engine with
+``python -m repro broker='tcp://0.0.0.0:7070?min_nodes=3' scheduler=fedasync``
+on one machine and ``python -m repro worker tcp://host:7070`` on the others.
 """
 
 import argparse
@@ -36,14 +36,9 @@ def make_spec(nodes: int, updates: int) -> ExperimentSpec:
     return ExperimentSpec(
         topology="centralized",
         num_clients=2 * nodes,
-        mode="live",
-        cluster={
-            "bind": "127.0.0.1:0",   # ephemeral port; printed below
-            "min_nodes": nodes,
-            "heartbeat": 0.2,
-            "lease": 1.5,
-            "detector": "phi",       # adaptive suspicion, lease as hard bound
-        },
+        # ephemeral port (printed below); phi = adaptive suspicion with the
+        # lease as the hard bound
+        broker=f"tcp://127.0.0.1:0?min_nodes={nodes}&hb=0.2&lease=1.5&detector=phi",
         data={"dataset": "blobs",
               "kwargs": {"train_size": 512, "test_size": 128},
               "batch_size": 32},
@@ -54,12 +49,12 @@ def make_spec(nodes: int, updates: int) -> ExperimentSpec:
     )
 
 
-def spawn_node(url: str) -> subprocess.Popen:
+def spawn_worker(url: str) -> subprocess.Popen:
     env = dict(os.environ)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env["PYTHONPATH"] = os.path.join(root, "src")
-    env.setdefault("REPRO_NODE_TURN_DELAY", "0.1")  # visible kill window
-    return subprocess.Popen([sys.executable, "-m", "repro", "node", url],
+    env.setdefault("REPRO_WORKER_TURN_DELAY", "0.1")  # visible kill window
+    return subprocess.Popen([sys.executable, "-m", "repro", "worker", url],
                             env=env, cwd=root)
 
 
@@ -68,7 +63,7 @@ def main() -> int:
     parser.add_argument("--nodes", type=int, default=3)
     parser.add_argument("--updates", type=int, default=24)
     parser.add_argument("--kill", action="store_true",
-                        help="SIGKILL one node mid-run to show eviction")
+                        help="SIGKILL one worker mid-run to show eviction")
     args = parser.parse_args()
 
     experiment = Experiment(make_spec(args.nodes, args.updates))
@@ -79,19 +74,19 @@ def main() -> int:
 
     runner = threading.Thread(target=run, daemon=True)
     runner.start()
-    while experiment.engine is None or experiment.engine.cluster is None:
+    while experiment.engine is None or experiment.engine.pool is None:
         time.sleep(0.05)
-    cluster = experiment.engine.cluster
-    print(f"coordinator: {cluster.url}  (join with `python -m repro node {cluster.url}`)")
+    cluster = experiment.engine.pool.broker
+    print(f"engine: {cluster.url}  (join with `python -m repro worker {cluster.url}`)")
 
-    procs = [spawn_node(cluster.url) for _ in range(args.nodes)]
+    procs = [spawn_worker(cluster.url) for _ in range(args.nodes)]
     if args.kill:
         while cluster.membership.counts()["alive"] < args.nodes:
             time.sleep(0.05)
         while len(experiment.engine.metrics.history) < 3:
             time.sleep(0.05)
         victim = procs[0]
-        print(f"\n*** SIGKILL node pid={victim.pid} mid-run ***\n")
+        print(f"\n*** SIGKILL worker pid={victim.pid} mid-run ***\n")
         os.kill(victim.pid, signal.SIGKILL)
 
     runner.join()
@@ -109,7 +104,7 @@ def main() -> int:
     counts = cluster.membership.counts()
     if args.kill:
         assert counts["evicted"] == 1, counts
-        print("\nthe killed node was evicted; its clients orphaned out of "
+        print("\nthe killed worker was evicted; its clients orphaned out of "
               "selection and the run completed on the survivors")
     return 0
 

@@ -15,8 +15,8 @@ Usage::
     python -m repro run my_spec.yaml                   # run a saved spec file
     python -m repro broker=redis://localhost:6379/0    # broker-backed pool
     python -m repro worker 'redis://host:6379/0?run=<ns>'  # turn-pulling worker
-    python -m repro mode=live +cluster.bind=127.0.0.1:7070 +cluster.min_nodes=3
-    python -m repro node tcp://127.0.0.1:7070          # live cluster member
+    python -m repro broker='tcp://0.0.0.0:7070?min_nodes=3' scheduler=fedasync
+    python -m repro worker tcp://hostA:7070            # live cluster member
     python -m repro run my_spec.yaml --save runs/exp1  # archive the RunResult
     python -m repro --config-dir my_confs --config-name exp  algorithm=moon
     python -m repro --list                             # show config groups
@@ -102,22 +102,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.overrides and args.overrides[0] == "worker":
-        # worker mode: `python -m repro worker <broker-url>` — pull client
-        # turns from a running broker until it says stop
+        # worker mode: `python -m repro worker <broker-url>` — serve client
+        # turns for a running engine (redis queue or tcp cluster member,
+        # by URL scheme) until it says stop
         if len(args.overrides) != 2:
             parser.error("usage: python -m repro worker <broker-url>")
         from repro.runtime.worker import run_worker
 
         return run_worker(args.overrides[1])
-
-    if args.overrides and args.overrides[0] == "node":
-        # node mode: `python -m repro node tcp://host:port` — join a live
-        # cluster coordinator and serve client turns until told to stop
-        if len(args.overrides) != 2:
-            parser.error("usage: python -m repro node <cluster-url>")
-        from repro.cluster.node import run_node
-
-        return run_node(args.overrides[1])
 
     if args.overrides and args.overrides[0] == "run":
         # spec-file mode: `python -m repro run <spec.yaml>`

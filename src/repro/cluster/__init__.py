@@ -1,34 +1,10 @@
-"""Live cluster runtime: real transport, membership, failure detection.
+"""The live control plane behind the ``tcp://`` / ``inproc://`` brokers.
 
-The control plane that turns the simulator into a deployable system — see
-:mod:`repro.cluster.coordinator` (engine side), :mod:`repro.cluster.node`
-(the ``python -m repro node <url>`` member process), and
-:mod:`repro.cluster.runtime` (the ClientRuntime seam the schedulers drive).
+Real transport, membership and failure detection — see
+:mod:`repro.cluster.coordinator` (the engine side, a
+:class:`~repro.runtime.broker.TurnBroker`) and :mod:`repro.cluster.link`
+(the ``python -m repro worker tcp://host:port`` side, a
+:class:`~repro.runtime.broker.WorkerLink`).  Nothing is imported here: the
+broker registry loads the coordinator when a URL names it, and a worker
+process loads only its link.
 """
-
-from repro.cluster.coordinator import ClusterCoordinator, LiveTicket
-from repro.cluster.failure import (
-    FailureDetector,
-    PhiAccrualDetector,
-    TimeoutDetector,
-    build_detector,
-)
-from repro.cluster.heartbeat import Heartbeater
-from repro.cluster.membership import Member, Membership
-from repro.cluster.node import ClusterNode, run_node
-from repro.cluster.runtime import LiveRuntime
-
-__all__ = [
-    "ClusterCoordinator",
-    "LiveTicket",
-    "FailureDetector",
-    "TimeoutDetector",
-    "PhiAccrualDetector",
-    "build_detector",
-    "Heartbeater",
-    "Member",
-    "Membership",
-    "ClusterNode",
-    "run_node",
-    "LiveRuntime",
-]

@@ -1,6 +1,7 @@
-"""The cluster coordinator: the control plane's server half.
+"""The ``tcp://`` / ``inproc://`` broker: turns served by live cluster members.
 
-Runs inside the engine process.  Hosts one
+Runs inside the engine process, behind the
+:class:`~repro.runtime.pool.ClientPool` like every other broker.  Hosts one
 :class:`~repro.comm.transport.ServerTransport` (TCP for real deployments,
 in-proc for tests), a :class:`~repro.cluster.membership.Membership`
 registry fed by the join/heartbeat/leave ops, a per-member work queue of
@@ -8,10 +9,24 @@ pre-encoded turn frames, and a sweep thread that asks the failure detector
 who died and evicts them — failing the evicted member's queued and
 in-flight turns with :class:`~repro.runtime.broker.PeerLostError` so the
 scheduler maps them onto its dropped-dispatch path instead of stalling.
+Members are ``python -m repro worker tcp://host:port`` processes (see
+:mod:`repro.cluster.link`); clients are *pinned* to them, so client state
+never crosses the wire.
+
+The listen address binds when the pool attaches the broker — members may
+dial before the run starts — and :meth:`ClusterCoordinator.start` is where
+the run waits for its joining quorum.  URL parameters are documented in
+:mod:`repro.cluster.protocol`.
+
+Lock order: the pool calls ``capacity_free``/``execute`` under *its* lock
+and ``pool.turn_done`` takes that lock, so this broker never completes a
+ticket while holding its own lock (tickets are collected under it and
+completed after release) and never from inside ``execute`` (a turn with no
+live owner is parked for the sweep thread to fail).
 
 Protocol handling is synchronous per connection (the transport runs one
-thread per connection), so a node's ``poll`` may long-wait on the member's
-queue condition without blocking other members.
+thread per connection), so a member's ``poll`` may long-wait on the work
+condition without blocking other members.
 """
 
 from __future__ import annotations
@@ -19,150 +34,128 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.cluster.failure import build_detector
-from repro.cluster.membership import Member, Membership
-from repro.cluster.protocol import ProtocolError, decode_control, encode_control, peek_kind
+from repro.cluster.membership import Membership
+from repro.cluster.protocol import (
+    ProtocolError,
+    decode_control,
+    encode_control,
+    parse_cluster_url,
+    peek_kind,
+)
 from repro.comm.transport import make_server_transport
+from repro.engine.client_state import ClientStateStore
 from repro.runtime import serde
-from repro.runtime.broker import PeerLostError
+from repro.runtime.broker import PeerLostError, TurnBroker, register_broker
 from repro.utils.logging import get_logger
 
-__all__ = ["LiveTicket", "ClusterCoordinator"]
+__all__ = ["ClusterCoordinator"]
 
 _LOG = get_logger("cluster.coordinator")
 
-
-class LiveTicket:
-    """Future-like handle for one live turn (the ClientRuntime ticket shape)."""
-
-    def __init__(self, turn_id: int, client: int) -> None:
-        self.turn_id = int(turn_id)
-        self.client = int(client)
-        self._event = threading.Event()
-        self._value: Any = None
-        self._error: Optional[BaseException] = None
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def set_result(self, value: Any) -> None:
-        self._value = value
-        self._event.set()
-
-    def set_exception(self, exc: BaseException) -> None:
-        self._error = exc
-        self._event.set()
-
-    def result(self, timeout: Optional[float] = None) -> Any:
-        if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"live turn {self.turn_id} (client {self.client}) timed out"
-            )
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-    def exception(self, timeout: Optional[float] = None) -> Optional[BaseException]:
-        if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"live turn {self.turn_id} (client {self.client}) timed out"
-            )
-        return self._error
+#: dispatched-but-unresolved turns the broker accepts before the pool's
+#: pump backs off (the redis broker's default for the same bound)
+_MAX_INFLIGHT = 256
 
 
-class ClusterCoordinator:
+@register_broker("inproc")
+@register_broker("tcp")
+class ClusterCoordinator(TurnBroker):
     """Membership + turn dispatch for one live run."""
 
-    def __init__(
-        self,
-        spec_yaml: str,
-        num_clients: int,
-        *,
-        transport: str = "tcp",
-        bind: str = "127.0.0.1:0",
-        min_nodes: int = 1,
-        join_timeout: float = 60.0,
-        heartbeat: float = 0.5,
-        lease: float = 3.0,
-        detector: str = "timeout",
-        phi_threshold: float = 8.0,
-    ) -> None:
-        self.spec_yaml = str(spec_yaml)
+    distributed = True
+    live = True
+
+    def __init__(self, url: str, *, spec: Any, num_clients: int, **_: Any) -> None:
+        super().__init__(url)
+        self.cfg = cfg = parse_cluster_url(url)
+        self.scheme = cfg.kind
+        self.spec_yaml = spec.to_yaml()  # handed to every member at join
         self.num_clients = int(num_clients)
-        self.transport_kind = str(transport)
-        self.min_nodes = int(min_nodes)
-        self.join_timeout = float(join_timeout)
-        self.heartbeat = float(heartbeat)
-        self.lease = float(lease)
         self.membership = Membership(
             self.num_clients,
-            build_detector(detector, lease=lease, phi_threshold=phi_threshold),
+            build_detector(cfg.detector, lease=cfg.lease, phi_threshold=cfg.phi_threshold),
         )
-        self._server = make_server_transport(self.transport_kind, bind)
+        # client state lives on the members; nothing is held on this side
+        self.store = ClientStateStore()
+        self._server = make_server_transport(cfg.kind, cfg.address)
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
         # node_id -> queue of (turn_id, frame); turn_id -> ticket; in-flight
-        # turn_id -> node_id (polled, result not yet posted)
+        # turn_id -> node_id (polled, result not yet posted); turn ids that
+        # found no live owner at dispatch, for the sweep thread to fail
         self._queues: Dict[str, Deque[Tuple[int, bytes]]] = {}
-        self._tickets: Dict[int, LiveTicket] = {}
+        self._tickets: Dict[int, Any] = {}
         self._in_flight: Dict[int, str] = {}
+        self._ownerless: List[int] = []
         self._turn_seq = 0
         self._stopping = threading.Event()
+        self._sweep_now = threading.Event()
         self._sweeper: Optional[threading.Thread] = None
-        self._started = False
+        self._quorum = False
         self._closed = False
+
+    @classmethod
+    def check_url(cls, url: str) -> None:
+        parse_cluster_url(url)
+
+    @classmethod
+    def worker_link(cls, url: str, worker_id: str):
+        from repro.cluster.link import ClusterLink
+
+        return ClusterLink(url, worker_id)
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def start(self) -> "ClusterCoordinator":
-        """Bind the transport and start the eviction sweep (idempotent)."""
-        if self._started:
-            return self
-        self._started = True
+    def attach(self, pool) -> None:
+        """Bind the transport and start the eviction sweep."""
+        super().attach(pool)
         self._server.start(self._handle)
+        self.url = f"{self.cfg.kind}://{self._server.address}"  # ephemeral port resolved
         self._sweeper = threading.Thread(
             target=self._sweep_loop, name="cluster-sweep", daemon=True
         )
         self._sweeper.start()
-        _LOG.info("cluster coordinator listening on %s", self.url)
-        return self
+        _LOG.info(
+            "live broker listening on %s (quorum %d, lease %.1fs): join with "
+            "`python -m repro worker %s`",
+            self.url, self.cfg.min_nodes, self.cfg.lease, self.url,
+        )
 
-    @property
-    def url(self) -> str:
-        return f"{self.transport_kind}://{self._server.address}"
-
-    def wait_for_quorum(self, timeout: Optional[float] = None) -> None:
+    def start(self) -> None:
         """Block until ``min_nodes`` members joined, then pin clients."""
-        deadline = time.monotonic() + (timeout if timeout is not None else self.join_timeout)
-        while len(self.membership.alive_members()) < self.min_nodes:
+        if self._quorum:
+            return
+        deadline = time.monotonic() + self.cfg.join_timeout
+        while len(self.membership.alive_members()) < self.cfg.min_nodes:
             if time.monotonic() > deadline:
                 raise TimeoutError(
                     f"cluster quorum not reached: {len(self.membership.alive_members())}"
-                    f"/{self.min_nodes} nodes joined within "
-                    f"{timeout if timeout is not None else self.join_timeout:.1f}s "
-                    f"(nodes dial in with `python -m repro node {self.url}`)"
+                    f"/{self.cfg.min_nodes} workers joined within "
+                    f"{self.cfg.join_timeout:.1f}s "
+                    f"(workers dial in with `python -m repro worker {self.url}`)"
                 )
             time.sleep(0.02)
         self.membership.assign_initial()
+        self._quorum = True
         _LOG.info(
             "cluster quorum reached: %d member(s), %d clients pinned",
             len(self.membership.alive_members()), self.num_clients,
         )
 
-    def close(self, grace: Optional[float] = None) -> None:
+    def shutdown(self) -> None:
         """Broadcast stop, give members a grace window to leave, tear down."""
         if self._closed:
             return
         self._closed = True
         self._stopping.set()
+        self._sweep_now.set()
         with self._work:
             self._work.notify_all()
-        if grace is None:
-            grace = min(2.0, 4 * self.heartbeat)
-        deadline = time.monotonic() + grace
+        deadline = time.monotonic() + min(2.0, 4 * self.cfg.heartbeat)
         while time.monotonic() < deadline:
             if not self.membership.alive_members():
                 break
@@ -172,42 +165,50 @@ class ClusterCoordinator:
             self._sweeper.join(timeout=2.0)
         # anything still pending can never complete
         with self._lock:
-            self._fail_tickets_locked(
-                list(self._tickets), "coordinator shut down"
-            )
+            pending = list(self._tickets)
+        self._fail(pending, "coordinator shut down")
 
     # ------------------------------------------------------------------
-    # engine-facing dispatch
+    # dispatch (called under the pool lock)
     # ------------------------------------------------------------------
-    def submit_turn(self, client: int, method: str, args: tuple, kwargs: dict) -> LiveTicket:
-        """Encode one turn and queue it on the client's owning member."""
+    @property
+    def pool_size(self) -> int:
+        return max(len(self.membership.alive_members()), self.cfg.min_nodes)
+
+    def capacity_free(self) -> bool:
         with self._lock:
-            self._turn_seq += 1
-            turn_id = self._turn_seq
-        ticket = LiveTicket(turn_id, client)
-        owner = self.membership.owner_of(client)
-        if owner is None or self._stopping.is_set():
-            ticket.set_exception(PeerLostError(
-                f"client {client} has no live member"
-                + (" (coordinator stopping)" if self._stopping.is_set() else "")
-            ))
-            return ticket
-        frame = serde.encode_turn(turn_id, client, method, args, kwargs)
-        with self._work:
-            # the owner may have been evicted between the lookup and here;
-            # re-check under the queue lock, where eviction drains queues
-            member = self.membership.owner_of(client)
-            if member is None:
-                ticket.set_exception(PeerLostError(f"client {client} has no live member"))
-                return ticket
-            self._tickets[turn_id] = ticket
-            self._queues.setdefault(member.node_id, deque()).append((turn_id, frame))
-            self._work.notify_all()
-        return ticket
+            return len(self._tickets) < _MAX_INFLIGHT
 
-    def pending_turns(self) -> int:
+    def execute(self, ticket) -> None:
+        """Encode one turn and queue it on the client's owning member."""
+        self._turn_seq += 1
+        turn_id = self._turn_seq
+        frame = serde.encode_turn(
+            turn_id, ticket.client, ticket.method, ticket.args, ticket.kwargs
+        )
+        with self._work:
+            self._tickets[turn_id] = ticket
+            # looked up under the queue lock, where eviction drains queues:
+            # a turn can never land on a queue nobody will drain
+            member = self.membership.owner_of(ticket.client)
+            if member is None:
+                self._ownerless.append(turn_id)
+                self._sweep_now.set()
+            else:
+                self._queues.setdefault(member.node_id, deque()).append((turn_id, frame))
+                self._work.notify_all()
+
+    def live_clients(self) -> List[int]:
+        return self.membership.live_clients()
+
+    def queue_depth(self) -> int:
         with self._lock:
             return len(self._tickets)
+
+    def idle_workers(self) -> int:
+        with self._lock:
+            busy = len(set(self._in_flight.values()))
+        return max(0, len(self.membership.alive_members()) - busy)
 
     # ------------------------------------------------------------------
     # protocol handler (runs on transport connection threads)
@@ -228,7 +229,7 @@ class ClusterCoordinator:
         if op == "status":
             return encode_control(
                 "reply", ok=True, members=self.membership.describe(),
-                pending=self.pending_turns(), stop=self._stopping.is_set(),
+                pending=self.queue_depth(), stop=self._stopping.is_set(),
             )
         raise ProtocolError(f"unknown cluster op {op!r}")
 
@@ -241,8 +242,8 @@ class ClusterCoordinator:
         member = self.membership.join(node_id, dict(meta.get("caps") or {}))
         return encode_control(
             "reply", ok=True, node_id=member.node_id,
-            num_clients=self.num_clients, heartbeat=self.heartbeat,
-            lease=self.lease, spec=self.spec_yaml, clients=list(member.clients),
+            num_clients=self.num_clients, heartbeat=self.cfg.heartbeat,
+            lease=self.cfg.lease, spec=self.spec_yaml, clients=list(member.clients),
         )
 
     def _handle_heartbeat(self, meta: Dict[str, Any]) -> bytes:
@@ -260,13 +261,14 @@ class ClusterCoordinator:
         deadline = time.monotonic() + wait
         with self._work:
             while True:
+                if self._stopping.is_set():
+                    # turns still queued have no consumer left; shutdown fails them
+                    return encode_control("reply", ok=True, empty=True, stop=True)
                 queue = self._queues.get(node_id)
                 if queue:
                     turn_id, frame = queue.popleft()
                     self._in_flight[turn_id] = node_id
                     return frame
-                if self._stopping.is_set():
-                    return encode_control("reply", ok=True, empty=True, stop=True)
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return encode_control("reply", ok=True, empty=True, stop=False)
@@ -275,10 +277,7 @@ class ClusterCoordinator:
     def _handle_leave(self, meta: Dict[str, Any]) -> bytes:
         node_id = str(meta.get("node_id") or "")
         orphans = self.membership.leave(node_id)
-        with self._lock:
-            self._drop_member_turns_locked(
-                node_id, f"member {node_id} left the cluster"
-            )
+        self._drop_member_turns(node_id, f"member {node_id} left the cluster")
         return encode_control("reply", ok=True, orphans=orphans)
 
     def _handle_result(self, frame: bytes) -> bytes:
@@ -290,49 +289,46 @@ class ClusterCoordinator:
         if ticket is None:
             # duplicate or a turn already failed by eviction — drop it
             return encode_control("reply", ok=True, duplicate=True)
-        if result["ok"]:
-            ticket.set_result(result["value"])
-        else:
-            err = result["error"]
-            ticket.set_exception(RuntimeError(
-                f"remote turn failed on {result['worker'] or 'unknown node'}: "
-                f"{err['type']}: {err['message']}\n{err.get('traceback', '')}"
-            ))
+        self.deliver(ticket, result)
         return encode_control("reply", ok=True)
 
     # ------------------------------------------------------------------
     # eviction
     # ------------------------------------------------------------------
     def _sweep_loop(self) -> None:
-        period = max(0.05, min(self.heartbeat, self.lease / 4.0))
-        while not self._stopping.wait(period):
+        period = max(0.05, min(self.cfg.heartbeat, self.cfg.lease / 4.0))
+        while not self._stopping.is_set():
+            self._sweep_now.wait(period)  # early when execute() parked a turn
+            self._sweep_now.clear()
+            with self._lock:
+                ownerless, self._ownerless = self._ownerless, []
+            self._fail(ownerless, "client has no live member")
             for member in self.membership.sweep():
-                with self._lock:
-                    self._drop_member_turns_locked(
-                        member.node_id,
-                        f"member {member.node_id} evicted by the failure detector",
-                    )
-                with self._work:
-                    self._work.notify_all()
+                self._drop_member_turns(
+                    member.node_id,
+                    f"member {member.node_id} evicted by the failure detector",
+                )
 
-    def _drop_member_turns_locked(self, node_id: str, reason: str) -> None:
-        queue = self._queues.pop(node_id, None)
-        doomed: List[int] = [tid for tid, _ in (queue or ())]
-        doomed.extend(
-            tid for tid, owner in self._in_flight.items() if owner == node_id
-        )
-        self._fail_tickets_locked(doomed, reason)
+    def _drop_member_turns(self, node_id: str, reason: str) -> None:
+        with self._work:
+            doomed = [tid for tid, _ in self._queues.pop(node_id, ())]
+            doomed.extend(
+                tid for tid, owner in self._in_flight.items() if owner == node_id
+            )
+            self._work.notify_all()
+        self._fail(doomed, reason)
 
-    def _fail_tickets_locked(self, turn_ids: List[int], reason: str) -> None:
-        for tid in turn_ids:
-            self._in_flight.pop(tid, None)
-            ticket = self._tickets.pop(tid, None)
-            if ticket is not None and not ticket.done():
-                ticket.set_exception(PeerLostError(
-                    f"turn {tid} (client {ticket.client}) lost: {reason}"
-                ))
-
-    # ------------------------------------------------------------------
-    def members_lost(self) -> List[Member]:
-        """Evicted members (for status displays)."""
-        return [m for m in self.membership._members.values() if m.state == "evicted"]
+    def _fail(self, turn_ids: Iterable[int], reason: str) -> None:
+        """Complete turns as lost peers — after releasing the broker lock
+        (see the module docstring's lock order)."""
+        with self._lock:
+            doomed = []
+            for tid in turn_ids:
+                self._in_flight.pop(tid, None)
+                ticket = self._tickets.pop(tid, None)
+                if ticket is not None:
+                    doomed.append((tid, ticket))
+        for tid, ticket in doomed:
+            self.pool.turn_done(ticket, None, PeerLostError(
+                f"turn {tid} (client {ticket.client}) lost: {reason}"
+            ))

@@ -7,7 +7,7 @@ The cluster speaks the framework's existing binary wire format
 key, and every data-plane frame (a client turn or its result) is the exact
 frame :mod:`repro.runtime.serde` already produces for the broker seam —
 ``kind == "request"`` for turns, ``"response"``/``"error"`` for results.
-Reusing the serde frames verbatim is what lets a cluster node replay a
+Reusing the serde frames verbatim is what lets a cluster member replay a
 client turn bit-identically to a pool worker.
 
 Ops (node -> coordinator, each answered synchronously on the same channel):
@@ -19,11 +19,26 @@ Ops (node -> coordinator, each answered synchronously on the same channel):
                (kind ``request``) or a control frame with ``empty: true``
 ``result``     a raw serde result frame, pushed as-is (no control wrapper)
 ``leave``      graceful deregistration
+
+Both halves also agree on the URL: ``tcp://host:port`` (``inproc://name`` in
+tests) names where the engine listens, and the query string carries the
+liveness contract — ``tcp://0.0.0.0:7070?min_nodes=3&join=60&hb=0.5&lease=3
+&detector=phi&phi=8``:
+
+``min_nodes``  joining quorum the run waits for (1)
+``join``       seconds to wait for that quorum (60)
+``hb``         member heartbeat period in seconds (0.5)
+``lease``      seconds of silence after which a member is evicted (3)
+``detector``   ``timeout`` (plain lease) or ``phi`` (phi-accrual; the lease
+               stays as the hard bound) (timeout)
+``phi``        phi-accrual suspicion threshold (8)
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Dict, Tuple
+from urllib.parse import parse_qs, urlparse
 
 from repro.comm.wire import MAGIC, MESSAGE_KINDS, WireError, decode_message, encode_message
 
@@ -31,15 +46,80 @@ _KIND_NAMES = {code: name for name, code in MESSAGE_KINDS.items()}
 
 __all__ = [
     "ProtocolError",
+    "ClusterUrl",
+    "parse_cluster_url",
     "encode_control",
     "decode_control",
-    "is_turn_frame",
     "peek_kind",
 ]
 
 
 class ProtocolError(WireError):
     """A cluster frame that does not follow the control-plane contract."""
+
+
+@dataclass(frozen=True)
+class ClusterUrl:
+    """A parsed cluster URL: listen/dial address + the liveness contract."""
+
+    kind: str
+    address: str
+    min_nodes: int = 1
+    join_timeout: float = 60.0
+    heartbeat: float = 0.5
+    lease: float = 3.0
+    detector: str = "timeout"
+    phi_threshold: float = 8.0
+
+    def __post_init__(self) -> None:
+        if self.min_nodes < 1:
+            raise ValueError("cluster.min_nodes must be >= 1")
+        if self.join_timeout <= 0:
+            raise ValueError("cluster.join_timeout must be > 0")
+        if self.heartbeat <= 0:
+            raise ValueError("cluster.heartbeat must be > 0")
+        if self.lease <= self.heartbeat:
+            raise ValueError(
+                "cluster.lease must exceed cluster.heartbeat (a lease shorter "
+                "than one heartbeat period evicts healthy members)"
+            )
+        if self.detector not in ("timeout", "phi"):
+            raise ValueError("cluster.detector must be 'timeout' or 'phi'")
+        if self.phi_threshold <= 0:
+            raise ValueError("cluster.phi_threshold must be > 0")
+
+
+#: URL query key -> (ClusterUrl field, parser)
+_URL_PARAMS = {
+    "min_nodes": ("min_nodes", int),
+    "join": ("join_timeout", float),
+    "hb": ("heartbeat", float),
+    "lease": ("lease", float),
+    "detector": ("detector", str),
+    "phi": ("phi_threshold", float),
+}
+
+
+def parse_cluster_url(url: str) -> ClusterUrl:
+    """The one parser for cluster URLs (engine and worker side);
+    ``ValueError`` on a bad transport, address, key or value."""
+    parsed = urlparse(url)
+    if parsed.scheme not in ("tcp", "inproc") or not parsed.netloc:
+        raise ValueError(
+            "cluster.transport must be 'tcp' or 'inproc' "
+            f"(tcp://host:port or inproc://name), got {url!r}"
+        )
+    if parsed.scheme == "tcp" and parsed.port is None:
+        raise ValueError(f"tcp address must be host:port, got {parsed.netloc!r}")
+    params = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
+    unknown = sorted(set(params) - set(_URL_PARAMS))
+    if unknown:
+        raise ValueError(
+            f"cluster URL {url!r}: unknown parameters {unknown} "
+            f"(known: {sorted(_URL_PARAMS)})"
+        )
+    fields = {_URL_PARAMS[k][0]: _URL_PARAMS[k][1](v) for k, v in params.items()}
+    return ClusterUrl(kind=parsed.scheme, address=parsed.netloc, **fields)
 
 
 def encode_control(op: str, **meta: Any) -> bytes:
@@ -67,8 +147,3 @@ def peek_kind(frame: bytes) -> str:
     if kind is None:
         raise ProtocolError(f"unknown wire kind code {frame[4]}")
     return kind
-
-
-def is_turn_frame(frame: bytes) -> bool:
-    """True when ``frame`` is a serde turn request (work to execute)."""
-    return peek_kind(frame) == "request"

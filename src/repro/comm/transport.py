@@ -241,7 +241,7 @@ class TcpChannel(ClientChannel):
     made after the first refusal/timeout, with exponential backoff starting
     at ``connect_backoff`` seconds (capped at 2s per wait); exhaustion
     raises :class:`TransportError` naming the endpoint.  The default of 0
-    retries preserves the historical fail-fast behavior; cluster nodes dial
+    retries preserves the historical fail-fast behavior; cluster workers dial
     with a generous budget so they can start before their coordinator.
     """
 

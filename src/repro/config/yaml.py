@@ -195,9 +195,14 @@ def _parse_flow_value(text: str, line: Optional[int]) -> Tuple[Any, str]:
 def _strip_comment(line: str) -> str:
     """Remove a trailing comment, respecting quoted strings."""
     in_quote: Optional[str] = None
+    escaped = False
     for i, ch in enumerate(line):
         if in_quote:
-            if ch == in_quote:
+            if escaped:
+                escaped = False
+            elif ch == "\\" and in_quote == '"':
+                escaped = True  # \" inside double quotes does not close them
+            elif ch == in_quote:
                 in_quote = None
             continue
         if ch in "'\"":

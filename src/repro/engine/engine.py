@@ -25,7 +25,6 @@ from repro.algorithms.base import Algorithm
 from repro.comm.factory import build_communicator
 from repro.compression.base import Compressor
 from repro.data.registry import DataModule
-from repro.data.views import ClientDataProvider
 from repro.engine.actor import ThreadActor, wait_all
 from repro.engine.metrics import MetricsCollector, RoundRecord, StopRun
 from repro.runtime import Broker, ClientPool, ClientRuntime, DedicatedRuntime, broker_class
@@ -142,9 +141,7 @@ class Engine:
             raise TypeError(f"Engine.from_spec needs an ExperimentSpec, got {type(spec).__name__}")
         topology = spec_mod.resolve_topology(spec)
         datamodule = spec_mod.resolve_datamodule(spec)
-        model_fn = spec_mod.resolve_model_fn(spec, datamodule)
         algorithm_fn = spec_mod.resolve_algorithm_fn(spec)
-        compressor_fn, outer_compressor_fn, dp_fn = spec_mod.resolve_plugin_fns(spec)
         seed = int(spec.seed)
 
         topology.validate()
@@ -173,7 +170,7 @@ class Engine:
         node_specs = topology.specs()
         n_trainers = topology.trainer_count()
         # adversarial-robustness wiring: the attack plan is a pure function
-        # of (spec, cohort, classes) so broker workers and live nodes derive
+        # of (spec, cohort, classes) so every worker process derives
         # the identical attacker set from the published spec; the robust
         # factory hands every scheduler binding (each hierarchical site
         # tier included) its own counter-carrying aggregator instance
@@ -192,32 +189,16 @@ class Engine:
                 "synchronous rounds loop would silently ignore it — name a "
                 "scheduler policy (e.g. scheduler: sync) or set mode: async"
             )
-        self.data_provider = ClientDataProvider(
-            datamodule,
-            n_trainers,
-            spec.data.partition,
-            alpha=spec.data.partition_alpha,
-            seed=seed,
-            feature_noniid=float(spec.data.feature_noniid),
-        )
+        self.data_provider = spec_mod.resolve_data_provider(spec, datamodule, n_trainers)
 
         pool_size = getattr(spec, "pool_size", None)
         if pool_size is not None and int(pool_size) < 1:
             raise ValueError("pool_size must be >= 1 (or null for dedicated nodes)")
         broker_url = getattr(spec, "broker", None) or "memory://"
         distributed = broker_class(broker_url).distributed
-        live = spec.run_mode() == "live"
-        if live and topology.pattern != "server":
-            raise ValueError(
-                f"live cluster execution needs a server-pattern topology; "
-                f"{topology.pattern!r} topologies require dedicated in-process "
-                "nodes (run them simulated)"
-            )
         # a distributed broker always pools (its workers live out-of-process);
         # the memory broker pools only when the cohort exceeds the pool
-        pooled = not live and (
-            distributed or (pool_size is not None and int(pool_size) < n_trainers)
-        )
+        pooled = distributed or (pool_size is not None and int(pool_size) < n_trainers)
         if pooled and topology.pattern != "server":
             raise ValueError(
                 f"client-pool execution (broker={broker_url!r}, "
@@ -227,70 +208,12 @@ class Engine:
                 "pool_size >= the trainer count, or leave pool_size null)"
             )
 
-        def make_node(nspec: NodeSpec, train_ds) -> Node:
-            return Node(
-                spec=nspec,
-                model=model_fn(),
-                algorithm=algorithm_fn(),
-                train_dataset=train_ds,
-                test_dataset=datamodule.test,
-                batch_size=int(spec.data.batch_size),
-                seed=seed,
-                dp=dp_fn() if (dp_fn is not None and nspec.role.trains()) else None,
-                compressor=compressor_fn() if compressor_fn is not None else None,
-                outer_compressor=outer_compressor_fn() if outer_compressor_fn is not None else None,
-                drop_prob=spec.faults.drop_prob if nspec.role.trains() else 0.0,
-                straggler_prob=spec.faults.straggler_prob if nspec.role.trains() else 0.0,
-                straggler_delay=spec.faults.straggler_delay,
-                attack=(
-                    self.attack_plan.attack
-                    if self.attack_plan is not None and nspec.role.trains()
-                    else None
-                ),
-                attacker_ids=(
-                    self.attack_plan.attacker_ids if self.attack_plan is not None else ()
-                ),
-            )
+        make_node = spec_mod.resolve_node_fn(spec, datamodule, self.attack_plan)
 
         self.nodes: List[Node] = []
         self.actors: List[ThreadActor] = []
         self.pool: Optional[ClientPool] = None
-        self.cluster = None  # LiveRuntime in live mode
-        if live:
-            # live control plane: aggregators/relays materialize in-process,
-            # the cohort's trainers live in `repro node` member processes
-            # that rebuild themselves from the published spec
-            for nspec in node_specs:
-                if nspec.role.trains():
-                    continue
-                self.nodes.append(make_node(nspec, None))
-                self.actors.append(ThreadActor(self.nodes[-1], name=nspec.name))
-            # trainer nodes live elsewhere: probe the algorithm's evaluation
-            # convention directly (mirrors the distributed-broker branch)
-            self._personalized_eval = bool(algorithm_fn().personalized_eval)
-            from repro.cluster.coordinator import ClusterCoordinator
-            from repro.cluster.runtime import LiveRuntime
-
-            cl = spec.cluster
-            coordinator = ClusterCoordinator(
-                spec.to_yaml(),
-                n_trainers,
-                transport=cl.transport,
-                bind=cl.bind,
-                min_nodes=cl.min_nodes,
-                join_timeout=cl.join_timeout,
-                heartbeat=cl.heartbeat,
-                lease=cl.lease,
-                detector=cl.detector,
-                phi_threshold=cl.phi_threshold,
-            ).start()  # listen immediately: nodes may dial before run()
-            self.cluster = LiveRuntime(coordinator)
-            _LOG.info(
-                "live cluster coordinator at %s (quorum %d, lease %.1fs): "
-                "join with `python -m repro node %s`",
-                coordinator.url, cl.min_nodes, cl.lease, coordinator.url,
-            )
-        elif pooled:
+        if pooled:
             # aggregators/relays materialize as real nodes; the cohort's
             # trainers become logical clients served by broker workers (no
             # communicator groups: pooled execution runs on the scheduler
@@ -302,8 +225,10 @@ class Engine:
                 self.actors.append(ThreadActor(self.nodes[-1], name=nspec.name))
             if distributed:
                 # worker processes rebuild their own trainer nodes from the
-                # spec the broker publishes; this process holds none, so
-                # probe the algorithm's evaluation convention directly
+                # spec the broker publishes (a live broker also binds its
+                # listen address here, so workers may dial before run());
+                # this process holds no trainer, so probe the algorithm's
+                # evaluation convention directly
                 self._personalized_eval = bool(algorithm_fn().personalized_eval)
                 broker = Broker(
                     broker_url,
@@ -437,12 +362,9 @@ class Engine:
     # client runtimes: how logical client ids reach node actors
     # ------------------------------------------------------------------
     def client_runtime(self) -> ClientRuntime:
-        """The runtime for flat scheduler bindings: the live cluster or the
-        client pool when configured, otherwise one dedicated actor per
-        logical client (ids are data-shard indices, identical across all
-        modes)."""
-        if self.cluster is not None:
-            return self.cluster
+        """The runtime for flat scheduler bindings: the client pool when
+        configured, otherwise one dedicated actor per logical client (ids
+        are data-shard indices, identical across all modes)."""
         if self.pool is not None:
             return self.pool
         mapping = {}
@@ -504,11 +426,8 @@ class Engine:
         futures = [actor.submit("setup_local") for actor in self.actors]
         wait_all(futures, timeout=60)
         if self.pool is not None:
+            # a live broker blocks here until its joining quorum is reached
             self.pool.start()
-        if self.cluster is not None:
-            # block until the joining quorum is reached and clients are
-            # pinned to members (idempotent across repeated runs)
-            self.cluster.start()
         self._fire_setup_callbacks()
 
     # ------------------------------------------------------------------
@@ -701,8 +620,6 @@ class Engine:
         self._shutdown_done = True
         if self.pool is not None:
             self.pool.shutdown()
-        if self.cluster is not None:
-            self.cluster.shutdown()
         futures = []
         for actor in self.actors:
             try:

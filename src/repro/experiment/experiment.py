@@ -71,9 +71,7 @@ class Experiment:
             mode = "rounds"
         start = time.perf_counter()
         try:
-            if mode in ("async", "live"):
-                # live runs drive the same scheduler runtime — the
-                # LiveRuntime swaps wall clocks and real sockets in under it
+            if mode == "async":
                 metrics = engine.run_async(total_updates=self.spec.total_updates)
             else:
                 metrics = engine.run()

@@ -40,14 +40,13 @@ __all__ = [
     "PluginSpec",
     "FaultSpec",
     "SchedulerSpec",
-    "ClusterSpec",
     "AttackSpec",
     "AggregationSpec",
     "MTDSpec",
     "ExperimentSpec",
 ]
 
-_MODES = ("rounds", "async", "auto", "live")
+_MODES = ("rounds", "async", "auto")
 
 
 class SpecError(ValueError):
@@ -249,49 +248,6 @@ class SchedulerSpec:
         return {"name": self.name, **self.kwargs}
 
 
-@dataclass(frozen=True)
-class ClusterSpec:
-    """The live control plane: where the coordinator listens and how member
-    liveness is judged (``mode: live`` runs; see :mod:`repro.cluster`).
-
-    ``bind`` is the coordinator's listen address (``host:port``; port 0
-    binds ephemeral), ``transport`` picks real TCP sockets or the in-proc
-    registry (tests), ``min_nodes`` is the joining quorum ``run()`` waits
-    for (up to ``join_timeout`` seconds), and ``heartbeat``/``lease`` set
-    the liveness contract: members renew every ``heartbeat`` seconds and
-    the ``detector`` (``timeout`` or phi-accrual ``phi``) evicts them once
-    their silence outlives the ``lease``.
-    """
-
-    bind: str = "127.0.0.1:0"
-    transport: str = "tcp"
-    min_nodes: int = 1
-    join_timeout: float = 60.0
-    heartbeat: float = 0.5
-    lease: float = 3.0
-    detector: str = "timeout"
-    phi_threshold: float = 8.0
-
-    def __post_init__(self) -> None:
-        if self.transport not in ("tcp", "inproc"):
-            raise SpecError("cluster.transport must be 'tcp' or 'inproc'")
-        if self.min_nodes < 1:
-            raise SpecError("cluster.min_nodes must be >= 1")
-        if self.join_timeout <= 0:
-            raise SpecError("cluster.join_timeout must be > 0")
-        if self.heartbeat <= 0:
-            raise SpecError("cluster.heartbeat must be > 0")
-        if self.lease <= self.heartbeat:
-            raise SpecError(
-                "cluster.lease must exceed cluster.heartbeat (a lease shorter "
-                "than one heartbeat period evicts healthy members)"
-            )
-        if self.detector not in ("timeout", "phi"):
-            raise SpecError("cluster.detector must be 'timeout' or 'phi'")
-        if self.phi_threshold <= 0:
-            raise SpecError("cluster.phi_threshold must be > 0")
-
-
 _ATTACK_KINDS = ("label_flip", "sign_flip", "scaled_update", "backdoor")
 _ROBUST_NAMES = ("median", "trimmed_mean", "krum", "multi_krum", "norm_clip")
 
@@ -303,7 +259,7 @@ class AttackSpec:
     ``fraction`` of the logical clients (at least one when > 0) run the
     ``kind`` behavior; assignment is a pure function of ``(seed, fraction,
     num_clients)`` (``seed`` defaults to the run seed) so broker workers and
-    live nodes derive the identical attacker set from the published spec.
+    live members derive the identical attacker set from the published spec.
     ``scale`` drives the update attacks (``sign_flip``/``scaled_update``);
     the ``target_label``/``trigger_*``/``poison_frac`` knobs drive
     ``backdoor``.  ``fraction: 0`` is byte-identical to no attack block.
@@ -409,8 +365,10 @@ class ExperimentSpec:
     pool_size: Optional[int] = None
     #: turn-queue broker URL for pooled execution: ``memory://`` (default)
     #: runs turns on in-process worker actors, ``redis://host:port/db``
-    #: dispatches them to worker processes (``repro worker <url>``); see
-    #: :mod:`repro.runtime.broker` for the scheme registry
+    #: dispatches them to worker processes, ``tcp://host:port?min_nodes=N``
+    #: listens for live workers that join as cluster members (either kind
+    #: is a ``repro worker <url>`` process); see :mod:`repro.runtime.broker`
+    #: for the scheme registry
     broker: str = "memory://"
     #: opt-in hot path: fuse up to this many same-payload client turns into
     #: one batched tensor pass where the algorithm/model allow (fedavg,
@@ -418,10 +376,6 @@ class ExperimentSpec:
     #: per-turn path, so results stay bit-identical either way.  null (the
     #: default) keeps strictly per-turn execution
     batch_turns: Optional[int] = None
-    #: the live control plane (``mode: live``): coordinator bind address,
-    #: joining quorum, heartbeat/lease contract, and failure detector.
-    #: null keeps every run simulated; a mapping builds a :class:`ClusterSpec`
-    cluster: Any = None
     #: byzantine client roles (:class:`AttackSpec`): null runs an honest
     #: cohort; a mapping assigns ``attack.fraction`` of the clients the
     #: ``attack.kind`` behavior at the client-update seam
@@ -445,8 +399,6 @@ class ExperimentSpec:
             _freeze(self, "faults", _from_dict(FaultSpec, self.faults, "faults"))
         if isinstance(self.scheduler, (str, Mapping)):
             _freeze(self, "scheduler", SchedulerSpec.from_value(self.scheduler))
-        if isinstance(self.cluster, Mapping):
-            _freeze(self, "cluster", _from_dict(ClusterSpec, self.cluster, "cluster"))
         if isinstance(self.attack, Mapping):
             _freeze(self, "attack", _from_dict(AttackSpec, self.attack, "attack"))
         if isinstance(self.aggregation, Mapping):
@@ -454,37 +406,12 @@ class ExperimentSpec:
         if isinstance(self.mtd, Mapping):
             _freeze(self, "mtd", _from_dict(MTDSpec, self.mtd, "mtd"))
         if self.mode not in _MODES:
-            raise SpecError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.mode == "live":
-            if self.cluster is None:
-                raise SpecError(
-                    "mode='live' needs a cluster spec (where the coordinator "
-                    "listens and how liveness is judged); set cluster: {} for "
-                    "the localhost defaults"
-                )
-            if self.faults.drop_prob > 0 or self.faults.straggler_prob > 0:
-                raise SpecError(
-                    "live mode replaces the scripted fault model with real "
-                    "membership: set faults.drop_prob and "
-                    "faults.straggler_prob to 0 (kill node processes instead)"
-                )
-            if self.pool_size is not None:
-                raise SpecError(
-                    "live mode serves clients from cluster members, not a "
-                    "worker pool; leave pool_size null"
-                )
-            if self.batch_turns is not None:
-                raise SpecError("live mode does not support batch_turns fusion")
-            if self.broker is not None and not str(self.broker).startswith("memory:"):
-                raise SpecError(
-                    "live mode owns turn transport (the cluster coordinator); "
-                    "leave broker at memory://"
-                )
-        elif self.cluster is not None and self.mode != "auto":
-            raise SpecError(
-                f"a cluster spec only runs under mode='live' (or 'auto'), "
-                f"got mode={self.mode!r}"
+            hint = (
+                " — live runs are a broker choice: set "
+                "broker: tcp://host:port?min_nodes=N and leave mode at auto"
+                if self.mode == "live" else ""
             )
+            raise SpecError(f"mode must be one of {_MODES}, got {self.mode!r}{hint}")
         if self.total_updates is not None and self.total_updates < 1:
             raise SpecError("total_updates must be >= 1 (or null)")
         if self.num_clients is not None and self.num_clients < 1:
@@ -497,18 +424,42 @@ class ExperimentSpec:
             _freeze(self, "broker", "memory://")
         # scheme registry owns URL validation (ValueError names the
         # registered schemes); imported lazily to keep spec import-light
-        from repro.runtime.broker import broker_scheme
+        from repro.runtime.broker import broker_class
 
-        broker_scheme(self.broker)
+        broker = broker_class(self.broker)
+        if broker.live:
+            self._check_live_rules(broker)
+
+    def _check_live_rules(self, broker: Any) -> None:
+        """What a live broker (real worker processes under wall-clock time)
+        rules out, plus its URL's liveness parameters."""
+        try:
+            broker.check_url(self.broker)
+        except ValueError as exc:
+            raise SpecError(str(exc)) from exc
+        if self.faults.drop_prob > 0 or self.faults.straggler_prob > 0:
+            raise SpecError(
+                "a live broker replaces the scripted fault model with real "
+                "membership: set faults.drop_prob and "
+                "faults.straggler_prob to 0 (kill worker processes instead)"
+            )
+        if self.pool_size is not None:
+            raise SpecError(
+                "a live broker serves clients from the workers that join it, "
+                "not a sized pool; leave pool_size null"
+            )
+        if self.batch_turns is not None:
+            raise SpecError("a live broker does not support batch_turns fusion")
+        if self.mode == "rounds":
+            raise SpecError(
+                "a live broker runs on the scheduler runtime; mode='rounds' "
+                "has no collective path to its workers (use 'auto' or 'async')"
+            )
 
     # -- dispatch ----------------------------------------------------------
     def run_mode(self) -> str:
         """Resolve ``mode='auto'`` to the concrete execution mode."""
         if self.mode == "auto":
-            # a cluster spec means the cohort lives in real processes: the
-            # live control plane is the only path that can reach them
-            if self.cluster is not None:
-                return "live"
             # pooled cohorts have no collective rounds: the scheduler
             # runtime (default policy if none is named) is the only path
             if (
@@ -538,7 +489,6 @@ class ExperimentSpec:
             "pool_size": self.pool_size,
             "broker": self.broker,
             "batch_turns": self.batch_turns,
-            "cluster": asdict(self.cluster) if is_dataclass(self.cluster) else self.cluster,
             "attack": asdict(self.attack) if is_dataclass(self.attack) else self.attack,
             "aggregation": (
                 asdict(self.aggregation) if is_dataclass(self.aggregation) else self.aggregation
@@ -666,7 +616,6 @@ class ExperimentSpec:
             batch_turns=(
                 int(cfg["batch_turns"]) if cfg.get("batch_turns") is not None else None
             ),
-            cluster=_plain(cfg.get("cluster")) if cfg.get("cluster") is not None else None,
             attack=_plain(cfg.get("attack")) if cfg.get("attack") is not None else None,
             aggregation=(
                 _plain(cfg.get("aggregation")) if cfg.get("aggregation") is not None else None
@@ -716,7 +665,6 @@ def spec_from_parts(
     pool_size: Optional[int] = None,
     broker: str = "memory://",
     batch_turns: Optional[int] = None,
-    cluster: Any = None,
     attack: Any = None,
     aggregation: Any = None,
     mtd: Any = None,
@@ -765,7 +713,6 @@ def spec_from_parts(
         pool_size=pool_size,
         broker=broker,
         batch_turns=batch_turns,
-        cluster=cluster,
         attack=attack,
         aggregation=aggregation,
         mtd=mtd,
@@ -948,7 +895,7 @@ def resolve_attack_plan(spec: ExperimentSpec, num_clients: int, num_classes: int
     """The executable attack plan for this spec, or ``None`` (honest run).
 
     Pure in ``(spec, num_clients, num_classes)``: the engine, broker
-    workers, and live cluster nodes all call this against the same published
+    workers, and live cluster members all call this against the same published
     spec and derive the identical attacker set.
     """
     if getattr(spec, "attack", None) is None:
@@ -956,6 +903,60 @@ def resolve_attack_plan(spec: ExperimentSpec, num_clients: int, num_classes: int
     from repro.robust.roles import build_attack_plan
 
     return build_attack_plan(spec.attack, int(num_clients), int(num_classes), int(spec.seed))
+
+
+def resolve_data_provider(spec: ExperimentSpec, datamodule: Any, num_clients: int) -> Any:
+    """The per-client data views.  Pure in ``(spec, num_clients)``: the
+    engine and every worker process partition identically."""
+    from repro.data.views import ClientDataProvider
+
+    return ClientDataProvider(
+        datamodule,
+        int(num_clients),
+        spec.data.partition,
+        alpha=spec.data.partition_alpha,
+        seed=int(spec.seed),
+        feature_noniid=float(spec.data.feature_noniid),
+    )
+
+
+def resolve_node_fn(spec: ExperimentSpec, datamodule: Any, attack_plan: Any) -> Callable[..., Any]:
+    """``(node_spec, train_dataset) -> Node``: the one place nodes are built.
+
+    The engine calls it for every topology node and pool worker, and each
+    worker process calls it for its trainer against the published spec —
+    the same seeded factories either way, which is what makes a remote
+    turn bit-identical to an in-process one.  Training-only parts (dp,
+    scripted faults, the attack) attach to trainer roles only.
+    """
+    from repro.node.node import Node
+
+    model_fn = resolve_model_fn(spec, datamodule)
+    algorithm_fn = resolve_algorithm_fn(spec)
+    compressor_fn, outer_compressor_fn, dp_fn = resolve_plugin_fns(spec)
+    faults = spec.faults
+
+    def make_node(nspec: Any, train_dataset: Any = None) -> Any:
+        trains = nspec.role.trains()
+        return Node(
+            spec=nspec,
+            model=model_fn(),
+            algorithm=algorithm_fn(),
+            train_dataset=train_dataset,
+            test_dataset=datamodule.test,
+            batch_size=int(spec.data.batch_size),
+            seed=int(spec.seed),
+            dp=dp_fn() if (dp_fn is not None and trains) else None,
+            compressor=compressor_fn() if compressor_fn is not None else None,
+            outer_compressor=outer_compressor_fn() if outer_compressor_fn is not None else None,
+            drop_prob=faults.drop_prob if trains else 0.0,
+            straggler_prob=faults.straggler_prob if trains else 0.0,
+            straggler_delay=faults.straggler_delay,
+            attack=attack_plan.attack if attack_plan is not None and trains else None,
+            attacker_ids=attack_plan.attacker_ids if attack_plan is not None else (),
+        )
+
+    return make_node
 
 
 def resolve_robust_fn(spec: ExperimentSpec) -> Optional[Callable[[], Any]]:

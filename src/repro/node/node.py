@@ -269,6 +269,38 @@ class Node:
         self.train_dataset = None  # release the data view with the turn
         return snapshot
 
+    def run_client_turn(
+        self,
+        client_id: int,
+        snapshot: Optional[ClientSnapshot],
+        train_dataset: Optional[Dataset],
+        baseline: Dict[str, Any],
+        method: str,
+        args: tuple = (),
+        kwargs: Optional[Mapping[str, Any]] = None,
+    ) -> Tuple[Any, Optional[Exception], ClientSnapshot]:
+        """One whole client turn: swap in -> call ``method`` -> swap out.
+
+        Returns ``(value, error, new_snapshot)``.  The swap-out happens even
+        when the method raised — the client keeps whatever state the failure
+        left (dedicated-node semantics), and the next swap-in fully
+        re-initializes this node either way, so reuse cannot leak state
+        across clients.  Every substrate that serves turns from a shared
+        node (the memory broker's actors, worker processes) calls this.
+        """
+        tracer = self.tracer
+        with tracer.span("pool.swap_in", cat="pool", client=client_id):
+            self.begin_client_turn(client_id, snapshot, train_dataset, baseline)
+        value, error = None, None
+        try:
+            with tracer.span("pool.turn", cat="pool", client=client_id, method=method):
+                value = getattr(self, method)(*args, **(kwargs or {}))
+        except Exception as exc:  # noqa: BLE001 - handed to the caller with the snapshot
+            error = exc
+        turns = snapshot.turns if snapshot is not None else 0
+        with tracer.span("pool.swap_out", cat="pool", client=client_id):
+            return value, error, self.end_client_turn(turns)
+
     def shutdown(self) -> None:
         for gname, comm in self.comms.items():
             try:

@@ -6,7 +6,7 @@ Three pieces, matching the three seams the rest of the stack exposes:
                  scaled update, backdoor trigger) applied at the
                  client-update seam inside :class:`repro.node.node.Node`,
                  so they ride every execution mode unchanged — dedicated,
-                 pooled, broker workers, live cluster nodes;
+                 pooled, redis workers, live cluster members;
 ``aggregators``  server/peer-side robust combination rules (coordinate-wise
                  median, trimmed mean, Krum / multi-Krum, norm clipping)
                  plugged next to the staleness-aware aggregation in every
@@ -18,7 +18,7 @@ Three pieces, matching the three seams the rest of the stack exposes:
 
 Attacker assignment (:func:`roles.assign_attackers`) is a pure function of
 ``(seed, fraction, num_clients)`` so every process that rebuilds nodes from
-a published spec — broker workers, cluster nodes — derives the identical
+a published spec — a worker process on any link — derives the identical
 attacker set without any side channel.
 """
 

@@ -10,11 +10,13 @@ How logical clients reach execution substrates:
   (:mod:`repro.runtime.pool`);
 * :func:`Broker` — scheme-registry factory over broker URLs:
   ``memory://`` runs turns on in-process worker actors, ``redis://`` on
-  worker processes pulling from a redis queue
-  (:mod:`repro.runtime.broker`, :mod:`repro.runtime.redis`).
-
-``repro.engine.pool`` re-exports the pre-0.7 names with a
-``DeprecationWarning``; new code imports from here.
+  worker processes pulling from a redis queue, ``tcp://`` on live worker
+  processes that join this engine as cluster members
+  (:mod:`repro.runtime.broker`, :mod:`repro.runtime.redis`,
+  :mod:`repro.cluster.coordinator` — imported only when a URL names it);
+* :class:`~repro.runtime.worker.Worker` — the one remote worker process,
+  ``python -m repro worker <url>``, serving turns through the
+  :class:`WorkerLink` the URL's scheme names.
 """
 
 from repro.runtime.base import ClientRuntime, DedicatedRuntime
@@ -26,6 +28,7 @@ from repro.runtime.broker import (
     BrokerUnavailable,
     MemoryBroker,
     TurnBroker,
+    WorkerLink,
     broker_class,
     broker_scheme,
     register_broker,
@@ -40,6 +43,7 @@ __all__ = [
     "PoolTicket",
     "Broker",
     "TurnBroker",
+    "WorkerLink",
     "MemoryBroker",
     "RedisBroker",
     "BROKER_SCHEMES",

@@ -25,12 +25,18 @@ The contract, which every implementation must honor:
     ``(mean_loss, mean_accuracy)`` over clients in sorted-id order.
     ``timeout`` bounds the wait per client result; the default waits
     indefinitely (remote substrates have no universally safe bound).
+``live`` / ``live_clients()``
+    ``live`` is ``True`` when turns run on live remote processes under
+    wall-clock time (a ``tcp://`` broker behind the pool); schedulers then
+    drop the simulated latency/fault model and select only from
+    ``live_clients()``, which is ``None`` on every simulated substrate.
 ``shutdown()``
     Release execution resources.  Pending (unstarted) turns fail with
     ``RuntimeError``; already-running turns complete.  Idempotent.
 
-``repro.engine.pool`` re-exports these names for backward compatibility but
-emits a :class:`DeprecationWarning`; import from :mod:`repro.runtime`.
+Two implementations: :class:`DedicatedRuntime` here, and the pooled
+:class:`~repro.runtime.pool.ClientPool`, whose broker decides whether turns
+run on threads, redis workers or live cluster members.
 """
 
 from __future__ import annotations

@@ -13,16 +13,23 @@ memory       in-process worker-node actor threads (the classic pool; default)
 redis        worker *processes* pulling turns from a redis list, with the
              ``ClientStateStore`` sharded into a redis hash (see
              :mod:`repro.runtime.redis`)
+tcp, inproc  *live* worker processes that join this engine over a socket (or
+             the in-process transport, in tests): clients are pinned to
+             members, state stays on the member, liveness is heartbeat
+             leases (see :mod:`repro.cluster.coordinator`)
 ===========  ===============================================================
 
 ``Broker(url)`` builds the right broker, raising :class:`ValueError` for
 unknown schemes with the registered schemes named.  Third parties register
-their own via :func:`register_broker`.
+their own via :func:`register_broker`.  Every out-of-process scheme also
+names the :class:`WorkerLink` its ``python -m repro worker <url>`` processes
+speak — the two halves of one transport live behind one registry key.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Type
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Type, Union
 from urllib.parse import urlparse
 
 from repro.engine.client_state import ClientStateStore, StateArena
@@ -39,6 +46,7 @@ __all__ = [
     "broker_class",
     "Broker",
     "TurnBroker",
+    "WorkerLink",
     "MemoryBroker",
     "BrokerError",
     "BrokerTurnLost",
@@ -48,8 +56,13 @@ __all__ = [
 
 _LOG = get_logger("broker")
 
-#: scheme -> broker class; extend with :func:`register_broker`
-BROKER_SCHEMES: Dict[str, Type["TurnBroker"]] = {}
+#: scheme -> broker class, or the path of the module that registers it when
+#: first asked for (a ``memory://`` run never imports the control plane);
+#: extend with :func:`register_broker`
+BROKER_SCHEMES: Dict[str, Union[Type["TurnBroker"], str]] = {
+    "tcp": "repro.cluster.coordinator",
+    "inproc": "repro.cluster.coordinator",
+}
 
 
 class BrokerError(RuntimeError):
@@ -71,7 +84,7 @@ class PeerLostError(BrokerError):
     """A live cluster member serving this turn's client left or was evicted
     by the failure detector.  Unlike :class:`BrokerTurnLost` (a fatal loss
     on a substrate that promised delivery), peer loss is an *expected* event
-    in live mode: the scheduler maps it onto the dropped-dispatch path, so
+    on a live broker: the scheduler maps it onto the dropped-dispatch path, so
     the run continues on the surviving membership."""
 
 
@@ -101,7 +114,10 @@ def broker_scheme(url: str) -> str:
 
 
 def broker_class(url: str) -> Type["TurnBroker"]:
-    return BROKER_SCHEMES[broker_scheme(url)]
+    scheme = broker_scheme(url)
+    if isinstance(BROKER_SCHEMES[scheme], str):
+        import_module(BROKER_SCHEMES[scheme])  # its @register_broker fills the slot
+    return BROKER_SCHEMES[scheme]
 
 
 def Broker(url: str, **kwargs: Any) -> "TurnBroker":  # noqa: N802 - factory styled as a type
@@ -125,6 +141,11 @@ class TurnBroker:
     scheme: str = "?"
     #: True when turns execute outside this process (workers are remote)
     distributed: bool = False
+    #: True when those workers are live members under wall-clock time:
+    #: schedulers then drop the simulated fault/latency model and consult
+    #: :meth:`live_clients` before selection, and specs may not script
+    #: faults, size a pool or fuse turns
+    live: bool = False
     #: True when :meth:`execute_batch` can fuse several compatible turns
     #: into one substrate dispatch (the pool downgrades ``batch_turns``
     #: to per-turn execution otherwise)
@@ -136,6 +157,21 @@ class TurnBroker:
 
     def __init__(self, url: str, **kwargs: Any) -> None:
         self.url = url
+
+    @classmethod
+    def check_url(cls, url: str) -> None:
+        """Validate scheme-specific URL parameters (``ValueError`` on a bad
+        one).  Specs call this at construction for live brokers, so a typo
+        fails before anything binds or spawns."""
+
+    @classmethod
+    def worker_link(cls, url: str, worker_id: str) -> "WorkerLink":
+        """The link a ``python -m repro worker <url>`` process serves this
+        scheme's turns through."""
+        raise ValueError(
+            f"{cls.scheme}:// brokers run turns inside the engine process; "
+            "there is no worker to start"
+        )
 
     # -- lifecycle -----------------------------------------------------
     def attach(self, pool: "ClientPool") -> None:
@@ -166,6 +202,20 @@ class TurnBroker:
         execution; brokers advertise support via ``supports_batching``."""
         raise NotImplementedError(f"{type(self).__name__} does not batch turns")
 
+    def deliver(self, ticket: "PoolTicket", result: Dict[str, Any]) -> None:
+        """Report a started turn from its worker's decoded result frame
+        (:func:`repro.runtime.serde.decode_result`)."""
+        if result["ok"]:
+            self.pool.turn_done(ticket, result["value"], None)
+            return
+        err = result["error"]
+        detail = f"{err['type']}: {err['message']}"
+        if err.get("traceback"):
+            detail += f"\n--- worker {result['worker']} traceback ---\n{err['traceback']}"
+        self.pool.turn_done(ticket, None, RuntimeError(
+            f"client {result['client']} turn failed on worker {result['worker']}: {detail}"
+        ))
+
     # -- introspection (telemetry reads these on the record path) ------
     @property
     def pool_size(self) -> int:
@@ -188,9 +238,71 @@ class TurnBroker:
         """Bytes of client state held behind this broker."""
         return self.store.nbytes()
 
+    def live_clients(self) -> Optional[List[int]]:
+        """Sorted clients a live worker currently serves; ``None`` when the
+        substrate has no liveness notion (every client always available)."""
+        return None
+
     def describe(self) -> Dict[str, Any]:
         return {"scheme": self.scheme, "url": self.url,
                 "distributed": self.distributed, "workers": self.pool_size}
+
+
+# ----------------------------------------------------------------------
+class WorkerLink:
+    """Transport contract between a worker process and its engine.
+
+    The worker-side half of a distributed :class:`TurnBroker`: the
+    :class:`~repro.runtime.worker.Worker` loop is ``next_turn`` -> ``claim``
+    -> ``load_snapshot`` -> run -> ``commit``, and everything
+    transport-specific — where turns queue, where snapshots live, how the
+    worker proves it is alive — sits behind these calls.  A lost server
+    surfaces as ``ConnectionError``/``OSError`` from whichever call noticed.
+    """
+
+    #: ``next_turn`` return value meaning "the run is over, exit cleanly"
+    STOP = b"STOP"
+
+    def __init__(self, url: str, worker_id: str) -> None:
+        self.url = url
+        self.worker_id = worker_id
+
+    def open(self) -> Tuple[str, Optional[int]]:
+        """Connect and fetch the published ``(spec_yaml, num_clients)``
+        (``num_clients`` ``None``: derive it from the spec's topology)."""
+        raise NotImplementedError
+
+    def start(self) -> None:
+        """Heartbeat on the link's own thread until :meth:`close`, so an
+        in-flight turn stays leased through a graceful stop."""
+        raise NotImplementedError
+
+    def next_turn(self) -> Optional[bytes]:
+        """Wait briefly for a serde turn frame; ``None`` when nothing
+        arrived yet, :attr:`STOP` when the engine said stop."""
+        raise NotImplementedError
+
+    def claim(self, turn_id: int) -> bool:
+        """Take ownership of a pulled turn; ``False``: it must not run."""
+        return True
+
+    def gstate(self, key: int) -> Optional[bytes]:
+        """The interned global-state frame a turn references, if held."""
+        return None
+
+    def load_snapshot(self, client: int) -> Any:
+        """The client's stored snapshot, or ``None`` before its first turn."""
+        raise NotImplementedError
+
+    def commit(self, turn_id: int, client: int, snapshot: Any,
+               encode_result: Callable[[int], bytes]) -> None:
+        """Store ``snapshot`` (``None``: the turn never swapped in) and
+        deliver ``encode_result(snapshot_frame_bytes)``."""
+        raise NotImplementedError
+
+    def close(self) -> None:
+        """Stop heartbeating and deregister; safe on a link never opened."""
+        raise NotImplementedError
 
 
 # ----------------------------------------------------------------------
@@ -266,25 +378,17 @@ class MemoryBroker(TurnBroker):
         )
 
     def _run_turn(self, node, ticket: "PoolTicket") -> Any:
-        """Inject state -> run -> extract state, on the worker's thread."""
-        tracer = self._engine.tracer
-        snapshot = self.store.get(ticket.client)
-        dataset = self.pool.data_view(ticket)
+        """One turn on the worker's thread; the snapshot is stored even
+        when the turn failed (see :meth:`Node.run_client_turn`)."""
         assert self._baseline is not None
-        with tracer.span("pool.swap_in", cat="pool", client=ticket.client):
-            node.begin_client_turn(ticket.client, snapshot, dataset, self._baseline)
-        try:
-            with tracer.span("pool.turn", cat="pool",
-                             client=ticket.client, method=ticket.method):
-                return getattr(node, ticket.method)(*ticket.args, **ticket.kwargs)
-        finally:
-            # extract even after a failed turn: the client keeps whatever
-            # state the failure left (dedicated-node semantics), and the
-            # next begin_client_turn fully re-initializes the worker either
-            # way, so reuse cannot leak state across clients
-            turns = snapshot.turns if snapshot is not None else 0
-            with tracer.span("pool.swap_out", cat="pool", client=ticket.client):
-                self.store.put(ticket.client, node.end_client_turn(turns))
+        value, error, snapshot = node.run_client_turn(
+            ticket.client, self.store.get(ticket.client), self.pool.data_view(ticket),
+            self._baseline, ticket.method, ticket.args, ticket.kwargs,
+        )
+        self.store.put(ticket.client, snapshot)
+        if error is not None:
+            raise error
+        return value
 
     def _on_turn_done(self, ticket: "PoolTicket", worker: int, future) -> None:
         def release() -> None:  # runs under the pool lock, before the pump

@@ -2,8 +2,8 @@
 
 ``num_clients`` logical clients share a bounded set of execution slots
 provided by a :class:`~repro.runtime.broker.TurnBroker` (in-process actor
-threads for ``memory://``, worker processes for ``redis://``).  The pool
-owns everything transport-independent:
+threads for ``memory://``, worker processes for ``redis://``, live cluster
+members for ``tcp://``).  The pool owns everything transport-independent:
 
 1. **per-client FIFO** — all submissions for one client run in submission
    order (exactly what a dedicated actor's mailbox guarantees), so pooled
@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Set
 import numpy as np
 
 from repro.runtime.base import ClientRuntime
+from repro.runtime.broker import PeerLostError
 from repro.utils.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -169,17 +170,21 @@ class ClientPool(ClientRuntime):
         """The client-state store (possibly sharded behind the broker)."""
         return self.broker.store
 
+    @property
+    def live(self) -> bool:
+        return self.broker.live
+
     def client_ids(self) -> List[int]:
         return list(range(self.num_clients))
+
+    def live_clients(self) -> Optional[List[int]]:
+        return self.broker.live_clients()
 
     def start(self) -> None:
         """Bring up the broker substrate (idempotent)."""
         if not self._started:
             self.broker.start()
             self._started = True
-
-    # kept as an alias: pre-broker callers knew this step as baseline capture
-    ensure_baseline = start
 
     def data_view(self, ticket: PoolTicket):
         """The client's training-data view, for brokers that mount data
@@ -215,18 +220,34 @@ class ClientPool(ClientRuntime):
     def evaluate_all(self, max_batches: Optional[int] = None,
                      timeout: Optional[float] = None) -> tuple:
         """Personalized evaluation over every logical client: mean (loss,
-        accuracy) of each client's own model on the shared test set.
+        accuracy) of each client's own model on the shared test set.  On a
+        live broker "every client" is the clients a live member serves, and
+        a member dying mid-sweep costs only its own clients.
 
         ``timeout`` bounds the wait *per ticket* (default ``None``: wait
         indefinitely — a large cohort on a remote broker, or one cold
         worker, legitimately takes longer than any fixed guess)."""
-        tickets = [self.submit(c, "evaluate", None, max_batches) for c in self.client_ids()]
+        live = self.live_clients()
+        clients = self.client_ids() if live is None else live
+        if not clients:
+            raise RuntimeError(
+                "no live cluster members to evaluate on — every worker left "
+                "or was evicted"
+            )
+        tickets = [self.submit(c, "evaluate", None, max_batches) for c in clients]
         # demand in submission order up front so the whole evaluation sweep
         # may jump the admission window in a deterministic order instead of
         # serializing demand behind each blocking result() in turn
         for t in tickets:
             self._demand(t)
-        results = [t.result(timeout) for t in tickets]
+        results = []
+        for t in tickets:
+            try:
+                results.append(t.result(timeout))
+            except PeerLostError:  # only live brokers raise it
+                _LOG.warning("evaluation turn for client %d lost to peer failure", t.client)
+        if not results:
+            raise RuntimeError("every evaluation turn was lost to peer failures")
         losses = [r[0] for r in results]
         accs = [r[1] for r in results]
         return float(np.mean(losses)), float(np.mean(accs))

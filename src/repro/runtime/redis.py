@@ -3,7 +3,8 @@
 Topology: the engine process runs scheduling (virtual-time queue, admission
 window, per-client FIFO) and *submits* turns; worker processes — spawned
 via ``python -m repro worker <url>`` or auto-spawned with ``?workers=N`` —
-pull turns from a redis list and run them on locally-reconstructed nodes.
+pull turns from a redis list (through :class:`RedisLink`, the worker's half
+of this module) and run them on locally-reconstructed nodes.
 The :class:`~repro.engine.client_state.ClientStateStore` shards into a
 redis hash: every turn swaps its client's snapshot in from the hash and
 back out, using the :mod:`repro.comm.wire` codec (via
@@ -71,6 +72,7 @@ from repro.runtime.broker import (
     BrokerTurnLost,
     BrokerUnavailable,
     TurnBroker,
+    WorkerLink,
     register_broker,
 )
 from repro.runtime.resp import RespClient, RespError
@@ -78,7 +80,7 @@ from repro.utils.logging import get_logger
 
 _LOG = get_logger("redis-broker")
 
-__all__ = ["RedisBroker", "RedisUrl", "parse_redis_url", "RedisSnapshotStore"]
+__all__ = ["RedisBroker", "RedisLink", "RedisUrl", "parse_redis_url", "RedisSnapshotStore"]
 
 
 @dataclass
@@ -397,18 +399,7 @@ class RedisBroker(TurnBroker):
             return  # duplicate ack from a requeued turn already resolved
         if result["snap_bytes"]:
             self._note_snapshot(result["client"], result["snap_bytes"])
-        if result["ok"]:
-            self.pool.turn_done(entry.ticket, result["value"], None)
-        else:
-            err = result["error"]
-            detail = f"{err['type']}: {err['message']}"
-            if err.get("traceback"):
-                detail += f"\n--- worker {result['worker']} traceback ---\n{err['traceback']}"
-            self.pool.turn_done(
-                entry.ticket, None,
-                RuntimeError(f"client {result['client']} turn failed on "
-                             f"worker {result['worker']}: {detail}"),
-            )
+        self.deliver(entry.ticket, result)
 
     def _sweep(self, conn: RespClient) -> None:
         """Requeue turns whose lease died; fail turns nobody can run.
@@ -527,9 +518,6 @@ class RedisBroker(TurnBroker):
     def idle_workers(self) -> int:
         return self._idle_workers
 
-    def snapshot_bytes(self) -> int:
-        return self.store.nbytes()
-
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
         if not self._started:
@@ -576,3 +564,119 @@ class RedisBroker(TurnBroker):
         info.update(namespace=self.cfg.namespace(), lease=self.cfg.lease,
                     inflight=self.cfg.inflight)
         return info
+
+    @classmethod
+    def worker_link(cls, url: str, worker_id: str) -> "RedisLink":
+        return RedisLink(url, worker_id)
+
+
+class RedisLink(WorkerLink):
+    """The worker's half of the turn loop drawn in the module docstring.
+
+    A heartbeat thread renews the worker's liveness stamp and the active
+    turn's lease on its own connection.  Before running a turn the worker
+    checks the ``done`` hash — a requeued duplicate of a *completed* turn
+    re-acks the recorded result instead of re-training, so retries cannot
+    double-advance client state.
+    """
+
+    def __init__(self, url: str, worker_id: str) -> None:
+        super().__init__(url, worker_id)
+        self.cfg = parse_redis_url(url)
+        if not self.cfg.run:
+            raise ValueError(
+                "worker URL needs the broker's run namespace "
+                "(redis://host:port/db?run=<id>); the engine logs it at start"
+            )
+        self._conn: Optional[RespClient] = None
+        self._hb_conn: Optional[RespClient] = None
+        self._current_turn: Optional[int] = None
+        self._stopping = threading.Event()
+
+    def _connect(self) -> RespClient:
+        return RespClient(self.cfg.host, self.cfg.port, db=self.cfg.db,
+                          password=self.cfg.password)
+
+    def open(self):
+        self._conn = self._connect()
+        self._hb_conn = self._connect()
+        spec_yaml = self._conn.execute("GET", self.cfg.key("spec"))
+        meta_raw = self._conn.execute("GET", self.cfg.key("meta"))
+        if spec_yaml is None or meta_raw is None:
+            raise RespError(
+                f"no experiment published under namespace "
+                f"{self.cfg.namespace()!r} — is the engine running?"
+            )
+        return spec_yaml.decode("utf8"), json.loads(meta_raw).get("num_clients")
+
+    def _lease(self) -> str:
+        return json.dumps({"worker": self.worker_id,
+                           "deadline": time.time() + self.cfg.lease})
+
+    def start(self) -> None:
+        self._conn.execute("HSET", self.cfg.key("hb"), self.worker_id, time.time())
+        threading.Thread(target=self._heartbeat_loop,
+                         name="worker-heartbeat", daemon=True).start()
+
+    def _heartbeat_loop(self) -> None:
+        while not self._stopping.wait(self.cfg.heartbeat):
+            try:
+                self._hb_conn.execute(
+                    "HSET", self.cfg.key("hb"), self.worker_id, time.time()
+                )
+                turn = self._current_turn
+                if turn is not None:
+                    self._hb_conn.execute(
+                        "HSET", self.cfg.key("leases"), turn, self._lease()
+                    )
+            except RespError:
+                return  # connection gone; the turn loop will notice and exit
+
+    def next_turn(self) -> Optional[bytes]:
+        if self._conn.execute("GET", self.cfg.key("stop")) is not None:
+            return self.STOP
+        item = self._conn.brpop(self.cfg.key("turns"), timeout=1.0)
+        return None if item is None else item[1]  # the queue's own b"STOP" included
+
+    def claim(self, turn_id: int) -> bool:
+        # duplicate of a completed turn (requeued by a lease sweep that
+        # raced the ack): re-ack the recorded result, never re-train
+        done = self._conn.execute("HGET", self.cfg.key("done"), turn_id)
+        if done is not None:
+            self._conn.execute("LPUSH", self.cfg.key("results"), done)
+            return False
+        self._conn.execute("HSET", self.cfg.key("leases"), turn_id, self._lease())
+        self._current_turn = turn_id
+        return True
+
+    def gstate(self, key: int) -> Optional[bytes]:
+        return self._conn.execute("HGET", self.cfg.key("gstate"), key)
+
+    def load_snapshot(self, client: int):
+        raw = self._conn.execute("HGET", self.cfg.key("snap"), client)
+        return None if raw is None else serde.decode_snapshot(raw)
+
+    def commit(self, turn_id: int, client: int, snapshot, encode_result) -> None:
+        snap_frame = None if snapshot is None else serde.encode_snapshot(snapshot)
+        result_frame = encode_result(len(snap_frame) if snap_frame else 0)
+        # swap-out + done-record + ack + lease release, atomically: a lease
+        # sweep observes either "running" or "fully completed", never a
+        # half-acked turn it might requeue against a stale snapshot
+        commands = [("HSET", self.cfg.key("done"), turn_id, result_frame),
+                    ("LPUSH", self.cfg.key("results"), result_frame),
+                    ("HDEL", self.cfg.key("leases"), turn_id)]
+        if snap_frame is not None:
+            commands.insert(0, ("HSET", self.cfg.key("snap"), client, snap_frame))
+        self._conn.multi(commands)
+        self._current_turn = None
+
+    def close(self) -> None:
+        self._stopping.set()
+        if self._conn is not None:
+            try:
+                self._conn.execute("HDEL", self.cfg.key("hb"), self.worker_id)
+            except RespError:
+                pass
+        for conn in (self._conn, self._hb_conn):
+            if conn is not None:
+                conn.close()

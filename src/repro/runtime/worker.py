@@ -1,21 +1,26 @@
-"""The ``repro worker`` process: pulls client turns from a redis broker.
+"""The ``repro worker`` process: serves client turns for a remote engine.
 
-Started as ``python -m repro worker redis://host:port/0?run=<ns>`` (or
-auto-spawned by :class:`~repro.runtime.redis.RedisBroker` with
-``?workers=N``).  On startup the worker fetches the experiment spec the
-broker published, rebuilds an identical trainer node from the same seeded
-factories the engine uses — which is what makes its turns bit-identical to
-in-process execution — and loops::
+Started as ``python -m repro worker <url>`` with the URL of any distributed
+broker — ``redis://host:port/0?run=<ns>`` (or auto-spawned by
+:class:`~repro.runtime.redis.RedisBroker` with ``?workers=N``) to pull turns
+from a redis queue, ``tcp://host:port`` to join a live engine as a cluster
+member.  The scheme picks the :class:`~repro.runtime.broker.WorkerLink`
+through the broker registry; everything else is one loop.  On startup the
+worker fetches the experiment spec the engine published, rebuilds an
+identical trainer node from the same seeded factories the engine uses —
+which is what makes its turns bit-identical to in-process execution — and
+loops::
 
-    BRPOP turn -> lease -> swap in snapshot -> run method -> swap out
-    -> MULTI{snapshot, done-record, result-ack, lease-release}EXEC
+    next turn -> claim -> swap in the client's snapshot -> run the method
+    -> swap out -> commit {snapshot, result}
 
-A heartbeat thread renews the worker's liveness stamp and the active
-turn's lease; if the process dies mid-turn the lease expires and the
-engine-side collector requeues the turn.  Before running a turn the worker
-checks the ``done`` hash — a requeued duplicate of a *completed* turn
-re-acks the recorded result instead of re-training, so retries cannot
-double-advance client state.
+The link heartbeats on its own thread; if the process dies mid-turn the
+engine notices (an expired lease requeues the turn on redis, an evicted
+member's turns fail as lost peers on tcp).
+
+Exit codes of :func:`run_worker`: 0 after a stop request (the engine's stop
+flag, SIGTERM/SIGINT, the turn cap), 2 when startup failed, 3 when the
+serve loop ended because the server was lost or revoked this worker.
 
 Environment knobs (used by the regression tests):
 
@@ -28,7 +33,6 @@ Environment knobs (used by the regression tests):
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import socket
@@ -39,203 +43,106 @@ from collections import OrderedDict
 from typing import Any, Optional
 
 from repro.runtime import serde
-from repro.runtime.redis import RedisUrl, parse_redis_url
-from repro.runtime.resp import RespClient, RespError
+from repro.runtime.broker import broker_class
 from repro.utils.logging import get_logger
 
 _LOG = get_logger("worker")
 
-__all__ = ["BrokerWorker", "run_worker"]
+__all__ = ["Worker", "run_worker"]
 
 
-class BrokerWorker:
-    """One turn-pulling worker bound to a broker namespace."""
+class Worker:
+    """One turn-serving worker bound to a distributed broker's URL."""
 
     def __init__(self, url: str, worker_id: Optional[str] = None) -> None:
-        self.cfg: RedisUrl = parse_redis_url(url)
-        if not self.cfg.run:
-            raise ValueError(
-                "worker URL needs the broker's run namespace "
-                "(redis://host:port/db?run=<id>); the engine logs it at start"
-            )
         self.worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
-        self._conn: Optional[RespClient] = None
-        self._hb_conn: Optional[RespClient] = None
-        self._current_turn: Optional[int] = None
-        self._stopping = threading.Event()
-        # a graceful stop request (signal or stop()) is separate from
-        # _stopping: the heartbeat thread must keep renewing the in-flight
-        # turn's lease until that turn actually completes
+        self.link = broker_class(url).worker_link(url, self.worker_id)
+        # a graceful stop request (signal or stop()) only ends the pull
+        # loop: the link keeps heartbeating until the in-flight turn has
+        # been committed and run() closes it
         self._stop_requested = threading.Event()
         self.node: Any = None
         self.provider: Any = None
         self.baseline: Any = None
         self.turns_run = 0
+        #: True once the serve loop ended because the server went away
+        self.lost = False
+        self._turn_id: Optional[int] = None
+        self._stage = "start"
         # decoded global-state payloads, keyed by the engine's intern key;
         # a round's whole cohort shares one entry, async policies keep a
         # few recent versions warm
         self._gstate_cache: "OrderedDict[int, Any]" = OrderedDict()
         self._gstate_cache_cap = 4
 
-    # ------------------------------------------------------------------
-    # startup: reconstruct an engine-identical trainer node from the spec
-    # ------------------------------------------------------------------
-    def connect(self) -> None:
-        self._conn = RespClient(self.cfg.host, self.cfg.port, db=self.cfg.db,
-                                password=self.cfg.password)
-        self._hb_conn = RespClient(self.cfg.host, self.cfg.port, db=self.cfg.db,
-                                   password=self.cfg.password)
-
     def load(self) -> None:
-        """Fetch the published spec and build node + data provider."""
-        assert self._conn is not None
-        spec_yaml = self._conn.execute("GET", self.cfg.key("spec"))
-        meta_raw = self._conn.execute("GET", self.cfg.key("meta"))
-        if spec_yaml is None or meta_raw is None:
-            raise RespError(
-                f"no experiment published under namespace "
-                f"{self.cfg.namespace()!r} — is the engine running?"
-            )
-        meta = json.loads(meta_raw)
-
-        from repro.data.views import ClientDataProvider
+        """Open the link, fetch the published spec, build the trainer."""
         from repro.experiment import spec as spec_mod
-        from repro.node.node import Node
         from repro.topology.base import NodeRole, NodeSpec
 
-        spec = spec_mod.ExperimentSpec.from_yaml(
-            spec_yaml.decode("utf8") if isinstance(spec_yaml, bytes) else spec_yaml
-        )
+        spec_yaml, num_clients = self.link.open()
+        spec = spec_mod.ExperimentSpec.from_yaml(spec_yaml)
         datamodule = spec_mod.resolve_datamodule(spec)
-        model_fn = spec_mod.resolve_model_fn(spec, datamodule)
-        algorithm_fn = spec_mod.resolve_algorithm_fn(spec)
-        compressor_fn, outer_compressor_fn, dp_fn = spec_mod.resolve_plugin_fns(spec)
-        seed = int(spec.seed)
-
-        num_clients = meta.get("num_clients")
         if num_clients is None:
             num_clients = spec_mod.resolve_topology(spec).trainer_count()
-        # pure function of (spec, cohort, classes): this process derives the
-        # same attacker set the engine (and every other worker) derived
-        attack_plan = spec_mod.resolve_attack_plan(
-            spec, int(num_clients), datamodule.num_classes
-        )
-        self.provider = ClientDataProvider(
-            datamodule,
-            int(num_clients),
-            spec.data.partition,
-            alpha=spec.data.partition_alpha,
-            seed=seed,
-            feature_noniid=float(spec.data.feature_noniid),
-        )
-        # mirror the engine's make_node for a pool worker exactly: same
-        # seeded factories, trainer-role plugins, no mounted shard
-        nspec = NodeSpec(
-            name=f"broker_worker_{self.worker_id}",
-            index=1_000_000,
-            role=NodeRole.TRAINER,
-        )
-        self.node = Node(
-            spec=nspec,
-            model=model_fn(),
-            algorithm=algorithm_fn(),
-            train_dataset=None,
-            test_dataset=datamodule.test,
-            batch_size=int(spec.data.batch_size),
-            seed=seed,
-            dp=dp_fn() if dp_fn is not None else None,
-            compressor=compressor_fn() if compressor_fn is not None else None,
-            outer_compressor=outer_compressor_fn() if outer_compressor_fn is not None else None,
-            drop_prob=spec.faults.drop_prob,
-            straggler_prob=spec.faults.straggler_prob,
-            straggler_delay=spec.faults.straggler_delay,
-            attack=attack_plan.attack if attack_plan is not None else None,
-            attacker_ids=attack_plan.attacker_ids if attack_plan is not None else (),
+        # pure functions of (spec, cohort, classes): this process derives
+        # the same partition and attacker set the engine (and every other
+        # worker) derived
+        attack_plan = spec_mod.resolve_attack_plan(spec, num_clients, datamodule.num_classes)
+        self.provider = spec_mod.resolve_data_provider(spec, datamodule, num_clients)
+        # the engine's pool-worker construction exactly: trainer role, no
+        # mounted shard (data views are mounted per turn)
+        self.node = spec_mod.resolve_node_fn(spec, datamodule, attack_plan)(
+            NodeSpec(name=f"worker_{self.worker_id}", index=1_000_000, role=NodeRole.TRAINER)
         )
         self.node.setup_local()
         self.baseline = self.node.pool_baseline()
 
     # ------------------------------------------------------------------
-    # liveness
-    # ------------------------------------------------------------------
-    def _heartbeat_loop(self) -> None:
-        assert self._hb_conn is not None
-        period = self.cfg.heartbeat
-        while not self._stopping.wait(period):
-            try:
-                self._hb_conn.execute(
-                    "HSET", self.cfg.key("hb"), self.worker_id, time.time()
-                )
-                turn = self._current_turn
-                if turn is not None:
-                    self._hb_conn.execute(
-                        "HSET", self.cfg.key("leases"), turn,
-                        json.dumps({"worker": self.worker_id,
-                                    "deadline": time.time() + self.cfg.lease}),
-                    )
-            except RespError:
-                return  # connection gone; main loop will notice and exit
-
-    # ------------------------------------------------------------------
     # the turn loop
     # ------------------------------------------------------------------
     def run(self, max_turns: Optional[int] = None) -> int:
-        """Pull and execute turns until stopped; returns turns completed."""
-        if self._conn is None:
-            self.connect()
+        """Serve turns until stopped or the server is lost; returns turns
+        completed (``self.lost`` tells the two endings apart)."""
         if self.node is None:
             self.load()
-        assert self._conn is not None
-        self._conn.execute("HSET", self.cfg.key("hb"), self.worker_id, time.time())
-        hb = threading.Thread(target=self._heartbeat_loop,
-                              name="worker-heartbeat", daemon=True)
-        hb.start()
+        link = self.link
         env_cap = os.environ.get("REPRO_WORKER_MAX_TURNS")
         if max_turns is None and env_cap:
             max_turns = int(env_cap)
-        _LOG.info("worker %s serving namespace %s", self.worker_id, self.cfg.namespace())
         try:
+            link.start()
+            _LOG.info("worker %s serving %s", self.worker_id, link.url)
             while max_turns is None or self.turns_run < max_turns:
-                if self._stop_requested.is_set() or self._stopping.is_set():
-                    # graceful shutdown (SIGTERM/SIGINT or stop()): the
-                    # in-flight turn already completed — _handle_turn's MULTI
-                    # released its lease — so exit and deregister below
-                    break
-                if self._conn.execute("GET", self.cfg.key("stop")) is not None:
-                    break
-                item = self._conn.brpop(self.cfg.key("turns"), timeout=1.0)
-                if item is None:
+                if self._stop_requested.is_set():
+                    break  # the in-flight turn, if any, already committed
+                self._stage = "poll"
+                frame = link.next_turn()
+                if frame is None:
                     continue
-                frame = item[1]
-                if frame == b"STOP":
+                if frame == link.STOP:
                     break
-                self._handle_turn(frame)
-        except RespError as exc:
-            _LOG.error("worker %s lost its broker connection: %s", self.worker_id, exc)
-            return self.turns_run
+                self._serve(frame)
+        except (ConnectionError, OSError) as exc:
+            self.lost = True
+            _LOG.error(
+                "worker %s lost its server (last turn %s, stage %s): %s",
+                self.worker_id, self._turn_id, self._stage, exc,
+            )
         finally:
-            self._stopping.set()
-            try:
-                self._conn.execute("HDEL", self.cfg.key("hb"), self.worker_id)
-            except RespError:
-                pass
+            link.close()
         return self.turns_run
 
     def stop(self) -> None:
-        """Request a graceful shutdown: finish the in-flight turn, then exit.
-
-        Sets ``_stop_requested`` rather than ``_stopping`` so the heartbeat
-        thread keeps renewing the worker's lease until the current turn has
-        actually been committed back to the broker.
-        """
+        """Request a graceful shutdown: finish the in-flight turn, then exit."""
         self._stop_requested.set()
 
     def _resolve_gstate(self, args: tuple) -> tuple:
         """Swap an interned-payload sentinel for the decoded global state.
 
-        The engine ships each dispatch epoch's model to the ``gstate`` hash
-        once and sends ``{GSTATE_KEY: key}`` in the turn frame; decoding it
-        once per key (instead of once per turn) is the worker half of the
+        The engine ships each dispatch epoch's model to the broker once and
+        sends ``{GSTATE_KEY: key}`` in the turn frame; decoding it once per
+        key (instead of once per turn) is the worker half of the
         round-decode cache.  The decoded payload is shared across turns and
         must be treated as read-only — same contract as the in-process
         pool, where one payload dict fans out to the whole cohort.
@@ -247,8 +154,7 @@ class BrokerWorker:
         gkey = int(head[serde.GSTATE_KEY])
         payload = self._gstate_cache.get(gkey)
         if payload is None:
-            assert self._conn is not None
-            frame = self._conn.execute("HGET", self.cfg.key("gstate"), gkey)
+            frame = self.link.gstate(gkey)
             if frame is None:
                 # the engine prunes only keys no in-flight turn references,
                 # so a miss means the run is gone or the namespace was wiped
@@ -263,79 +169,69 @@ class BrokerWorker:
             self._gstate_cache.move_to_end(gkey)
         return (payload,) + tuple(args[1:])
 
-    def _handle_turn(self, frame: bytes) -> None:
-        assert self._conn is not None
-        conn = self._conn
+    def _serve(self, frame: bytes) -> None:
+        link = self.link
         turn_id, client, method, args, kwargs = serde.decode_turn(frame)
-        # duplicate of a completed turn (requeued by a lease sweep that
-        # raced the ack): re-ack the recorded result, never re-train
-        done = conn.execute("HGET", self.cfg.key("done"), turn_id)
-        if done is not None:
-            conn.execute("LPUSH", self.cfg.key("results"), done)
+        self._turn_id, self._stage = turn_id, "claim"
+        if not link.claim(turn_id):
             return
-        conn.execute(
-            "HSET", self.cfg.key("leases"), turn_id,
-            json.dumps({"worker": self.worker_id,
-                        "deadline": time.time() + self.cfg.lease}),
-        )
-        self._current_turn = turn_id
         delay = float(os.environ.get("REPRO_WORKER_TURN_DELAY", "0") or 0)
         if delay:
             time.sleep(delay)
-        snap_frame: Optional[bytes] = None
+        value = error = snapshot = None
         try:
+            self._stage = "swap-in"
             args = self._resolve_gstate(args)
-            raw = conn.execute("HGET", self.cfg.key("snap"), client)
-            snapshot = None if raw is None else serde.decode_snapshot(raw)
+            previous = link.load_snapshot(client)
             needs_data = method in ("local_update", "run_round")
             dataset = self.provider.view(client) if needs_data else None
-            self.node.begin_client_turn(client, snapshot, dataset, self.baseline)
-            try:
-                value = getattr(self.node, method)(*args, **kwargs)
-            finally:
-                # swap out even after a failed turn (dedicated-node
-                # semantics: the client keeps whatever state the failure
-                # left), mirroring the memory broker's _run_turn
-                turns = snapshot.turns if snapshot is not None else 0
-                snap_frame = serde.encode_snapshot(self.node.end_client_turn(turns))
-            result_frame = serde.encode_result(
-                turn_id, client, value,
-                snap_bytes=len(snap_frame), worker=self.worker_id,
+            self._stage = "train"
+            value, error, snapshot = self.node.run_client_turn(
+                client, previous, dataset, self.baseline, method, args, kwargs
             )
+        except (ConnectionError, OSError):
+            raise  # the link died under the swap-in: nothing to report to
         except Exception as exc:  # noqa: BLE001 - report, keep serving
-            result_frame = serde.encode_error(
-                turn_id, client, exc, traceback_text=traceback.format_exc(),
-                snap_bytes=len(snap_frame) if snap_frame else 0,
-                worker=self.worker_id,
-            )
-        # swap-out + done-record + ack + lease release, atomically: a lease
-        # sweep observes either "running" or "fully completed", never a
-        # half-acked turn it might requeue against a stale snapshot
-        commands = [("HSET", self.cfg.key("done"), turn_id, result_frame),
-                    ("LPUSH", self.cfg.key("results"), result_frame),
-                    ("HDEL", self.cfg.key("leases"), turn_id)]
-        if snap_frame is not None:
-            commands.insert(0, ("HSET", self.cfg.key("snap"), client, snap_frame))
-        conn.multi(commands)
-        self._current_turn = None
+            error = exc
+        self._stage = "commit"
+        link.commit(
+            turn_id, client, snapshot,
+            lambda snap_bytes: self._encode_result(turn_id, client, value, error, snap_bytes),
+        )
         self.turns_run += 1
+
+    def _encode_result(self, turn_id: int, client: int, value: Any,
+                       error: Optional[Exception], snap_bytes: int) -> bytes:
+        if error is None:
+            try:
+                return serde.encode_result(
+                    turn_id, client, value, snap_bytes=snap_bytes, worker=self.worker_id
+                )
+            except Exception as exc:  # noqa: BLE001 - an unencodable value fails the turn
+                error = exc
+        trace = "".join(traceback.format_exception(type(error), error, error.__traceback__))
+        return serde.encode_error(
+            turn_id, client, error, traceback_text=trace,
+            snap_bytes=snap_bytes, worker=self.worker_id,
+        )
 
 
 def run_worker(url: str, worker_id: Optional[str] = None,
                max_turns: Optional[int] = None) -> int:
     """CLI entrypoint (``python -m repro worker <url>``); returns exit code."""
+    worker = None
     try:
-        worker = BrokerWorker(url, worker_id=worker_id)
-        worker.connect()
+        worker = Worker(url, worker_id=worker_id)
         worker.load()
-    except (RespError, ValueError) as exc:
+    except (ConnectionError, ValueError) as exc:
         _LOG.error("worker startup failed: %s", exc)
+        if worker is not None:
+            worker.link.close()
         return 2
 
-    # graceful shutdown: SIGTERM/SIGINT finish the in-flight turn (its MULTI
-    # releases the lease and acks the result), then the run loop exits and
-    # deregisters the heartbeat — no dead-worker requeue needed for a turn
-    # that actually completed
+    # graceful shutdown: SIGTERM/SIGINT finish the in-flight turn (its
+    # commit acks the result and releases the lease), then the run loop
+    # exits and the link deregisters — nothing for the engine to requeue
     def _graceful(signum, frame):  # noqa: ARG001 - signal handler signature
         _LOG.info(
             "worker %s received signal %d, finishing current turn",
@@ -349,4 +245,4 @@ def run_worker(url: str, worker_id: Optional[str] = None,
 
     worker.run(max_turns=max_turns)
     _LOG.info("worker %s exiting after %d turns", worker.worker_id, worker.turns_run)
-    return 0
+    return 3 if worker.lost else 0

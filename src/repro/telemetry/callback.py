@@ -168,16 +168,15 @@ class Telemetry(Callback):
         if sched is not None:
             detail["scheduler"] = getattr(sched, "name", type(sched).__name__)
         if engine.pool is not None:
+            broker = engine.pool.broker
             detail["pool_size"] = engine.pool.pool_size
             detail["num_clients"] = engine.pool.num_clients
-            detail["broker"] = engine.pool.broker.scheme
-        cluster = getattr(engine, "cluster", None)
-        if cluster is not None:
-            detail["cluster"] = cluster.url
-            detail["num_clients"] = cluster.num_clients
-            # membership/liveness gauges + join/leave/eviction counters
-            # become visible on /metrics as soon as the run registers
-            cluster.membership.bind_registry(self.registry)
+            detail["broker"] = broker.scheme
+            if broker.live:
+                detail["cluster"] = broker.url
+                # membership/liveness gauges + join/leave/eviction counters
+                # become visible on /metrics as soon as the run registers
+                broker.membership.bind_registry(self.registry)
         self.run_info = self.runs.register(fingerprint=fingerprint, **detail)
         self.registry.gauge(
             "repro_run_active", "1 while this run is between setup and shutdown"

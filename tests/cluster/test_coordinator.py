@@ -1,8 +1,9 @@
-"""Coordinator protocol: join/poll/result flow, eviction, leave, close.
+"""Coordinator protocol: join/poll/result flow, eviction, leave, shutdown.
 
-These tests drive the coordinator through real transport channels (the
-in-proc transport — same code path as TCP minus the kernel) with a
-hand-rolled protocol client, so the control plane is exercised without
+These tests drive the ``inproc://`` broker through real transport channels
+(the in-proc transport — same code path as TCP minus the kernel) with a
+hand-rolled protocol client on the member side and a recording stand-in for
+the pool on the engine side, so the control plane is exercised without
 training anything.
 """
 
@@ -14,20 +15,57 @@ import pytest
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.protocol import decode_control, encode_control, peek_kind
 from repro.comm.transport import make_channel
-from repro.runtime import serde
+from repro.experiment import ExperimentSpec
+from repro.runtime import Broker, serde
 from repro.runtime.broker import PeerLostError
+from repro.runtime.pool import ClientPool
 
-SPEC_YAML = "seed: 7\n"  # echoed opaquely through the join handshake
+SPEC = ExperimentSpec(seed=7)  # its YAML is echoed opaquely through the join handshake
 
 
-def make_coordinator(name, **kw):
-    kw.setdefault("transport", "inproc")
-    kw.setdefault("bind", name)
-    kw.setdefault("min_nodes", 1)
-    kw.setdefault("heartbeat", 0.05)
-    kw.setdefault("lease", 0.4)
-    coord = ClusterCoordinator(SPEC_YAML, kw.pop("num_clients", 4), **kw)
-    return coord.start()
+class RecordingPool:
+    """Stands in for ``ClientPool`` on the broker's callback side: records
+    every ``turn_done`` so tests read outcomes the way a ticket would."""
+
+    def __init__(self):
+        self.done = {}
+        self.changed = threading.Condition()
+
+    def turn_done(self, ticket, result, exc, release=None):
+        with self.changed:
+            self.done[ticket] = (result, exc)
+            self.changed.notify_all()
+
+    def result(self, ticket, timeout):
+        with self.changed:
+            assert self.changed.wait_for(lambda: ticket in self.done, timeout), \
+                f"{ticket} never completed"
+        value, exc = self.done[ticket]
+        if exc is not None:
+            raise exc
+        return value
+
+
+class Turn:
+    """The slice of ``PoolTicket`` a broker reads."""
+
+    def __init__(self, client, method="m"):
+        self.client, self.method, self.args, self.kwargs = client, method, (), {}
+
+
+def make_coordinator(name, num_clients=4, **params):
+    params = {"min_nodes": 1, "hb": 0.05, "lease": 0.4, **params}
+    query = "&".join(f"{k}={v}" for k, v in params.items())
+    coord = Broker(f"inproc://{name}?{query}", spec=SPEC, num_clients=num_clients)
+    assert isinstance(coord, ClusterCoordinator)
+    coord.attach(RecordingPool())  # binds the address, as the pool's constructor does
+    return coord
+
+
+def submit(coord, client, method="m"):
+    turn = Turn(client, method)
+    coord.execute(turn)
+    return turn
 
 
 class FakeNode:
@@ -66,13 +104,13 @@ def test_join_handshake_carries_contract():
     try:
         reply = FakeNode(coord, "n1").join(host="h", pid=1)
         assert reply["ok"]
-        assert reply["spec"] == SPEC_YAML
+        assert reply["spec"] == SPEC.to_yaml()
         assert reply["num_clients"] == 3
         assert reply["heartbeat"] == pytest.approx(0.05)
         assert reply["lease"] == pytest.approx(0.4)
         assert coord.membership.get("n1").caps["host"] == "h"
     finally:
-        coord.close()
+        coord.shutdown()
 
 
 def test_join_without_node_id_rejected():
@@ -81,20 +119,21 @@ def test_join_without_node_id_rejected():
         node = FakeNode(coord, "")
         assert not node.join()["ok"]
     finally:
-        coord.close()
+        coord.shutdown()
 
 
 def test_quorum_blocks_until_enough_members():
-    coord = make_coordinator("coord-quorum", min_nodes=2, num_clients=4)
+    coord = make_coordinator("coord-quorum", min_nodes=2, num_clients=4, join=0.2)
     try:
         with pytest.raises(TimeoutError, match="quorum not reached"):
-            coord.wait_for_quorum(timeout=0.2)
+            coord.start()
         FakeNode(coord, "n1").join()
         FakeNode(coord, "n2").join()
-        coord.wait_for_quorum(timeout=5)
-        assert coord.membership.live_clients() == [0, 1, 2, 3]
+        coord.start()
+        assert coord.live_clients() == [0, 1, 2, 3]
+        assert coord.pool_size == 2
     finally:
-        coord.close()
+        coord.shutdown()
 
 
 # ------------------------------------------------------------ turn flow
@@ -103,15 +142,16 @@ def test_submit_poll_result_roundtrip():
     try:
         node = FakeNode(coord, "n1")
         node.join()
-        coord.wait_for_quorum(timeout=5)
-        ticket = coord.submit_turn(0, "local_update", (), {})
-        assert not ticket.done()
+        coord.start()
+        turn = submit(coord, 0, "local_update")
+        assert turn not in coord.pool.done
+        assert coord.idle_workers() == 1
         node.serve_one()
-        value = ticket.result(timeout=5)
+        value = coord.pool.result(turn, timeout=5)
         assert value == {"method": "local_update", "client": 0}
-        assert coord.pending_turns() == 0
+        assert coord.queue_depth() == 0
     finally:
-        coord.close()
+        coord.shutdown()
 
 
 def test_remote_error_surfaces_with_traceback():
@@ -119,18 +159,19 @@ def test_remote_error_surfaces_with_traceback():
     try:
         node = FakeNode(coord, "n1")
         node.join()
-        coord.wait_for_quorum(timeout=5)
-        ticket = coord.submit_turn(0, "local_update", (), {})
+        coord.start()
+        turn = submit(coord, 0, "local_update")
         frame = node.poll(wait=1.0)
         turn_id, client, *_ = serde.decode_turn(frame)
+        assert coord.idle_workers() == 0  # polled, not yet answered
         node.chan.call(serde.encode_error(
             turn_id, client, ValueError("exploded"),
             traceback_text="Traceback: ...", worker="n1",
         ))
         with pytest.raises(RuntimeError, match="exploded"):
-            ticket.result(timeout=5)
+            coord.pool.result(turn, timeout=5)
     finally:
-        coord.close()
+        coord.shutdown()
 
 
 def test_poll_empty_when_no_work():
@@ -143,7 +184,7 @@ def test_poll_empty_when_no_work():
         _op, meta = decode_control(reply)
         assert meta["empty"] and meta["ok"]
     finally:
-        coord.close()
+        coord.shutdown()
 
 
 def test_poll_from_unknown_member_rejected():
@@ -153,17 +194,19 @@ def test_poll_from_unknown_member_rejected():
         _op, meta = decode_control(node.poll(wait=0.01))
         assert not meta["ok"]
     finally:
-        coord.close()
+        coord.shutdown()
 
 
 def test_submit_for_unowned_client_fails_fast():
     coord = make_coordinator("coord-unowned", num_clients=2)
     try:
-        ticket = coord.submit_turn(0, "local_update", (), {})
+        turn = submit(coord, 0, "local_update")
+        # never failed inside execute() (that runs under the pool lock):
+        # the sweep thread is woken to do it, well inside one sweep period
         with pytest.raises(PeerLostError, match="no live member"):
-            ticket.result(timeout=1)
+            coord.pool.result(turn, timeout=1)
     finally:
-        coord.close()
+        coord.shutdown()
 
 
 def test_duplicate_result_is_dropped():
@@ -171,8 +214,8 @@ def test_duplicate_result_is_dropped():
     try:
         node = FakeNode(coord, "n1")
         node.join()
-        coord.wait_for_quorum(timeout=5)
-        ticket = coord.submit_turn(0, "m", (), {})
+        coord.start()
+        turn = submit(coord, 0)
         frame = node.poll(wait=1.0)
         turn_id, client, *_ = serde.decode_turn(frame)
         result = serde.encode_result(turn_id, client, 1, worker="n1")
@@ -180,41 +223,41 @@ def test_duplicate_result_is_dropped():
         second = decode_control(node.chan.call(result))[1]
         assert first.get("duplicate") is None
         assert second.get("duplicate") is True
-        assert ticket.result(timeout=1) == 1
+        assert coord.pool.result(turn, timeout=1) == 1
     finally:
-        coord.close()
+        coord.shutdown()
 
 
 # ------------------------------------------------------------ failure handling
 def test_eviction_fails_queued_and_in_flight_turns():
-    coord = make_coordinator("coord-evict", num_clients=2, lease=0.3, heartbeat=0.05)
+    coord = make_coordinator("coord-evict", num_clients=2, lease=0.3, hb=0.05)
     try:
         node = FakeNode(coord, "n1")
         node.join()
-        coord.wait_for_quorum(timeout=5)
-        in_flight = coord.submit_turn(0, "m", (), {})
+        coord.start()
+        in_flight = submit(coord, 0)
         node.poll(wait=1.0)  # claim it, never answer
-        queued = coord.submit_turn(1, "m", (), {})
+        queued = submit(coord, 1)
         # stop heartbeating entirely: the sweep must evict within the lease
         with pytest.raises(PeerLostError, match="evicted"):
-            in_flight.result(timeout=5)
+            coord.pool.result(in_flight, timeout=5)
         with pytest.raises(PeerLostError, match="evicted"):
-            queued.result(timeout=5)
+            coord.pool.result(queued, timeout=5)
         assert coord.membership.counts()["evicted"] == 1
-        assert coord.membership.live_clients() == []
+        assert coord.live_clients() == []
         # post-eviction submits fail fast instead of queueing forever
         with pytest.raises(PeerLostError):
-            coord.submit_turn(0, "m", (), {}).result(timeout=1)
+            coord.pool.result(submit(coord, 0), timeout=1)
     finally:
-        coord.close()
+        coord.shutdown()
 
 
 def test_heartbeats_prevent_eviction():
-    coord = make_coordinator("coord-alive", num_clients=1, lease=0.3, heartbeat=0.05)
+    coord = make_coordinator("coord-alive", num_clients=1, lease=0.3, hb=0.05)
     try:
         node = FakeNode(coord, "n1")
         node.join()
-        coord.wait_for_quorum(timeout=5)
+        coord.start()
         stop = threading.Event()
 
         def beat_loop():
@@ -231,7 +274,7 @@ def test_heartbeats_prevent_eviction():
             stop.set()
             t.join(timeout=2)
     finally:
-        coord.close()
+        coord.shutdown()
 
 
 def test_leave_orphans_clients_and_fails_pending():
@@ -239,26 +282,27 @@ def test_leave_orphans_clients_and_fails_pending():
     try:
         node = FakeNode(coord, "n1")
         node.join()
-        coord.wait_for_quorum(timeout=5)
-        pending = coord.submit_turn(0, "m", (), {})
+        coord.start()
+        pending = submit(coord, 0)
         reply = node.control("leave")
         assert reply["orphans"] == [0, 1]
         with pytest.raises(PeerLostError, match="left"):
-            pending.result(timeout=1)
-        assert coord.membership.live_clients() == []
+            coord.pool.result(pending, timeout=1)
+        assert coord.live_clients() == []
     finally:
-        coord.close()
+        coord.shutdown()
 
 
 def test_heartbeat_reply_carries_stop_after_close():
-    coord = make_coordinator("coord-stop", num_clients=1)
+    coord = make_coordinator("coord-stop", num_clients=1, hb=0.5, lease=3)
     node = FakeNode(coord, "n1")
     node.join()
-    coord.wait_for_quorum(timeout=5)
+    coord.start()
+    queued = submit(coord, 0)
 
-    closer = threading.Thread(target=coord.close, daemon=True)
+    closer = threading.Thread(target=coord.shutdown, daemon=True)
     closer.start()
-    # while close() waits its grace period the control plane still answers
+    # while shutdown() waits its grace period the control plane still answers
     deadline = time.monotonic() + 2
     saw_stop = False
     while time.monotonic() < deadline:
@@ -267,31 +311,36 @@ def test_heartbeat_reply_carries_stop_after_close():
                 saw_stop = True
                 break
         except (ConnectionError, OSError):
-            break  # transport already torn down: close() proceeded
+            break  # transport already torn down: shutdown() proceeded
         time.sleep(0.02)
-    node.control("leave") if saw_stop else None
+    if saw_stop:
+        # a stopping run hands out no more work, even with a turn queued
+        assert decode_control(node.poll(wait=0.01))[1]["stop"]
+        node.control("leave")
     closer.join(timeout=5)
     assert not closer.is_alive()
+    with pytest.raises(PeerLostError):
+        coord.pool.result(queued, timeout=1)
 
 
 def test_close_fails_outstanding_tickets():
-    coord = make_coordinator("coord-close", num_clients=1, heartbeat=0.05)
+    coord = make_coordinator("coord-close", num_clients=1)
     node = FakeNode(coord, "n1")
     node.join()
-    coord.wait_for_quorum(timeout=5)
-    ticket = coord.submit_turn(0, "m", (), {})
-    coord.close(grace=0.1)
-    with pytest.raises(PeerLostError):
-        ticket.result(timeout=1)
+    coord.start()
+    turn = submit(coord, 0)
+    coord.shutdown()
+    with pytest.raises(PeerLostError, match="shut down"):
+        coord.pool.result(turn, timeout=1)
 
 
 def test_join_rejected_while_stopping():
     coord = make_coordinator("coord-latejoin", num_clients=1)
-    coord.close(grace=0.0)
+    coord.shutdown()
     # the transport is stopped; a second coordinator on the same name can
-    # bind, proving close released the address
+    # bind, proving shutdown released the address
     coord2 = make_coordinator("coord-latejoin", num_clients=1)
-    coord2.close(grace=0.0)
+    coord2.shutdown()
 
 
 def test_status_op_reports_members_and_pending():
@@ -299,11 +348,59 @@ def test_status_op_reports_members_and_pending():
     try:
         node = FakeNode(coord, "n1")
         node.join()
-        coord.wait_for_quorum(timeout=5)
-        coord.submit_turn(0, "m", (), {})
+        coord.start()
+        submit(coord, 0)
         meta = node.control("status")
         assert meta["ok"]
         assert meta["pending"] == 1
         assert meta["members"][0]["node_id"] == "n1"
     finally:
-        coord.close()
+        coord.shutdown()
+
+
+# ------------------------------------------------------------ lock order
+def test_eviction_while_another_thread_submits_does_not_deadlock():
+    """Dispatch runs pool lock -> broker lock; an eviction completing its
+    tickets under the broker lock would run broker lock -> pool lock.  Drive
+    a real pool: one thread keeps submitting for a member's clients while
+    the member is evicted (no heartbeats) and its turns fail back through
+    ``turn_done``.  Every ticket must complete and both threads must finish.
+    """
+    clients = 32
+    coord = Broker("inproc://coord-lockorder?min_nodes=1&hb=0.05&lease=0.3",
+                   spec=SPEC, num_clients=clients)
+    # a wide-open window: every submit (and every pump after a failed turn)
+    # reaches execute(), so dispatch and eviction really interleave
+    pool = ClientPool(engine=None, num_clients=clients, broker=coord,
+                      data_provider=None, window=1_000_000)
+    deadlocked = True
+    try:
+        node = FakeNode(coord, "n1")
+        node.join()
+        pool.start()
+        tickets, stop = [], threading.Event()
+
+        def submitter():
+            while not stop.is_set():
+                tickets.append(pool.submit(len(tickets) % clients, "evaluate"))
+                time.sleep(0.0005)
+
+        thread = threading.Thread(target=submitter, daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 10
+        while coord.membership.counts()["evicted"] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.2)  # keep submitting against the evicted membership too
+        stop.set()
+        thread.join(timeout=10)
+        deadlocked = thread.is_alive()
+        assert not deadlocked, "submit deadlocked against an eviction"
+        assert coord.membership.counts()["evicted"] == 1
+        assert len(tickets) > clients
+        for ticket in tickets:
+            with pytest.raises(PeerLostError):
+                ticket.result(timeout=10)
+        assert coord.queue_depth() == 0
+    finally:
+        if not deadlocked:  # a wedged pool lock would hang the teardown too
+            pool.shutdown()

@@ -1,10 +1,10 @@
-"""Live cluster smoke: 3 real node processes over TCP, kill one mid-run.
+"""Live cluster smoke: 3 real worker processes over TCP, kill one mid-run.
 
-The CI ``live-smoke`` job runs exactly this module.  The coordinator runs
-in this process (an ordinary ``Experiment`` with ``mode: live``); three
-``python -m repro node`` subprocesses dial in over localhost TCP; one is
-SIGKILLed mid-run.  The run must still complete every update, the dead
-peer must be evicted within the lease window with selection no longer
+The CI ``live-smoke`` job runs exactly this module.  The engine runs in
+this process (an ordinary ``Experiment`` with ``broker: tcp://…``); three
+``python -m repro worker tcp://…`` subprocesses dial in over localhost TCP;
+one is SIGKILLed mid-run.  The run must still complete every update, the
+dead peer must be evicted within the lease window with selection no longer
 picking its clients, and the eviction must be visible on the live
 ``/metrics`` endpoint.
 """
@@ -30,12 +30,7 @@ NUM_NODES = 3
 
 def make_spec():
     cfg = compose(builtin_store(), "experiment", overrides=[
-        "mode=live",
-        "+cluster.bind=127.0.0.1:0",
-        f"+cluster.min_nodes={NUM_NODES}",
-        "+cluster.heartbeat=0.1",
-        "+cluster.lease=0.8",
-        "+cluster.join_timeout=120",
+        f"broker=tcp://127.0.0.1:0?min_nodes={NUM_NODES}&hb=0.1&lease=0.8&join=120",
         "scheduler=fedasync",
         "num_clients=6",
         f"+total_updates={TOTAL_UPDATES}",
@@ -47,9 +42,9 @@ def make_spec():
 def spawn_node(url, node_id, repo_root):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(repo_root, "src")
-    env["REPRO_NODE_TURN_DELAY"] = "0.2"  # widen the kill window
+    env["REPRO_WORKER_TURN_DELAY"] = "0.2"  # widen the kill window
     return subprocess.Popen(
-        [sys.executable, "-m", "repro", "node", url],
+        [sys.executable, "-m", "repro", "worker", url],
         env=env, cwd=repo_root,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
@@ -72,18 +67,18 @@ def test_live_cluster_survives_node_kill():
     runner = threading.Thread(target=run, daemon=True)
     runner.start()
 
-    # the coordinator binds before quorum, so its URL is dialable early
+    # the broker binds before quorum, so its URL is dialable early
     deadline = time.monotonic() + 60
     while time.monotonic() < deadline:
         engine = experiment.engine
-        if engine is not None and getattr(engine, "cluster", None) is not None:
+        if engine is not None and engine.pool is not None:
             break
         time.sleep(0.05)
     else:
-        raise AssertionError("coordinator never came up")
-    cluster = experiment.engine.cluster
+        raise AssertionError("live broker never came up")
+    cluster = experiment.engine.pool.broker
     url = cluster.url
-    assert url.startswith("tcp://")
+    assert url.startswith("tcp://127.0.0.1:") and not url.endswith(":0")
 
     procs = [spawn_node(url, f"node-{i}", repo_root) for i in range(NUM_NODES)]
     victim = procs[0]
@@ -136,7 +131,7 @@ def test_live_cluster_survives_node_kill():
         assert not runner.is_alive(), "live run stalled after the kill"
         assert "error" not in outcome, f"run failed: {outcome.get('error')!r}"
         result = outcome["result"]
-        assert result.mode == "live"
+        assert result.mode == "async"
         assert len(result.history) == TOTAL_UPDATES
 
         # the victim died by signal; the survivors left gracefully (exit 0)

@@ -1,4 +1,4 @@
-"""Control-plane codec: control frames, O(1) kind peeking, turn detection."""
+"""Control-plane codec: control frames and O(1) kind peeking."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.cluster.protocol import (
     ProtocolError,
     decode_control,
     encode_control,
-    is_turn_frame,
     peek_kind,
 )
 from repro.comm.wire import encode_message
@@ -43,8 +42,6 @@ def test_peek_kind_control_and_turn():
     assert peek_kind(encode_control("poll", node_id="n1")) == "control"
     turn = serde.encode_turn(1, 0, "local_update", (None, 1, 2), {})
     assert peek_kind(turn) == "request"
-    assert is_turn_frame(turn)
-    assert not is_turn_frame(encode_control("reply", ok=True))
 
 
 def test_peek_kind_matches_result_frames():

@@ -63,6 +63,10 @@ def test_comments_and_blank_lines():
 
 def test_hash_inside_quotes_is_not_comment():
     assert y.loads("a: 'x # y'\n") == {"a": "x # y"}
+    # an escaped quote does not close the string (found by the spec
+    # roundtrip property test)
+    for text in ('" #', '"0 #'):
+        assert y.loads(y.dumps({"a": text})) == {"a": text}
 
 
 def test_empty_document():

@@ -1,18 +1,38 @@
-"""ClusterSpec validation, live-mode constraints, and YAML roundtrip."""
+"""Cluster URL validation, live-broker constraints, and YAML roundtrip.
+
+The live control plane is configured by the broker URL alone
+(``broker: tcp://host:port?min_nodes=3&hb=0.5&lease=3``): the liveness
+parameters validate at spec construction with the bounds the old
+``cluster:`` block had, and the rules a live run imposes on the rest of the
+spec key on the broker class's ``live`` flag.
+"""
 
 import pytest
 
+from repro.cluster.protocol import ClusterUrl, parse_cluster_url
 from repro.conf import builtin_store
 from repro.config import compose
 from repro.experiment import ExperimentSpec, SpecError
-from repro.experiment.spec import ClusterSpec, FaultSpec
+from repro.experiment.spec import FaultSpec
+from repro.runtime import broker_class
+
+LIVE = "tcp://127.0.0.1:0"
+
+#: ClusterUrl field -> its URL query key
+_QUERY_KEY = {"min_nodes": "min_nodes", "join_timeout": "join", "heartbeat": "hb",
+              "lease": "lease", "detector": "detector", "phi_threshold": "phi"}
 
 
-# ------------------------------------------------------------ ClusterSpec
+def cluster_url(transport="tcp", **fields):
+    query = "&".join(f"{_QUERY_KEY[k]}={v}" for k, v in fields.items())
+    return f"{transport}://127.0.0.1:0" + (f"?{query}" if query else "")
+
+
+# ------------------------------------------------------------ the URL
 def test_cluster_defaults():
-    cl = ClusterSpec()
-    assert cl.bind == "127.0.0.1:0"
-    assert cl.transport == "tcp"
+    cl = parse_cluster_url(LIVE)
+    assert cl.address == "127.0.0.1:0"
+    assert cl.kind == "tcp"
     assert cl.min_nodes == 1
     assert cl.detector == "timeout"
     assert cl.lease > cl.heartbeat
@@ -28,59 +48,64 @@ def test_cluster_defaults():
     ({"phi_threshold": 0}, "phi_threshold"),
 ])
 def test_cluster_spec_validation(kwargs, match):
-    with pytest.raises(SpecError, match=match):
-        ClusterSpec(**kwargs)
+    url = cluster_url(**kwargs)
+    with pytest.raises(ValueError, match=match):
+        parse_cluster_url(url)
+    if "transport" not in kwargs:
+        # ...and a spec naming that URL fails at construction, as a SpecError
+        # (an unknown transport is an unknown scheme: the registry's error)
+        with pytest.raises(SpecError, match=match):
+            ExperimentSpec(broker=url)
 
 
-# ------------------------------------------------------------ live-mode rules
+# ------------------------------------------------------------ live-broker rules
 def test_live_mode_requires_cluster():
-    with pytest.raises(SpecError, match="needs a cluster spec"):
+    # mode: live is gone — the error points at the broker URL that replaced it
+    with pytest.raises(SpecError, match="broker: tcp://"):
         ExperimentSpec(mode="live")
+    with pytest.raises(SpecError, match="unknown keys"):
+        ExperimentSpec.from_dict({"cluster": {"min_nodes": 3}})
 
 
 def test_live_mode_forbids_scripted_faults():
     with pytest.raises(SpecError, match="scripted fault model"):
-        ExperimentSpec(
-            mode="live", cluster={},
-            faults=FaultSpec(drop_prob=0.2),
-        )
+        ExperimentSpec(broker=LIVE, faults=FaultSpec(drop_prob=0.2))
 
 
 def test_live_mode_forbids_pool():
     with pytest.raises(SpecError, match="pool_size"):
-        ExperimentSpec(mode="live", cluster={}, pool_size=2)
+        ExperimentSpec(broker=LIVE, pool_size=2)
 
 
 def test_live_mode_forbids_batch_turns():
     with pytest.raises(SpecError, match="batch_turns"):
-        ExperimentSpec(mode="live", cluster={}, batch_turns=4)
-
-
-def test_live_mode_forbids_external_broker():
-    with pytest.raises(SpecError, match="broker"):
-        ExperimentSpec(mode="live", cluster={}, broker="redis://localhost:6379/0")
+        ExperimentSpec(broker=LIVE, batch_turns=4)
 
 
 def test_cluster_under_rounds_mode_rejected():
-    with pytest.raises(SpecError, match="mode='live'"):
-        ExperimentSpec(mode="rounds", cluster={})
+    with pytest.raises(SpecError, match="mode='rounds'"):
+        ExperimentSpec(mode="rounds", broker=LIVE)
+    # the simulated distributed broker is not bound by the live rules
+    assert ExperimentSpec(broker="redis://localhost:6379/0", pool_size=2).pool_size == 2
 
 
 def test_cluster_mapping_becomes_dataclass():
-    spec = ExperimentSpec(mode="live", cluster={"min_nodes": 3, "lease": 5.0})
-    assert isinstance(spec.cluster, ClusterSpec)
-    assert spec.cluster.min_nodes == 3
-    assert spec.cluster.lease == 5.0
+    spec = ExperimentSpec.from_dict({"broker": "tcp://10.0.0.1:7070?min_nodes=3&lease=5.0"})
+    cl = parse_cluster_url(spec.broker)
+    assert isinstance(cl, ClusterUrl)
+    assert cl.min_nodes == 3
+    assert cl.lease == 5.0
 
 
 # ------------------------------------------------------------ mode resolution
 def test_auto_with_cluster_resolves_live():
-    spec = ExperimentSpec(mode="auto", cluster={})
-    assert spec.run_mode() == "live"
-
-
-def test_live_mode_resolves_live():
-    assert ExperimentSpec(mode="live", cluster={}).run_mode() == "live"
+    # no mode value selects it: a live broker runs the scheduler runtime,
+    # and "live" is a property of the broker class the URL names
+    spec = ExperimentSpec(mode="auto", broker=LIVE)
+    assert spec.run_mode() == "async"
+    assert ExperimentSpec(mode="async", broker=LIVE).run_mode() == "async"
+    assert broker_class(spec.broker).live
+    assert not broker_class("redis://localhost:6379/0").live
 
 
 def test_auto_without_cluster_unchanged():
@@ -90,36 +115,36 @@ def test_auto_without_cluster_unchanged():
 
 # ------------------------------------------------------------ serialization
 def test_cluster_yaml_roundtrip():
-    spec = ExperimentSpec(
-        mode="live",
-        cluster={"bind": "0.0.0.0:7070", "min_nodes": 3, "detector": "phi",
-                 "phi_threshold": 6.0},
-    )
+    spec = ExperimentSpec(broker="tcp://0.0.0.0:7070?min_nodes=3&detector=phi&phi=6.0")
     clone = ExperimentSpec.from_yaml(spec.to_yaml())
-    assert isinstance(clone.cluster, ClusterSpec)
-    assert clone.cluster == spec.cluster
-    assert clone.run_mode() == "live"
+    assert clone.broker == spec.broker
+    assert clone == spec
+    assert clone.run_mode() == "async"
     assert clone.fingerprint() == spec.fingerprint()
 
 
 def test_cluster_absent_roundtrip():
     spec = ExperimentSpec()
+    assert "cluster" not in spec.to_dict()
     clone = ExperimentSpec.from_yaml(spec.to_yaml())
-    assert clone.cluster is None
+    assert clone.broker == "memory://"
 
 
 def test_cluster_changes_fingerprint():
     base = ExperimentSpec()
-    live = ExperimentSpec(mode="live", cluster={})
+    live = ExperimentSpec(broker=LIVE)
     assert base.fingerprint() != live.fingerprint()
+    # liveness parameters are part of the run's identity
+    assert live.fingerprint() != ExperimentSpec(broker=LIVE + "?lease=9").fingerprint()
 
 
 # ------------------------------------------------------------ config compose
 def test_compose_live_overrides():
     cfg = compose(builtin_store(), "experiment", overrides=[
-        "mode=live", "+cluster.bind=127.0.0.1:7070", "+cluster.min_nodes=3",
+        "broker=tcp://127.0.0.1:7070?min_nodes=3", "scheduler=fedasync",
     ])
     spec = ExperimentSpec.from_config(cfg)
-    assert spec.run_mode() == "live"
-    assert spec.cluster.bind == "127.0.0.1:7070"
-    assert spec.cluster.min_nodes == 3
+    assert spec.run_mode() == "async"
+    cl = parse_cluster_url(spec.broker)
+    assert cl.address == "127.0.0.1:7070"
+    assert cl.min_nodes == 3

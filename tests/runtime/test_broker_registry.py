@@ -18,7 +18,7 @@ from repro.runtime import (
     broker_scheme,
     register_broker,
 )
-from repro.runtime.redis import parse_redis_url
+from repro.runtime.redis import RedisLink, parse_redis_url
 
 
 def test_builtin_schemes_registered():
@@ -28,6 +28,52 @@ def test_builtin_schemes_registered():
     assert RedisBroker.scheme == "redis"
     assert not MemoryBroker.distributed
     assert RedisBroker.distributed
+    assert sorted(BROKER_SCHEMES) == ["inproc", "memory", "redis", "tcp"]
+    assert not MemoryBroker.live and not RedisBroker.live
+
+
+@pytest.mark.parametrize("url", ["tcp://127.0.0.1:0?min_nodes=2", "inproc://registry-test"])
+def test_cluster_schemes_build_the_live_broker(url):
+    # registered by module path and imported on first use, so a memory://
+    # run never loads the control plane (pinned in a fresh interpreter below)
+    from repro.experiment import ExperimentSpec
+
+    cls = broker_class(url)
+    assert cls.__name__ == "ClusterCoordinator" and BROKER_SCHEMES["tcp"] is cls
+    assert cls.distributed and cls.live
+    broker = Broker(url, spec=ExperimentSpec(), num_clients=2)
+    assert isinstance(broker, cls)
+    assert broker.scheme == url.split(":")[0]
+    assert broker.live_clients() == []  # nobody joined
+    assert broker.describe()["scheme"] == broker.scheme
+
+
+def test_memory_run_does_not_import_the_control_plane():
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = (
+        "import sys; from repro.experiment import ExperimentSpec; "
+        "from repro.runtime import broker_class; "
+        "ExperimentSpec(pool_size=2); broker_class('redis://h:1/0'); "
+        "assert not [m for m in sys.modules if m.startswith('repro.cluster')], 'eager'; "
+        "broker_class('tcp://h:1'); assert 'repro.cluster.coordinator' in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
+def test_worker_link_comes_from_the_same_registry():
+    link = broker_class("redis://h:1/0").worker_link("redis://h:1/0?run=ns", "w1")
+    assert isinstance(link, RedisLink) and link.worker_id == "w1"
+    link = broker_class("inproc://x").worker_link("inproc://x", "w2")
+    assert type(link).__name__ == "ClusterLink" and link.cfg.address == "x"
+    with pytest.raises(ValueError, match="no worker to start"):
+        MemoryBroker.worker_link("memory://", "w3")
 
 
 @pytest.mark.parametrize("url", ["amqp://localhost", "sqs://queue", "nats://x:4222"])

@@ -22,7 +22,7 @@ from repro.experiment import Experiment, ExperimentSpec
 from repro.runtime import BrokerTurnLost, BrokerUnavailable, Broker
 from repro.runtime.miniredis import MiniRedis
 from repro.runtime.resp import connect_url
-from repro.runtime.worker import BrokerWorker, run_worker
+from repro.runtime.worker import Worker, run_worker
 
 _WALL_FIELDS = ("wall_seconds",)
 
@@ -249,7 +249,7 @@ def test_external_workers_join_by_url_and_match_memory(miniredis):
 # --------------------------------------------------------------------------
 def test_worker_url_requires_run_namespace(miniredis):
     with pytest.raises(ValueError, match="run namespace"):
-        BrokerWorker(miniredis.url)
+        Worker(miniredis.url)
 
 
 def test_worker_exits_2_when_no_experiment_published(miniredis):

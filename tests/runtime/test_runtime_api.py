@@ -1,52 +1,23 @@
-"""The public runtime API surface and its compatibility story.
+"""The public runtime API surface.
 
-``repro.runtime`` is the documented home of ``ClientRuntime`` and friends;
-``repro.engine.pool`` lives on as a shim that re-exports the same objects
-behind exactly one ``DeprecationWarning``.  ``ExperimentSpec`` carries the
-broker choice as a URL string with full YAML/CLI plumbing, and legacy
-pool-only specs keep meaning what they always meant.
+``repro.runtime`` is the home of ``ClientRuntime`` and friends.
+``ExperimentSpec`` carries the broker choice as a URL string with full
+YAML/CLI plumbing, and legacy pool-only specs keep meaning what they always
+meant.
 """
 
-import sys
 import warnings
 
 import pytest
 
 from repro.experiment import ExperimentSpec
-from repro.runtime import ClientPool, ClientRuntime, DedicatedRuntime, PoolTicket
-
-
-# --------------------------------------------------------------------------
-# the deprecation shim
-# --------------------------------------------------------------------------
-def _reimport_legacy_pool():
-    sys.modules.pop("repro.engine.pool", None)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        import repro.engine.pool as legacy  # noqa: F401
-
-        return legacy, [w for w in caught if w.category is DeprecationWarning]
-
-
-def test_legacy_import_warns_exactly_once():
-    legacy, deprecations = _reimport_legacy_pool()
-    assert len(deprecations) == 1
-    message = str(deprecations[0].message)
-    assert "repro.engine.pool is deprecated" in message
-    assert "repro.runtime" in message
-
-
-def test_legacy_names_are_the_same_objects():
-    legacy, _ = _reimport_legacy_pool()
-    assert legacy.ClientRuntime is ClientRuntime
-    assert legacy.DedicatedRuntime is DedicatedRuntime
-    assert legacy.ClientPool is ClientPool
-    assert legacy.PoolTicket is PoolTicket
+from repro.runtime import ClientPool, ClientRuntime, DedicatedRuntime
 
 
 def test_engine_itself_does_not_trip_the_shim():
-    # the engine imports from repro.runtime directly; building and running
-    # a pooled experiment must not emit the legacy warning
+    # building and running a pooled experiment emits no deprecation
+    # warning of its own (the repro.engine.pool shim it once had to avoid
+    # importing is gone)
     from repro.experiment import Experiment
 
     spec = ExperimentSpec(

@@ -43,6 +43,10 @@ def test_end_to_end_tiny_run(capsys, fresh_port):
 def test_bad_override_fails_loudly():
     with pytest.raises(Exception):
         main(["--dry-run", "no_such_key=1"])
+    # the second worker command is gone (`repro worker <url>` serves every
+    # scheme): `node` is just a malformed override now
+    with pytest.raises(Exception, match="node"):
+        main(["node", "tcp://127.0.0.1:7070"])
 
 
 TINY = [
