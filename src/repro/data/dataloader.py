@@ -46,12 +46,13 @@ def materialize_batches(
             if max_batches is not None and b >= max_batches:
                 break
             if fast is not None:
-                xs, ys = fast
-                if order is not None:
-                    xs, ys = xs[order[start:start + batch_size]], ys[order[start:start + batch_size]]
+                xs, ys, rows = fast
+                pick = order[start:start + batch_size] if order is not None else slice(None)
+                if rows is not None:
+                    pick = rows[pick]
                 out.append((
-                    np.ascontiguousarray(xs, dtype=np.float32),
-                    np.ascontiguousarray(ys, dtype=np.int64),
+                    np.ascontiguousarray(xs[pick], dtype=np.float32),
+                    np.ascontiguousarray(ys[pick], dtype=np.int64),
                 ))
             else:
                 idx = order[start:start + batch_size] if order is not None else range(n)
@@ -92,13 +93,16 @@ class DataLoader:
             return n // self.batch_size
         return (n + self.batch_size - 1) // self.batch_size
 
-    def _fast_arrays(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Zero-copy access for the common Array/Subset-of-Array case."""
+    def _fast_arrays(self) -> Optional[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
+        """Zero-copy access for the common Array/Subset-of-Array case:
+        ``(x, y, rows)``, where sample ``i`` is row ``rows[i]`` of the backing
+        arrays (``None``: row ``i``) — batches gather their own rows, so a
+        turn copies what it reads, not the shard."""
         ds = self.dataset
         if isinstance(ds, ArrayDataset) and ds.transform is None:
-            return ds.x, ds.y
+            return ds.x, ds.y, None
         if isinstance(ds, Subset) and isinstance(ds.dataset, ArrayDataset) and ds.dataset.transform is None:
-            return ds.dataset.x[ds.indices], ds.dataset.y[ds.indices]
+            return ds.dataset.x, ds.dataset.y, ds.indices
         return None
 
     def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
@@ -112,7 +116,9 @@ class DataLoader:
             if self.drop_last and len(idx) < self.batch_size:
                 return
             if fast is not None:
-                xs, ys = fast
+                xs, ys, rows = fast
+                if rows is not None:
+                    idx = rows[idx]
                 yield (
                     np.ascontiguousarray(xs[idx], dtype=np.float32),
                     np.ascontiguousarray(ys[idx], dtype=np.int64),

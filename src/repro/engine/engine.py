@@ -458,8 +458,9 @@ class Engine:
 
         record = RoundRecord(round_idx=round_idx, wall_seconds=wall)
         losses, accs, weights = [], [], []
+        record.per_node = per_node = {}
         for node, res in zip(self.nodes, results):
-            record.per_node[node.name] = {k: v for k, v in res.items() if isinstance(v, (int, float))}
+            per_node[node.name] = {k: v for k, v in res.items() if isinstance(v, (int, float))}
             if res.get("participated") and "loss" in res:
                 losses.append(res["loss"] * res.get("samples", 1.0))
                 accs.append(res["accuracy"] * res.get("samples", 1.0))

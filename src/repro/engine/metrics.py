@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import numbers
 import statistics
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from collections.abc import Mapping
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional
 
 from repro.utils.logging import get_logger
 
@@ -35,7 +36,38 @@ class StopRun(Exception):
         super().__init__(reason)
 
 
-@dataclass
+class _NoEntries(Mapping):
+    """The empty, read-only mapping a record's ``per_edge``/``per_node`` read
+    as until a writer assigns a dict of its own.  Async runs keep one record
+    per applied update and almost none has a breakdown, so records share this
+    instead of each allocating two empty dicts; and because it cannot be
+    written, a writer that forgets to assign fails instead of filling in
+    every record at once."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key: Any) -> Any:
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+    def __hash__(self) -> int:
+        # immutable, hence hashable — which is what lets a dataclass field
+        # take the shared instance as its default
+        return 0
+
+    def __repr__(self) -> str:
+        return "{}"
+
+
+_NO_ENTRIES = _NoEntries()
+
+
+@dataclass(slots=True)
 class RoundRecord:
     """Everything measured in one global round."""
 
@@ -63,8 +95,10 @@ class RoundRecord:
     consensus_dist: Optional[float] = None
     #: bytes moved per directed edge ("u->v") since the previous record
     #: (gossip runs; per-edge accounting of the exchange traffic)
-    per_edge: Dict[str, int] = field(default_factory=dict)
-    per_node: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    per_edge: Mapping[str, int] = _NO_ENTRIES
+    #: per-participant stats (rounds loop) or per-site breakdown (hierarchical
+    #: outer tier); like ``per_edge``, assigned whole by the one who fills it
+    per_node: Mapping[str, Mapping[str, float]] = _NO_ENTRIES
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -108,12 +142,12 @@ class RoundRecord:
     def from_payload(cls, payload: Dict[str, Any]) -> "RoundRecord":
         data = dict(payload)
         record = cls(round_idx=int(data.pop("round")))
-        record.per_node = {
-            str(name): dict(stats) for name, stats in (data.pop("per_node", {}) or {}).items()
-        }
-        record.per_edge = {
-            str(edge): int(n) for edge, n in (data.pop("per_edge", {}) or {}).items()
-        }
+        per_node = data.pop("per_node", None)
+        if per_node:
+            record.per_node = {str(name): dict(stats) for name, stats in per_node.items()}
+        per_edge = data.pop("per_edge", None)
+        if per_edge:
+            record.per_edge = {str(edge): int(n) for edge, n in per_edge.items()}
         for key, value in data.items():
             if hasattr(record, key):
                 setattr(record, key, value)

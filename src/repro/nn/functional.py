@@ -170,11 +170,40 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """``x @ weight.T + bias`` with (out_features, in_features) weight layout."""
-    out = x.matmul(weight.T)
+    """``x @ weight.T + bias`` with (out_features, in_features) weight layout.
+
+    A 2-D input — every model's classifier and the whole MLP path — records
+    one tape node in place of transpose, matmul and add, evaluating the same
+    numpy expressions in the same order so no bit moves: the weight gradient
+    stays ``(x.T @ g).T`` (``g.T @ x`` is another GEMM with other rounding)
+    and the bias gradient goes through ``_accumulate``'s sum over the batch.
+    Batched inputs keep the composed form: there matmul's backward sums the
+    batch axes itself, in an order this node does not reproduce.
+    """
+    if x.data.ndim != 2 or weight.data.ndim != 2:
+        out = x.matmul(weight.T)
+        return out if bias is None else out + bias
+    w = weight.data
+    data = x.data @ w.T
+    product_dtype = data.dtype
     if bias is not None:
-        out = out + bias
-    return out
+        data = data + bias.data
+
+    def _bw(grad: np.ndarray) -> None:
+        if bias is not None:
+            bias._accumulate(grad)
+        # the product's own dtype, as its tape node would have received it
+        g = np.asarray(grad, dtype=product_dtype)
+        # both products before either accumulates: when x feeds a second
+        # consumer its grad can be this very array, and accumulating adds
+        # into it in place
+        gx = g @ w if x.requires_grad else None  # a first layer's input takes none
+        gw = x.data.T @ g
+        if gx is not None:
+            x._accumulate(gx)
+        weight._accumulate(gw.T)
+
+    return Tensor._make(data, (x, weight) if bias is None else (x, weight, bias), _bw)
 
 
 def _windows(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:

@@ -5,12 +5,18 @@ lean on: recursive parameter/buffer discovery with dotted names, train/eval
 modes, ``state_dict``/``load_state_dict`` round-trips (parameters *and*
 buffers such as BatchNorm running statistics — FedBN depends on the
 distinction), and in-place ``zero_grad``.
+
+``parameters``/``state_dict``/``load_state_dict`` run several times per
+client turn on a tree that has not changed since construction, so they read a
+name index built on first use instead of re-walking the tree.  Every
+structural edit bumps the edited module's ``_version``; an index remembers
+the version of each module it covers and is rebuilt when any of them moved.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -29,6 +35,16 @@ class Parameter(Tensor):
         return f"Parameter(shape={self.data.shape}, dtype={self.data.dtype})"
 
 
+class _NameIndex(NamedTuple):
+    """A module tree flattened once, in ``named_parameters``/``named_buffers``
+    order.  Buffers are held as ``(owner, name)``: BatchNorm replaces its
+    arrays, so the array itself would go stale."""
+
+    versions: List[Tuple["Module", int]]
+    params: Dict[str, Parameter]
+    buffers: Dict[str, Tuple["Module", str]]
+
+
 class Module:
     """Base class for all layers and models."""
 
@@ -37,21 +53,40 @@ class Module:
         object.__setattr__(self, "_buffers", OrderedDict())
         object.__setattr__(self, "_modules", OrderedDict())
         object.__setattr__(self, "training", True)
+        object.__setattr__(self, "_version", 0)
+        object.__setattr__(self, "_index", None)
 
     # -- attribute routing ---------------------------------------------------
     def __setattr__(self, name: str, value: Any) -> None:
         if isinstance(value, Parameter):
             self._parameters[name] = value
             self.__dict__.pop(name, None)
+            self._structure_changed()
         elif isinstance(value, Module):
             self._modules[name] = value
             self.__dict__.pop(name, None)
+            self._structure_changed()
         else:
             if name in self._parameters:
                 del self._parameters[name]
+                self._structure_changed()
             if name in self._modules:
                 del self._modules[name]
+                self._structure_changed()
             object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        for store in (self._parameters, self._buffers, self._modules):
+            if name in store:
+                del store[name]
+                self._structure_changed()
+                return
+        object.__delattr__(self, name)
+
+    def _structure_changed(self) -> None:
+        """A parameter, buffer or child was added, replaced or removed here:
+        every index covering this module (its own, any ancestor's) is stale."""
+        self.__dict__["_version"] += 1
 
     def __getattr__(self, name: str) -> Any:
         for store in ("_parameters", "_buffers", "_modules"):
@@ -63,9 +98,11 @@ class Module:
     def register_buffer(self, name: str, value: np.ndarray) -> None:
         """Register non-trainable state saved in ``state_dict`` (e.g. BN stats)."""
         self._buffers[name] = np.asarray(value)
+        self._structure_changed()
 
     def add_module(self, name: str, module: "Module") -> None:
         self._modules[name] = module
+        self._structure_changed()
 
     # -- traversal -------------------------------------------------------------
     def named_modules(self, prefix: str = "") -> Iterator[Tuple[str, "Module"]]:
@@ -86,7 +123,7 @@ class Module:
             yield from child.named_parameters(child_prefix)
 
     def parameters(self) -> List[Parameter]:
-        return [p for _, p in self.named_parameters()]
+        return list(self._name_index().params.values())
 
     def named_buffers(self, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
         for name, buf in self._buffers.items():
@@ -99,27 +136,43 @@ class Module:
         return [b for _, b in self.named_buffers()]
 
     # -- state dict --------------------------------------------------------------
+    def _name_index(self) -> _NameIndex:
+        index = self._index
+        if index is not None:
+            for module, version in index.versions:
+                if module._version != version:
+                    break
+            else:
+                return index
+        versions: List[Tuple[Module, int]] = []
+        buffers: Dict[str, Tuple[Module, str]] = {}
+        for mod_name, module in self.named_modules():
+            versions.append((module, module._version))
+            for bname in module._buffers:
+                buffers[f"{mod_name}.{bname}" if mod_name else bname] = (module, bname)
+        index = _NameIndex(versions, dict(self.named_parameters()), buffers)
+        object.__setattr__(self, "_index", index)
+        return index
+
     def state_dict(self) -> "OrderedDict[str, np.ndarray]":
         """Copy of all parameters and buffers keyed by dotted name."""
+        index = self._name_index()
         out: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        for name, param in self.named_parameters():
+        for name, param in index.params.items():
             out[name] = param.data.copy()
-        for name, buf in self.named_buffers():
-            out[name] = buf.copy()
+        for name, (module, bname) in index.buffers.items():
+            out[name] = module._buffers[bname].copy()
         return out
 
     def load_state_dict(self, state: Dict[str, np.ndarray], strict: bool = True) -> None:
         """Load parameter/buffer values in place (shapes must match)."""
-        params = dict(self.named_parameters())
-        own_buffers: Dict[str, Tuple[Module, str]] = {}
-        for mod_name, module in self.named_modules():
-            for bname in module._buffers:
-                full = f"{mod_name}.{bname}" if mod_name else bname
-                own_buffers[full] = (module, bname)
-        missing = (set(params) | set(own_buffers)) - set(state)
-        unexpected = set(state) - (set(params) | set(own_buffers))
-        if strict and (missing or unexpected):
-            raise KeyError(f"state_dict mismatch: missing={sorted(missing)}, unexpected={sorted(unexpected)}")
+        index = self._name_index()
+        params, own_buffers = index.params, index.buffers
+        if strict:
+            missing = (set(params) | set(own_buffers)) - set(state)
+            unexpected = set(state) - (set(params) | set(own_buffers))
+            if missing or unexpected:
+                raise KeyError(f"state_dict mismatch: missing={sorted(missing)}, unexpected={sorted(unexpected)}")
         for name, value in state.items():
             if name in params:
                 target = params[name]

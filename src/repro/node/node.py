@@ -8,6 +8,7 @@ role executes matching broadcast/gather/mixing sequences).
 
 from __future__ import annotations
 
+import copy
 import time
 from collections import OrderedDict
 from typing import Any, Dict, List, Mapping, Optional, Tuple
@@ -180,31 +181,31 @@ class Node:
         starts from the pool ``baseline`` with streams derived fresh from
         ``(run_seed, client_id)``.
         """
-        import copy as _copy
-
         self.client_id = int(client_id)
         self.train_dataset = train_dataset
         keys = self.algorithm.persistent_model_keys(self.model)
         if snapshot is None:
             self._rng = client_rng(self.seed, client_id, FAULT_STREAM)
             self._loader_rng = client_rng(self.seed, client_id, DATA_STREAM)
-            self.algorithm.import_client_state(_copy.deepcopy(baseline["algo"]))
+            self.algorithm.import_client_state(copy.deepcopy(baseline["algo"]))
             model_state = baseline["model"]
             self.last_train_stats = {}
             if self.compressor is not None:
                 self.compressor.reset()
-                self.compressor.import_state(_copy.deepcopy(self._comp_pristine))
+                self.compressor.import_state(copy.deepcopy(self._comp_pristine))
             if self.dp is not None:
-                self.dp.import_state(_copy.deepcopy(self._dp_pristine))
+                self.dp.import_state(copy.deepcopy(self._dp_pristine))
         else:
             if snapshot.fault_rng is None:
                 # stream never consumed since derivation (e.g. a fused turn):
                 # re-deriving is bit-identical to restoring the initial state
                 self._rng = client_rng(self.seed, client_id, FAULT_STREAM)
             else:
-                self._rng = np.random.default_rng()
                 self._rng.bit_generator.state = snapshot.fault_rng
-            self._loader_rng = np.random.default_rng()
+            # the generators are reused, not rebuilt: a snapshot holds the
+            # complete PCG64 state, so assigning it leaves nothing of the
+            # previous client, and seeding a fresh generator from OS entropy
+            # only to overwrite it cost more than the rest of the swap
             self._loader_rng.bit_generator.state = snapshot.loader_rng
             self.algorithm.import_client_state(snapshot.algo)
             model_state = snapshot.model

@@ -69,7 +69,12 @@ class PoolTicket:
     def done(self) -> bool:
         return self._event.is_set()
 
-    def cancel(self) -> bool:  # Future-API compat; pooled turns always run
+    def cancel(self) -> bool:
+        """Future-API compat; pooled turns always run.  For determinism: which
+        turns are still queued when a run drains depends on thread timing,
+        and a turn that never runs does not advance its client's loader
+        stream, which a dedicated actor always does — cancelling would make
+        pooled records differ from dedicated ones, and from run to run."""
         return False
 
     def _wait(self, timeout: Optional[float]) -> None:

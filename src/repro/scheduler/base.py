@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import copy
 import time
-from typing import Any, Dict, List, Optional, Sequence, TYPE_CHECKING
+from bisect import bisect_right
+from collections.abc import Sequence as SequenceABC
+from typing import Any, Dict, Iterator, List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -49,6 +51,42 @@ SCHEDULERS: Registry["Scheduler"] = Registry("scheduler")
 
 #: actor-future timeout for one local training call (real seconds)
 _TRAIN_TIMEOUT = 600.0
+
+
+class _IdleView(SequenceABC):
+    """``clients`` minus the ones at the ``busy`` positions, in ``clients``
+    order, without copying: what selection samples from on every dispatch.
+
+    Selection indexes into its pool, so the order is part of the contract.
+    The i-th idle client sits ``j`` places further along, ``j`` being how many
+    busy positions precede it — found by bisecting ``busy[j] - j`` (the count
+    of idle clients before the j-th busy one, which never decreases).
+    """
+
+    __slots__ = ("_clients", "_busy", "_idle_before")
+
+    def __init__(self, clients: Sequence[int], busy: List[int]) -> None:
+        self._clients = clients
+        self._busy = busy  # ascending positions into ``clients``
+        self._idle_before = [pos - j for j, pos in enumerate(busy)]
+
+    def __len__(self) -> int:
+        return len(self._clients) - len(self._busy)
+
+    def __getitem__(self, i: int) -> int:
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("idle client index out of range")
+        return self._clients[i + bisect_right(self._idle_before, i)]
+
+    def __iter__(self) -> Iterator[int]:
+        start = 0
+        for pos in self._busy:
+            yield from self._clients[start:pos]
+            start = pos + 1
+        yield from self._clients[start:]
 
 
 class Scheduler:
@@ -105,6 +143,7 @@ class Scheduler:
         self._dispatch_count: Dict[int, int] = {}
         self._server_idx: Optional[int] = None
         self._node_pos: Dict[int, int] = {}
+        self._client_pos: Dict[int, int] = {}  # client id -> index in clients
         self._wall_anchor = 0.0
         # adversarial robustness (bound from the engine): the robust
         # aggregator instance for this tier (None: plain staleness-weighted
@@ -216,6 +255,9 @@ class Scheduler:
             # bit-reproduce dedicated ones.
             self.runtime = engine.client_runtime()
             self.clients = list(self.runtime.client_ids())
+        self._client_pos = {c: i for i, c in enumerate(self.clients)}
+        if len(self._client_pos) != len(self.clients):
+            raise ValueError(f"scheduler {self.name!r} was bound to duplicate client ids")
         self._live = bool(getattr(self.runtime, "live", False))
         if self._live:
             # wall-clock execution: real processes provide latency and
@@ -335,10 +377,13 @@ class Scheduler:
     def global_state(self, state: Dict[str, np.ndarray]) -> None:
         self.server.global_state = state
 
-    def idle_clients(self) -> List[int]:
+    def idle_clients(self) -> Sequence[int]:
+        """Clients with nothing in flight, in ``self.clients`` order."""
         live = self.runtime.live_clients() if self.runtime is not None else None
         if live is None:
-            return [c for c in self.clients if c not in self._in_flight]
+            # per-dispatch cost follows the window, not the cohort
+            pos = self._client_pos
+            return _IdleView(self.clients, sorted(pos[c] for c in self._in_flight if c in pos))
         # live runtime: selection only sees clients a live member serves, so
         # an evicted peer's clients stop being picked within one sweep
         alive = set(live)
@@ -398,11 +443,13 @@ class Scheduler:
         """Block on an event's future, advance virtual time, free the client."""
         self.now = max(self.now, event.arrival)
         self._in_flight.pop(event.client, None)
-        self.tracer.sim_span(
-            "client.turn", event.dispatched_at, event.arrival, cat="sched",
-            track=f"client {event.client}", client=event.client,
-            version=event.version, dropped=event.dropped,
-        )
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.sim_span(
+                "client.turn", event.dispatched_at, event.arrival, cat="sched",
+                track=f"client {event.client}", client=event.client,
+                version=event.version, dropped=event.dropped,
+            )
         if event.dropped:
             # nothing ever arrived: no stats, no loss signal for selection
             self.dropped += 1
@@ -475,7 +522,9 @@ class Scheduler:
             wall_seconds=wall,
             sim_time=self.now,
             applied=len(merged),
-            staleness_mean=float(np.mean(staleness)) if len(staleness) else 0.0,
+            # integer version gaps: the exact sum divided once is np.mean's
+            # float64 result, without building an array for one element
+            staleness_mean=sum(staleness) / len(staleness) if len(staleness) else 0.0,
             tier=self.tier,
         )
         losses, accs, weights = [], [], []

@@ -450,11 +450,14 @@ class GossipScheduler(Scheduler):
         total = sum(self.edge_bytes.values())
         record.bytes_sent = total - self._bytes_seen
         self._bytes_seen = total
+        per_edge = {}
         for edge, sent in self.edge_bytes.items():
             prev = self._edge_seen.get(edge, 0)
             if sent > prev:
-                record.per_edge[f"{edge[0]}->{edge[1]}"] = sent - prev
+                per_edge[f"{edge[0]}->{edge[1]}"] = sent - prev
                 self._edge_seen[edge] = sent
+        if per_edge:
+            record.per_edge = per_edge
         if self.track_consensus:
             record.consensus_dist = self.consensus_distance()
 

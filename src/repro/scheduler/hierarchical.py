@@ -417,12 +417,13 @@ class HierarchicalScheduler(Scheduler):
             sites_merged=len(uploads),
         )
         losses, accs, weights = [], [], []
+        record.per_node = per_site = {}
         for u in uploads:
             stats = u.get("stats", {})
-            record.per_node[f"site{u['site']}"] = {
+            per_site[f"site{u['site']}"] = {
                 k: float(v) for k, v in stats.items() if isinstance(v, (int, float))
             }
-            record.per_node[f"site{u['site']}"]["applied"] = float(u["applied"])
+            per_site[f"site{u['site']}"]["applied"] = float(u["applied"])
             if "loss" in stats:
                 w = float(stats.get("samples", 1.0))
                 losses.append(float(stats["loss"]) * w)

@@ -49,8 +49,11 @@ def _interpolate(
         c = client_state.get(key)
         if c is None:
             out[key] = np.copy(g)
-        elif np.issubdtype(np.asarray(g).dtype, np.floating):
-            out[key] = ((1.0 - weight) * g + weight * np.asarray(c)).astype(g.dtype)
+        elif np.asarray(g).dtype.kind == "f":
+            mixed = (1.0 - weight) * g
+            mixed += weight * np.asarray(c)
+            # a policy passing np.float64 weights must not widen the state
+            out[key] = mixed.astype(g.dtype, copy=False)
         else:
             out[key] = np.copy(c)
     return out

@@ -14,9 +14,13 @@ registry, so partial participation composes like every other axis:
                      before rank first, so the pool is explored before it is
                      exploited.
 
-All strategies are deterministic under a fixed seed and call sequence
-regardless of pool ordering; the only inputs are the seed, the sequence of
-pools offered, and the loss table handed in by the caller.
+All strategies are deterministic under a fixed seed and a fixed sequence of
+pools *in order*: ``random`` and ``power_of_choice`` draw positions and map
+them through the pool, so the same members in another order give other picks
+(``round_robin`` ranks by count and id, and does not care).  The only inputs
+are the seed, the sequence of pools offered, and the loss table handed in by
+the caller.  A pool is any sequence: the two samplers take its length and
+index into it, and never walk or copy it.
 """
 
 from __future__ import annotations
@@ -82,7 +86,9 @@ class RandomSelection(SelectionStrategy):
         k = min(int(k), len(pool))
         if k <= 0:
             return []
-        return sorted(self._rng.choice(list(pool), size=k, replace=False).tolist())
+        # choice(n) draws what choice(list_of_n) draws: same stream, same picks
+        picks = self._rng.choice(len(pool), size=k, replace=False).tolist()
+        return sorted(pool[i] for i in picks)
 
 
 @SELECTORS.register("round_robin", "cyclic")
@@ -142,13 +148,13 @@ class PowerOfChoiceSelection(SelectionStrategy):
         round_idx: int = 0,
         losses: Optional[Dict[int, float]] = None,
     ) -> List[int]:
-        pool = list(pool)
         k = min(int(k), len(pool))
         if k <= 0:
             return []
         d = self.d if self.d is not None else 2 * k
         d = max(k, min(int(d), len(pool)))
-        candidates = self._rng.choice(pool, size=d, replace=False).tolist()
+        picks = self._rng.choice(len(pool), size=d, replace=False).tolist()
+        candidates = [pool[i] for i in picks]
         losses = losses or {}
         # unseen clients get +inf so exploration precedes exploitation;
         # ties break on the index for determinism

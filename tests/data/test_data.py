@@ -15,6 +15,7 @@ from repro.data import (
     make_image_classification,
     make_tabular_classification,
 )
+from repro.data.dataloader import materialize_batches
 
 
 # ------------------------------------------------------------ datasets
@@ -87,6 +88,45 @@ def test_dataloader_subset_fast_path_matches_slow(rng):
     slow = list(DataLoader(Subset(base2, [1, 3, 5, 7]), 2))
     for (xf, yf), (xs, ys) in zip(fast, slow):
         assert np.allclose(xf, xs) and np.array_equal(yf, ys)
+
+
+def test_subset_loader_gathers_the_batch_not_the_shard(rng):
+    """Same batches as gathering the whole shard first and indexing into the
+    copy — values, order, stream — but the backing array is asked for one
+    batch of rows at a time, for the loader and for ``materialize_batches``."""
+
+    class Counting(np.ndarray):
+        rows = 0
+
+        def __getitem__(self, idx):
+            out = super().__getitem__(idx)
+            Counting.rows += len(out)
+            return out
+
+    base = ArrayDataset(rng.standard_normal((64, 3)).astype(np.float32), np.arange(64))
+    shard = Subset(base, rng.permutation(64)[:40])
+    order = np.arange(40)
+    np.random.default_rng(1).shuffle(order)
+    want_x, want_y = base.x[shard.indices][order], base.y[shard.indices][order]
+    base.x = base.x.view(Counting)
+
+    loader_rng = np.random.default_rng(1)
+    x, y = next(iter(DataLoader(shard, 4, shuffle=True, rng=loader_rng)))
+    assert Counting.rows == 4
+    assert np.array_equal(x, want_x[:4]) and np.array_equal(y, want_y[:4])
+    assert type(x) is np.ndarray and x.flags["C_CONTIGUOUS"]
+
+    Counting.rows = 0
+    fused_rng = np.random.default_rng(1)
+    batches = materialize_batches(shard, 4, fused_rng, epochs=1, max_batches=3)
+    assert Counting.rows == 12
+    for b, (bx, by) in enumerate(batches):
+        assert np.array_equal(bx, want_x[4 * b:4 * b + 4]) and np.array_equal(by, want_y[4 * b:4 * b + 4])
+    assert fused_rng.random() == loader_rng.random()
+
+    # a one-sample shard shuffles nothing and still reads its own row
+    (bx, by), = materialize_batches(Subset(base, [17]), 4, fused_rng, epochs=1)
+    assert np.array_equal(bx, np.asarray(base.x)[[17]]) and by.tolist() == [17]
 
 
 def test_dataloader_invalid_batch_size():

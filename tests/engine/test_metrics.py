@@ -1,5 +1,12 @@
 
+import pickle
+
+import numpy as np
+import pytest
+
+from repro.engine import Engine
 from repro.engine.metrics import MetricsCollector, RoundRecord
+from repro.experiment import ExperimentSpec
 
 
 def record(i, acc=None, secs=1.0, loss=0.5, sent=100):
@@ -61,3 +68,112 @@ def test_record_as_dict():
     rec = record(3, acc=0.66)
     d = rec.as_dict()
     assert d["round"] == 3 and d["eval_accuracy"] == 0.66
+
+
+# ------------------------------------------------------------- slim records
+def test_default_record_allocates_no_dict_of_its_own():
+    """An async run keeps one record per applied update; none of them has a
+    per-edge or per-node breakdown, so none should pay for two empty dicts
+    (or for an instance ``__dict__``)."""
+    a, b = RoundRecord(round_idx=0), RoundRecord(round_idx=1)
+    assert not hasattr(a, "__dict__")
+    assert a.per_edge is b.per_edge is a.per_node is b.per_node
+    # reads like the empty dict it replaced ...
+    assert len(a.per_node) == 0 and list(a.per_edge) == [] and dict(a.per_node) == {}
+    assert list(a.per_node.items()) == [] and a.per_edge == {} and "x" not in a.per_edge
+    # ... but a writer that does not assign its own dict fails at once,
+    # instead of filling in every record
+    with pytest.raises(TypeError):
+        a.per_node["n0"] = {"loss": 1.0}
+    with pytest.raises(AttributeError):
+        a.not_a_field = 1
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_default_record_round_trips_through_payload():
+    rec = RoundRecord(round_idx=4, train_loss=0.25, sim_time=3.5, applied=1, staleness_mean=2.0)
+    payload = rec.to_payload()
+    assert payload["per_node"] == {} and payload["per_edge"] == {}
+    back = RoundRecord.from_payload(payload)
+    assert back == rec
+    assert back.per_node is rec.per_node and back.per_edge is rec.per_edge  # still shared
+
+
+def test_filled_record_round_trips_through_payload():
+    rec = RoundRecord(round_idx=2, bytes_sent=30)
+    rec.per_node = {"n1": {"loss": np.float32(0.5), "participated": True}}
+    rec.per_edge = {"0->1": np.int64(30)}
+    payload = rec.to_payload()
+    assert payload["per_node"] == {"n1": {"loss": 0.5, "participated": 1.0}}
+    assert payload["per_edge"] == {"0->1": 30} and type(payload["per_edge"]["0->1"]) is int
+    back = RoundRecord.from_payload(payload)
+    assert back.per_node == payload["per_node"] and back.per_edge == payload["per_edge"]
+    assert back.to_payload() == payload
+
+
+_DATA = {"dataset": "blobs", "kwargs": {"train_size": 96, "test_size": 32, "seed": 0},
+         "partition": "iid", "batch_size": 8}
+_TRAIN = {"algorithm": "fedavg", "model": "mlp", "global_rounds": 2, "eval_every": 0,
+          "algorithm_kwargs": {"lr": 0.05, "local_epochs": 1, "max_batches_per_epoch": 1}}
+
+
+def _history(fresh_port, updates=None, **spec):
+    inner = {"backend": "torchdist", "master_port": fresh_port}
+    topo = dict(spec.pop("topology_kwargs", {}), inner_comm=inner)
+    eng = Engine.from_spec(ExperimentSpec(data=_DATA, train=_TRAIN, seed=0, topology_kwargs=topo, **spec))
+    try:
+        if updates is None:
+            eng.run()
+        else:
+            eng.run_async(total_updates=updates)
+        return list(eng.metrics.history), eng
+    finally:
+        eng.shutdown()
+
+
+def _assert_own_dicts(history, field):
+    """Every record filled its own dict, and the payload carries it whole."""
+    filled = [getattr(rec, field) for rec in history]
+    assert all(type(d) is dict and d for d in filled)
+    assert len({id(d) for d in filled}) == len(filled)
+    for rec in history:
+        assert RoundRecord.from_payload(rec.to_payload()).to_payload() == rec.to_payload()
+
+
+def test_rounds_loop_still_fills_per_node(fresh_port):
+    history, eng = _history(fresh_port, topology="centralized", num_clients=3)
+    assert len(history) == 2
+    _assert_own_dicts(history, "per_node")
+    for rec in history:
+        assert set(rec.per_node) == {n.name for n in eng.nodes}
+        assert sum(1 for s in rec.per_node.values() if s.get("participated")) == 3
+        assert len(rec.per_edge) == 0
+
+
+def test_hierarchical_outer_tier_still_fills_per_node(fresh_port):
+    outer = {"backend": "grpc", "master_port": fresh_port + 1000, "transport": "inproc"}
+    history, eng = _history(
+        fresh_port, updates=8, topology="hierarchical",
+        topology_kwargs={"num_sites": 2, "clients_per_site": 2, "outer_comm": outer},
+        scheduler={"name": "hier_async", "inner": "sync", "outer": "fedasync"},
+    )
+    _assert_own_dicts(history, "per_node")
+    for rec in history:
+        assert all(name.startswith("site") and "applied" in stats
+                   for name, stats in rec.per_node.items())
+        assert sum(s["applied"] for s in rec.per_node.values()) == rec.applied
+    # site-tier records have no breakdown and share the empty one
+    site_records = [r for m in eng.scheduler.site_metrics for r in m.history]
+    assert site_records and all(r.per_node is history[0].per_edge for r in site_records)
+
+
+def test_gossip_still_fills_per_edge(fresh_port):
+    history, _ = _history(
+        fresh_port, updates=8, topology="ring", topology_kwargs={"num_clients": 4},
+        scheduler={"name": "gossip_async"},
+    )
+    assert sum(rec.bytes_sent for rec in history) > 0
+    for rec in history:
+        assert sum(rec.per_edge.values()) == rec.bytes_sent
+        assert len(rec.per_node) == 0
+    _assert_own_dicts([rec for rec in history if rec.bytes_sent], "per_edge")

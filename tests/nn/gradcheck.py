@@ -74,3 +74,11 @@ def assert_matches(actual: np.ndarray, reference: np.ndarray, rtol: float) -> No
     scale = max(1.0, float(np.abs(reference).max(initial=0.0)))
     err = float(np.abs(actual - reference).max(initial=0.0))
     assert err <= rtol * scale, f"max abs err {err:.3e} > {rtol:g} x {scale:.3g}"
+
+
+def linear_reference(x, weight, bias=None):
+    """``F.linear`` as three tape nodes — transpose, matmul, add — which is how
+    it was written before it recorded one.  The one-node form must agree with
+    this one bit for bit, output and gradients."""
+    out = x.matmul(weight.T)
+    return out if bias is None else out + bias

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from repro.models import build_model
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor, no_grad
 from tests.nn.gradcheck import (
     assert_grad_close,
     assert_matches,
     conv2d_reference,
+    linear_reference,
     numerical_grad,
 )
 
@@ -72,6 +74,95 @@ def test_log_softmax_grad(rng):
     x = Tensor(x_data, requires_grad=True)
     (F.log_softmax(x) * 0.3).sum().backward()
     assert_grad_close(x.grad, numerical_grad(lambda: run().item(), x_data))
+
+
+# ------------------------------------------------------------- linear
+def _linear_case(fn, x_data, w_data, b_data, x_grad, grad_out):
+    """Run ``fn`` (one of the two linear forms) twice through one weight and
+    bias — the second call on the first's output where the widths allow, so
+    gradients accumulate — and return everything the forms must agree on."""
+    x = Tensor(x_data, requires_grad=x_grad)
+    w = Tensor(w_data.copy(), requires_grad=True)
+    b = None if b_data is None else Tensor(b_data.copy(), requires_grad=True)
+    first = fn(x, w, b)
+    second = fn(first if w_data.shape[0] == w_data.shape[1] else x, w, b)
+    out = first + second
+    out.backward(grad_out.copy())  # the tape adopts the array and adds into it
+    return out.data, x.grad, w.grad, None if b is None else b.grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_grad", [True, False])
+@pytest.mark.parametrize("with_bias", [True, False])
+@pytest.mark.parametrize(
+    "x_shape, w_shape, sliced",
+    [
+        ((5, 7), (7, 7), False),     # square: the second call consumes the first
+        ((5, 7), (3, 7), False),
+        ((5, 7), (3, 7), True),      # non-contiguous input
+        ((2, 5, 7), (3, 7), False),  # 3-D input: the composed form, untouched
+    ],
+)
+def test_linear_matches_composed_form_exactly(x_shape, w_shape, sliced, with_bias, x_grad, dtype, rng):
+    """Not a tolerance: the one-node ``linear`` evaluates the composed form's
+    expressions in its order, so every bit of the output and of the x, weight
+    and bias gradients is the same — which is what lets pooled, fused and
+    dedicated runs keep their pinned records."""
+    if sliced:
+        wide = rng.standard_normal((x_shape[0], 2 * x_shape[1])).astype(dtype)
+        x_data = wide[:, ::2]
+        assert not x_data.flags["C_CONTIGUOUS"]
+    else:
+        x_data = rng.standard_normal(x_shape).astype(dtype)
+    w_data = rng.standard_normal(w_shape).astype(dtype)
+    b_data = rng.standard_normal(w_shape[0]).astype(dtype) if with_bias else None
+    grad_out = rng.standard_normal(x_shape[:-1] + w_shape[:1]).astype(dtype)
+    got = _linear_case(F.linear, x_data, w_data, b_data, x_grad, grad_out)
+    want = _linear_case(linear_reference, x_data, w_data, b_data, x_grad, grad_out)
+    for name, g, r in zip(("out", "x.grad", "weight.grad", "bias.grad"), got, want):
+        if r is None:
+            assert g is None, name
+        else:
+            assert g.dtype == r.dtype and g.flags["C_CONTIGUOUS"] == r.flags["C_CONTIGUOUS"], name
+            assert np.array_equal(g, r), name
+
+
+def test_linear_mixed_dtypes_match_composed_form(rng):
+    """A float64 bias over float32 operands: the gradient reaches the product
+    in the product's dtype, as it did when the product had its own node."""
+    x_data = rng.standard_normal((4, 6)).astype(np.float32)
+    w_data = rng.standard_normal((3, 6)).astype(np.float32)
+    b_data = rng.standard_normal(3)
+    grad_out = rng.standard_normal((4, 3))
+    got = _linear_case(F.linear, x_data, w_data, b_data, True, grad_out)
+    want = _linear_case(linear_reference, x_data, w_data, b_data, True, grad_out)
+    for g, r in zip(got, want):
+        assert g.dtype == r.dtype and np.array_equal(g, r)
+
+
+def _tape(root):
+    """Every tensor reachable from ``root`` through the tape, split into
+    nodes (have a backward) and leaves."""
+    seen, stack, nodes, leaves = set(), [root], [], []
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        (nodes if t._backward is not None else leaves).append(t)
+        stack.extend(t._prev)
+    return nodes, leaves
+
+
+def test_mlp_loss_tape_has_one_node_per_layer(rng):
+    """Linear-ReLU-Linear-ReLU-Linear-CE is six tape nodes over the six
+    parameters; the composed linear made it twelve."""
+    model = build_model("mlp", in_features=8, num_classes=3, hidden=[5, 4])
+    x = rng.standard_normal((4, 8)).astype(np.float32)
+    loss = F.cross_entropy(model(Tensor(x)), np.array([0, 1, 2, 0]))
+    nodes, leaves = _tape(loss)
+    assert len(nodes) == 6
+    assert {id(t) for t in leaves} == {id(p) for p in model.parameters()}
 
 
 # ------------------------------------------------------------- convolution

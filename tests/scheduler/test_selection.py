@@ -117,3 +117,56 @@ def test_random_matches_legacy_engine_sampling():
     for _ in range(4):
         expected = sorted(rng.choice(pool, size=3, replace=False).tolist())
         assert sel.select(pool, 3, 0) == expected
+
+
+class _IndexOnlyPool:
+    """A pool that can be measured and indexed but not walked: iterating it
+    (``list(pool)``, ``np.asarray(pool)`` via the sequence protocol's
+    ``__iter__``) is the O(cohort) copy the samplers must not make."""
+
+    def __init__(self, members):
+        self._members = members
+
+    def __len__(self):
+        return len(self._members)
+
+    def __getitem__(self, i):
+        if not isinstance(i, int):
+            raise TypeError(f"indexed with {type(i).__name__}, not a plain int")
+        return self._members[i]
+
+    def __iter__(self):
+        raise AssertionError("the sampler materialised its pool")
+
+
+# both sides of numpy's switch from a tail shuffle to Floyd's algorithm
+@pytest.mark.parametrize("n", [8, 1992, 20_000])
+@pytest.mark.parametrize("k", [1, 8])
+@pytest.mark.parametrize("name", ["random", "power_of_choice"])
+def test_index_sampling_draws_what_list_sampling_drew(name, n, k):
+    """Drawing positions and mapping them through the pool gives the picks
+    ``rng.choice(list(pool), …)`` gave and leaves the stream where that left
+    it — the formula is written out here because the records of every seeded
+    run made before depend on it."""
+    members = [3 * i + 11 for i in range(n)]  # ids are not positions
+    losses = {c: float((c * 7919) % 13) for c in members[::2]}  # half unseen
+    sel = build_selector(name, seed=9)
+    rng = np.random.default_rng((9, 0x5E1EC7))
+    for _ in range(3):
+        if name == "random":
+            expected = sorted(rng.choice(list(members), size=k, replace=False).tolist())
+        else:
+            d = max(k, min(2 * k, n))
+            candidates = rng.choice(list(members), size=d, replace=False).tolist()
+            ranked = sorted(candidates, key=lambda c: (-losses.get(c, float("inf")), c))
+            expected = sorted(ranked[:k])
+        assert sel.select(_IndexOnlyPool(members), k, 0, losses=losses) == expected
+        assert sel._rng.bit_generator.state == rng.bit_generator.state
+
+
+def test_round_robin_still_accepts_any_sequence():
+    """It ranks the whole pool by design, so it may walk it — through a view
+    as well as through a list."""
+    sel = RoundRobinSelection(seed=0)
+    assert sel.select(tuple(POOL), 3, 0) == POOL[:3]
+    assert sel.select(range(10, 22), 3, 1) == POOL[3:6]
