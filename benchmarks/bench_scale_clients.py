@@ -72,7 +72,6 @@ def make_spec(num_clients: int, pool_size, total_updates: int = None,
         },
         scheduler={"name": "fedasync", "heterogeneity": {"latency": "lognormal", "mean": 1.0, "sigma": 0.5}},
         total_updates=TOTAL_UPDATES if total_updates is None else total_updates,
-        mode="async",
         seed=0,
     )
 

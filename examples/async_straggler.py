@@ -13,9 +13,8 @@ under four execution policies against an identical lognormal latency model:
 Latency is *virtual* (no sleeping): the scheduler advances a simulated
 clock, so the printed makespans are what a real WAN deployment would see,
 reproduced in milliseconds of laptop time.  Each arm is one
-:class:`ExperimentSpec` differing only in its ``scheduler`` field; the
-``mode="auto"`` dispatcher picks the async runtime because a scheduler is
-configured.
+:class:`ExperimentSpec` differing only in its ``scheduler`` field; naming
+a scheduler is what selects the async runtime.
 
 Run:  python examples/async_straggler.py
 """

@@ -3,7 +3,8 @@
 The offline environment lacks the ``wheel`` package, so PEP 660 editable
 installs (which need ``bdist_wheel``) fail.  This shim lets
 ``pip install -e . --no-use-pep517 --no-build-isolation`` take the legacy
-``setup.py develop`` path.  Metadata lives in ``pyproject.toml``.
+``setup.py develop`` path.  There is no ``pyproject.toml``: the metadata
+below is all there is.
 """
 
 from setuptools import find_packages, setup

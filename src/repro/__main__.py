@@ -5,6 +5,8 @@ Usage::
     python -m repro                                    # default experiment
     python -m repro algorithm=fedprox +algorithm.mu=0.1
     python -m repro topology=hierarchical global_rounds=5
+    python -m repro topology=hierarchical \
+        '+outer_compression={_target_: repro.compression.TopK, ratio: 10}'
     python -m repro scheduler=fedasync                 # async execution policy
     python -m repro scheduler=fedbuff scheduler.buffer_size=8
     python -m repro topology=hierarchical scheduler=hier_async \

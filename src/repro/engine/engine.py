@@ -1,11 +1,9 @@
 """The Engine: the internal executor behind the Experiment API.
 
 The engine is built from one validated :class:`~repro.experiment.spec.
-ExperimentSpec` via :meth:`Engine.from_spec`: it instantiates node actors,
-wires their communicators, partitions data, drives rounds (or hands control
-to the scheduler runtime), and collects metrics.  The legacy constructors —
-``Engine(**kwargs)``, ``Engine.from_names``, ``Engine.from_config`` — are
-deprecated shims that assemble a spec and route through the same path.
+ExperimentSpec` via :meth:`Engine.from_spec` — the only way in: it
+instantiates node actors, wires their communicators, partitions data, drives
+rounds (or hands control to the scheduler runtime), and collects metrics.
 
 Plugins compose exactly as in OmniFed: a ``compressor`` applies to client
 uploads (or, in hierarchical deployments, ``outer_compressor`` only to the
@@ -16,26 +14,20 @@ updates before they leave the node.
 from __future__ import annotations
 
 import time
-import warnings
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.algorithms.base import Algorithm
 from repro.comm.factory import build_communicator
-from repro.compression.base import Compressor
-from repro.data.registry import DataModule
 from repro.engine.actor import ThreadActor, wait_all
 from repro.engine.metrics import MetricsCollector, RoundRecord, StopRun
 from repro.runtime import Broker, ClientPool, ClientRuntime, DedicatedRuntime, broker_class
-from repro.models.base import FederatedModel
 from repro.nn.serialization import state_average
 from repro.node.node import Node
-from repro.privacy.dp import DifferentialPrivacy
-from repro.scheduler.base import Scheduler, build_scheduler
+from repro.scheduler.base import build_scheduler
 from repro.scheduler.selection import build_selector
 from repro.telemetry.tracer import NOOP_TRACER
-from repro.topology.base import NodeRole, NodeSpec, Topology
+from repro.topology.base import NodeRole, NodeSpec
 from repro.utils.logging import get_logger
 from repro.utils.timer import SimClock
 
@@ -47,94 +39,11 @@ __all__ = ["Engine"]
 
 _LOG = get_logger("engine")
 
-_DEPRECATION_TEMPLATE = (
-    "{api} is deprecated; describe the run with an ExperimentSpec and use "
-    "Engine.from_spec(spec) — or better, Experiment(spec).run() — instead"
-)
-
 
 class Engine:
-    """Orchestrates one federated experiment (build with :meth:`from_spec`)."""
+    """Orchestrates one federated experiment, described by one spec."""
 
-    def __init__(
-        self,
-        topology: Topology,
-        datamodule: DataModule,
-        model_fn: Callable[[], FederatedModel],
-        algorithm_fn: Callable[[], Algorithm],
-        global_rounds: int = 5,
-        batch_size: int = 32,
-        seed: int = 0,
-        partition: str = "dirichlet",
-        partition_alpha: float = 0.5,
-        eval_every: int = 1,
-        eval_max_batches: Optional[int] = None,
-        compressor_fn: Optional[Callable[[], Compressor]] = None,
-        outer_compressor_fn: Optional[Callable[[], Compressor]] = None,
-        dp_fn: Optional[Callable[[], DifferentialPrivacy]] = None,
-        client_fraction: float = 1.0,
-        drop_prob: float = 0.0,
-        straggler_prob: float = 0.0,
-        straggler_delay: float = 0.0,
-        feature_noniid: float = 0.0,
-        selection: str = "random",
-        selection_kwargs: Optional[Dict[str, Any]] = None,
-        scheduler: Optional[Any] = None,
-    ) -> None:
-        """Deprecated: assemble an :class:`ExperimentSpec` instead.
-
-        This legacy constructor wraps its arguments (live topology/
-        datamodule objects and component factories become opaque spec
-        fields) and routes through the spec path, so old call sites behave
-        identically while emitting one :class:`DeprecationWarning`.
-        """
-        warnings.warn(
-            _DEPRECATION_TEMPLATE.format(api="Engine(**kwargs)"),
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.experiment.spec import spec_from_parts
-
-        spec = spec_from_parts(
-            topology=topology,
-            datamodule=datamodule,
-            model=model_fn,
-            algorithm=algorithm_fn,
-            compressor=compressor_fn,
-            outer_compressor=outer_compressor_fn,
-            dp=dp_fn,
-            global_rounds=global_rounds,
-            batch_size=batch_size,
-            seed=seed,
-            partition=partition,
-            partition_alpha=partition_alpha,
-            eval_every=eval_every,
-            eval_max_batches=eval_max_batches,
-            client_fraction=client_fraction,
-            drop_prob=drop_prob,
-            straggler_prob=straggler_prob,
-            straggler_delay=straggler_delay,
-            feature_noniid=feature_noniid,
-            selection=selection,
-            selection_kwargs=selection_kwargs,
-            scheduler=scheduler,
-        )
-        self._init_from_spec(spec)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_spec(
-        cls,
-        spec: "ExperimentSpec",
-        callbacks: Iterable["Callback"] = (),
-    ) -> "Engine":
-        """Build the executor for one :class:`ExperimentSpec` (the v2 path)."""
-        engine = cls.__new__(cls)
-        engine._init_from_spec(spec)
-        engine.metrics.callbacks.extend(callbacks)
-        return engine
-
-    def _init_from_spec(self, spec: "ExperimentSpec") -> None:
+    def __init__(self, spec: "ExperimentSpec", callbacks: Iterable["Callback"] = ()) -> None:
         from repro.experiment import spec as spec_mod
 
         if not isinstance(spec, spec_mod.ExperimentSpec):
@@ -154,6 +63,7 @@ class Engine:
         self.client_fraction = float(spec.faults.client_fraction)
         self.seed = seed
         self.metrics = MetricsCollector()
+        self.metrics.callbacks.extend(callbacks)
         self.sim_clock = SimClock()
         # the Telemetry callback swaps in a recording tracer at setup; every
         # hook site reads this attribute per call, so the default costs one
@@ -162,7 +72,7 @@ class Engine:
         self.selector = build_selector(
             spec.faults.selection, seed=seed, **dict(spec.faults.selection_kwargs)
         )
-        self.scheduler = self._resolve_scheduler(spec_mod.resolve_scheduler_value(spec))
+        self.scheduler = spec_mod.resolve_scheduler(spec.scheduler)
         self._last_losses: Dict[int, float] = {}
         self._bytes_seen = 0
         self._sim_comm_seen = 0.0
@@ -176,29 +86,24 @@ class Engine:
         # tier included) its own counter-carrying aggregator instance
         self.attack_plan = spec_mod.resolve_attack_plan(spec, n_trainers, datamodule.num_classes)
         self.robust_factory = spec_mod.resolve_robust_fn(spec)
-        self.mtd = getattr(spec, "mtd", None)
+        self.mtd = spec.mtd
         if self.mtd is not None and topology.pattern != "gossip":
             raise ValueError(
                 f"moving-target defense re-samples a gossip overlay; the "
                 f"{topology.pattern!r} topology pattern has none (drop the "
                 "mtd block or switch to a gossip topology)"
             )
-        if self.robust_factory is not None and spec.run_mode() == "rounds":
+        if self.robust_factory is not None and spec.run_mode(n_trainers) == "rounds":
             raise ValueError(
                 "robust aggregation plugs into the scheduler runtime; the "
                 "synchronous rounds loop would silently ignore it — name a "
-                "scheduler policy (e.g. scheduler: sync) or set mode: async"
+                "scheduler policy (e.g. scheduler: sync)"
             )
         self.data_provider = spec_mod.resolve_data_provider(spec, datamodule, n_trainers)
 
-        pool_size = getattr(spec, "pool_size", None)
-        if pool_size is not None and int(pool_size) < 1:
-            raise ValueError("pool_size must be >= 1 (or null for dedicated nodes)")
-        broker_url = getattr(spec, "broker", None) or "memory://"
-        distributed = broker_class(broker_url).distributed
-        # a distributed broker always pools (its workers live out-of-process);
-        # the memory broker pools only when the cohort exceeds the pool
-        pooled = distributed or (pool_size is not None and int(pool_size) < n_trainers)
+        pool_size = spec.pool_size
+        broker_url = spec.broker
+        pooled = spec.pooled(n_trainers)
         if pooled and topology.pattern != "server":
             raise ValueError(
                 f"client-pool execution (broker={broker_url!r}, "
@@ -223,7 +128,7 @@ class Engine:
                     continue
                 self.nodes.append(make_node(nspec, None))
                 self.actors.append(ThreadActor(self.nodes[-1], name=nspec.name))
-            if distributed:
+            if broker_class(broker_url).distributed:
                 # worker processes rebuild their own trainer nodes from the
                 # spec the broker publishes (a live broker also binds its
                 # listen address here, so workers may dial before run());
@@ -259,7 +164,7 @@ class Engine:
                 num_clients=n_trainers,
                 broker=broker,
                 data_provider=self.data_provider,
-                batch_turns=getattr(spec, "batch_turns", None),
+                batch_turns=spec.batch_turns,
             )
         else:
             for nspec in node_specs:
@@ -278,85 +183,14 @@ class Engine:
         self._shutdown_done = False
         self._callbacks_setup_fired = False
 
-    # ------------------------------------------------------------------
     @classmethod
-    def from_names(
+    def from_spec(
         cls,
-        topology: str = "centralized",
-        algorithm: str = "fedavg",
-        model: str = "simple_cnn",
-        datamodule: str = "cifar10",
-        num_clients: int = 4,
-        topology_kwargs: Optional[Dict[str, Any]] = None,
-        algorithm_kwargs: Optional[Dict[str, Any]] = None,
-        model_kwargs: Optional[Dict[str, Any]] = None,
-        datamodule_kwargs: Optional[Dict[str, Any]] = None,
-        compressor: Optional[str] = None,
-        compressor_kwargs: Optional[Dict[str, Any]] = None,
-        **engine_kwargs: Any,
+        spec: "ExperimentSpec",
+        callbacks: Iterable["Callback"] = (),
     ) -> "Engine":
-        """Deprecated registry-name constructor; routes through the spec."""
-        warnings.warn(
-            _DEPRECATION_TEMPLATE.format(api="Engine.from_names"),
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.experiment.spec import spec_from_names
-
-        return cls.from_spec(spec_from_names(
-            topology=topology,
-            algorithm=algorithm,
-            model=model,
-            datamodule=datamodule,
-            num_clients=num_clients,
-            topology_kwargs=topology_kwargs,
-            algorithm_kwargs=algorithm_kwargs,
-            model_kwargs=model_kwargs,
-            datamodule_kwargs=datamodule_kwargs,
-            compressor=compressor,
-            compressor_kwargs=compressor_kwargs,
-            **engine_kwargs,
-        ))
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_config(cls, cfg: Any) -> "Engine":
-        """Deprecated composed-config constructor; routes through the spec.
-
-        Expects the layout of ``repro/conf/experiment.yaml``; prefer
-        ``Experiment(ExperimentSpec.from_config(cfg)).run()``.
-        """
-        warnings.warn(
-            _DEPRECATION_TEMPLATE.format(api="Engine.from_config"),
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.experiment.spec import ExperimentSpec
-
-        return cls.from_spec(ExperimentSpec.from_config(cfg))
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _resolve_scheduler(spec: Optional[Any]) -> Optional[Scheduler]:
-        """Accept a Scheduler, a registry name, or a kwargs dict with ``name``."""
-        if spec is None or isinstance(spec, Scheduler):
-            return spec
-        if isinstance(spec, str):
-            return build_scheduler(spec)
-        if isinstance(spec, dict):
-            kwargs = dict(spec)
-            if "_target_" in kwargs:
-                from repro.config.instantiate import instantiate
-
-                obj = instantiate(kwargs)
-                if not isinstance(obj, Scheduler):
-                    raise TypeError(f"scheduler config built {type(obj).__name__}, not a Scheduler")
-                return obj
-            name = kwargs.pop("name", None)
-            if name is None:
-                raise ValueError("scheduler dict needs a 'name' (or '_target_') key")
-            return build_scheduler(str(name), **kwargs)
-        raise TypeError(f"cannot build a scheduler from {type(spec).__name__}")
+        """Build the executor for one :class:`ExperimentSpec`."""
+        return cls(spec, callbacks)
 
     # ------------------------------------------------------------------
     # client runtimes: how logical client ids reach node actors
@@ -441,8 +275,8 @@ class Engine:
         if self.pool is not None:
             raise RuntimeError(
                 "client-pool execution has no collective rounds: run under "
-                "the scheduler runtime (Engine.run_async, or an Experiment "
-                "with mode='async'/'auto')"
+                "the scheduler runtime (Engine.run_async, or Experiment.run, "
+                "which picks it for every pooled spec)"
             )
         self.setup()
         pattern = self.topology.pattern
@@ -536,7 +370,11 @@ class Engine:
         client updates have been aggregated (default: ``global_rounds ×``
         the trainer count).
         """
-        sched = self._resolve_scheduler(scheduler) if scheduler is not None else self.scheduler
+        sched = self.scheduler
+        if scheduler is not None:
+            from repro.experiment.spec import SchedulerSpec, resolve_scheduler
+
+            sched = resolve_scheduler(SchedulerSpec.from_value(scheduler))
         if sched is None:
             default = {"hierarchical": "hier_async", "gossip": "gossip_async"}
             sched = build_scheduler(default.get(self.topology.pattern, "fedasync"))

@@ -1,14 +1,14 @@
 """The Experiment: one entrypoint from a spec to a structured result.
 
 ``Experiment(spec).run()`` builds the engine with ``Engine.from_spec``,
-auto-dispatches between the synchronous round loop and the asynchronous
-scheduler runtime (``spec.mode``: ``"rounds"`` / ``"async"`` / ``"auto"``,
-where auto runs async exactly when a scheduler is configured, falling back
-to the topology's default policy when the mode is async but no policy is
-named), and returns a :class:`~repro.experiment.result.RunResult`.
+runs the loop the spec implies (:meth:`ExperimentSpec.run_mode`: the
+scheduler runtime when a scheduler is named or the clients are pooled —
+under the topology's default policy if none is named — synchronous
+collective rounds otherwise), and returns a
+:class:`~repro.experiment.result.RunResult`.
 
 Callbacks (see :mod:`repro.engine.callbacks`) attach here and observe the
-run identically under every execution mode::
+run identically under either loop::
 
     spec = ExperimentSpec(...)
     result = Experiment(spec, callbacks=[EarlyStopping("eval_accuracy")]).run()
@@ -55,23 +55,12 @@ class Experiment:
 
     def run(self) -> RunResult:
         """Execute the spec end to end and return the structured result."""
-        mode = self.spec.run_mode()
         engine = Engine.from_spec(self.spec, callbacks=self.callbacks)
         self.engine = engine
-        if (
-            mode == "async"
-            and self.spec.mode == "auto"
-            and self.spec.scheduler is None
-            and engine.pool is None
-        ):
-            # pool_size >= the trainer count degenerates to dedicated nodes
-            # (the spec alone cannot know the trainer count): with no policy
-            # named, auto falls back to synchronous rounds exactly as it
-            # would without pool_size, instead of silently going async
-            mode = "rounds"
+        loop = self.spec.run_mode(engine.topology.trainer_count())
         start = time.perf_counter()
         try:
-            if mode == "async":
+            if loop == "async":
                 metrics = engine.run_async(total_updates=self.spec.total_updates)
             else:
                 metrics = engine.run()
@@ -81,7 +70,7 @@ class Experiment:
                 metrics=metrics,
                 final_state=engine.global_state(),
                 comm=engine.comm_summary(),
-                mode=mode,
+                mode=loop,
                 fingerprint=self.spec.fingerprint(),
                 wall_seconds=wall,
                 stop_reason=metrics.stop_reason,
@@ -90,8 +79,8 @@ class Experiment:
             engine.shutdown()
         self.result = result
         _LOG.info(
-            "experiment done: mode=%s records=%d final_acc=%s (%.2fs)",
-            mode, len(result.history),
+            "experiment done: %s records=%d final_acc=%s (%.2fs)",
+            loop, len(result.history),
             f"{result.final_accuracy():.4f}" if result.final_accuracy() is not None else "-",
             result.wall_seconds,
         )

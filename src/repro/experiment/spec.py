@@ -18,8 +18,9 @@ accept three shapes:
    sibling ``*_kwargs`` field — the declarative, serializable form;
 2. a **Hydra-style mapping** with a ``_target_`` key — what
    :func:`ExperimentSpec.from_config` produces from composed YAML;
-3. an **opaque object/factory** — what the deprecated legacy ``Engine``
-   constructors feed through; such specs run fine but cannot serialize.
+3. an **opaque object/factory** — a live ``Topology``, a model factory, a
+   ``Scheduler`` instance: the code-level override; such specs run fine
+   but cannot serialize.
 
 Specs in forms 1–2 roundtrip losslessly through the framework's own YAML
 dumper: ``ExperimentSpec.from_yaml(spec.to_yaml()) == spec``.
@@ -46,8 +47,6 @@ __all__ = [
     "ExperimentSpec",
 ]
 
-_MODES = ("rounds", "async", "auto")
-
 
 class SpecError(ValueError):
     """Raised on invalid or non-serializable experiment specifications."""
@@ -56,15 +55,6 @@ class SpecError(ValueError):
 # --------------------------------------------------------------------------
 # helpers
 # --------------------------------------------------------------------------
-
-def _is_component_ref(value: Any) -> bool:
-    """True for the serializable component shapes (name or _target_ map)."""
-    return isinstance(value, str) or (isinstance(value, Mapping) and "_target_" in value)
-
-
-def _is_opaque(value: Any) -> bool:
-    return value is not None and not _is_component_ref(value)
-
 
 def _check_serializable(value: Any, path: str) -> None:
     if value is None or isinstance(value, (bool, int, float, str)):
@@ -81,8 +71,8 @@ def _check_serializable(value: Any, path: str) -> None:
         return
     raise SpecError(
         f"{path}: {type(value).__name__} is not serializable — specs built "
-        "from live objects (the legacy Engine constructors) cannot be dumped; "
-        "use registry names or _target_ mappings instead"
+        "from live objects cannot be dumped; use registry names or _target_ "
+        "mappings instead"
     )
 
 
@@ -99,13 +89,28 @@ def _plain(value: Any) -> Any:
     return value
 
 
-def _from_dict(cls: type, data: Mapping[str, Any], path: str) -> Any:
+def _check_keys(data: Any, known: Any, path: str) -> None:
     if not isinstance(data, Mapping):
         raise SpecError(f"{path} must be a mapping, got {type(data).__name__}")
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+    unknown = set(data) - set(known)
     if unknown:
         raise SpecError(f"{path}: unknown keys {sorted(unknown)} (known: {sorted(known)})")
+
+
+def _check_top_level(data: Any, known: Any, path: str) -> None:
+    """The gate for a whole spec or composed config from outside the program
+    (a saved ``spec.yaml``, a ``RunResult`` archive, CLI overrides)."""
+    if isinstance(data, Mapping) and "mode" in data:
+        raise SpecError(
+            f"{path}: 'mode' was removed — the loop is derived, not set: name "
+            "a scheduler for the async runtime (a redis:// or tcp:// broker "
+            "implies it), or none for synchronous rounds"
+        )
+    _check_keys(data, known, path)
+
+
+def _from_dict(cls: type, data: Mapping[str, Any], path: str) -> Any:
+    _check_keys(data, {f.name for f in fields(cls)}, path)
     return cls(**{k: _plain(v) for k, v in data.items()})
 
 
@@ -226,7 +231,7 @@ class SchedulerSpec:
 
     @classmethod
     def from_value(cls, value: Any) -> Any:
-        """Normalize the legacy ``scheduler=`` shapes (str / dict / object)."""
+        """Normalize the ``scheduler=`` shapes (str / dict / object)."""
         if value is None or isinstance(value, (cls,)):
             return value
         if isinstance(value, str):
@@ -239,13 +244,7 @@ class SchedulerSpec:
             if name is None:
                 raise SpecError("scheduler mapping needs a 'name' (or '_target_') key")
             return cls(name=str(name), kwargs=kwargs)
-        return value  # opaque Scheduler instance: legacy passthrough
-
-    def to_value(self) -> Dict[str, Any]:
-        """The mapping shape the engine's scheduler resolver understands."""
-        if self.name is None:
-            return dict(self.kwargs)
-        return {"name": self.name, **self.kwargs}
+        return value  # opaque Scheduler instance: passes through
 
 
 _ATTACK_KINDS = ("label_flip", "sign_flip", "scaled_update", "backdoor")
@@ -346,11 +345,9 @@ class ExperimentSpec:
     train: TrainSpec = field(default_factory=TrainSpec)
     plugins: PluginSpec = field(default_factory=PluginSpec)
     faults: FaultSpec = field(default_factory=FaultSpec)
+    #: the execution policy; naming one is what selects the scheduler
+    #: runtime over synchronous collective rounds (see :meth:`run_mode`)
     scheduler: Any = None
-    #: "rounds" forces the synchronous barrier loop, "async" the scheduler
-    #: runtime; "auto" runs async exactly when a scheduler is configured
-    #: (or pooled execution, which always runs on the scheduler runtime)
-    mode: str = "auto"
     seed: int = 0
     #: async run length in applied client updates (null: global_rounds x
     #: trainer count, the scheduler default)
@@ -405,13 +402,6 @@ class ExperimentSpec:
             _freeze(self, "aggregation", _from_dict(AggregationSpec, self.aggregation, "aggregation"))
         if isinstance(self.mtd, Mapping):
             _freeze(self, "mtd", _from_dict(MTDSpec, self.mtd, "mtd"))
-        if self.mode not in _MODES:
-            hint = (
-                " — live runs are a broker choice: set "
-                "broker: tcp://host:port?min_nodes=N and leave mode at auto"
-                if self.mode == "live" else ""
-            )
-            raise SpecError(f"mode must be one of {_MODES}, got {self.mode!r}{hint}")
         if self.total_updates is not None and self.total_updates < 1:
             raise SpecError("total_updates must be >= 1 (or null)")
         if self.num_clients is not None and self.num_clients < 1:
@@ -450,26 +440,34 @@ class ExperimentSpec:
             )
         if self.batch_turns is not None:
             raise SpecError("a live broker does not support batch_turns fusion")
-        if self.mode == "rounds":
-            raise SpecError(
-                "a live broker runs on the scheduler runtime; mode='rounds' "
-                "has no collective path to its workers (use 'auto' or 'async')"
-            )
 
     # -- dispatch ----------------------------------------------------------
-    def run_mode(self) -> str:
-        """Resolve ``mode='auto'`` to the concrete execution mode."""
-        if self.mode == "auto":
-            # pooled cohorts have no collective rounds: the scheduler
-            # runtime (default policy if none is named) is the only path
-            if (
-                self.scheduler is not None
-                or self.pool_size is not None
-                or not self.broker.startswith("memory:")
-            ):
-                return "async"
-            return "rounds"
-        return self.mode
+    def pooled(self, trainer_count: Optional[int] = None) -> bool:
+        """Whether a worker pool serves the logical clients instead of one
+        dedicated node each: always under a distributed broker (its workers
+        live out of process), and under the memory broker exactly when
+        ``pool_size`` is below the trainer count — a pool at least that
+        large degenerates to dedicated nodes.  ``trainer_count`` saves
+        resolving the topology when the caller already has."""
+        from repro.runtime.broker import broker_class
+
+        if broker_class(self.broker).distributed:
+            return True
+        if self.pool_size is None:
+            return False
+        if trainer_count is None:
+            trainer_count = resolve_topology(self).trainer_count()
+        return self.pool_size < trainer_count
+
+    def run_mode(self, trainer_count: Optional[int] = None) -> str:
+        """Which loop runs this spec — decided here and nowhere else:
+        ``"async"`` (the scheduler runtime) when a scheduler is named or
+        the clients are pooled (a pool has no collective rounds; the
+        topology's default policy runs if none is named), else
+        ``"rounds"`` (synchronous collective rounds)."""
+        if self.scheduler is not None or self.pooled(trainer_count):
+            return "async"
+        return "rounds"
 
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -482,7 +480,6 @@ class ExperimentSpec:
             "plugins": asdict(self.plugins),
             "faults": asdict(self.faults),
             "scheduler": asdict(self.scheduler) if is_dataclass(self.scheduler) else self.scheduler,
-            "mode": self.mode,
             "seed": self.seed,
             "total_updates": self.total_updates,
             "num_clients": self.num_clients,
@@ -500,17 +497,10 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
-        if not isinstance(data, Mapping):
-            raise SpecError(f"spec must be a mapping, got {type(data).__name__}")
+        _check_top_level(data, {f.name for f in fields(cls)}, "spec")
         payload = dict(data)
         scheduler = payload.pop("scheduler", None)
-        spec_kwargs: Dict[str, Any] = {}
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise SpecError(f"spec: unknown keys {sorted(unknown)} (known: {sorted(known)})")
-        for key, value in payload.items():
-            spec_kwargs[key] = _plain(value)
+        spec_kwargs: Dict[str, Any] = {key: _plain(value) for key, value in payload.items()}
         if scheduler is not None:
             if isinstance(scheduler, Mapping) and set(scheduler) <= {"name", "kwargs"}:
                 spec_kwargs["scheduler"] = SchedulerSpec(
@@ -556,18 +546,19 @@ class ExperimentSpec:
         Expects the shape of ``repro/conf/experiment.yaml``: ``topology``,
         ``algorithm``, ``model``, ``datamodule`` nodes (each carrying a
         ``_target_``) plus scalar engine settings, with optional
-        ``compression``, ``privacy``, and ``scheduler`` nodes.
+        ``compression``, ``outer_compression`` (the cross-site link only),
+        ``privacy``, and ``scheduler`` nodes.  Any other key is an error.
         """
         from repro.config.node import ConfigNode
 
         if isinstance(cfg, ConfigNode):
             cfg = cfg.to_container(resolve=True)
-        if not isinstance(cfg, Mapping):
-            raise SpecError(f"config must be a mapping, got {type(cfg).__name__}")
+        _check_top_level(cfg, _CONFIG_KEYS, "config")
         for key in ("topology", "algorithm", "model", "datamodule"):
             if key not in cfg:
                 raise SpecError(f"config is missing the {key!r} node")
         comp_cfg = cfg.get("compression")
+        outer_cfg = cfg.get("outer_compression")
         dp_cfg = cfg.get("privacy")
         sched_cfg = cfg.get("scheduler")
         return cls(
@@ -588,6 +579,7 @@ class ExperimentSpec:
             ),
             plugins=PluginSpec(
                 compressor=_plain(comp_cfg) if comp_cfg else None,
+                outer_compressor=_plain(outer_cfg) if outer_cfg else None,
                 dp=_plain(dp_cfg) if dp_cfg else None,
             ),
             faults=FaultSpec(
@@ -601,7 +593,6 @@ class ExperimentSpec:
             scheduler=SchedulerSpec.from_value(
                 _plain(sched_cfg) if isinstance(sched_cfg, Mapping) else sched_cfg
             ),
-            mode=str(cfg.get("mode", "auto")),
             seed=int(cfg.get("seed", 0)),
             total_updates=(
                 int(cfg["total_updates"]) if cfg.get("total_updates") is not None else None
@@ -624,145 +615,17 @@ class ExperimentSpec:
         )
 
 
-# --------------------------------------------------------------------------
-# legacy-kwargs bridges (the deprecated Engine constructors route through
-# these so every construction path produces one ExperimentSpec)
-# --------------------------------------------------------------------------
-
-def spec_from_parts(
-    *,
-    topology: Any,
-    topology_kwargs: Optional[Mapping[str, Any]] = None,
-    datamodule: Any,
-    datamodule_kwargs: Optional[Mapping[str, Any]] = None,
-    model: Any,
-    model_kwargs: Optional[Mapping[str, Any]] = None,
-    algorithm: Any,
-    algorithm_kwargs: Optional[Mapping[str, Any]] = None,
-    compressor: Any = None,
-    compressor_kwargs: Optional[Mapping[str, Any]] = None,
-    outer_compressor: Any = None,
-    outer_compressor_kwargs: Optional[Mapping[str, Any]] = None,
-    dp: Any = None,
-    global_rounds: int = 5,
-    batch_size: int = 32,
-    seed: int = 0,
-    partition: str = "dirichlet",
-    partition_alpha: float = 0.5,
-    eval_every: int = 1,
-    eval_max_batches: Optional[int] = None,
-    client_fraction: float = 1.0,
-    drop_prob: float = 0.0,
-    straggler_prob: float = 0.0,
-    straggler_delay: float = 0.0,
-    feature_noniid: float = 0.0,
-    selection: str = "random",
-    selection_kwargs: Optional[Mapping[str, Any]] = None,
-    scheduler: Any = None,
-    mode: str = "auto",
-    total_updates: Optional[int] = None,
-    num_clients: Optional[int] = None,
-    pool_size: Optional[int] = None,
-    broker: str = "memory://",
-    batch_turns: Optional[int] = None,
-    attack: Any = None,
-    aggregation: Any = None,
-    mtd: Any = None,
-) -> ExperimentSpec:
-    """Assemble an :class:`ExperimentSpec` from flat engine-style kwargs."""
-    return ExperimentSpec(
-        topology=topology,
-        topology_kwargs=dict(topology_kwargs or {}),
-        data=DataSpec(
-            dataset=datamodule,
-            kwargs=dict(datamodule_kwargs or {}),
-            partition=partition,
-            partition_alpha=partition_alpha,
-            batch_size=batch_size,
-            feature_noniid=feature_noniid,
-        ),
-        train=TrainSpec(
-            algorithm=algorithm,
-            algorithm_kwargs=dict(algorithm_kwargs or {}),
-            model=model,
-            model_kwargs=dict(model_kwargs or {}),
-            global_rounds=global_rounds,
-            eval_every=eval_every,
-            eval_max_batches=eval_max_batches,
-        ),
-        plugins=PluginSpec(
-            compressor=compressor,
-            compressor_kwargs=dict(compressor_kwargs or {}),
-            outer_compressor=outer_compressor,
-            outer_compressor_kwargs=dict(outer_compressor_kwargs or {}),
-            dp=dp,
-        ),
-        faults=FaultSpec(
-            client_fraction=client_fraction,
-            drop_prob=drop_prob,
-            straggler_prob=straggler_prob,
-            straggler_delay=straggler_delay,
-            selection=selection,
-            selection_kwargs=dict(selection_kwargs or {}),
-        ),
-        scheduler=SchedulerSpec.from_value(scheduler),
-        mode=mode,
-        seed=seed,
-        total_updates=total_updates,
-        num_clients=num_clients,
-        pool_size=pool_size,
-        broker=broker,
-        batch_turns=batch_turns,
-        attack=attack,
-        aggregation=aggregation,
-        mtd=mtd,
-    )
-
-
-def spec_from_names(
-    topology: str = "centralized",
-    algorithm: str = "fedavg",
-    model: str = "simple_cnn",
-    datamodule: str = "cifar10",
-    num_clients: int = 4,
-    topology_kwargs: Optional[Mapping[str, Any]] = None,
-    algorithm_kwargs: Optional[Mapping[str, Any]] = None,
-    model_kwargs: Optional[Mapping[str, Any]] = None,
-    datamodule_kwargs: Optional[Mapping[str, Any]] = None,
-    compressor: Optional[str] = None,
-    compressor_kwargs: Optional[Mapping[str, Any]] = None,
-    **engine_kwargs: Any,
-) -> ExperimentSpec:
-    """The ``Engine.from_names`` argument surface as a spec."""
-    topo_kw = dict(topology_kwargs or {})
-    topo_kw.setdefault("num_clients", num_clients)
-    if topology in ("hierarchical", "tree", "hub_spoke"):
-        topo_kw.pop("num_clients", None)
-    # the legacy surface also accepted plugin factories through engine_kwargs
-    legacy_plugins = {
-        "compressor_fn": "compressor",
-        "outer_compressor_fn": "outer_compressor",
-        "dp_fn": "dp",
-    }
-    extra: Dict[str, Any] = {}
-    for legacy_key, part in legacy_plugins.items():
-        if legacy_key in engine_kwargs:
-            extra[part] = engine_kwargs.pop(legacy_key)
-    if compressor is not None:
-        extra["compressor"] = compressor
-        extra["compressor_kwargs"] = dict(compressor_kwargs or {})
-    return spec_from_parts(
-        topology=topology,
-        topology_kwargs=topo_kw,
-        datamodule=datamodule,
-        datamodule_kwargs=dict(datamodule_kwargs or {}),
-        model=model,
-        model_kwargs=dict(model_kwargs or {}),
-        algorithm=algorithm,
-        algorithm_kwargs=dict(algorithm_kwargs or {}),
-        **extra,
-        **engine_kwargs,
-    )
+#: every top-level key :meth:`ExperimentSpec.from_config` reads
+_CONFIG_KEYS = frozenset({
+    "topology", "algorithm", "model", "datamodule", "scheduler",
+    "compression", "outer_compression", "privacy",
+    "partition", "partition_alpha", "batch_size", "feature_noniid",
+    "global_rounds", "eval_every", "eval_max_batches",
+    "client_fraction", "drop_prob", "straggler_prob", "straggler_delay",
+    "selection", "selection_kwargs",
+    "seed", "total_updates", "num_clients", "pool_size", "broker", "batch_turns",
+    "attack", "aggregation", "mtd",
+})
 
 
 # --------------------------------------------------------------------------
@@ -827,45 +690,38 @@ def resolve_model_fn(spec: ExperimentSpec, dm: Any) -> Callable[[], Any]:
     return ref  # opaque factory
 
 
-def resolve_algorithm_fn(spec: ExperimentSpec) -> Callable[[], Any]:
-    from repro.algorithms.base import build_algorithm
+def _factory(ref: Any, kwargs: Mapping[str, Any], build: Callable[..., Any]) -> Any:
+    """A zero-argument factory for one component reference: a registry name
+    builds through ``build``, a ``_target_`` mapping instantiates (``kwargs``
+    on top either way), anything else already is the factory — or ``None``."""
     from repro.config.instantiate import instantiate
 
-    ref = spec.train.algorithm
-    if isinstance(ref, str):
-        kw = dict(spec.train.algorithm_kwargs)
-        return lambda: build_algorithm(ref, **kw)
-    if isinstance(ref, Mapping):
-        cfg = dict(ref)
-        cfg.update(spec.train.algorithm_kwargs)
-        return lambda: instantiate(dict(cfg))
-    return ref
-
-
-def _resolve_compressor_fn(ref: Any, kwargs: Mapping[str, Any]) -> Optional[Callable[[], Any]]:
-    from repro.compression.base import build_compressor
-    from repro.config.instantiate import instantiate
-
-    if ref is None:
-        return None
     if isinstance(ref, str):
         kw = dict(kwargs)
-        return lambda: build_compressor(ref, **kw)
+        return lambda: build(ref, **kw)
     if isinstance(ref, Mapping):
-        cfg = dict(ref)
-        cfg.update(kwargs)
+        cfg = {**ref, **kwargs}
         return lambda: instantiate(dict(cfg))
     return ref
+
+
+def resolve_algorithm_fn(spec: ExperimentSpec) -> Callable[[], Any]:
+    from repro.algorithms.base import build_algorithm
+
+    return _factory(spec.train.algorithm, spec.train.algorithm_kwargs, build_algorithm)
 
 
 def resolve_plugin_fns(spec: ExperimentSpec):
     """(compressor_fn, outer_compressor_fn, dp_fn) factories, each optional."""
+    from repro.compression.base import build_compressor
     from repro.config.instantiate import instantiate
     from repro.privacy.dp import DifferentialPrivacy
 
     plugins = spec.plugins
-    comp_fn = _resolve_compressor_fn(plugins.compressor, plugins.compressor_kwargs)
-    outer_fn = _resolve_compressor_fn(plugins.outer_compressor, plugins.outer_compressor_kwargs)
+    comp_fn = _factory(plugins.compressor, plugins.compressor_kwargs, build_compressor)
+    outer_fn = _factory(
+        plugins.outer_compressor, plugins.outer_compressor_kwargs, build_compressor
+    )
 
     dp_ref = plugins.dp
     if dp_ref is None:
@@ -881,14 +737,24 @@ def resolve_plugin_fns(spec: ExperimentSpec):
     return comp_fn, outer_fn, dp_fn
 
 
-def resolve_scheduler_value(spec: ExperimentSpec) -> Any:
-    """The shape ``Engine._resolve_scheduler`` accepts (dict/None/object)."""
-    sched = spec.scheduler
-    if sched is None:
-        return None
-    if isinstance(sched, SchedulerSpec):
-        return sched.to_value()
-    return sched
+def resolve_scheduler(sched: Any) -> Any:
+    """The live scheduler for a spec's ``scheduler`` field (or anything
+    :meth:`SchedulerSpec.from_value` normalized): a :class:`SchedulerSpec`
+    builds by registry name or ``_target_``, a ``Scheduler`` instance
+    passes through, ``None`` stays ``None``."""
+    from repro.config.instantiate import instantiate
+    from repro.scheduler.base import Scheduler, build_scheduler
+
+    if sched is None or isinstance(sched, Scheduler):
+        return sched
+    if not isinstance(sched, SchedulerSpec):
+        raise TypeError(f"cannot build a scheduler from {type(sched).__name__}")
+    if sched.name is not None:
+        return build_scheduler(sched.name, **sched.kwargs)
+    obj = instantiate(dict(sched.kwargs))
+    if not isinstance(obj, Scheduler):
+        raise TypeError(f"scheduler config built {type(obj).__name__}, not a Scheduler")
+    return obj
 
 
 def resolve_attack_plan(spec: ExperimentSpec, num_clients: int, num_classes: int) -> Any:
@@ -898,7 +764,7 @@ def resolve_attack_plan(spec: ExperimentSpec, num_clients: int, num_classes: int
     workers, and live cluster members all call this against the same published
     spec and derive the identical attacker set.
     """
-    if getattr(spec, "attack", None) is None:
+    if spec.attack is None:
         return None
     from repro.robust.roles import build_attack_plan
 
@@ -967,7 +833,7 @@ def resolve_robust_fn(spec: ExperimentSpec) -> Optional[Callable[[], Any]]:
     counters stay per-tier.  The name and kwargs are validated eagerly so a
     bad spec fails at engine construction, not mid-run.
     """
-    agg = getattr(spec, "aggregation", None)
+    agg = spec.aggregation
     if agg is None or agg.robust is None:
         return None
     from repro.robust.aggregators import build_robust_aggregator

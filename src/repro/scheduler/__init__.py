@@ -27,8 +27,8 @@ updates enter the global model a fourth configurable axis.  It provides
 
 Compose like any other axis::
 
-    engine = Engine.from_names(..., scheduler="fedbuff")
-    engine.run_async(total_updates=48)
+    spec = ExperimentSpec(..., scheduler="fedbuff", total_updates=48)
+    result = Experiment(spec).run()
 
 or from YAML (``scheduler=fedasync`` on the CLI selects
 ``conf/scheduler/fedasync.yaml``; ``scheduler=hier_async

@@ -104,7 +104,6 @@ def pooled_engine(pool_size=1, num_clients=3, seed=0):
             "model": "mlp",
         },
         scheduler={"name": "sync"},
-        mode="async",
         seed=seed,
     )
     engine = Engine.from_spec(spec)

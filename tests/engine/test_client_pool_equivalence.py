@@ -78,7 +78,6 @@ def make_spec(
         faults={"selection": selection},
         scheduler=POLICIES[policy],
         total_updates=TOTAL_UPDATES,
-        mode="async",
         seed=seed,
     )
 

@@ -3,34 +3,30 @@
 import numpy as np
 import pytest
 
-from repro.algorithms import build_algorithm
 from repro.compression import build_compressor
-from repro.data import build_datamodule
 from repro.engine import Engine
-from repro.models import build_model
+from repro.experiment import DataSpec, ExperimentSpec, FaultSpec, PluginSpec, TrainSpec
 from repro.privacy import DifferentialPrivacy
-from repro.topology import HierarchicalTopology
+from repro.topology import CentralizedTopology, HierarchicalTopology
 
 ALGOS = ["fedavg", "fedprox", "fedmom", "fednova", "scaffold", "moon",
          "fedper", "feddyn", "fedbn", "ditto", "diloco"]
 
 
 def blobs_engine(fresh_port, *, topology="centralized", algorithm="fedavg",
-                 backend="torchdist", rounds=3, clients=4, **kw):
-    return Engine.from_names(
+                 rounds=3, clients=4, plugins=None, **faults):
+    """``topology`` is a registry name, or a live object (the opaque spec
+    form, which carries its own cohort and comm settings)."""
+    return Engine.from_spec(ExperimentSpec(
         topology=topology,
-        algorithm=algorithm,
-        model="mlp",
-        datamodule="blobs",
-        num_clients=clients,
-        global_rounds=rounds,
-        batch_size=32,
-        seed=0,
-        topology_kwargs={"inner_comm": {"backend": backend, "master_port": fresh_port}},
-        datamodule_kwargs={"train_size": 512, "test_size": 128},
-        algorithm_kwargs={"lr": 0.05, "local_epochs": 2, **kw.pop("algorithm_kwargs", {})},
-        **kw,
-    )
+        topology_kwargs={"num_clients": clients,
+                         "inner_comm": {"backend": "torchdist", "master_port": fresh_port}},
+        data=DataSpec(dataset="blobs", kwargs={"train_size": 512, "test_size": 128}),
+        train=TrainSpec(algorithm=algorithm, algorithm_kwargs={"lr": 0.05, "local_epochs": 2},
+                        model="mlp", global_rounds=rounds),
+        plugins=PluginSpec(**(plugins or {})),
+        faults=FaultSpec(**faults),
+    ))
 
 
 def test_fedavg_learns_blobs(fresh_port):
@@ -51,15 +47,15 @@ def test_accuracy_improves_over_rounds(fresh_port):
 
 @pytest.mark.parametrize("backend", ["torchdist", "grpc", "mqtt", "amqp"])
 def test_every_protocol_trains(backend, fresh_port):
-    kwargs = {}
-    eng = Engine.from_names(
-        topology="centralized", algorithm="fedavg", model="mlp", datamodule="blobs",
-        num_clients=3, global_rounds=2, batch_size=32, seed=0,
-        topology_kwargs={"inner_comm": {"backend": backend, "master_port": fresh_port,
+    eng = Engine.from_spec(ExperimentSpec(
+        topology="centralized",
+        topology_kwargs={"num_clients": 3,
+                         "inner_comm": {"backend": backend, "master_port": fresh_port,
                                         "broker_url": f"inproc://t{fresh_port}"}},
-        datamodule_kwargs={"train_size": 256, "test_size": 64},
-        algorithm_kwargs={"lr": 0.05, "local_epochs": 1},
-    )
+        data=DataSpec(dataset="blobs", kwargs={"train_size": 256, "test_size": 64}),
+        train=TrainSpec(algorithm="fedavg", algorithm_kwargs={"lr": 0.05, "local_epochs": 1},
+                        model="mlp", global_rounds=2),
+    ))
     metrics = eng.run()
     eng.shutdown()
     assert metrics.final_accuracy() > 0.5
@@ -102,14 +98,7 @@ def test_hierarchical_mixed_protocol(fresh_port):
         outer_comm={"backend": "grpc", "master_port": fresh_port + 100,
                     "transport": "inproc", "network_preset": "wan"},
     )
-    dm = build_datamodule("blobs", train_size=512, test_size=128)
-    eng = Engine(
-        topology=topo, datamodule=dm,
-        model_fn=lambda: build_model("mlp", in_features=dm.in_features,
-                                     num_classes=dm.num_classes, seed=0),
-        algorithm_fn=lambda: build_algorithm("fedavg", lr=0.05, local_epochs=2),
-        global_rounds=3, batch_size=32, seed=0,
-    )
+    eng = blobs_engine(fresh_port, topology=topo)
     metrics = eng.run()
     assert metrics.final_accuracy() > 0.85
     comm = eng.comm_summary()
@@ -124,14 +113,9 @@ def test_hierarchical_outer_compression(fresh_port):
         inner_comm={"backend": "torchdist", "master_port": fresh_port},
         outer_comm={"backend": "grpc", "master_port": fresh_port + 100, "transport": "inproc"},
     )
-    dm = build_datamodule("blobs", train_size=512, test_size=128)
-    eng = Engine(
-        topology=topo, datamodule=dm,
-        model_fn=lambda: build_model("mlp", in_features=dm.in_features,
-                                     num_classes=dm.num_classes, seed=0),
-        algorithm_fn=lambda: build_algorithm("fedavg", lr=0.05, local_epochs=2),
-        outer_compressor_fn=lambda: build_compressor("topk", ratio=10),
-        global_rounds=3, batch_size=32, seed=0,
+    eng = blobs_engine(
+        fresh_port, topology=topo,
+        plugins={"outer_compressor": lambda: build_compressor("topk", ratio=10)},
     )
     metrics = eng.run()
     assert metrics.final_accuracy() > 0.8
@@ -142,7 +126,7 @@ def test_hierarchical_outer_compression(fresh_port):
     ("topk", {"ratio": 10}), ("qsgd", {"bits": 8}), ("powersgd", {"rank": 4}),
 ])
 def test_compressed_training_still_learns(compressor, kw, fresh_port):
-    eng = blobs_engine(fresh_port, compressor=compressor, compressor_kwargs=kw)
+    eng = blobs_engine(fresh_port, plugins={"compressor": compressor, "compressor_kwargs": kw})
     metrics = eng.run()
     eng.shutdown()
     assert metrics.final_accuracy() > 0.7
@@ -156,18 +140,13 @@ def test_dp_training_runs_and_accounts(fresh_port):
         dp_holder.append(dp)
         return dp
 
-    dm = build_datamodule("blobs", train_size=256, test_size=64)
-    from repro.topology import CentralizedTopology
-
-    eng = Engine(
+    eng = Engine.from_spec(ExperimentSpec(
         topology=CentralizedTopology(3, {"backend": "torchdist", "master_port": fresh_port}),
-        datamodule=dm,
-        model_fn=lambda: build_model("mlp", in_features=dm.in_features,
-                                     num_classes=dm.num_classes, seed=0),
-        algorithm_fn=lambda: build_algorithm("fedavg", lr=0.05),
-        dp_fn=dp_fn,
-        global_rounds=2, batch_size=32, seed=0,
-    )
+        data=DataSpec(dataset="blobs", kwargs={"train_size": 256, "test_size": 64}),
+        train=TrainSpec(algorithm="fedavg", algorithm_kwargs={"lr": 0.05},
+                        model="mlp", global_rounds=2),
+        plugins=PluginSpec(dp=dp_fn),
+    ))
     metrics = eng.run()
     eng.shutdown()
     assert len(metrics.history) == 2
@@ -202,15 +181,15 @@ def test_straggler_injection_slows_round(fresh_port):
 
 
 def test_feature_noniid_with_fedbn(fresh_port):
-    eng = Engine.from_names(
-        topology="centralized", algorithm="fedbn", model="simple_cnn", datamodule="cifar10",
-        num_clients=3, global_rounds=2, batch_size=16, seed=0,
-        topology_kwargs={"inner_comm": {"backend": "torchdist", "master_port": fresh_port}},
-        datamodule_kwargs={"train_size": 96, "test_size": 48},
-        algorithm_kwargs={"lr": 0.05, "local_epochs": 1},
-        feature_noniid=0.4,
-        eval_every=2,
-    )
+    eng = Engine.from_spec(ExperimentSpec(
+        topology="centralized",
+        topology_kwargs={"num_clients": 3,
+                         "inner_comm": {"backend": "torchdist", "master_port": fresh_port}},
+        data=DataSpec(dataset="cifar10", kwargs={"train_size": 96, "test_size": 48},
+                      batch_size=16, feature_noniid=0.4),
+        train=TrainSpec(algorithm="fedbn", algorithm_kwargs={"lr": 0.05, "local_epochs": 1},
+                        model="simple_cnn", global_rounds=2, eval_every=2),
+    ))
     metrics = eng.run()
     eng.shutdown()
     assert metrics.final_accuracy() is not None

@@ -7,26 +7,22 @@ import numpy as np
 import pytest
 
 from repro.engine import Engine
+from repro.experiment import DataSpec, ExperimentSpec, TrainSpec
 from repro.topology import build_topology
 
 
-def ring_engine(fresh_port, num_clients=4, **kw):
-    return Engine.from_names(
+def ring_engine(fresh_port, scheduler=None):
+    return Engine.from_spec(ExperimentSpec(
         topology="ring",
-        algorithm="fedavg",
-        model="mlp",
-        datamodule="blobs",
         topology_kwargs={
-            "num_clients": num_clients,
+            "num_clients": 4,
             "inner_comm": {"backend": "torchdist", "master_port": fresh_port},
         },
-        datamodule_kwargs={"train_size": 128, "test_size": 64},
-        algorithm_kwargs={"lr": 0.05, "local_epochs": 1},
-        global_rounds=1,
-        batch_size=32,
-        seed=0,
-        **kw,
-    )
+        data=DataSpec(dataset="blobs", kwargs={"train_size": 128, "test_size": 64}),
+        train=TrainSpec(algorithm="fedavg", algorithm_kwargs={"lr": 0.05, "local_epochs": 1},
+                        model="mlp", global_rounds=1),
+        scheduler=scheduler,
+    ))
 
 
 # ------------------------------------------------------------ topology API
@@ -153,12 +149,13 @@ def test_async_gossip_global_state_uses_scheduler_ledger(fresh_port):
 
 
 def test_server_topologies_unaffected(fresh_port):
-    eng = Engine.from_names(
-        topology="centralized", algorithm="fedavg", model="mlp", datamodule="blobs",
-        num_clients=2, global_rounds=1, batch_size=16, seed=0,
-        topology_kwargs={"inner_comm": {"backend": "torchdist", "master_port": fresh_port}},
-        datamodule_kwargs={"train_size": 64, "test_size": 32},
-    )
+    eng = Engine.from_spec(ExperimentSpec(
+        topology="centralized",
+        topology_kwargs={"num_clients": 2,
+                         "inner_comm": {"backend": "torchdist", "master_port": fresh_port}},
+        data=DataSpec(dataset="blobs", kwargs={"train_size": 64, "test_size": 32}, batch_size=16),
+        train=TrainSpec(model="mlp", global_rounds=1),
+    ))
     eng.run(1)
     # the aggregator's state remains the source of truth on server patterns
     agg = next(n for n in eng.nodes if n.role.aggregates())

@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from repro.engine import Engine
+from repro.experiment import DataSpec, ExperimentSpec, TrainSpec
 
 
 def make(algorithm, fresh_port, **algo_kw):
-    return Engine.from_names(
-        topology="centralized", algorithm=algorithm, model="mlp", datamodule="blobs",
-        num_clients=3, global_rounds=2, batch_size=32, seed=0,
-        topology_kwargs={"inner_comm": {"backend": "torchdist", "master_port": fresh_port}},
-        datamodule_kwargs={"train_size": 192, "test_size": 64},
-        algorithm_kwargs={"lr": 0.05, "local_epochs": 1, **algo_kw},
-        model_kwargs={"batch_norm": True},
-    )
+    return Engine.from_spec(ExperimentSpec(
+        topology="centralized",
+        topology_kwargs={"num_clients": 3,
+                         "inner_comm": {"backend": "torchdist", "master_port": fresh_port}},
+        data=DataSpec(dataset="blobs", kwargs={"train_size": 192, "test_size": 64}),
+        train=TrainSpec(algorithm=algorithm,
+                        algorithm_kwargs={"lr": 0.05, "local_epochs": 1, **algo_kw},
+                        model="mlp", model_kwargs={"batch_norm": True}, global_rounds=2),
+    ))
 
 
 def test_fedbn_uses_personalized_eval(fresh_port):

@@ -8,17 +8,18 @@ Regression test: ``record.bytes_sent`` used to sum the nodes' *lifetime*
 import pytest
 
 from repro.engine import Engine
+from repro.experiment import DataSpec, ExperimentSpec, TrainSpec
 
 
 def _engine(fresh_port, rounds=3):
-    return Engine.from_names(
-        topology="centralized", algorithm="fedavg", model="mlp", datamodule="blobs",
-        num_clients=3, global_rounds=rounds, batch_size=32, seed=0,
-        topology_kwargs={"inner_comm": {"backend": "torchdist", "master_port": fresh_port}},
-        datamodule_kwargs={"train_size": 256, "test_size": 64},
-        algorithm_kwargs={"lr": 0.05, "local_epochs": 1},
-        eval_every=0,
-    )
+    return Engine.from_spec(ExperimentSpec(
+        topology="centralized",
+        topology_kwargs={"num_clients": 3,
+                         "inner_comm": {"backend": "torchdist", "master_port": fresh_port}},
+        data=DataSpec(dataset="blobs", kwargs={"train_size": 256, "test_size": 64}),
+        train=TrainSpec(algorithm="fedavg", algorithm_kwargs={"lr": 0.05, "local_epochs": 1},
+                        model="mlp", global_rounds=rounds, eval_every=0),
+    ))
 
 
 def test_bytes_sent_is_per_round_delta(fresh_port):

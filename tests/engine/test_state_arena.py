@@ -137,7 +137,6 @@ def run_spec(algorithm, pool_size):
         },
         scheduler={"name": "sync"},
         total_updates=12,
-        mode="async",
         seed=0,
     )
     experiment = Experiment(spec)

@@ -60,9 +60,9 @@ def test_cluster_spec_validation(kwargs, match):
 
 # ------------------------------------------------------------ live-broker rules
 def test_live_mode_requires_cluster():
-    # mode: live is gone — the error points at the broker URL that replaced it
-    with pytest.raises(SpecError, match="broker: tcp://"):
-        ExperimentSpec(mode="live")
+    # mode is gone — a saved `mode: live` points at the broker that implies it
+    with pytest.raises(SpecError, match="'mode' was removed.*tcp:// broker"):
+        ExperimentSpec.from_dict({"mode": "live"})
     with pytest.raises(SpecError, match="unknown keys"):
         ExperimentSpec.from_dict({"cluster": {"min_nodes": 3}})
 
@@ -83,8 +83,8 @@ def test_live_mode_forbids_batch_turns():
 
 
 def test_cluster_under_rounds_mode_rejected():
-    with pytest.raises(SpecError, match="mode='rounds'"):
-        ExperimentSpec(mode="rounds", broker=LIVE)
+    with pytest.raises(SpecError, match="'mode' was removed"):
+        ExperimentSpec.from_dict({"mode": "rounds", "broker": LIVE})
     # the simulated distributed broker is not bound by the live rules
     assert ExperimentSpec(broker="redis://localhost:6379/0", pool_size=2).pool_size == 2
 
@@ -99,11 +99,10 @@ def test_cluster_mapping_becomes_dataclass():
 
 # ------------------------------------------------------------ mode resolution
 def test_auto_with_cluster_resolves_live():
-    # no mode value selects it: a live broker runs the scheduler runtime,
-    # and "live" is a property of the broker class the URL names
-    spec = ExperimentSpec(mode="auto", broker=LIVE)
+    # nothing selects it: a live broker runs the scheduler runtime, and
+    # "live" is a property of the broker class the URL names
+    spec = ExperimentSpec(broker=LIVE)
     assert spec.run_mode() == "async"
-    assert ExperimentSpec(mode="async", broker=LIVE).run_mode() == "async"
     assert broker_class(spec.broker).live
     assert not broker_class("redis://localhost:6379/0").live
 

@@ -15,7 +15,7 @@ from repro.experiment import (
 HETERO = {"latency": "lognormal", "mean": 0.3, "sigma": 0.5}
 
 
-def tiny_spec(port, *, rounds=2, scheduler=None, total_updates=None, mode="auto", clients=2):
+def tiny_spec(port, *, rounds=2, scheduler=None, total_updates=None, clients=2):
     return ExperimentSpec(
         topology="centralized",
         topology_kwargs={
@@ -28,7 +28,6 @@ def tiny_spec(port, *, rounds=2, scheduler=None, total_updates=None, mode="auto"
                         model="mlp", model_kwargs={"hidden": [16]},
                         global_rounds=rounds),
         scheduler=scheduler,
-        mode=mode,
         total_updates=total_updates,
         seed=3,
     )
@@ -58,20 +57,6 @@ def test_auto_mode_runs_async_when_scheduler_set(fresh_port):
     assert result.total_applied() == 6
     assert result.sim_makespan() > 0
     assert experiment.engine.scheduler is not None
-
-
-def test_rounds_mode_overrides_scheduler(fresh_port):
-    spec = tiny_spec(fresh_port, mode="rounds",
-                     scheduler=SchedulerSpec(name="fedasync"))
-    result = Experiment(spec).run()
-    assert result.mode == "rounds"
-    assert len(result.history) == 2
-
-
-def test_async_mode_without_scheduler_uses_pattern_default(fresh_port):
-    result = Experiment(tiny_spec(fresh_port, mode="async", total_updates=4)).run()
-    assert result.mode == "async"
-    assert result.total_applied() == 4
 
 
 def test_save_load_roundtrips_metrics_and_spec(tmp_path, fresh_port):

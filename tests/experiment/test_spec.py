@@ -6,28 +6,43 @@ import pytest
 
 from repro.conf import CONF_DIR, builtin_store
 from repro.config import compose
+from repro.engine.metrics import MetricsCollector
 from repro.experiment import (
     DataSpec,
+    Experiment,
     ExperimentSpec,
     FaultSpec,
     PluginSpec,
+    RunResult,
     SchedulerSpec,
     SpecError,
     TrainSpec,
 )
+from repro.scheduler import build_scheduler
+from repro.topology import CentralizedTopology
 
 
 # ----------------------------------------------------------------- validation
 def test_defaults_are_valid():
     spec = ExperimentSpec()
-    assert spec.mode == "auto"
     assert spec.run_mode() == "rounds"
     assert spec.data.partition == "dirichlet"
 
 
-def test_mode_validated():
-    with pytest.raises(SpecError):
-        ExperimentSpec(mode="warp")
+def test_mode_validated(tmp_path):
+    # the knob is gone: in Python that is the dataclass's own TypeError; from
+    # outside the program (a YAML, a RunResult archive) it is a SpecError
+    # that says what to write instead
+    with pytest.raises(TypeError):
+        ExperimentSpec(mode="auto")
+    hint = "'mode' was removed.*name a scheduler.*or none for synchronous rounds"
+    with pytest.raises(SpecError, match=hint):
+        ExperimentSpec.from_yaml("mode: auto\n")
+    archive = RunResult(spec=ExperimentSpec(), metrics=MetricsCollector()).save(str(tmp_path))
+    with open(os.path.join(archive, "spec.yaml"), "a", encoding="utf8") as fh:
+        fh.write("mode: auto\n")
+    with pytest.raises(SpecError, match=hint):
+        RunResult.load(archive)
 
 
 def test_global_rounds_validated():
@@ -58,18 +73,52 @@ def test_scheduler_spec_shapes():
     assert SchedulerSpec.from_value("fedasync") == SchedulerSpec(name="fedasync")
     flat = SchedulerSpec.from_value({"name": "fedbuff", "buffer_size": 8})
     assert flat == SchedulerSpec(name="fedbuff", kwargs={"buffer_size": 8})
-    assert flat.to_value() == {"name": "fedbuff", "buffer_size": 8}
     target = SchedulerSpec.from_value({"_target_": "repro.scheduler.FedAsyncScheduler"})
     assert target.name is None
-    assert target.to_value() == {"_target_": "repro.scheduler.FedAsyncScheduler"}
+    assert target.kwargs == {"_target_": "repro.scheduler.FedAsyncScheduler"}
     with pytest.raises(SpecError):
         SchedulerSpec.from_value({"buffer_size": 8})
 
 
-def test_auto_mode_dispatches_on_scheduler():
-    assert ExperimentSpec(scheduler="fedasync").run_mode() == "async"
-    assert ExperimentSpec(mode="rounds", scheduler="fedasync").run_mode() == "rounds"
-    assert ExperimentSpec(mode="async").run_mode() == "async"
+def _four_clients(port):
+    return {"num_clients": 4, "inner_comm": {"backend": "torchdist", "master_port": port}}
+
+
+#: (case, spec fields, derived loop, run it end to end?) — every fact the one
+#: derivation reads: a named scheduler, the broker registry's ``distributed``
+#: flag, and ``pool_size`` against the trainer count (4 here)
+_RUN_MODE_TABLE = [
+    ("nothing", {}, "rounds", True),
+    ("scheduler named", {"scheduler": "fedasync"}, "async", True),
+    ("scheduler instance", {"scheduler": build_scheduler("fedbuff")}, "async", False),
+    ("redis broker", {"broker": "redis://localhost:6379/0"}, "async", False),
+    ("tcp broker", {"broker": "tcp://127.0.0.1:0"}, "async", False),
+    ("inproc broker", {"broker": "inproc://derivation?min_nodes=1"}, "async", False),
+    ("pool below the cohort", {"pool_size": 3}, "async", True),
+    ("pool equal to the cohort", {"pool_size": 4}, "rounds", True),
+    ("pool above the cohort", {"pool_size": 5}, "rounds", False),
+    ("opaque topology, pool below",
+     {"topology": CentralizedTopology(4, {"backend": "torchdist", "master_port": 29500}),
+      "topology_kwargs": {}, "pool_size": 2}, "async", False),
+    ("opaque topology, pool equal",
+     {"topology": CentralizedTopology(4, {"backend": "torchdist", "master_port": 29500}),
+      "topology_kwargs": {}, "pool_size": 4}, "rounds", False),
+]
+
+
+def test_auto_mode_dispatches_on_scheduler(fresh_port):
+    for case, fields, expected, run_it in _RUN_MODE_TABLE:
+        spec = ExperimentSpec(**{
+            "topology_kwargs": _four_clients(fresh_port),
+            "data": DataSpec(dataset="blobs", kwargs={"train_size": 96, "test_size": 32}),
+            "train": TrainSpec(model="mlp", global_rounds=1),
+            "total_updates": 4,
+            **fields,
+        })
+        assert spec.run_mode() == expected, case
+        # what ran is what was derived — nothing re-decides after construction
+        if run_it:
+            assert Experiment(spec).run().mode == expected, case
 
 
 def test_unknown_keys_rejected():
@@ -98,7 +147,6 @@ def _full_spec() -> ExperimentSpec:
                          straggler_delay=0.3, selection="round_robin"),
         scheduler=SchedulerSpec(name="hier_async",
                                 kwargs={"inner": "fedbuff", "outer": "fedasync"}),
-        mode="async",
         seed=7,
         total_updates=24,
     )
@@ -157,14 +205,13 @@ def test_from_config_maps_scalars():
     cfg = compose(
         builtin_store(), "experiment",
         overrides=["scheduler=fedasync", "global_rounds=7", "seed=5",
-                   "client_fraction=0.5", "partition=iid", "mode=rounds"],
+                   "client_fraction=0.5", "partition=iid"],
     )
     spec = ExperimentSpec.from_config(cfg)
     assert spec.train.global_rounds == 7
     assert spec.seed == 5
     assert spec.faults.client_fraction == 0.5
     assert spec.data.partition == "iid"
-    assert spec.mode == "rounds"
     assert isinstance(spec.scheduler, SchedulerSpec)
     assert "_target_" in spec.scheduler.kwargs
 
@@ -172,6 +219,14 @@ def test_from_config_maps_scalars():
 def test_from_config_missing_node_fails_loudly():
     with pytest.raises(SpecError):
         ExperimentSpec.from_config({"topology": {"_target_": "x"}})
+
+
+def test_from_config_rejects_keys_it_does_not_read():
+    # a typo in the primary YAML used to run with the default, silently
+    with pytest.raises(SpecError, match=r"unknown keys \['global_round'\].*'global_rounds'"):
+        ExperimentSpec.from_config(_tiny_cfg(29500, global_round=7))
+    with pytest.raises(SpecError, match="'mode' was removed"):
+        ExperimentSpec.from_config(_tiny_cfg(29500, mode="async"))
 
 
 # ------------------------------------------- from_config / from_spec equivalence
@@ -202,14 +257,13 @@ def _tiny_cfg(fresh_port, **extra):
     {"scheduler": {"_target_": "repro.scheduler.FedAsyncScheduler", "alpha": 0.5}},
 ], ids=["plain", "compression", "privacy", "scheduler"])
 def test_from_config_and_from_spec_build_equivalent_engines(extra, fresh_port):
-    """The deprecated Engine.from_config and the spec path must construct
-    identically-shaped executors from the same composed config."""
+    """A composed config and the spec it dumps to (``--print-config`` then
+    ``run <file>``) must construct identically-shaped executors."""
     from repro.engine import Engine
 
-    with pytest.warns(DeprecationWarning):
-        legacy = Engine.from_config(_tiny_cfg(fresh_port, **extra))
-    spec = ExperimentSpec.from_config(_tiny_cfg(fresh_port + 1, **extra))
-    modern = Engine.from_spec(spec)
+    legacy = Engine.from_spec(ExperimentSpec.from_config(_tiny_cfg(fresh_port, **extra)))
+    dumped = ExperimentSpec.from_config(_tiny_cfg(fresh_port + 1, **extra)).to_yaml()
+    modern = Engine.from_spec(ExperimentSpec.from_yaml(dumped))
     try:
         assert legacy.global_rounds == modern.global_rounds
         assert legacy.seed == modern.seed

@@ -105,7 +105,6 @@ _specs = st.builds(
     plugins=_plugin_specs,
     faults=_fault_specs,
     scheduler=_scheduler_specs,
-    mode=st.sampled_from(["rounds", "async", "auto"]),
     seed=st.integers(min_value=0, max_value=2 ** 31 - 1),
     total_updates=st.one_of(st.none(), st.integers(min_value=1, max_value=10 ** 6)),
 )

@@ -55,7 +55,6 @@ def make_spec(policy, pool_size=None, broker="memory://", attack=ATTACK,
         attack=attack,
         aggregation=aggregation,
         total_updates=total_updates,
-        mode="async",
         seed=0,
     )
 

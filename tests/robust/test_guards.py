@@ -14,30 +14,26 @@ from repro.engine import Engine
 from repro.experiment.spec import (
     AggregationSpec,
     AttackSpec,
+    DataSpec,
     ExperimentSpec,
     MTDSpec,
     SpecError,
-    spec_from_parts,
+    TrainSpec,
 )
 from repro.scheduler import build_scheduler
 
 
-def make_spec(port, *, topology="centralized", clients=3, **overrides):
+def make_spec(port, *, topology="centralized", clients=3, algorithm="fedavg", **overrides):
     overrides.setdefault("scheduler", {"name": "sync"})
-    overrides.setdefault("mode", "async")
-    overrides.setdefault("algorithm", "fedavg")
-    return spec_from_parts(
+    return ExperimentSpec(
         topology=topology,
         topology_kwargs={
             "num_clients": clients,
             "inner_comm": {"backend": "torchdist", "master_port": port},
         },
-        datamodule="blobs",
-        datamodule_kwargs={"train_size": 96, "test_size": 48},
-        model="mlp",
-        algorithm_kwargs={"lr": 0.05, "local_epochs": 1},
-        global_rounds=1,
-        seed=0,
+        data=DataSpec(dataset="blobs", kwargs={"train_size": 96, "test_size": 48}),
+        train=TrainSpec(algorithm=algorithm, algorithm_kwargs={"lr": 0.05, "local_epochs": 1},
+                        model="mlp", global_rounds=1),
         **overrides,
     )
 
@@ -80,13 +76,28 @@ def test_mtd_requires_a_gossip_topology(fresh_port):
 
 
 def test_robust_aggregation_rejects_the_rounds_loop(fresh_port):
-    # mode=auto with no scheduler falls back to synchronous rounds, which
-    # bypasses the scheduler seam robust aggregation plugs into
+    # with no scheduler named the run is synchronous rounds, which bypass
+    # the scheduler seam robust aggregation plugs into — and a pool at
+    # least as large as the cohort (3 trainers) degenerates to dedicated
+    # nodes, so it is the same loop and must hit the same guard
+    for pool_size in (None, 3, 5):
+        spec = make_spec(
+            fresh_port, scheduler=None, pool_size=pool_size, aggregation={"robust": "median"}
+        )
+        assert spec.run_mode() == "rounds"
+        with pytest.raises(ValueError, match="synchronous rounds loop"):
+            Engine.from_spec(spec)
+    # a pool below the cohort really pools: the default policy runs on the
+    # scheduler runtime and the rule is applied, not ignored
     spec = make_spec(
-        fresh_port, scheduler=None, mode="auto", aggregation={"robust": "median"}
+        fresh_port, scheduler=None, pool_size=2, aggregation={"robust": "median"}
     )
-    with pytest.raises(ValueError, match="synchronous rounds loop"):
-        Engine.from_spec(spec)
+    assert spec.run_mode() == "async"
+    with Engine.from_spec(spec) as eng:
+        eng.run_async(total_updates=3)
+        assert eng.pool is not None and eng.scheduler.name == "fedasync"
+        assert eng.scheduler.robust.name == "median"
+        assert eng.scheduler.robust_counters()
 
 
 def test_robust_rejects_delta_uploading_algorithm(fresh_port):

@@ -59,7 +59,6 @@ def make_spec(policy, algorithm="fedavg", batch_turns=None):
         },
         scheduler=POLICIES[policy],
         total_updates=16,
-        mode="async",
         seed=0,
     )
 

@@ -50,7 +50,6 @@ def make_spec(policy, pool_size, *, broker="memory://", compressor=None):
         plugins={"compressor": compressor} if compressor else {},
         scheduler=POLICIES[policy],
         total_updates=12,
-        mode="async",
         seed=0,
     )
 

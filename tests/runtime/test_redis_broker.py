@@ -56,7 +56,6 @@ def make_spec(broker, pool_size=None, total_updates=10):
             "latency": "lognormal", "mean": 0.5, "sigma": 0.5,
         }},
         total_updates=total_updates,
-        mode="async",
         seed=0,
     )
 

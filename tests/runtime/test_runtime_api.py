@@ -29,7 +29,6 @@ def test_engine_itself_does_not_trip_the_shim():
                "model": "mlp", "global_rounds": 1, "eval_every": 0},
         scheduler={"name": "fedasync"},
         total_updates=3,
-        mode="async",
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)

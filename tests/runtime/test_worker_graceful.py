@@ -61,7 +61,6 @@ def make_spec(broker, pool_size=None, total_updates=8):
             "latency": "lognormal", "mean": 0.5, "sigma": 0.5,
         }},
         total_updates=total_updates,
-        mode="async",
         seed=0,
     )
 

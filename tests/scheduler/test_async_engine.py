@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.engine import Engine
+from repro.experiment import DataSpec, ExperimentSpec, FaultSpec, PluginSpec, TrainSpec
 from repro.scheduler import (
     FedAsyncScheduler,
     FedBuffScheduler,
@@ -17,22 +18,19 @@ from repro.scheduler import (
 LOGNORMAL = {"latency": "lognormal", "mean": 1.0, "sigma": 0.8}
 
 
-def blobs_engine(fresh_port, *, scheduler=None, algorithm="fedavg", clients=4, seed=0, **kw):
-    return Engine.from_names(
+def blobs_engine(fresh_port, *, scheduler=None, algorithm="fedavg", clients=4,
+                 eval_every=1, plugins=None, **faults):
+    return Engine.from_spec(ExperimentSpec(
         topology="centralized",
-        algorithm=algorithm,
-        model="mlp",
-        datamodule="blobs",
-        num_clients=clients,
-        global_rounds=3,
-        batch_size=32,
-        seed=seed,
-        topology_kwargs={"inner_comm": {"backend": "torchdist", "master_port": fresh_port}},
-        datamodule_kwargs={"train_size": 512, "test_size": 128},
-        algorithm_kwargs={"lr": 0.05, "local_epochs": 1},
+        topology_kwargs={"num_clients": clients,
+                         "inner_comm": {"backend": "torchdist", "master_port": fresh_port}},
+        data=DataSpec(dataset="blobs", kwargs={"train_size": 512, "test_size": 128}),
+        train=TrainSpec(algorithm=algorithm, algorithm_kwargs={"lr": 0.05, "local_epochs": 1},
+                        model="mlp", global_rounds=3, eval_every=eval_every),
+        plugins=PluginSpec(**(plugins or {})),
+        faults=FaultSpec(**faults),
         scheduler=scheduler,
-        **kw,
-    )
+    ))
 
 
 # ---------------------------------------------------------------- convergence
@@ -231,7 +229,9 @@ def test_async_path_applies_differential_privacy(fresh_port):
     path — a DP config must not be silently ignored in async mode."""
     from repro.privacy import DifferentialPrivacy
 
-    eng = blobs_engine(fresh_port, dp_fn=lambda: DifferentialPrivacy(epsilon=5.0, clip_norm=10.0))
+    eng = blobs_engine(
+        fresh_port, plugins={"dp": lambda: DifferentialPrivacy(epsilon=5.0, clip_norm=10.0)}
+    )
     eng.setup_async()
     server, trainer = eng.nodes[0], eng.nodes[1]
     payload = server.algorithm.server_payload(server.global_state)
@@ -248,7 +248,9 @@ def test_async_path_applies_differential_privacy(fresh_port):
 
 
 def test_async_path_applies_compression_roundtrip(fresh_port):
-    eng = blobs_engine(fresh_port, compressor="topk", compressor_kwargs={"ratio": 5})
+    eng = blobs_engine(
+        fresh_port, plugins={"compressor": "topk", "compressor_kwargs": {"ratio": 5}}
+    )
     eng.setup_async()
     server, trainer = eng.nodes[0], eng.nodes[1]
     payload = server.algorithm.server_payload(server.global_state)
@@ -306,12 +308,13 @@ def test_engine_accepts_scheduler_instance_and_name(fresh_port):
 
 
 def test_scheduler_rejects_gossip_topologies(fresh_port):
-    eng = Engine.from_names(
-        topology="ring", algorithm="fedavg", model="mlp", datamodule="blobs",
-        num_clients=3, global_rounds=1, batch_size=32, seed=0,
-        topology_kwargs={"inner_comm": {"backend": "torchdist", "master_port": fresh_port}},
-        datamodule_kwargs={"train_size": 96, "test_size": 32},
-    )
+    eng = Engine.from_spec(ExperimentSpec(
+        topology="ring",
+        topology_kwargs={"num_clients": 3,
+                         "inner_comm": {"backend": "torchdist", "master_port": fresh_port}},
+        data=DataSpec(dataset="blobs", kwargs={"train_size": 96, "test_size": 32}),
+        train=TrainSpec(model="mlp", global_rounds=1),
+    ))
     with pytest.raises(ValueError, match="server-pattern"):
         eng.run_async(total_updates=3, scheduler="fedasync")
     eng.shutdown()

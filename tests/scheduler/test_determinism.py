@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.engine import Engine
+from repro.experiment import DataSpec, ExperimentSpec, TrainSpec
 
 #: fields that measure the host machine, not the federation
 _WALL_FIELDS = ("wall_seconds",)
@@ -53,20 +54,20 @@ def _records(metrics):
     return out
 
 
-def _run(topology, scheduler, port, topology_kwargs, total_updates):
-    eng = Engine.from_names(
+def _engine(topology, topology_kwargs, scheduler, rounds=3, **spec_kwargs):
+    return Engine.from_spec(ExperimentSpec(
         topology=topology,
-        algorithm="fedavg",
-        model="mlp",
-        datamodule="blobs",
         topology_kwargs=topology_kwargs,
-        datamodule_kwargs={"train_size": 256, "test_size": 64},
-        algorithm_kwargs={"lr": 0.05, "local_epochs": 1},
-        global_rounds=3,
-        batch_size=32,
-        seed=0,
+        data=DataSpec(dataset="blobs", kwargs={"train_size": 256, "test_size": 64}),
+        train=TrainSpec(algorithm="fedavg", algorithm_kwargs={"lr": 0.05, "local_epochs": 1},
+                        model="mlp", global_rounds=rounds),
         scheduler=scheduler,
-    )
+        **spec_kwargs,
+    ))
+
+
+def _run(topology, scheduler, port, topology_kwargs, total_updates):
+    eng = _engine(topology, topology_kwargs, scheduler)
     metrics = eng.run_async(total_updates=total_updates)
     state = {k: np.copy(v) for k, v in eng.global_state().items()}
     eng.shutdown()
@@ -134,21 +135,12 @@ def test_different_seeds_actually_diverge(fresh_port):
     """The suite would be vacuous if runs were identical regardless of seed."""
 
     def once(port, seed):
-        eng = Engine.from_names(
-            topology="centralized",
-            algorithm="fedavg",
-            model="mlp",
-            datamodule="blobs",
-            topology_kwargs={
-                "num_clients": 4,
-                "inner_comm": {"backend": "torchdist", "master_port": port},
-            },
-            datamodule_kwargs={"train_size": 256, "test_size": 64},
-            algorithm_kwargs={"lr": 0.05, "local_epochs": 1},
-            global_rounds=2,
-            batch_size=32,
+        eng = _engine(
+            "centralized",
+            {"num_clients": 4, "inner_comm": {"backend": "torchdist", "master_port": port}},
+            {"name": "fedasync", "heterogeneity": dict(LOGNORMAL)},
+            rounds=2,
             seed=seed,
-            scheduler={"name": "fedasync", "heterogeneity": dict(LOGNORMAL)},
         )
         metrics = eng.run_async(total_updates=8)
         state = {k: np.copy(v) for k, v in eng.global_state().items()}
@@ -195,19 +187,8 @@ def _topology_kwargs(policy, port):
 
 
 def _run_policy(policy, port, telemetry=None, **spec_kwargs):
-    eng = Engine.from_names(
-        topology=_TOPO_FOR[policy],
-        algorithm="fedavg",
-        model="mlp",
-        datamodule="blobs",
-        topology_kwargs=_topology_kwargs(policy, port),
-        datamodule_kwargs={"train_size": 256, "test_size": 64},
-        algorithm_kwargs={"lr": 0.05, "local_epochs": 1},
-        global_rounds=3,
-        batch_size=32,
-        seed=0,
-        scheduler=dict(_SCHED_FOR[policy]),
-        **spec_kwargs,
+    eng = _engine(
+        _TOPO_FOR[policy], _topology_kwargs(policy, port), dict(_SCHED_FOR[policy]), **spec_kwargs
     )
     if telemetry is not None:
         eng.metrics.callbacks.append(telemetry)

@@ -6,30 +6,29 @@ import numpy as np
 import pytest
 
 from repro.engine import Engine
+from repro.experiment import DataSpec, ExperimentSpec, PluginSpec, TrainSpec
 from repro.scheduler import GossipScheduler, build_scheduler
 
 COMPUTE = {"latency": "lognormal", "mean": 0.5, "sigma": 0.5, "client_spread": 0.5}
 EDGE = {"latency": "lognormal", "mean": 0.3, "sigma": 0.5, "client_spread": 0.5}
 
 
-def gossip_engine(fresh_port, *, topology="ring", scheduler=None, seed=0, **kw):
-    topo_kw = {"inner_comm": {"backend": "torchdist", "master_port": fresh_port}}
-    topo_kw.update(kw.pop("topology_kwargs", {}))
-    topo_kw.setdefault("num_clients", 4)
-    return Engine.from_names(
+def gossip_engine(fresh_port, *, topology="ring", scheduler=None, algorithm="fedavg",
+                  topology_kwargs=None, algorithm_kwargs=None, rounds=3, **plugins):
+    return Engine.from_spec(ExperimentSpec(
         topology=topology,
-        algorithm=kw.pop("algorithm", "fedavg"),
-        model="mlp",
-        datamodule="blobs",
-        topology_kwargs=topo_kw,
-        datamodule_kwargs={"train_size": 256, "test_size": 64},
-        algorithm_kwargs={"lr": 0.1, "local_epochs": 1},
-        global_rounds=3,
-        batch_size=32,
-        seed=seed,
+        topology_kwargs={
+            "num_clients": 4,
+            "inner_comm": {"backend": "torchdist", "master_port": fresh_port},
+            **(topology_kwargs or {}),
+        },
+        data=DataSpec(dataset="blobs", kwargs={"train_size": 256, "test_size": 64}),
+        train=TrainSpec(algorithm=algorithm,
+                        algorithm_kwargs=algorithm_kwargs or {"lr": 0.1, "local_epochs": 1},
+                        model="mlp", global_rounds=rounds),
+        plugins=PluginSpec(**plugins),
         scheduler=scheduler,
-        **kw,
-    )
+    ))
 
 
 def gossip_spec(**kw):
@@ -82,12 +81,13 @@ def test_flat_scheduler_still_rejects_gossip_topologies(fresh_port):
 
 
 def test_gossip_scheduler_rejects_server_topologies(fresh_port):
-    eng = Engine.from_names(
-        topology="centralized", algorithm="fedavg", model="mlp", datamodule="blobs",
-        num_clients=2, global_rounds=1, seed=0,
-        topology_kwargs={"inner_comm": {"backend": "torchdist", "master_port": fresh_port}},
-        datamodule_kwargs={"train_size": 64, "test_size": 32},
-    )
+    eng = Engine.from_spec(ExperimentSpec(
+        topology="centralized",
+        topology_kwargs={"num_clients": 2,
+                         "inner_comm": {"backend": "torchdist", "master_port": fresh_port}},
+        data=DataSpec(dataset="blobs", kwargs={"train_size": 64, "test_size": 32}),
+        train=TrainSpec(model="mlp", global_rounds=1),
+    ))
     with pytest.raises(ValueError, match="gossip-pattern"):
         eng.run_async(total_updates=2, scheduler="gossip_async")
     eng.shutdown()
@@ -203,13 +203,11 @@ def test_consensus_distance_contracts_under_pure_averaging(fresh_port):
     eng.shutdown()
     assert max(learned) > 0
 
-    frozen = Engine.from_names(
-        topology="ring", algorithm="fedavg", model="mlp", datamodule="blobs",
-        topology_kwargs={"num_clients": 4,
-                         "inner_comm": {"backend": "torchdist", "master_port": fresh_port + 1}},
-        datamodule_kwargs={"train_size": 256, "test_size": 64},
+    frozen = gossip_engine(
+        fresh_port + 1,
+        scheduler=gossip_spec(),
         algorithm_kwargs={"lr": 0.0, "momentum": 0.0, "local_epochs": 1},
-        global_rounds=1, batch_size=32, seed=0, scheduler=gossip_spec(),
+        rounds=1,
     )
     metrics = frozen.run_async(total_updates=4)
     frozen.shutdown()
@@ -274,7 +272,7 @@ def test_exchange_applies_dp_noise(fresh_port):
     eng = gossip_engine(
         fresh_port,
         scheduler=gossip_spec(),
-        dp_fn=lambda: DifferentialPrivacy(epsilon=2.0, clip_norm=1.0, seed=0),
+        dp=lambda: DifferentialPrivacy(epsilon=2.0, clip_norm=1.0, seed=0),
     )
     metrics = eng.run_async(total_updates=8)
     state = eng.global_state()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.engine import Engine
+from repro.experiment import DataSpec, ExperimentSpec, PluginSpec, TrainSpec
 from repro.scheduler import HierarchicalScheduler, build_scheduler
 
 INNER_HETERO = {"latency": "lognormal", "mean": 0.1, "sigma": 0.5}
@@ -17,19 +18,16 @@ def hier_engine(
     *,
     scheduler=None,
     algorithm="fedavg",
-    sites=2,
-    clients_per_site=2,
-    seed=0,
-    **kw,
+    sites=None,
+    train_size=512,
+    rounds=3,
+    eval_every=1,
+    **plugins,
 ):
-    return Engine.from_names(
+    return Engine.from_spec(ExperimentSpec(
         topology="hierarchical",
-        algorithm=algorithm,
-        model="mlp",
-        datamodule="blobs",
         topology_kwargs={
-            "num_sites": sites,
-            "clients_per_site": clients_per_site,
+            **(sites or {"num_sites": 2, "clients_per_site": 2}),
             "inner_comm": {"backend": "torchdist", "master_port": fresh_port},
             "outer_comm": {
                 "backend": "grpc",
@@ -37,14 +35,23 @@ def hier_engine(
                 "transport": "inproc",
             },
         },
-        datamodule_kwargs={"train_size": 512, "test_size": 128},
-        algorithm_kwargs={"lr": 0.05, "local_epochs": 1},
-        global_rounds=3,
-        batch_size=32,
-        seed=seed,
+        data=DataSpec(dataset="blobs",
+                      kwargs={"train_size": train_size, "test_size": train_size // 4}),
+        train=TrainSpec(algorithm=algorithm, algorithm_kwargs={"lr": 0.05, "local_epochs": 1},
+                        model="mlp", global_rounds=rounds, eval_every=eval_every),
+        plugins=PluginSpec(**plugins),
         scheduler=scheduler,
-        **kw,
-    )
+    ))
+
+
+def flat_engine(fresh_port, clients, train_size):
+    return Engine.from_spec(ExperimentSpec(
+        topology="centralized",
+        topology_kwargs={"num_clients": clients,
+                         "inner_comm": {"backend": "torchdist", "master_port": fresh_port}},
+        data=DataSpec(dataset="blobs", kwargs={"train_size": train_size, "test_size": 32}),
+        train=TrainSpec(model="mlp", global_rounds=1),
+    ))
 
 
 def hier_spec(**kw):
@@ -96,17 +103,7 @@ def test_flat_scheduler_rejects_hierarchical_topology(fresh_port):
 
 
 def test_hier_scheduler_rejects_flat_topology(fresh_port):
-    eng = Engine.from_names(
-        topology="centralized",
-        algorithm="fedavg",
-        model="mlp",
-        datamodule="blobs",
-        num_clients=2,
-        global_rounds=1,
-        seed=0,
-        topology_kwargs={"inner_comm": {"backend": "torchdist", "master_port": fresh_port}},
-        datamodule_kwargs={"train_size": 96, "test_size": 32},
-    )
+    eng = flat_engine(fresh_port, clients=2, train_size=96)
     with pytest.raises(ValueError, match="hierarchical-pattern"):
         eng.run_async(total_updates=2, scheduler="hier_async")
     eng.shutdown()
@@ -150,7 +147,7 @@ def test_site_upload_routes_through_outer_compressor(fresh_port):
     eng = hier_engine(
         fresh_port,
         scheduler=hier_spec(inner="sync", outer="fedasync"),
-        outer_compressor_fn=lambda: build_compressor("topk", ratio=5),
+        outer_compressor=lambda: build_compressor("topk", ratio=5),
     )
     eng.run_async(total_updates=8)
     sched = eng.scheduler
@@ -175,7 +172,7 @@ def test_site_upload_delta_needs_matching_reference(fresh_port):
     eng = hier_engine(
         fresh_port,
         scheduler=hier_spec(inner="sync", outer="fedasync"),
-        outer_compressor_fn=lambda: build_compressor("topk", ratio=5),
+        outer_compressor=lambda: build_compressor("topk", ratio=5),
     )
     eng.setup_async()
     head = eng.nodes[1]
@@ -194,7 +191,7 @@ def test_trainer_dp_flows_through_inner_tier(fresh_port):
     eng = hier_engine(
         fresh_port,
         scheduler=hier_spec(inner="sync", outer="fedasync"),
-        dp_fn=lambda: DifferentialPrivacy(epsilon=5.0, clip_norm=10.0),
+        dp=lambda: DifferentialPrivacy(epsilon=5.0, clip_norm=10.0),
     )
     eng.setup_async()
     sched = eng.scheduler
@@ -338,24 +335,11 @@ def test_hier_run_is_deterministic_given_seed(fresh_port):
 
 
 def test_uneven_site_sizes_and_three_sites(fresh_port):
-    eng = Engine.from_names(
-        topology="hierarchical",
-        algorithm="fedavg",
-        model="mlp",
-        datamodule="blobs",
-        topology_kwargs={
-            "site_sizes": [1, 2, 3],
-            "inner_comm": {"backend": "torchdist", "master_port": fresh_port},
-            "outer_comm": {
-                "backend": "grpc",
-                "master_port": fresh_port + 1000,
-                "transport": "inproc",
-            },
-        },
-        datamodule_kwargs={"train_size": 384, "test_size": 96},
-        algorithm_kwargs={"lr": 0.05, "local_epochs": 1},
-        global_rounds=2,
-        seed=0,
+    eng = hier_engine(
+        fresh_port,
+        sites={"site_sizes": [1, 2, 3]},
+        train_size=384,
+        rounds=2,
         scheduler=hier_spec(inner="sync", outer="fedasync"),
     )
     sched = eng.scheduler
@@ -385,17 +369,7 @@ def test_site_tier_drain_does_not_advance_clock(fresh_port):
     from repro.engine.metrics import MetricsCollector
     from repro.scheduler import build_scheduler as build
 
-    eng = Engine.from_names(
-        topology="centralized",
-        algorithm="fedavg",
-        model="mlp",
-        datamodule="blobs",
-        num_clients=4,
-        global_rounds=1,
-        seed=0,
-        topology_kwargs={"inner_comm": {"backend": "torchdist", "master_port": fresh_port}},
-        datamodule_kwargs={"train_size": 128, "test_size": 32},
-    )
+    eng = flat_engine(fresh_port, clients=4, train_size=128)
     eng.setup_async()  # the coordinator's job, done before any site chunk
     sched = build(
         "fedasync",

@@ -5,26 +5,23 @@ that keep degenerate configurations from hanging the scheduler loop."""
 import pytest
 
 from repro.engine import Engine
+from repro.experiment import DataSpec, ExperimentSpec, FaultSpec, TrainSpec
 from repro.scheduler import build_scheduler
 from repro.scheduler.selection import build_selector
 
 ALL_STRATEGIES = ("random", "round_robin", "power_of_choice")
 
 
-def tiny_engine(fresh_port, num_clients=1, **kw):
-    return Engine.from_names(
+def tiny_engine(fresh_port, num_clients=1, scheduler=None, **faults):
+    return Engine.from_spec(ExperimentSpec(
         topology="centralized",
-        algorithm="fedavg",
-        model="mlp",
-        datamodule="blobs",
-        num_clients=num_clients,
-        global_rounds=1,
-        batch_size=16,
-        seed=0,
-        topology_kwargs={"inner_comm": {"backend": "torchdist", "master_port": fresh_port}},
-        datamodule_kwargs={"train_size": 64, "test_size": 32},
-        **kw,
-    )
+        topology_kwargs={"num_clients": num_clients,
+                         "inner_comm": {"backend": "torchdist", "master_port": fresh_port}},
+        data=DataSpec(dataset="blobs", kwargs={"train_size": 64, "test_size": 32}, batch_size=16),
+        train=TrainSpec(model="mlp", global_rounds=1),
+        faults=FaultSpec(**faults),
+        scheduler=scheduler,
+    ))
 
 
 # ------------------------------------------------------------ strategy level

@@ -68,7 +68,6 @@ def test_print_config_dumps_resolved_spec(capsys):
     spec = ExperimentSpec.from_yaml(out)
     assert spec.train.global_rounds == 1
     assert spec.data.dataset["_target_"] == "repro.data.registry.blobs"
-    assert spec.mode == "auto"
 
 
 def test_run_spec_file_end_to_end(capsys, tmp_path, fresh_port):
@@ -86,6 +85,38 @@ def test_run_spec_file_end_to_end(capsys, tmp_path, fresh_port):
     loaded = RunResult.load(str(save_dir))
     assert loaded.spec == ExperimentSpec.load(str(spec_path))
     assert len(loaded.history) == 1
+
+
+def test_removed_mode_override_names_the_replacement():
+    from repro.experiment import SpecError
+
+    with pytest.raises(SpecError, match="'mode' was removed.*name a scheduler"):
+        main([*TINY, "+mode=async"])
+    # without the '+' the composer stops it first: the key is not in the config
+    with pytest.raises(Exception, match="'mode' does not exist"):
+        main([*TINY, "mode=async"])
+
+
+def test_outer_compression_reaches_the_cross_site_link_only(capsys, tmp_path, fresh_port):
+    """§3.4.5 from the command line: an ``outer_compression`` node lands in
+    ``plugins.outer_compressor`` and survives ``--print-config`` / ``run``."""
+    from repro.experiment import ExperimentSpec
+
+    args = [*[a for a in TINY if not a.startswith("topology.")],
+            "topology=hierarchical",
+            f"topology.inner_comm.master_port={fresh_port}",
+            f"topology.outer_comm.master_port={fresh_port + 1000}",
+            "+outer_compression={_target_: repro.compression.TopK, ratio: 10}"]
+    assert main(["--print-config", *args]) == 0
+    dumped = capsys.readouterr().out
+    spec = ExperimentSpec.from_yaml(dumped)
+    assert spec.plugins.compressor is None
+    assert spec.plugins.outer_compressor == {"_target_": "repro.compression.TopK", "ratio": 10}
+    spec_path = tmp_path / "spec.yaml"
+    spec_path.write_text(dumped)
+    assert main(["run", str(spec_path)]) == 0
+    out = capsys.readouterr().out
+    assert "comm[outer]" in out and "comm[inner]" in out
 
 
 def test_run_mode_needs_exactly_one_file():
