@@ -7,7 +7,7 @@ memory and thread count grow linearly with the cohort, pooled mode's stay
 bounded by the pool — while producing bit-identical results.
 
 Emits ``BENCH_scale.json`` at the repo root (the perf trajectory's seed
-point for cross-device scale).
+point for cross-device scale); a ``-k`` selection refreshes only what it ran.
 
 Run:    PYTHONPATH=src python -m pytest benchmarks/bench_scale_clients.py -q
 Smoke:  BENCH_SMOKE=1 PYTHONPATH=src python -m pytest benchmarks/bench_scale_clients.py -q
@@ -106,8 +106,25 @@ def run_measured(num_clients: int, pool_size, broker: str = "memory://") -> dict
     return row
 
 
+def _row_key(row: dict) -> tuple:
+    return row["clients"], row["mode"], row["pool_size"]
+
+
 def _flush():
-    OUT_PATH.write_text(json.dumps(_RESULTS, indent=2) + "\n", encoding="utf8")
+    """Merge this process's results into ``BENCH_scale.json``: a ``-k`` run
+    refreshes the blocks and run rows it measured and leaves the rest as
+    recorded.  A file from another configuration (smoke vs. full) is
+    replaced, not mixed into."""
+    try:
+        merged = json.loads(OUT_PATH.read_text(encoding="utf8"))
+    except (OSError, ValueError):
+        merged = {}
+    if merged.get("config") != _RESULTS["config"]:
+        merged = {"runs": []}
+    fresh = {_row_key(row) for row in _RESULTS["runs"]}
+    kept = [row for row in merged["runs"] if _row_key(row) not in fresh]
+    merged.update(_RESULTS, runs=kept + _RESULTS["runs"])
+    OUT_PATH.write_text(json.dumps(merged, indent=2) + "\n", encoding="utf8")
 
 
 @pytest.mark.parametrize("num_clients", COHORTS)

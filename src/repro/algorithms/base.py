@@ -145,7 +145,7 @@ class Algorithm:
         loss.backward()
         self.grad_postprocess(node)
         self.optimizer.step()
-        correct = int((logits.data.argmax(axis=1) == y).sum())
+        correct = int(F._correct_count(logits.data, y))
         return float(loss.item()), correct
 
     def loss_fn(self, node: "Node", logits: Tensor, y: np.ndarray, x: np.ndarray) -> Tensor:

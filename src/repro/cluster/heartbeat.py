@@ -34,9 +34,6 @@ class Heartbeater:
         failures set ``lost``.
     period:
         Seconds between beats (the coordinator's advertised interval).
-    on_stop:
-        Called once when the coordinator's reply carries ``stop: true`` or
-        rejects the membership.
     """
 
     def __init__(
@@ -45,14 +42,12 @@ class Heartbeater:
         period: float,
         *,
         max_failures: int = 3,
-        on_stop: Optional[Callable[[], None]] = None,
     ) -> None:
         if period <= 0:
             raise ValueError("heartbeat period must be > 0")
         self._beat = beat
         self.period = float(period)
         self.max_failures = int(max_failures)
-        self._on_stop = on_stop
         self.stopped = threading.Event()   # coordinator asked us to stop
         self.lost = threading.Event()      # coordinator unreachable/evicted us
         self._shutdown = threading.Event()
@@ -85,7 +80,6 @@ class Heartbeater:
                 )
                 if self._failures >= self.max_failures:
                     self.lost.set()
-                    self._signal_stop()
                     return
                 continue
             self._failures = 0
@@ -95,16 +89,7 @@ class Heartbeater:
                 # partition): stop serving rather than train into the void
                 _LOG.warning("heartbeat rejected: membership revoked")
                 self.lost.set()
-                self._signal_stop()
                 return
             if reply.get("stop"):
                 self.stopped.set()
-                self._signal_stop()
                 return
-
-    def _signal_stop(self) -> None:
-        if self._on_stop is not None:
-            try:
-                self._on_stop()
-            except Exception:  # noqa: BLE001
-                _LOG.exception("heartbeat on_stop hook failed")

@@ -7,6 +7,7 @@ vectorization (per the HPC guide: batch the work, don't loop per sample).
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -23,44 +24,17 @@ def materialize_batches(
     epochs: int,
     max_batches: Optional[int] = None,
 ) -> list:
-    """Exactly the ``(x, y)`` batches that ``epochs`` passes of
-    ``DataLoader(dataset, batch_size, shuffle=True, rng=rng)`` would yield
-    (capped at ``max_batches`` per epoch), as one flat list.
+    """The ``(x, y)`` batches of ``epochs`` passes over
+    ``DataLoader(dataset, batch_size, shuffle=True, rng=rng)``, each capped at
+    ``max_batches`` (at least 1), as one flat list — what a fused client turn
+    stacks.
 
-    Consumes ``rng`` identically to the loader — every epoch's shuffle is
-    drawn in full even when the cap truncates the epoch — but skips the
-    per-epoch loader construction and generator machinery.  This is the
-    fused-turn hot path: one call per pooled client turn.
+    ``rng`` ends where the per-turn loop leaves it: every epoch's shuffle is
+    drawn in full even when the cap truncates the epoch, and a capped epoch
+    gathers no batch past its cap.
     """
     loader = DataLoader(dataset, batch_size, shuffle=True, rng=rng)
-    n = len(dataset)
-    fast = loader._fast_arrays()
-    out = []
-    for _ in range(epochs):
-        if n > 1:
-            order = np.arange(n)
-            rng.shuffle(order)
-        else:
-            order = None  # a 0/1-sample shuffle draws nothing
-        for b, start in enumerate(range(0, n, batch_size)):
-            if max_batches is not None and b >= max_batches:
-                break
-            if fast is not None:
-                xs, ys, rows = fast
-                pick = order[start:start + batch_size] if order is not None else slice(None)
-                if rows is not None:
-                    pick = rows[pick]
-                out.append((
-                    np.ascontiguousarray(xs[pick], dtype=np.float32),
-                    np.ascontiguousarray(ys[pick], dtype=np.int64),
-                ))
-            else:
-                idx = order[start:start + batch_size] if order is not None else range(n)
-                samples = [dataset[int(i)] for i in idx]
-                x = np.stack([s[0] for s in samples]).astype(np.float32, copy=False)
-                y = np.asarray([s[1] for s in samples], dtype=np.int64)
-                out.append((x, y))
-    return out
+    return [batch for _ in range(epochs) for batch in islice(loader, max_batches)]
 
 
 class DataLoader:

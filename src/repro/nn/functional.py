@@ -30,6 +30,11 @@ and rebuilding it costs one copy.
 BatchNorm and cross-entropy get hand-written backwards to keep the tape short
 on the hot path; BatchNorm's training pass centres ``x`` once and its backward
 reuses the two reductions the affine gradients need.
+
+*Array kernels.*  ``linear``, ``relu`` and ``cross_entropy`` wrap ``_*_fw`` /
+``_*_bw`` functions over plain arrays, which accept leading stack axes (the
+fused turn runner's ``(K, ...)`` client stacks) and never write their inputs:
+slice ``k`` is bit for bit the unstacked call — DESIGN.md, "Kernels".
 """
 
 from __future__ import annotations
@@ -80,12 +85,21 @@ def _pair(value: _Pair) -> Tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
+def _relu_fw(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(max(x, 0), mask)``; the mask is what :func:`_relu_bw` needs."""
+    mask = x > 0
+    return np.where(mask, x, 0.0).astype(x.dtype, copy=False), mask
+
+
+def _relu_bw(grad: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    return grad * mask
+
+
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    data = np.where(mask, x.data, 0.0).astype(x.data.dtype, copy=False)
+    data, mask = _relu_fw(x.data)
 
     def _bw(grad: np.ndarray) -> None:
-        x._accumulate(grad * mask)
+        x._accumulate(_relu_bw(grad, mask))
 
     return Tensor._make(data, (x,), _bw)
 
@@ -169,39 +183,61 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _linear_fw(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray]) -> np.ndarray:
+    """``x @ w.T + b`` over ``(..., n, in)``, ``(..., out, in)``, ``(..., out)``."""
+    out = np.matmul(x, w.swapaxes(-1, -2))
+    return out if b is None else out + b[..., None, :]
+
+
+def _linear_bw(
+    x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray], grad: np.ndarray, need_gx: bool = True
+) -> Tuple[Optional[np.ndarray], np.ndarray, Optional[np.ndarray]]:
+    """``(gx, gw, gb)`` for :func:`_linear_fw` given the output gradient.
+
+    ``gw`` stays ``(x.T @ g).T`` — ``g.T @ x`` is another GEMM with other
+    rounding — except for a single sample, where the product is rank one:
+    one multiply per element, the GEMM's value (but for the sign of a zero)
+    without a GEMM dispatch per stacked slice.
+    """
+    gb = None if b is None else np.asarray(grad, dtype=b.dtype).sum(axis=-2)
+    # the product's own dtype: a wider bias must not widen the two GEMMs
+    g = np.asarray(grad, dtype=np.result_type(x, w))
+    gx = np.matmul(g, w) if need_gx else None
+    if g.shape[-2] == 1:
+        gw = g.swapaxes(-1, -2) * x
+    else:
+        gw = np.matmul(x.swapaxes(-1, -2), g).swapaxes(-1, -2)
+    return gx, gw, gb
+
+
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """``x @ weight.T + bias`` with (out_features, in_features) weight layout.
 
     A 2-D input — every model's classifier and the whole MLP path — records
     one tape node in place of transpose, matmul and add, evaluating the same
-    numpy expressions in the same order so no bit moves: the weight gradient
-    stays ``(x.T @ g).T`` (``g.T @ x`` is another GEMM with other rounding)
-    and the bias gradient goes through ``_accumulate``'s sum over the batch.
-    Batched inputs keep the composed form: there matmul's backward sums the
-    batch axes itself, in an order this node does not reproduce.
+    numpy expressions in the same order so no bit moves (see
+    :func:`_linear_bw` for the weight gradient; the bias gradient is the sum
+    over the batch ``_accumulate`` would have taken).  Batched inputs keep the
+    composed form: there matmul's backward sums the batch axes itself, in an
+    order this node does not reproduce.
     """
     if x.data.ndim != 2 or weight.data.ndim != 2:
         out = x.matmul(weight.T)
         return out if bias is None else out + bias
     w = weight.data
-    data = x.data @ w.T
-    product_dtype = data.dtype
-    if bias is not None:
-        data = data + bias.data
+    b = None if bias is None else bias.data
+    data = _linear_fw(x.data, w, b)
 
     def _bw(grad: np.ndarray) -> None:
-        if bias is not None:
-            bias._accumulate(grad)
-        # the product's own dtype, as its tape node would have received it
-        g = np.asarray(grad, dtype=product_dtype)
-        # both products before either accumulates: when x feeds a second
-        # consumer its grad can be this very array, and accumulating adds
-        # into it in place
-        gx = g @ w if x.requires_grad else None  # a first layer's input takes none
-        gw = x.data.T @ g
+        # a first layer's input takes no gradient; all three products before
+        # any accumulates: when x feeds a second consumer its grad can be
+        # this very array, and accumulating adds into it in place
+        gx, gw, gb = _linear_bw(x.data, w, b, grad, x.requires_grad)
+        if gb is not None:
+            bias._accumulate(gb)
         if gx is not None:
             x._accumulate(gx)
-        weight._accumulate(gw.T)
+        weight._accumulate(gw)
 
     return Tensor._make(data, (x, weight) if bias is None else (x, weight, bias), _bw)
 
@@ -549,31 +585,45 @@ def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generat
 # ---------------------------------------------------------------------------
 
 
+def _cross_entropy_fw(
+    logits: np.ndarray, target: np.ndarray, mean: bool = True
+) -> Tuple[np.ndarray, np.ndarray, tuple]:
+    """Per-batch loss over ``(..., n, classes)`` logits and ``(..., n)``
+    labels, with what :func:`_cross_entropy_bw` needs: the log-probabilities
+    and the index that picks each sample's label out of them."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))  # now log-probs
+    picked = (*np.indices(target.shape, sparse=True), target)
+    losses = -shifted[picked]
+    return (losses.mean(axis=-1) if mean else losses.sum(axis=-1)), shifted, picked
+
+
+def _cross_entropy_bw(log_probs: np.ndarray, picked: tuple, mean: bool = True) -> np.ndarray:
+    """Gradient of the loss w.r.t. the logits: ``softmax - onehot`` (``/ n``)."""
+    delta = np.exp(log_probs)
+    delta[picked] -= 1.0
+    if mean:
+        delta /= log_probs.shape[-2]
+    return delta
+
+
+def _correct_count(logits: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Samples per batch whose arg-max class is their label."""
+    return (logits.argmax(axis=-1) == target).sum(axis=-1)
+
+
 def cross_entropy(logits: Tensor, target: np.ndarray, reduction: str = "mean") -> Tensor:
     """Softmax cross-entropy against integer class labels (fused backward)."""
     target = np.asarray(target)
     if target.ndim != 1:
         raise ValueError("target must be a 1-D array of class indices")
-    n = logits.data.shape[0]
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - logsumexp
-    losses = -log_probs[np.arange(n), target]
-    if reduction == "mean":
-        value = losses.mean()
-    elif reduction == "sum":
-        value = losses.sum()
-    else:
+    if reduction not in ("mean", "sum"):
         raise ValueError(f"unknown reduction {reduction!r}")
-    soft = np.exp(log_probs)
+    mean = reduction == "mean"
+    value, log_probs, picked = _cross_entropy_fw(logits.data, target, mean)
 
     def _bw(grad: np.ndarray) -> None:
-        g = float(np.asarray(grad))
-        delta = soft.copy()
-        delta[np.arange(n), target] -= 1.0
-        if reduction == "mean":
-            delta /= n
-        logits._accumulate(delta * g)
+        logits._accumulate(_cross_entropy_bw(log_probs, picked, mean) * float(np.asarray(grad)))
 
     return Tensor._make(np.asarray(value, dtype=logits.data.dtype), (logits,), _bw)
 

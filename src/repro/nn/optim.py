@@ -7,7 +7,7 @@ AdamW inner / Nesterov outer split) transfer unchanged.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -76,22 +76,38 @@ class SGD(Optimizer):
     def step(self) -> None:
         with no_grad():
             for i, p in enumerate(self.params):
-                if p.grad is None:
-                    continue
-                g = p.grad
-                if self.weight_decay:
-                    g = g + self.weight_decay * p.data
-                if self.momentum:
-                    st = self.state.setdefault(i, {})
-                    buf = st.get("momentum_buffer")
-                    if buf is None:
-                        buf = g.astype(p.data.dtype).copy()
-                        st["momentum_buffer"] = buf
-                    else:
-                        buf *= self.momentum
-                        buf += (1.0 - self.dampening) * g
-                    g = g + self.momentum * buf if self.nesterov else buf
-                p.data -= self.lr * g
+                if p.grad is not None:
+                    self._update(
+                        p.data, p.grad, self.state.setdefault(i, {}) if self.momentum else None,
+                        self.lr, self.momentum, self.weight_decay, self.dampening, self.nesterov,
+                    )
+
+    @staticmethod
+    def _update(
+        p: np.ndarray,
+        g: np.ndarray,
+        state: Optional[Dict[str, np.ndarray]],
+        lr: float,
+        momentum: float = 0.0,
+        weight_decay: float = 0.0,
+        dampening: float = 0.0,
+        nesterov: bool = False,
+    ) -> None:
+        """The rule above as an array kernel: steps ``p`` in place, leaves
+        ``g`` intact, keeps the momentum buffer in ``state`` (read only when
+        ``momentum`` is set).  Elementwise, so any leading stack axes on ``p``
+        and ``g`` ride along — the fused turn runner steps K clients at once."""
+        if weight_decay:
+            g = g + weight_decay * p
+        if momentum:
+            buf = state.get("momentum_buffer")
+            if buf is None:
+                buf = state["momentum_buffer"] = np.array(g, dtype=p.dtype)
+            else:
+                buf *= momentum
+                buf += (1.0 - dampening) * g
+            g = g + momentum * buf if nesterov else buf
+        p -= lr * g
 
 
 class Adam(Optimizer):

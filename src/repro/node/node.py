@@ -611,7 +611,7 @@ class Node:
                 logits = self.model(Tensor(x))
                 loss = F.cross_entropy(logits, y)
                 total_loss += float(loss.item()) * len(y)
-                correct += int((logits.data.argmax(axis=1) == y).sum())
+                correct += int(F._correct_count(logits.data, y))
                 total += len(y)
         self.model.train(was_training)
         if restore is not None:

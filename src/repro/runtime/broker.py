@@ -340,11 +340,8 @@ class MemoryBroker(TurnBroker):
         self.store = ClientStateStore(arena=arena)
         self._baseline: Optional[Dict[str, Any]] = None
         self._inflight = 0
-        # id(node) -> FusedTurnRunner-or-None, built lazily per worker node;
-        # all runners share one scratch pool so recycled fused temporaries
-        # are bounded globally rather than per worker
+        # id(node) -> FusedTurnRunner-or-None, built lazily per worker node
         self._runners: Dict[int, Any] = {}
-        self._scratch: Optional[Any] = None
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
@@ -417,11 +414,9 @@ class MemoryBroker(TurnBroker):
         if runner is None and id(node) not in self._runners:
             context = node.fusion_context()
             if context is not None:
-                from repro.runtime.fused import FusedTurnRunner, ScratchPool
+                from repro.runtime.fused import FusedTurnRunner
 
-                if self._scratch is None:
-                    self._scratch = ScratchPool()
-                runner = FusedTurnRunner(context, self._scratch)
+                runner = FusedTurnRunner(context)
             self._runners[id(node)] = runner
         return runner
 

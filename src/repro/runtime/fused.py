@@ -1,18 +1,21 @@
-"""Fused client turns: several pooled ``local_update`` calls as one batched
+"""Fused client turns: several pooled ``local_update`` calls as one stacked
 tensor pass (the opt-in ``batch_turns`` hot path).
 
 At bench scale the per-turn cost is dominated by fixed overheads — tape
 construction, per-layer dispatch, state-dict plumbing — on tiny matmuls.
-Stacking K clients' parameters into ``(K, ...)`` arrays and training them
-with one set of 3D ``np.matmul`` calls amortizes all of it, and because
-every op here is slice-independent (batched matmul, broadcast bias,
-elementwise relu, last-axis softmax/argmax/mean), slice ``k`` of the fused
-pass is **bitwise identical** to running client ``k`` through the regular
-autograd path.  That identity is the contract: the runner exists only for
-configurations where it can be proven —
+Stacking K clients' parameters into ``(K, ...)`` arrays and handing the
+stacks to the array kernels behind ``F.linear``, ``F.relu``,
+``F.cross_entropy`` and ``SGD.step`` amortizes all of it.  Those kernels
+take leading stack axes and are slice-independent (see DESIGN.md,
+"Kernels"), so slice ``k`` of the fused pass is **bitwise identical** to
+running client ``k`` through the autograd path — it is the same code.
+What is left here is deciding when that holds, and the bookkeeping around
+it: eligibility, grouping, stacking, snapshot assembly.  The runner exists
+only for configurations where the identity can be proven —
 
 * the algorithm vets itself via :meth:`Algorithm.fusion_safe` (no persistent
-  per-client algo state, none of the exactly-mirrored hooks overridden);
+  per-client algo state, none of the hooks this loop stands in for
+  overridden);
 * the model describes its forward as a linear/relu plan via
   :meth:`FederatedModel.fused_plan` (anything else — BatchNorm, convs —
   returns None and disables fusion);
@@ -27,56 +30,18 @@ change results — only how fast they arrive.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.data.dataloader import materialize_batches
 from repro.engine.client_state import ClientSnapshot
+from repro.nn import functional as F
+from repro.nn.optim import SGD
 from repro.utils.seeding import DATA_STREAM, client_rng
 
-__all__ = ["FusedTurnRunner", "ScratchPool"]
-
-
-class ScratchPool:
-    """Recycled large numpy temporaries, shareable across worker threads.
-
-    Fused groups burn through mmap-sized gradient/optimizer scratch; fresh
-    allocations of that size pay kernel page-zeroing on every group.  A
-    broker shares ONE pool across all its runners so idle buffers are
-    bounded globally rather than per worker.  Arrays are handed out
-    exclusively (a taken array is owned until given back), so the lock only
-    guards the free lists.
-    """
-
-    def __init__(self, cap_bytes: int = 16 << 20) -> None:
-        self.cap_bytes = int(cap_bytes)
-        self._free: Dict[Tuple[tuple, Any], List[np.ndarray]] = {}
-        self._bytes = 0
-        self._lock = threading.Lock()
-
-    def take(self, shape: tuple, dtype) -> np.ndarray:
-        """A writable scratch array (contents undefined — callers must
-        fully overwrite it)."""
-        key = (shape, np.dtype(dtype))
-        with self._lock:
-            free = self._free.get(key)
-            if free:
-                arr = free.pop()
-                self._bytes -= arr.nbytes
-                return arr
-        return np.empty(shape, dtype)
-
-    def give(self, arr: np.ndarray) -> None:
-        if arr.base is not None:
-            return  # views don't own their memory; never recycle them
-        with self._lock:
-            if self._bytes + arr.nbytes > self.cap_bytes:
-                return
-            self._free.setdefault((arr.shape, arr.dtype), []).append(arr)
-            self._bytes += arr.nbytes
+__all__ = ["FusedTurnRunner"]
 
 
 class _ClientTurn:
@@ -111,35 +76,26 @@ class FusedTurnRunner:
     fallback an untouched starting state.
     """
 
-    def __init__(
-        self, context: Dict[str, Any], scratch: Optional[ScratchPool] = None
-    ) -> None:
+    def __init__(self, context: Dict[str, Any]) -> None:
         self.plan: List[Tuple[str, ...]] = list(context["plan"])
         self.state_keys: List[str] = list(context["state_keys"])
-        self.persistent: Optional[List[str]] = (
-            None if context["persistent_keys"] is None
-            else list(context["persistent_keys"])
-        )
+        # model keys a client keeps between turns (None from the algorithm: all)
+        persistent = context["persistent_keys"]
+        self.persistent: List[str] = list(self.state_keys if persistent is None else persistent)
         self.algo = context["algorithm"]
         self.seed = int(context["seed"])
         self.batch_size = int(context["batch_size"])
         plan_params = {k for op in self.plan if op[0] == "linear" for k in op[1:]}
+        cap = self.algo.max_batches_per_epoch
         # every model entry must be a planned parameter: an unplanned entry
-        # (a buffer) would train differently than the autograd path
-        self._static_ok = plan_params == set(self.state_keys)
+        # (a buffer) would train differently than the autograd path; and a
+        # zero cap trains nothing yet still draws each epoch's shuffle, which
+        # materialize_batches does not do
+        self._static_ok = plan_params == set(self.state_keys) and (cap is None or cap > 0)
         # payload-coverage verdict, cached per payload object (payload
         # identity is stable per dispatch version via the scheduler cache;
         # the strong reference also keeps id() from being recycled)
         self._coverage: Optional[Tuple[Any, bool]] = None
-        # recycled gradient/optimizer scratch — brokers pass one shared
-        # pool so idle buffers are bounded globally, not per worker
-        self._scratch = scratch if scratch is not None else ScratchPool()
-
-    def _take(self, shape: tuple, dtype) -> np.ndarray:
-        return self._scratch.take(shape, dtype)
-
-    def _give(self, arr: np.ndarray) -> None:
-        self._scratch.give(arr)
 
     # ------------------------------------------------------------------
     def turn_eligible(self, ticket) -> bool:
@@ -155,10 +111,7 @@ class FusedTurnRunner:
         if cached is not None and cached[0] is payload:
             return cached[1]
         load = self._load_keys(payload)
-        persisted = (
-            set(self.state_keys) if self.persistent is None else set(self.persistent)
-        )
-        ok = all(k in load or k in persisted for k in self.state_keys)
+        ok = all(k in load or k in self.persistent for k in self.state_keys)
         self._coverage = (payload, ok)
         return ok
 
@@ -177,10 +130,9 @@ class FusedTurnRunner:
         turns from several dispatch epochs fuse together); returns the
         job-aligned ``[(local_update result, new snapshot), ...]``."""
         algo = self.algo
-        cap = algo.max_batches_per_epoch
 
-        # materialize every client's batch sequence exactly as the per-turn
-        # DataLoader would (same rng stream, same per-epoch shuffles)
+        # every client's batch sequence up front, from the DataLoader over
+        # its own rng stream (restored from the snapshot after a first turn)
         clients: List[_ClientTurn] = []
         for ticket, snapshot, view in jobs:
             if snapshot is None:
@@ -189,7 +141,7 @@ class FusedTurnRunner:
                 rng = np.random.default_rng()
                 rng.bit_generator.state = snapshot.loader_rng
             batches = materialize_batches(
-                view, self.batch_size, rng, algo.local_epochs, cap
+                view, self.batch_size, rng, algo.local_epochs, algo.max_batches_per_epoch
             )
             clients.append(_ClientTurn(ticket, snapshot, view, rng, batches))
 
@@ -259,84 +211,53 @@ class FusedTurnRunner:
                 W[key] = np.stack(rows)
 
         lr = group[0].lr
-        momentum = algo.momentum
-        wd = algo.weight_decay
-        bufs: Dict[str, np.ndarray] = {}  # fresh optimizer per turn
-        borrowed: List[np.ndarray] = []  # scratch to recycle at group end
-        arange_k = np.arange(K)[:, None]
         n_steps = len(group[0].batches)
+        # a fresh optimizer per turn: its first step never reads the momentum
+        # buffer it would build, so a one-step turn asks for none
+        momentum = algo.momentum if n_steps > 1 else 0.0
+        opt_state: Dict[str, Dict[str, np.ndarray]] = defaultdict(dict)
         for t in range(n_steps):
-            x3 = np.stack([ct.batches[t][0] for ct in group])
-            y3 = np.stack([ct.batches[t][1] for ct in group])
-            if x3.ndim > 3:  # mirrors FederatedModel.features' flatten
-                x3 = x3.reshape(K, x3.shape[1], -1)
+            x = np.stack([ct.batches[t][0] for ct in group])
+            y = np.stack([ct.batches[t][1] for ct in group])
+            if x.ndim > 3:  # FederatedModel.features' flatten
+                x = x.reshape(K, x.shape[1], -1)
 
-            # forward, recording what backward needs (linear inputs, masks)
-            h = x3
-            acts: List[np.ndarray] = []
+            # forward, keeping what backward needs (linear inputs, relu masks)
+            h = x
+            saved: List[np.ndarray] = []
             for op in self.plan:
                 if op[0] == "linear":
-                    acts.append(h)
-                    h = np.matmul(h, W[op[1]].transpose(0, 2, 1))
-                    h += W[op[2]][:, None, :]
-                else:  # relu
-                    mask = h > 0
-                    acts.append(mask)
-                    h = np.where(mask, h, 0.0).astype(h.dtype, copy=False)
-            logits = h
-            n = logits.shape[1]
-            idx_n = np.arange(n)[None, :]
-
-            # cross-entropy along the class axis, per slice == F.cross_entropy
-            shifted = logits - logits.max(axis=2, keepdims=True)
-            logsumexp = np.log(np.exp(shifted).sum(axis=2, keepdims=True))
-            shifted -= logsumexp  # shifted is fresh: reuse it as log_probs
-            log_probs = shifted
-            losses = -log_probs[arange_k, idx_n, y3]
-            loss_vals = losses.mean(axis=1).tolist()
-            correct = (logits.argmax(axis=2) == y3).sum(axis=1).tolist()
-            for k, ct in enumerate(group):
-                ct.total_loss += loss_vals[k] * n
+                    saved.append(h)
+                    h = F._linear_fw(h, W[op[1]], W[op[2]])
+                else:
+                    h, mask = F._relu_fw(h)
+                    saved.append(mask)
+            loss, log_probs, picked = F._cross_entropy_fw(h, y)
+            n = h.shape[1]
+            for ct, loss_k, correct_k in zip(
+                group, loss.tolist(), F._correct_count(h, y).tolist()
+            ):
+                ct.total_loss += loss_k * n
                 ct.samples += n
-                ct.correct += correct[k]
+                ct.correct += correct_k
                 ct.batches_run += 1
 
-            # backward + SGD, walking the plan top-down; dx through a layer
-            # is taken before that layer's weights step (autograd computes
-            # every grad before optimizer.step touches anything)
-            grad = np.exp(log_probs)
-            grad[arange_k, idx_n, y3] -= 1.0
-            grad /= n
-            for op, act in zip(reversed(self.plan), reversed(acts)):
+            # backward + SGD, walking the plan top-down: a layer's three
+            # gradients are taken before its parameters step (autograd computes
+            # every grad before optimizer.step touches anything), and the
+            # first layer's input takes none
+            grad = F._cross_entropy_bw(log_probs, picked)
+            for i in reversed(range(len(self.plan))):
+                op = self.plan[i]
                 if op[0] == "relu":
-                    # grad is always fresh here (exp output or matmul
-                    # result), so masking in place is bitwise-safe
-                    np.multiply(grad, act, out=grad)
-                else:
-                    wkey, bkey = op[1], op[2]
-                    if grad.shape[1] == 1:
-                        # single-sample step: the weight grad is a rank-1
-                        # outer product — one multiply per element, bitwise
-                        # equal to the dgemm result, without the per-slice
-                        # batched-matmul dispatch overhead
-                        g_w = self._take(
-                            W[wkey].shape, np.result_type(grad, act)
-                        )
-                        borrowed.append(g_w)
-                        np.multiply(
-                            grad[:, 0, :, None], act[:, 0, None, :], out=g_w
-                        )
-                    else:
-                        g_w = np.matmul(
-                            act.transpose(0, 2, 1), grad
-                        ).transpose(0, 2, 1)
-                    g_b = grad.sum(axis=1)
-                    grad = np.matmul(grad, W[wkey])
-                    self._sgd(W, bufs, wkey, g_w, lr, momentum, wd)
-                    self._sgd(W, bufs, bkey, g_b, lr, momentum, wd)
+                    grad = F._relu_bw(grad, saved[i])
+                    continue
+                w, b = W[op[1]], W[op[2]]
+                g_x, g_w, g_b = F._linear_bw(saved[i], w, b, grad, need_gx=i > 0)
+                SGD._update(w, g_w, opt_state[op[1]], lr, momentum, algo.weight_decay)
+                SGD._update(b, g_b, opt_state[op[2]], lr, momentum, algo.weight_decay)
+                grad = g_x
 
-        for arr in borrowed:
-            self._give(arr)
         algo_state = algo.export_client_state()
         for k, ct in enumerate(group):
             stats = {
@@ -357,12 +278,7 @@ class FusedTurnRunner:
                 "stats": stats,
                 "version": ct.version,
             }
-            if self.persistent is None:
-                model_state = OrderedDict((key, W[key][k]) for key in self.state_keys)
-            elif self.persistent:
-                model_state = OrderedDict((key, W[key][k]) for key in self.persistent)
-            else:
-                model_state = OrderedDict()
+            model_state = OrderedDict((key, W[key][k]) for key in self.persistent)
             if ct.snapshot is not None:
                 fault_rng = ct.snapshot.fault_rng
                 turns = ct.snapshot.turns
@@ -383,40 +299,3 @@ class FusedTurnRunner:
                 turns=turns + 1,
             )
             outcomes[id(ct)] = (result, snapshot)
-
-    def _sgd(
-        self,
-        W: Dict[str, np.ndarray],
-        bufs: Dict[str, np.ndarray],
-        key: str,
-        g: np.ndarray,
-        lr: float,
-        momentum: float,
-        wd: float,
-    ) -> None:
-        """One stacked parameter step == :class:`repro.nn.optim.SGD` (the
-        base ``configure_optimizer``: dampening 0, nesterov off)."""
-        if wd:
-            g = g + wd * W[key]
-        if momentum:
-            buf = bufs.get(key)
-            if buf is None:
-                # g is always fresh here (grad matmul/outer-product output,
-                # or the wd sum above) — adopt it as the buffer instead of
-                # cloning; callers never reuse g after this step
-                buf = g if g.dtype == W[key].dtype else g.astype(W[key].dtype)
-                bufs[key] = buf
-            else:
-                buf *= momentum
-                buf += g
-            # W -= lr * buf, with the product staged in recycled scratch
-            tmp = self._take(buf.shape, buf.dtype)
-            np.multiply(buf, lr, out=tmp)
-            W[key] -= tmp
-            self._give(tmp)
-        else:
-            # g is fresh in this path (raw grad or the wd sum above), so
-            # scaling it in place is safe; the momentum buffer must never
-            # take this shortcut
-            g *= lr
-            W[key] -= g

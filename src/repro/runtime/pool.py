@@ -69,14 +69,6 @@ class PoolTicket:
     def done(self) -> bool:
         return self._event.is_set()
 
-    def cancel(self) -> bool:
-        """Future-API compat; pooled turns always run.  For determinism: which
-        turns are still queued when a run drains depends on thread timing,
-        and a turn that never runs does not advance its client's loader
-        stream, which a dedicated actor always does — cancelling would make
-        pooled records differ from dedicated ones, and from run to run."""
-        return False
-
     def _wait(self, timeout: Optional[float]) -> None:
         self._pool._demand(self)
         if not self._event.wait(timeout):
@@ -106,7 +98,15 @@ class PoolTicket:
 
 
 class ClientPool(ClientRuntime):
-    """``num_clients`` logical clients scheduled onto a turn broker."""
+    """``num_clients`` logical clients scheduled onto a turn broker.
+
+    *Drain.*  A turn still in flight when a run ends is trained and its
+    client's loader stream advanced, never cancelled (the scheduler's
+    ``drain`` waits each one out).  Which turns are still queued at that
+    moment is thread timing, and a dedicated actor always runs its turn, so
+    dropping one would make pooled records differ from dedicated ones, and
+    from run to run.
+    """
 
     pooled = True
 

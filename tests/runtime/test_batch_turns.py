@@ -6,9 +6,8 @@ records, same final state as per-turn execution, for every scheduling
 policy — fusion may only change how fast results arrive.  These tests pin
 that contract (and that fusion actually engaged, so the identity is not
 vacuously comparing the fallback to itself), the downgrade on brokers that
-cannot batch, the pump's batch-accumulation behavior, the scratch pool,
-and the ``materialize_batches`` fast path's equivalence to the DataLoader
-it replaces.
+cannot batch, the pump's batch-accumulation behavior, and that
+``materialize_batches`` hands the runner the DataLoader's own batches.
 """
 
 import dataclasses
@@ -22,7 +21,6 @@ from repro.data.dataset import ArrayDataset
 from repro.engine.client_state import ClientStateStore
 from repro.experiment import Experiment, ExperimentSpec
 from repro.runtime.broker import TurnBroker
-from repro.runtime.fused import ScratchPool
 from repro.runtime.pool import ClientPool
 
 _WALL_FIELDS = ("wall_seconds",)
@@ -246,31 +244,6 @@ def test_redis_broker_with_batch_turns_matches_fused_memory_broker():
 
 
 # --------------------------------------------------------------------------
-# scratch pool
-# --------------------------------------------------------------------------
-def test_scratch_pool_recycles_exact_shape_and_dtype():
-    pool = ScratchPool(cap_bytes=1 << 20)
-    a = pool.take((8, 8), np.float64)
-    assert a.shape == (8, 8) and a.dtype == np.float64
-    pool.give(a)
-    assert pool.take((8, 8), np.float64) is a  # recycled
-    assert pool.take((8, 8), np.float32) is not a  # dtype keyed
-
-
-def test_scratch_pool_refuses_views_and_respects_cap():
-    pool = ScratchPool(cap_bytes=100)
-    backing = np.zeros((4, 4))
-    pool.give(backing[0])  # a view: must not be recycled
-    assert pool._bytes == 0
-    big = np.zeros(1000)
-    pool.give(big)  # over cap: dropped
-    assert pool.take((1000,), np.float64) is not big
-    small = np.zeros(10)
-    pool.give(small)
-    assert pool.take((10,), np.float64) is small
-
-
-# --------------------------------------------------------------------------
 # materialize_batches == DataLoader, batches and rng consumption both
 # --------------------------------------------------------------------------
 def loader_batches(dataset, batch_size, rng, epochs, cap=None):
@@ -301,3 +274,27 @@ def test_materialize_batches_matches_dataloader(n, cap):
     # identical rng consumption: the next draw agrees (an epoch's shuffle is
     # drawn in full even when the cap truncates the epoch)
     assert rng_a.random() == rng_b.random()
+
+
+# --------------------------------------------------------------------------
+# the runner stacks and calls; it computes nothing itself
+# --------------------------------------------------------------------------
+def test_fused_runner_carries_no_arithmetic_of_its_own():
+    # forward, backward and the optimizer step live in nn/ and are called on
+    # the stacks; a matmul, exp, log, where or ``@`` in fused.py is a second
+    # copy of a kernel growing back
+    import ast
+
+    tree = ast.parse(open(fused_mod.__file__, encoding="utf8").read())
+    banned = {"matmul", "exp", "log", "where"}
+    found = [
+        f"line {node.lineno}: np.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in banned
+        and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+    ] + [
+        f"line {node.lineno}: @"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ]
+    assert not found, found
