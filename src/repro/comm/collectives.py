@@ -128,7 +128,7 @@ class CollectiveGroup:
         self.barrier()
         result = self._slots[src]
         self.barrier()
-        if n > 1:
+        if n > 1 and rank in (src, 0):  # the only ranks that use the size
             size = int(nbytes) if nbytes is not None else _sizeof(obj if rank == src else result)
             if rank == src:
                 self._add_bytes(rank, size * int(math.ceil(math.log2(n))))

@@ -280,7 +280,7 @@ class GrpcCommunicator(Communicator):
             last_exc: Optional[Exception] = None
             while time.monotonic() < deadline:
                 try:
-                    self._channel = make_channel(self.transport_kind, self._address.replace("grpc-inproc://", "grpc-inproc://") if self.transport_kind == "inproc" else self._address)
+                    self._channel = make_channel(self.transport_kind, self._address)
                     return self._channel
                 except (ConnectionError, OSError) as exc:
                     last_exc = exc

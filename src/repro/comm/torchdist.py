@@ -10,6 +10,7 @@ genuine collective algorithms (ring all-reduce etc.), making this the fast
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from typing import Any, Dict, List, Mapping, Optional, Tuple
@@ -19,7 +20,7 @@ import numpy as np
 from repro.comm.base import Communicator
 from repro.comm.collectives import CollectiveGroup, _sizeof
 from repro.comm.network import NetworkModel
-from repro.nn.serialization import state_dict_to_vector, vector_to_state_dict
+from repro.nn.serialization import is_float, state_dict_to_vector, vector_to_state_dict
 from repro.utils.timer import SimClock
 
 __all__ = ["TorchDistCommunicator", "reset_rendezvous"]
@@ -80,8 +81,6 @@ class TorchDistCommunicator(Communicator):
         stats mirror the same formulas so `comm_summary` can attribute
         simulated seconds to link classes.
         """
-        import math
-
         n = self.world_size
         if n <= 1 or nbytes <= 0:
             return 0.0
@@ -142,7 +141,7 @@ class TorchDistCommunicator(Communicator):
         reduced = self.allreduce(vec, op)
         out = vector_to_state_dict(reduced, spec)
         for k, v in state.items():  # carry integer buffers through untouched
-            if not np.issubdtype(np.asarray(v).dtype, np.floating):
+            if not is_float(v):
                 out[k] = np.array(v, copy=True)
         return out
 

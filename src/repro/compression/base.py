@@ -9,7 +9,9 @@ import numpy as np
 
 from repro.utils.registry import Registry
 
-__all__ = ["CompressedPayload", "Compressor", "IdentityCompressor", "COMPRESSORS", "build_compressor"]
+__all__ = [
+    "CompressedPayload", "Compressor", "IdentityCompressor", "COMPRESSORS", "build_compressor", "largest_k",
+]
 
 COMPRESSORS: Registry["Compressor"] = Registry("compressor")
 
@@ -81,6 +83,32 @@ class Compressor:
         if arr.size == 0:
             raise ValueError("cannot compress an empty vector")
         return arr
+
+
+def largest_k(magnitudes: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` largest entries of a 1-D float vector, in no
+    particular order (``1 <= k <= magnitudes.size``).
+
+    ``np.argpartition`` falls off a cliff on zero-heavy input: an average of
+    already-sparsified deltas is ~80 % exact zeros, and numpy 2.4's
+    introselect takes 20-40x longer on it than on a dense vector of the same
+    length (occasionally from 40 % zeros, usually from 60 %).  So when at
+    least half the entries are zero only the non-zero support is partitioned,
+    and that answer stands only when it is the unique top-k set — exactly
+    ``k`` entries reach the smallest selected value.  Ties at that value,
+    NaNs, ``nnz <= k`` and dense input all take the plain full-vector call,
+    so callers get the set that call returns, always.
+    """
+    n = magnitudes.size
+    nonzero = magnitudes != 0
+    nnz = np.count_nonzero(nonzero)
+    if k < nnz <= n // 2:
+        support = np.flatnonzero(nonzero)
+        candidates = magnitudes[support]
+        top = np.argpartition(candidates, nnz - k)[nnz - k :]
+        if np.count_nonzero(magnitudes >= candidates[top].min()) == k:
+            return support[top]
+    return np.argpartition(magnitudes, n - k)[n - k :]
 
 
 @COMPRESSORS.register("identity", "none")

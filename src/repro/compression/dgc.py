@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import COMPRESSORS, CompressedPayload, Compressor
+from repro.compression.base import COMPRESSORS, CompressedPayload, Compressor, largest_k
 
 __all__ = ["DGC"]
 
@@ -58,8 +58,7 @@ class DGC(Compressor):
             idx = np.array([int(np.argmax(magnitudes))])
         # hierarchical re-selection if the estimate overshot badly (DGC's trick)
         if idx.size > 2 * target_k:
-            sub = np.argpartition(magnitudes[idx], idx.size - target_k)[idx.size - target_k :]
-            idx = idx[sub]
+            idx = idx[largest_k(magnitudes[idx], target_k)]
         return CompressedPayload(
             {"indices": idx.astype(np.uint32), "values": flat[idx]},
             {"n": int(n), "k": int(idx.size), "threshold": float(threshold)},

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import COMPRESSORS, CompressedPayload, Compressor
+from repro.compression.base import COMPRESSORS, CompressedPayload, Compressor, largest_k
 
 __all__ = ["RedSync"]
 
@@ -54,8 +54,7 @@ class RedSync(Compressor):
             if idx.size == 0:
                 idx = np.array([int(np.argmax(mags))])
             if idx.size > 2 * target_k:  # final trim
-                sub = np.argpartition(mags[idx], idx.size - target_k)[idx.size - target_k :]
-                idx = idx[sub]
+                idx = idx[largest_k(mags[idx], target_k)]
         return CompressedPayload(
             {"indices": idx.astype(np.uint32), "values": flat[idx]},
             {"n": int(n), "k": int(idx.size)},

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from repro.compression.base import COMPRESSORS, CompressedPayload, Compressor
+from repro.compression.base import COMPRESSORS, CompressedPayload, Compressor, largest_k
 
 __all__ = ["SIDCo"]
 
@@ -52,10 +52,9 @@ class SIDCo(Compressor):
         if idx.size < max(1, target_k // 2):
             # model mismatch over-sparsified; fall back to exact selection
             # (SIDCo's fitting-error correction stage)
-            idx = np.argpartition(mags, n - target_k)[n - target_k :]
+            idx = largest_k(mags, target_k)
         elif idx.size > 2 * target_k:
-            sub = np.argpartition(mags[idx], idx.size - target_k)[idx.size - target_k :]
-            idx = idx[sub]
+            idx = idx[largest_k(mags[idx], target_k)]
         return CompressedPayload(
             {"indices": idx.astype(np.uint32), "values": flat[idx]},
             {"n": int(n), "k": int(idx.size), "threshold": float(threshold)},

@@ -1,7 +1,12 @@
 """TopK sparsification (Shi et al. 2019): keep the k largest-magnitude entries.
 
 ``ratio`` follows the paper's notation: ratio 1000 ("1000x") keeps n/1000
-entries.  Selection uses ``argpartition`` (O(n)) rather than a full sort.
+entries.  Selection is O(n) (:func:`~repro.compression.base.largest_k`),
+never a full sort.  The selection rule: when the k largest magnitudes form a
+unique set, that set is the payload; when they do not (ties at the k-th
+value) the payload is whatever ``np.argpartition(|x|, n - k)[n - k:]``
+picks.  The *order* of indices inside a payload is unspecified and nothing
+may depend on it — ``decompress`` and every consumer scatter by index.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.compression.base import COMPRESSORS, CompressedPayload, Compressor
+from repro.compression.base import COMPRESSORS, CompressedPayload, Compressor, largest_k
 
 __all__ = ["TopK"]
 
@@ -38,7 +43,7 @@ class TopK(Compressor):
         if k >= flat.size:
             idx = np.arange(flat.size, dtype=np.uint32)
         else:
-            idx = np.argpartition(np.abs(flat), flat.size - k)[flat.size - k :].astype(np.uint32)
+            idx = largest_k(np.abs(flat), k).astype(np.uint32)
         return CompressedPayload(
             {"indices": idx, "values": flat[idx]},
             {"n": int(flat.size), "k": int(k)},

@@ -14,13 +14,13 @@ updates before they leave the node.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.comm.factory import build_communicator
 from repro.engine.actor import ThreadActor, wait_all
-from repro.engine.metrics import MetricsCollector, RoundRecord, StopRun
+from repro.engine.metrics import MetricsCollector, NodeStats, RoundRecord, StopRun
 from repro.runtime import Broker, ClientPool, ClientRuntime, DedicatedRuntime, broker_class
 from repro.nn.serialization import state_average
 from repro.node.node import Node
@@ -76,6 +76,8 @@ class Engine:
         self._last_losses: Dict[int, float] = {}
         self._bytes_seen = 0
         self._sim_comm_seen = 0.0
+        #: key tuples shared by every round's per-node stats (see NodeStats)
+        self._stat_keys: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
         node_specs = topology.specs()
         n_trainers = topology.trainer_count()
@@ -294,7 +296,9 @@ class Engine:
         losses, accs, weights = [], [], []
         record.per_node = per_node = {}
         for node, res in zip(self.nodes, results):
-            per_node[node.name] = {k: v for k, v in res.items() if isinstance(v, (int, float))}
+            per_node[node.name] = NodeStats(
+                {k: v for k, v in res.items() if isinstance(v, (int, float))}, self._stat_keys
+            )
             if res.get("participated") and "loss" in res:
                 losses.append(res["loss"] * res.get("samples", 1.0))
                 accs.append(res["accuracy"] * res.get("samples", 1.0))

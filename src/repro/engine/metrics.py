@@ -14,16 +14,17 @@ from __future__ import annotations
 
 import numbers
 import statistics
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.utils.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.callbacks import Callback
 
-__all__ = ["RoundRecord", "MetricsCollector", "StopRun"]
+__all__ = ["RoundRecord", "MetricsCollector", "NodeStats", "StopRun"]
 
 _LOG = get_logger("metrics")
 
@@ -65,6 +66,41 @@ class _NoEntries(Mapping):
 
 
 _NO_ENTRIES = _NoEntries()
+
+
+class NodeStats(Mapping):
+    """One node's numeric stats for one round, as a read-only
+    ``Mapping[str, float]``.
+
+    The rounds loop keeps one per node per round for as long as the history
+    lives, so it holds neither a dict nor boxed numbers: the key tuple is
+    shared with every other ``NodeStats`` built through the same ``interned``
+    table and the values are packed doubles.  A bool or int stat therefore
+    reads back as the float ``to_payload`` would make of it (``True`` → 1.0).
+    """
+
+    __slots__ = ("_keys", "_values")
+
+    def __init__(self, stats: Mapping[str, float],
+                 interned: Dict[Tuple[str, ...], Tuple[str, ...]]) -> None:
+        keys = tuple(stats)
+        self._keys = interned.setdefault(keys, keys)
+        self._values = array("d", stats.values())
+
+    def __getitem__(self, key: str) -> float:
+        try:
+            return self._values[self._keys.index(key)]
+        except ValueError:
+            raise KeyError(key) from None
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 @dataclass(slots=True)

@@ -8,13 +8,15 @@ Pack/unpack are exact inverses (property-tested).
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "StateSpec",
+    "is_float",
     "state_dict_to_vector",
     "vector_to_state_dict",
     "spec_of",
@@ -28,6 +30,14 @@ __all__ = [
 ]
 
 StateDict = "OrderedDict[str, np.ndarray]"
+_FLOAT32 = np.dtype(np.float32)
+
+
+def is_float(arr: Any) -> bool:
+    """Whether ``arr`` holds floating-point numbers: the entries FL arithmetic
+    (averaging, deltas, compression, DP) applies to.  Integer buffers such as
+    BatchNorm's step counter are carried, never mixed."""
+    return np.asarray(arr).dtype.kind == "f"
 
 
 class StateSpec:
@@ -35,7 +45,7 @@ class StateSpec:
 
     def __init__(self, entries: Sequence[Tuple[str, Tuple[int, ...], np.dtype]]) -> None:
         self.entries = list(entries)
-        self.total = int(sum(int(np.prod(shape)) for _, shape, _ in self.entries))
+        self.total = int(sum(math.prod(shape) for _, shape, _ in self.entries))
 
     @property
     def keys(self) -> List[str]:
@@ -74,9 +84,9 @@ def vector_to_state_dict(vector: np.ndarray, spec: StateSpec) -> "OrderedDict[st
     out: "OrderedDict[str, np.ndarray]" = OrderedDict()
     offset = 0
     for key, shape, dtype in spec.entries:
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         chunk = vector[offset : offset + size].reshape(shape)
-        out[key] = chunk.astype(dtype, copy=True) if np.dtype(dtype) != np.float32 else chunk.copy()
+        out[key] = chunk.astype(dtype, copy=True) if dtype != _FLOAT32 else chunk.copy()
         offset += size
     return out
 
@@ -93,7 +103,7 @@ def state_add(a: Mapping[str, np.ndarray], b: Mapping[str, np.ndarray]) -> "Orde
     """Elementwise ``a + b``; integer buffers are carried from ``a`` unchanged."""
     out: "OrderedDict[str, np.ndarray]" = OrderedDict()
     for k, v in a.items():
-        if np.issubdtype(v.dtype, np.floating):
+        if is_float(v):
             out[k] = v + b[k]
         else:
             out[k] = v.copy()
@@ -103,7 +113,7 @@ def state_add(a: Mapping[str, np.ndarray], b: Mapping[str, np.ndarray]) -> "Orde
 def state_sub(a: Mapping[str, np.ndarray], b: Mapping[str, np.ndarray]) -> "OrderedDict[str, np.ndarray]":
     out: "OrderedDict[str, np.ndarray]" = OrderedDict()
     for k, v in a.items():
-        if np.issubdtype(v.dtype, np.floating):
+        if is_float(v):
             out[k] = v - b[k]
         else:
             out[k] = v.copy()
@@ -113,7 +123,7 @@ def state_sub(a: Mapping[str, np.ndarray], b: Mapping[str, np.ndarray]) -> "Orde
 def state_scale(state: Mapping[str, np.ndarray], factor: float) -> "OrderedDict[str, np.ndarray]":
     out: "OrderedDict[str, np.ndarray]" = OrderedDict()
     for k, v in state.items():
-        if np.issubdtype(v.dtype, np.floating):
+        if is_float(v):
             out[k] = v * factor
         else:
             out[k] = v.copy()
@@ -142,7 +152,7 @@ def state_average(
     out: "OrderedDict[str, np.ndarray]" = OrderedDict()
     first = states[0]
     for k, v in first.items():
-        if np.issubdtype(v.dtype, np.floating):
+        if is_float(v):
             acc = np.zeros_like(v, dtype=np.float64)
             for s, w in zip(states, norm):
                 acc += np.asarray(s[k], dtype=np.float64) * w
@@ -156,6 +166,6 @@ def state_norm(state: Mapping[str, np.ndarray]) -> float:
     """Global L2 norm over the floating entries."""
     total = 0.0
     for v in state.values():
-        if np.issubdtype(v.dtype, np.floating):
+        if is_float(v):
             total += float(np.sum(np.asarray(v, dtype=np.float64) ** 2))
     return float(np.sqrt(total))

@@ -10,12 +10,13 @@ out-of-band knowledge, whatever keys the algorithm chose to upload.
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import lru_cache
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.compression.base import CompressedPayload, Compressor
-from repro.nn.serialization import StateSpec, state_dict_to_vector, vector_to_state_dict
+from repro.nn.serialization import StateSpec, is_float, state_dict_to_vector, vector_to_state_dict
 from repro.privacy.dp import DifferentialPrivacy
 
 __all__ = ["encode_update", "decode_update"]
@@ -24,7 +25,13 @@ _PREFIX = "__czip__."
 
 
 def _float_keys(state: Dict[str, np.ndarray]) -> List[str]:
-    return [k for k, v in state.items() if np.issubdtype(np.asarray(v).dtype, np.floating)]
+    return [k for k, v in state.items() if is_float(v)]
+
+
+@lru_cache(maxsize=None)
+def _dtype_name(dtype: np.dtype) -> str:
+    # ``dtype.name`` is rebuilt on every read; a run meets a handful of dtypes
+    return np.dtype(dtype).name
 
 
 def encode_update(
@@ -75,7 +82,7 @@ def encode_update(
             "compressed": True,
             "comp_meta": dict(payload.meta),
             "original_bytes": int(payload.original_bytes),
-            "spec": [[k, list(shape), np.dtype(dt).name] for k, shape, dt in spec.entries],
+            "spec": [[k, list(shape), _dtype_name(dt)] for k, shape, dt in spec.entries],
         }
     )
     return wire, extra
@@ -86,8 +93,14 @@ def decode_update(
     meta: Dict[str, Any],
     compressor: Optional[Compressor] = None,
     reference: Optional[Dict[str, np.ndarray]] = None,
+    reference_vectors: Optional[Dict[Tuple[str, ...], np.ndarray]] = None,
 ) -> Dict[str, np.ndarray]:
-    """Inverse of :func:`encode_update` (DP noise is, of course, not removed)."""
+    """Inverse of :func:`encode_update` (DP noise is, of course, not removed).
+
+    A caller decoding many entries against one ``reference`` passes the same
+    (initially empty) ``reference_vectors`` dict with each call, and the
+    reference is flattened once per distinct key set instead of once per entry.
+    """
     if not meta.get("compressed"):
         return dict(wire_state)
     if compressor is None:
@@ -99,8 +112,11 @@ def decode_update(
     if meta.get("delta_coded"):
         if reference is None:
             raise ValueError("delta-coded update needs the reference global state to decode")
-        ref_vec, _ = state_dict_to_vector(reference, spec.keys)
-        vec = vec + ref_vec
+        cache = {} if reference_vectors is None else reference_vectors
+        keys = tuple(spec.keys)
+        if keys not in cache:
+            cache[keys], _ = state_dict_to_vector(reference, keys)
+        vec = vec + cache[keys]
     out = OrderedDict(vector_to_state_dict(vec, spec))
     for k, v in wire_state.items():
         if not k.startswith(_PREFIX):

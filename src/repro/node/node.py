@@ -401,10 +401,12 @@ class Node:
         reference: Optional[Dict[str, np.ndarray]] = None,
     ) -> List[Dict[str, Any]]:
         out = []
+        reference_vectors: Dict[Tuple[str, ...], np.ndarray] = {}  # one flatten for all entries
         with self.tracer.span("codec.decode", cat="codec", node=self.name,
                               entries=len(entries)):
             for e in entries:
-                state = decode_update(e["state"], e.get("meta", {}), compressor, reference)
+                state = decode_update(e["state"], e.get("meta", {}), compressor, reference,
+                                      reference_vectors)
                 out.append({"rank": e["rank"], "state": state, "meta": e.get("meta", {})})
         return out
 

@@ -26,6 +26,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.nn.serialization import is_float
+
 __all__ = [
     "ROBUST_AGGREGATORS",
     "Krum",
@@ -37,10 +39,6 @@ __all__ = [
 ]
 
 State = Dict[str, np.ndarray]
-
-
-def _is_float(arr: np.ndarray) -> bool:
-    return np.issubdtype(np.asarray(arr).dtype, np.floating)
 
 
 def _normalized(weights: Sequence[float], n: int) -> np.ndarray:
@@ -78,7 +76,7 @@ class RobustAggregator:
             raise ValueError(f"{self.name}: no states to combine")
         out: State = {}
         carrier = base if base is not None else states[0]
-        float_keys = [k for k in states[0] if _is_float(states[0][k])]
+        float_keys = [k for k in states[0] if is_float(states[0][k])]
         combined = self._combine_float(states, weights, float_keys, base)
         for key in states[0]:
             if key in combined:

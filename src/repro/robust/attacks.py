@@ -23,6 +23,8 @@ from typing import Any, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
+from repro.nn.serialization import is_float
+
 __all__ = [
     "ATTACKS",
     "Attack",
@@ -60,10 +62,6 @@ class Attack:
 
     def describe(self) -> Dict[str, Any]:
         return {"kind": self.kind}
-
-
-def _is_float(arr: np.ndarray) -> bool:
-    return np.issubdtype(np.asarray(arr).dtype, np.floating)
 
 
 class LabelFlipAttack(Attack):
@@ -146,7 +144,7 @@ class SignFlipAttack(Attack):
         out = {}
         for key, value in update.items():
             arr = np.asarray(value)
-            if not _is_float(arr):
+            if not is_float(arr):
                 out[key] = value
                 continue
             if reference is not None and key in reference:
@@ -173,7 +171,7 @@ class ScaledUpdateAttack(Attack):
         out = {}
         for key, value in update.items():
             arr = np.asarray(value)
-            if not _is_float(arr):
+            if not is_float(arr):
                 out[key] = value
                 continue
             if reference is not None and key in reference:

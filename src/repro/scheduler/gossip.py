@@ -43,6 +43,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.nn.serialization import clone_state, is_float, state_average
 from repro.scheduler.base import SCHEDULERS, Scheduler
 from repro.scheduler.events import PendingUpdate
 from repro.scheduler.heterogeneity import HeterogeneityModel
@@ -58,10 +59,6 @@ _TRAIN_TIMEOUT = 600.0
 
 _SELECTION_MODES = ("all", "random_k", "pairwise")
 _MIXING_MODES = ("topology", "metropolis_hastings")
-
-
-def _is_float(arr: np.ndarray) -> bool:
-    return np.issubdtype(np.asarray(arr).dtype, np.floating)
 
 
 @SCHEDULERS.register("gossip_async", "gossip", "ad_psgd")
@@ -266,8 +263,6 @@ class GossipScheduler(Scheduler):
         """Mixing-weighted (stationary-distribution) average of the peer
         ledger — what repeated gossip averaging converges to."""
         assert self.peer_states and self._pi is not None
-        from repro.nn.serialization import state_average  # cycle guard
-
         return state_average(
             [self.peer_states[p] for p in self.peers],
             [float(self._pi[p]) for p in self.peers],
@@ -276,7 +271,7 @@ class GossipScheduler(Scheduler):
     def consensus_distance(self) -> float:
         """RMS distance of peer models from the consensus average."""
         assert self.peer_states and self._pi is not None
-        keys = [k for k, v in self.peer_states[self.peers[0]].items() if _is_float(v)]
+        keys = [k for k, v in self.peer_states[self.peers[0]].items() if is_float(v)]
         vecs = np.stack(
             [
                 np.concatenate(
@@ -293,8 +288,6 @@ class GossipScheduler(Scheduler):
         if self.peer_states:
             return
         assert self.engine is not None
-        from repro.nn.serialization import clone_state  # cycle guard
-
         for p in self.peers:
             state = dict(self.engine.nodes[self._node_pos[p]].model.state_dict())
             self.peer_states[p] = clone_state(state)
@@ -433,7 +426,7 @@ class GossipScheduler(Scheduler):
                 mixed = {}
                 for key, v in state.items():
                     arr = np.asarray(v)
-                    if _is_float(arr):
+                    if is_float(arr):
                         acc = self_weight * arr.astype(np.float64)
                         for neighbor_state, weight in entries:
                             acc = acc + weight * np.asarray(neighbor_state[key], dtype=np.float64)

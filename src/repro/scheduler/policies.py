@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.nn.serialization import clone_state
+from repro.nn.serialization import clone_state, is_float
 from repro.scheduler.base import SCHEDULERS, Scheduler
 from repro.scheduler.events import PendingUpdate
 from repro.utils.logging import get_logger
@@ -67,7 +67,7 @@ def _float_delta(
     delta: Dict[str, np.ndarray] = {}
     for key, c in state.items():
         b = base.get(key)
-        if b is not None and np.issubdtype(np.asarray(b).dtype, np.floating):
+        if b is not None and is_float(b):
             delta[key] = np.asarray(c) - b
     return delta
 

@@ -150,3 +150,40 @@ def test_allreduce_equals_numpy_sum_property(world, size, seed):
     expected = np.sum(data, axis=0)
     for out in results:
         assert np.allclose(out, expected, atol=1e-4)
+
+
+# ---------------------------------------------------- accounting is pinned
+def _codec_entry(rank, k=37, n=370):
+    """What ``gather_states`` moves for one top-k compressed upload."""
+    rng = np.random.default_rng(rank)
+    return {
+        "rank": rank,
+        "state": {
+            "steps": np.asarray(5, dtype=np.int64),
+            "__czip__.indices": rng.choice(n, size=k, replace=False).astype(np.uint32),
+            "__czip__.values": rng.standard_normal(k).astype(np.float32),
+        },
+        "meta": {"num_samples": 8, "compressed": True, "delta_coded": True,
+                 "comp_meta": {"n": n, "k": k}, "original_bytes": 4 * n,
+                 "spec": [["w", [10, 36], "float32"], ["b", [10], "float32"]]},
+    }
+
+
+def test_broadcast_and_gather_accounting_is_pinned():
+    """Bytes per rank and simulated seconds of a 4-rank exchange, to the last
+    bit, as measured at the commit before ``broadcast`` stopped sizing the
+    payload on ranks that never use the number: whoever sizes it, every
+    accounted byte and second stays."""
+    clock = SimClock()
+    group = CollectiveGroup(4, NetworkModel.from_preset("hpc_interconnect"), clock)
+    payload = {"w": np.zeros((10, 36), np.float32), "b": np.zeros(10, np.float32),
+               "steps": np.asarray(5)}
+    run_ranks(group, lambda r: group.broadcast(r, payload if r == 0 else None, src=0))
+    gathered = run_ranks(group, lambda r: group.gather(r, _codec_entry(r), dst=0))
+    assert [e["rank"] for e in gathered[0]] == [0, 1, 2, 3]
+    results = run_ranks(group, lambda r: group.broadcast(r, payload if r == 2 else None, src=2))
+    assert all(res is payload for res in results)
+    run_ranks(group, lambda r: group.gather(r, _codec_entry(r), dst=1))
+    assert [group.bytes_sent_by(r) for r in range(4)] == [3784, 712, 4496, 1424]
+    assert clock.snapshot() == {"broadcast": 8.030719999999999e-06, "gather": 6.01068e-06}
+    assert clock.total == 1.4041399999999999e-05

@@ -177,3 +177,70 @@ def test_gossip_still_fills_per_edge(fresh_port):
         assert sum(rec.per_edge.values()) == rec.bytes_sent
         assert len(rec.per_node) == 0
     _assert_own_dicts([rec for rec in history if rec.bytes_sent], "per_edge")
+
+
+# ------------------------------------------------- what a round leaves behind
+def test_rounds_history_retains_at_most_2600_bytes_per_round(fresh_port):
+    """``metrics.history`` is never trimmed, so what one round adds to it is
+    what a long run pays per round for ever: nine nodes' stats as dicts of
+    boxed floats came to 3.5 KB by this measure (freed when the records go);
+    packed behind ``NodeStats`` it is 2.2 KB."""
+    import gc
+    import tracemalloc
+
+    rounds = 200
+    outer = {"backend": "grpc", "master_port": fresh_port + 1000, "transport": "inproc"}
+    inner = {"backend": "torchdist", "master_port": fresh_port}
+    eng = Engine.from_spec(ExperimentSpec(
+        data=_DATA, train=_TRAIN, seed=0, topology="hierarchical",
+        topology_kwargs={"num_sites": 2, "clients_per_site": 3,
+                         "inner_comm": inner, "outer_comm": outer},
+        plugins={"compressor": "topk", "compressor_kwargs": {"ratio": 10}},
+    ))
+    try:
+        eng.run(rounds=2)  # whatever is built lazily is built before measuring
+        history = eng.metrics.history
+        tracemalloc.start()
+        try:
+            eng.run(rounds=rounds)
+            assert len(history) == rounds + 2 and len(history[-1].per_node) == 9
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del history[-rounds:]
+            gc.collect()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    finally:
+        eng.shutdown()
+    assert 0 < freed / rounds <= 2600
+
+
+def test_rounds_loop_per_node_stats_still_read_like_dicts(fresh_port):
+    history, eng = _history(fresh_port, topology="centralized", num_clients=3)
+    rec = history[-1]
+    trainer = next(n.name for n in eng.nodes if n.role.trains())
+    stats = rec.per_node[trainer]
+    plain = dict(stats)
+    assert type(plain) is dict and plain and all(type(v) is float for v in plain.values())
+    assert stats.get("participated") and stats.get("no_such_stat") is None
+    assert stats.get("no_such_stat", 2.5) == 2.5
+    assert "loss" in stats and "no_such_stat" not in stats
+    with pytest.raises(KeyError):
+        stats["no_such_stat"]
+    assert stats["loss"] == plain["loss"] and len(stats) == len(plain)
+    assert list(stats) == list(plain) and list(stats.items()) == list(plain.items())
+    assert stats == plain and plain == stats and stats != {**plain, "loss": -1.0}
+    assert rec.per_node == {name: dict(s) for name, s in rec.per_node.items()}
+    with pytest.raises(TypeError):
+        stats["loss"] = 0.0
+    # the key tuple is stored once, however many rounds and nodes share it
+    same_keys = [s for r in history for s in r.per_node.values() if list(s) == list(stats)]
+    assert len(same_keys) >= 6 and len({id(s._keys) for s in same_keys}) == 1
+    # through the payload and back, and through pickle
+    payload = rec.to_payload()
+    assert payload["per_node"] == {name: dict(s) for name, s in rec.per_node.items()}
+    assert all(type(s) is dict for s in payload["per_node"].values())
+    back = RoundRecord.from_payload(payload)
+    assert back.per_node == rec.per_node and back.to_payload() == payload
+    assert pickle.loads(pickle.dumps(rec)) == rec

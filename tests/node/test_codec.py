@@ -97,3 +97,39 @@ def test_spec_travels_in_meta(rng):
     _, meta = encode_update(state, comp)
     keys = [k for k, _, _ in meta["spec"]]
     assert keys == ["w", "b"]  # float entries only, order preserved
+
+
+def test_decode_entries_flattens_the_reference_once(rng, monkeypatch):
+    """An aggregator decodes every gathered entry against the same
+    round-start state; that state is flattened once per call, not per entry."""
+    from types import SimpleNamespace
+
+    from repro.node import codec as codec_mod
+    from repro.node.node import Node
+    from repro.telemetry.tracer import NOOP_TRACER
+
+    reference = make_state(rng)
+    comp = TopK(ratio=2)
+    entries, expected = [], []
+    for rank in range(5):
+        state = OrderedDict((k, v + rank if k != "steps" else v) for k, v in reference.items())
+        wire, meta = encode_update(state, comp, reference=reference)
+        assert meta["delta_coded"]
+        entries.append({"rank": rank, "state": wire, "meta": meta})
+        expected.append(decode_update(wire, meta, comp, reference=reference))
+
+    flattened = []
+    real = codec_mod.state_dict_to_vector
+
+    def counting(state, keys=None):
+        flattened.append(state)
+        return real(state, keys)
+
+    monkeypatch.setattr(codec_mod, "state_dict_to_vector", counting)
+    stub = SimpleNamespace(tracer=NOOP_TRACER, name="aggregator")
+    decoded = Node._decode_entries(stub, entries, comp, reference)
+    assert len(flattened) == 1 and flattened[0] is reference
+    assert [d["rank"] for d in decoded] == list(range(5))
+    for got, want in zip(decoded, expected):
+        assert list(got["state"]) == list(want)
+        assert all(got["state"][k].tobytes() == want[k].tobytes() for k in want)
