@@ -187,7 +187,7 @@ class Algorithm:
         return None if self.personalized_eval else []
 
     # ------------------------------------------------------------------
-    # turn fusion (opt-in ``batch_turns`` hot path)
+    # turn fusion (the memory broker engages it wherever these say it is exact)
     # ------------------------------------------------------------------
     #: hooks the fused runner reimplements as batched tensor ops; an
     #: algorithm that overrides ANY of them has custom per-turn math the

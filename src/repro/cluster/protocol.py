@@ -38,9 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Dict, Tuple
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import urlparse
 
 from repro.comm.wire import MAGIC, MESSAGE_KINDS, WireError, decode_message, encode_message
+from repro.runtime.broker import url_fields
 
 _KIND_NAMES = {code: name for name, code in MESSAGE_KINDS.items()}
 
@@ -111,15 +112,8 @@ def parse_cluster_url(url: str) -> ClusterUrl:
         )
     if parsed.scheme == "tcp" and parsed.port is None:
         raise ValueError(f"tcp address must be host:port, got {parsed.netloc!r}")
-    params = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
-    unknown = sorted(set(params) - set(_URL_PARAMS))
-    if unknown:
-        raise ValueError(
-            f"cluster URL {url!r}: unknown parameters {unknown} "
-            f"(known: {sorted(_URL_PARAMS)})"
-        )
-    fields = {_URL_PARAMS[k][0]: _URL_PARAMS[k][1](v) for k, v in params.items()}
-    return ClusterUrl(kind=parsed.scheme, address=parsed.netloc, **fields)
+    return ClusterUrl(kind=parsed.scheme, address=parsed.netloc,
+                      **url_fields(url, _URL_PARAMS))
 
 
 def encode_control(op: str, **meta: Any) -> bytes:

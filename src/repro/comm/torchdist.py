@@ -20,7 +20,6 @@ import numpy as np
 from repro.comm.base import Communicator
 from repro.comm.collectives import CollectiveGroup, _sizeof
 from repro.comm.network import NetworkModel
-from repro.nn.serialization import is_float, state_dict_to_vector, vector_to_state_dict
 from repro.utils.timer import SimClock
 
 __all__ = ["TorchDistCommunicator", "reset_rendezvous"]
@@ -133,16 +132,6 @@ class TorchDistCommunicator(Communicator):
             sent=self.group.bytes_sent_by(self.rank) - before,
             sim=self._sim_cost("allreduce", int(np.asarray(vector).nbytes)) if self.rank == 0 else 0.0,
         )
-        return out
-
-    def allreduce_state(self, state: Mapping[str, np.ndarray], op: str = "mean") -> Dict[str, np.ndarray]:
-        """Flatten -> ring all-reduce -> unflatten (whole-model aggregation)."""
-        vec, spec = state_dict_to_vector(state)
-        reduced = self.allreduce(vec, op)
-        out = vector_to_state_dict(reduced, spec)
-        for k, v in state.items():  # carry integer buffers through untouched
-            if not is_float(v):
-                out[k] = np.array(v, copy=True)
         return out
 
     def allgather(self, array: np.ndarray) -> List[np.ndarray]:

@@ -57,9 +57,6 @@ class ClientDataProvider:
                 self._indices = [np.asarray(s.indices, dtype=np.int64) for s in shards]
             return self._indices
 
-    def shard_size(self, client: int) -> int:
-        return len(self.indices()[int(client)])
-
     def view(self, client: int) -> Dataset:
         """Client ``client``'s training view (a Subset, or — under feature
         non-IID — a freshly spawned feature-shifted dataset).

@@ -166,7 +166,6 @@ class Engine:
                 num_clients=n_trainers,
                 broker=broker,
                 data_provider=self.data_provider,
-                batch_turns=spec.batch_turns,
             )
         else:
             for nspec in node_specs:

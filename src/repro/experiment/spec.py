@@ -97,15 +97,27 @@ def _check_keys(data: Any, known: Any, path: str) -> None:
         raise SpecError(f"{path}: unknown keys {sorted(unknown)} (known: {sorted(known)})")
 
 
+#: top-level keys that used to select something the program now works out
+#: itself, and what to do instead
+_REMOVED_KEYS = {
+    "mode": (
+        "the loop is derived, not set: name a scheduler for the async runtime "
+        "(a redis:// or tcp:// broker implies it), or none for synchronous rounds"
+    ),
+    "batch_turns": (
+        "turn fusion is automatic (a memory:// pool fuses every turn it can "
+        "prove bit-identical to per-turn execution): delete the key"
+    ),
+}
+
+
 def _check_top_level(data: Any, known: Any, path: str) -> None:
     """The gate for a whole spec or composed config from outside the program
     (a saved ``spec.yaml``, a ``RunResult`` archive, CLI overrides)."""
-    if isinstance(data, Mapping) and "mode" in data:
-        raise SpecError(
-            f"{path}: 'mode' was removed — the loop is derived, not set: name "
-            "a scheduler for the async runtime (a redis:// or tcp:// broker "
-            "implies it), or none for synchronous rounds"
-        )
+    if isinstance(data, Mapping):
+        for key, instead in _REMOVED_KEYS.items():
+            if key in data:
+                raise SpecError(f"{path}: {key!r} was removed — {instead}")
     _check_keys(data, known, path)
 
 
@@ -367,12 +379,6 @@ class ExperimentSpec:
     #: is a ``repro worker <url>`` process); see :mod:`repro.runtime.broker`
     #: for the scheme registry
     broker: str = "memory://"
-    #: opt-in hot path: fuse up to this many same-payload client turns into
-    #: one batched tensor pass where the algorithm/model allow (fedavg,
-    #: fedper shared trunk on MLPs); ineligible turns fall back to the exact
-    #: per-turn path, so results stay bit-identical either way.  null (the
-    #: default) keeps strictly per-turn execution
-    batch_turns: Optional[int] = None
     #: byzantine client roles (:class:`AttackSpec`): null runs an honest
     #: cohort; a mapping assigns ``attack.fraction`` of the clients the
     #: ``attack.kind`` behavior at the client-update seam
@@ -408,25 +414,24 @@ class ExperimentSpec:
             raise SpecError("num_clients must be >= 1 (or null)")
         if self.pool_size is not None and self.pool_size < 1:
             raise SpecError("pool_size must be >= 1 (or null)")
-        if self.batch_turns is not None and self.batch_turns < 1:
-            raise SpecError("batch_turns must be >= 1 (or null)")
         if self.broker is None:
             _freeze(self, "broker", "memory://")
         # scheme registry owns URL validation (ValueError names the
-        # registered schemes); imported lazily to keep spec import-light
+        # registered schemes, or the scheme's own parser the bad parameter);
+        # imported lazily to keep spec import-light
         from repro.runtime.broker import broker_class
 
         broker = broker_class(self.broker)
-        if broker.live:
-            self._check_live_rules(broker)
-
-    def _check_live_rules(self, broker: Any) -> None:
-        """What a live broker (real worker processes under wall-clock time)
-        rules out, plus its URL's liveness parameters."""
         try:
             broker.check_url(self.broker)
         except ValueError as exc:
             raise SpecError(str(exc)) from exc
+        if broker.live:
+            self._check_live_rules()
+
+    def _check_live_rules(self) -> None:
+        """What a live broker (real worker processes under wall-clock time)
+        rules out."""
         if self.faults.drop_prob > 0 or self.faults.straggler_prob > 0:
             raise SpecError(
                 "a live broker replaces the scripted fault model with real "
@@ -438,8 +443,6 @@ class ExperimentSpec:
                 "a live broker serves clients from the workers that join it, "
                 "not a sized pool; leave pool_size null"
             )
-        if self.batch_turns is not None:
-            raise SpecError("a live broker does not support batch_turns fusion")
 
     # -- dispatch ----------------------------------------------------------
     def pooled(self, trainer_count: Optional[int] = None) -> bool:
@@ -485,7 +488,6 @@ class ExperimentSpec:
             "num_clients": self.num_clients,
             "pool_size": self.pool_size,
             "broker": self.broker,
-            "batch_turns": self.batch_turns,
             "attack": asdict(self.attack) if is_dataclass(self.attack) else self.attack,
             "aggregation": (
                 asdict(self.aggregation) if is_dataclass(self.aggregation) else self.aggregation
@@ -604,9 +606,6 @@ class ExperimentSpec:
                 int(cfg["pool_size"]) if cfg.get("pool_size") is not None else None
             ),
             broker=str(cfg.get("broker") or "memory://"),
-            batch_turns=(
-                int(cfg["batch_turns"]) if cfg.get("batch_turns") is not None else None
-            ),
             attack=_plain(cfg.get("attack")) if cfg.get("attack") is not None else None,
             aggregation=(
                 _plain(cfg.get("aggregation")) if cfg.get("aggregation") is not None else None
@@ -623,7 +622,7 @@ _CONFIG_KEYS = frozenset({
     "global_rounds", "eval_every", "eval_max_batches",
     "client_fraction", "drop_prob", "straggler_prob", "straggler_delay",
     "selection", "selection_kwargs",
-    "seed", "total_updates", "num_clients", "pool_size", "broker", "batch_turns",
+    "seed", "total_updates", "num_clients", "pool_size", "broker",
     "attack", "aggregation", "mtd",
 })
 

@@ -38,8 +38,8 @@ class FederatedModel(Module):
         return [k for k in self.state_dict() if k.startswith(prefix)]
 
     def fused_plan(self) -> Optional[List[Tuple[str, ...]]]:
-        """Op-by-op description of ``forward`` for the fused turn runner
-        (``batch_turns``), or ``None`` when the architecture has no exact
+        """Op-by-op description of ``forward`` for the fused turn runner,
+        or ``None`` when the architecture has no exact
         batched mirror.  Each entry is ``("linear", weight_key, bias_key)``
         or ``("relu",)``, applied in order to the flattened input.  Models
         with ops the runner does not mirror (BatchNorm, convolutions) must

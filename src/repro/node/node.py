@@ -222,7 +222,7 @@ class Node:
             self.model.load_state_dict(restore, strict=False)
 
     def fusion_context(self) -> Optional[Dict[str, Any]]:
-        """What the fused turn runner (``batch_turns``) needs to mirror this
+        """What the fused turn runner needs to mirror this
         node's ``local_update`` as batched tensor ops — or ``None`` when the
         configuration rules exact fusion out (codec/DP plugins transform
         per-client updates; algorithms/models vet themselves via

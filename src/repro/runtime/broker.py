@@ -29,10 +29,13 @@ speak — the two halves of one transport live behind one registry key.
 from __future__ import annotations
 
 from importlib import import_module
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Type, Union
-from urllib.parse import urlparse
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Tuple, Type, Union,
+)
+from urllib.parse import parse_qs, urlparse
 
 from repro.engine.client_state import ClientStateStore, StateArena
+from repro.runtime.fused import FusedTurnRunner
 from repro.utils.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -44,6 +47,7 @@ __all__ = [
     "register_broker",
     "broker_scheme",
     "broker_class",
+    "url_fields",
     "Broker",
     "TurnBroker",
     "WorkerLink",
@@ -55,6 +59,11 @@ __all__ = [
 ]
 
 _LOG = get_logger("broker")
+
+#: decoded turn results a fusing ``memory://`` pool may hold unconsumed: its
+#: admission window is this many bytes of model states (see
+#: :meth:`MemoryBroker.default_window`)
+RESULT_BUDGET_BYTES = 32 << 20
 
 #: scheme -> broker class, or the path of the module that registers it when
 #: first asked for (a ``memory://`` run never imports the control plane);
@@ -120,6 +129,19 @@ def broker_class(url: str) -> Type["TurnBroker"]:
     return BROKER_SCHEMES[scheme]
 
 
+def url_fields(url: str, known: Mapping[str, Tuple[str, Callable[[str], Any]]]) -> Dict[str, Any]:
+    """A broker URL's query as ``{field: value}`` through its scheme's
+    ``{query key: (field, parser)}`` table; an unknown key is a
+    ``ValueError`` naming the known ones, never a silently kept default."""
+    params = {k: v[-1] for k, v in parse_qs(urlparse(url).query).items()}
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise ValueError(
+            f"broker URL {url!r}: unknown parameters {unknown} (known: {sorted(known)})"
+        )
+    return {known[k][0]: known[k][1](v) for k, v in params.items()}
+
+
 def Broker(url: str, **kwargs: Any) -> "TurnBroker":  # noqa: N802 - factory styled as a type
     """Build the broker for ``url`` (``ValueError`` on unknown schemes)."""
     return broker_class(url)(url, **kwargs)
@@ -144,12 +166,8 @@ class TurnBroker:
     #: True when those workers are live members under wall-clock time:
     #: schedulers then drop the simulated fault/latency model and consult
     #: :meth:`live_clients` before selection, and specs may not script
-    #: faults, size a pool or fuse turns
+    #: faults or size a pool
     live: bool = False
-    #: True when :meth:`execute_batch` can fuse several compatible turns
-    #: into one substrate dispatch (the pool downgrades ``batch_turns``
-    #: to per-turn execution otherwise)
-    supports_batching: bool = False
 
     #: where client snapshots live between turns (brokers may shard this
     #: behind the transport; the attribute always answers locally)
@@ -161,8 +179,8 @@ class TurnBroker:
     @classmethod
     def check_url(cls, url: str) -> None:
         """Validate scheme-specific URL parameters (``ValueError`` on a bad
-        one).  Specs call this at construction for live brokers, so a typo
-        fails before anything binds or spawns."""
+        one).  Specs call this at construction, so a typo fails before
+        anything binds or spawns."""
 
     @classmethod
     def worker_link(cls, url: str, worker_id: str) -> "WorkerLink":
@@ -195,11 +213,19 @@ class TurnBroker:
         """Dispatch one started ticket; must return without waiting."""
         raise NotImplementedError
 
+    def fusable(self, ticket: "PoolTicket") -> bool:
+        """Whether this turn may ride in an :meth:`execute_batch` with other
+        fusable turns.  The pool asks once per submitted ticket (after
+        :meth:`start`): a fusable turn waits for company until a consumer
+        blocks on a ticket or a window's worth is pending, anything else
+        dispatches eagerly through :meth:`execute`."""
+        return False
+
     def execute_batch(self, tickets: List["PoolTicket"]) -> None:
-        """Dispatch several started tickets as one fused unit.  Every
-        ticket must still be reported individually through
+        """Dispatch several started :meth:`fusable` tickets as one fused
+        unit.  Every ticket must still be reported individually through
         ``pool.turn_done`` with results bit-identical to per-turn
-        execution; brokers advertise support via ``supports_batching``."""
+        execution."""
         raise NotImplementedError(f"{type(self).__name__} does not batch turns")
 
     def deliver(self, ticket: "PoolTicket", result: Dict[str, Any]) -> None:
@@ -317,7 +343,6 @@ class MemoryBroker(TurnBroker):
     """
 
     distributed = False
-    supports_batching = True
 
     def __init__(
         self,
@@ -339,18 +364,23 @@ class MemoryBroker(TurnBroker):
         arena = StateArena(num_clients) if num_clients else None
         self.store = ClientStateStore(arena=arena)
         self._baseline: Optional[Dict[str, Any]] = None
+        # None when the configured algorithm/model/plugins rule fusion out
+        self._runner: Optional[FusedTurnRunner] = None
         self._inflight = 0
-        # id(node) -> FusedTurnRunner-or-None, built lazily per worker node
-        self._runners: Dict[int, Any] = {}
+
+    @classmethod
+    def check_url(cls, url: str) -> None:
+        url_fields(url, {})  # the in-process broker takes no parameters
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
-        """Capture the pristine first-turn state (once, from any worker —
-        all workers are built identically from the same seeded factories)."""
+        """Capture the pristine first-turn state and what fuses (once, from
+        any worker — all workers are built identically from the same seeded
+        factories)."""
         if self._baseline is None:
-            self._baseline = self._engine.actors[self._worker_pos[0]].call(
-                "pool_baseline", timeout=60
-            )
+            worker = self._engine.actors[self._worker_pos[0]]
+            self._baseline = worker.call("pool_baseline", timeout=60)
+            self._runner = FusedTurnRunner.build(worker.call("fusion_context", timeout=60))
 
     def shutdown(self) -> None:
         # worker actors belong to the engine; nothing broker-owned to stop
@@ -364,116 +394,100 @@ class MemoryBroker(TurnBroker):
     def capacity_free(self) -> bool:
         return bool(self._free)
 
+    def default_window(self) -> int:
+        """A configuration that fuses admits as many turns as fit the result
+        budget — the window exists to bound decoded results, so it counts
+        their bytes; one that does not keeps the pool-sized default."""
+        window = super().default_window()
+        if self._runner is not None:
+            nbytes = sum(a.nbytes for a in self._baseline["model"].values())
+            window = max(window, RESULT_BUDGET_BYTES // max(nbytes, 1))
+        return window
+
+    def fusable(self, ticket: "PoolTicket") -> bool:
+        return self._runner is not None and self._runner.turn_eligible(ticket)
+
     def execute(self, ticket: "PoolTicket") -> None:
-        if self._baseline is None:
-            self.start()
-        worker = self._free.pop()
-        self._inflight += 1
-        future = self._engine.actors[worker].submit_call(self._run_turn, ticket)
-        future.add_done_callback(
-            lambda f, t=ticket, w=worker: self._on_turn_done(t, w, f)
-        )
+        self._dispatch([ticket])
 
-    def _run_turn(self, node, ticket: "PoolTicket") -> Any:
-        """One turn on the worker's thread; the snapshot is stored even
-        when the turn failed (see :meth:`Node.run_client_turn`)."""
-        assert self._baseline is not None
-        value, error, snapshot = node.run_client_turn(
-            ticket.client, self.store.get(ticket.client), self.pool.data_view(ticket),
-            self._baseline, ticket.method, ticket.args, ticket.kwargs,
-        )
-        self.store.put(ticket.client, snapshot)
-        if error is not None:
-            raise error
-        return value
-
-    def _on_turn_done(self, ticket: "PoolTicket", worker: int, future) -> None:
-        def release() -> None:  # runs under the pool lock, before the pump
-            self._free.append(worker)
-            self._inflight -= 1
-
-        self.pool.turn_done(ticket, future.result() if future.exception() is None
-                            else None, future.exception(), release=release)
-
-    # -- batched dispatch ----------------------------------------------
     def execute_batch(self, tickets: List["PoolTicket"]) -> None:
-        """Run several compatible turns on ONE worker as a fused pass."""
+        """Run several fusable turns on ONE worker as a fused pass."""
+        self._dispatch(list(tickets))
+
+    def _dispatch(self, tickets: List["PoolTicket"]) -> None:
         if self._baseline is None:
             self.start()
         worker = self._free.pop()
         self._inflight += len(tickets)
-        future = self._engine.actors[worker].submit_call(self._run_batch, list(tickets))
-        future.add_done_callback(
-            lambda f, ts=tickets, w=worker: self._on_batch_done(ts, w, f)
-        )
+        self._engine.actors[worker].submit_call(self._serve, tickets, worker)
 
-    def _runner_for(self, node) -> Any:
-        """The node's fused-turn runner, or None when the configured
-        algorithm/model/plugins rule fusion out (cached per worker node)."""
-        runner = self._runners.get(id(node))
-        if runner is None and id(node) not in self._runners:
-            context = node.fusion_context()
-            if context is not None:
-                from repro.runtime.fused import FusedTurnRunner
-
-                runner = FusedTurnRunner(context)
-            self._runners[id(node)] = runner
-        return runner
-
-    def _run_batch(self, node, tickets: List["PoolTicket"]) -> None:
-        """Fused batch on the worker's thread; reports each ticket itself.
-
-        The fused attempt reads snapshots/payloads without consuming or
-        mutating any of them, so on *any* failure — runner ineligible for
-        these tickets, or an unexpected error mid-math — falling back to
-        the exact sequential per-turn path reproduces per-turn execution
-        bit-identically.
-        """
-        tracer = self._engine.tracer
-        assert self._baseline is not None
-        runner = self._runner_for(node)
-        if runner is not None and all(runner.turn_eligible(t) for t in tickets):
-            jobs = [(t, self.store.get(t.client), self.pool.data_view(t))
-                    for t in tickets]
-            try:
-                with tracer.span("pool.fused_batch", cat="pool",
-                                 clients=len(tickets)):
-                    outcomes = runner.run_batch(jobs, self._baseline)
-            except Exception:  # noqa: BLE001 - fall back to the exact path
-                _LOG.exception(
-                    "fused batch failed; re-running %d turns sequentially",
-                    len(tickets),
-                )
-                outcomes = None
-            if outcomes is not None:
-                done = []
-                for ticket, (result, snapshot) in zip(tickets, outcomes):
-                    self.store.put(ticket.client, snapshot)
-                    done.append((ticket, result, None))
-                self.pool.turns_done_batch(done)
-                return
-        for ticket in tickets:
-            try:
-                value = self._run_turn(node, ticket)
-                exc: Optional[BaseException] = None
-            except BaseException as err:  # noqa: BLE001 - per-turn semantics
-                value, exc = None, err
-            self.pool.turn_done(ticket, value, exc)
-
-    def _on_batch_done(self, tickets: List["PoolTicket"], worker: int, future) -> None:
-        exc = future.exception()
-        if exc is not None:
-            # _run_batch reports per ticket; getting here means the batch
-            # machinery itself died — fail whatever was not yet reported
-            for ticket in tickets:
-                if not ticket.done():
-                    self.pool.turn_done(ticket, None, exc)
+    def _serve(self, node, tickets: List["PoolTicket"], worker: int) -> None:
+        """One dispatch on the worker's thread: run it, report every ticket,
+        hand the worker back.  Reporting happens here and not in a done
+        callback on the future: a callback attached after a fast turn has
+        already finished runs inline on the attaching thread — the
+        dispatching one, inside the pool lock ``turn_done`` takes."""
 
         def release() -> None:  # runs under the pool lock, before the pump
             self._free.append(worker)
             self._inflight -= len(tickets)
 
+        if len(tickets) == 1:
+            self.pool.turn_done(tickets[0], *self._attempt(node, tickets[0]), release=release)
+            return
+        try:
+            self._run_batch(node, tickets)
+        except BaseException as exc:  # noqa: BLE001 - delivered through the tickets
+            # _run_batch reports per ticket; getting here means the batch
+            # machinery itself died — fail whatever was not yet reported
+            for ticket in tickets:
+                if not ticket.done():
+                    self.pool.turn_done(ticket, None, exc)
         self.pool.release_capacity(release)
+
+    def _attempt(self, node, ticket: "PoolTicket") -> Tuple[Any, Optional[BaseException]]:
+        """One turn as ``(value, error)`` — whatever went wrong, the ticket
+        carries it to the consumer.  The snapshot is stored even when the
+        method raised (see :meth:`Node.run_client_turn`)."""
+        assert self._baseline is not None
+        try:
+            value, error, snapshot = node.run_client_turn(
+                ticket.client, self.store.get(ticket.client), self.pool.data_view(ticket),
+                self._baseline, ticket.method, ticket.args, ticket.kwargs,
+            )
+            self.store.put(ticket.client, snapshot)
+        except BaseException as exc:  # noqa: BLE001 - swap or store failure
+            return None, exc
+        return value, error
+
+    def _run_batch(self, node, tickets: List["PoolTicket"]) -> None:
+        """A fused batch; reports each ticket itself.
+
+        The fused attempt reads snapshots/payloads without consuming or
+        mutating any of them, so on an unexpected error mid-math, falling
+        back to the exact sequential per-turn path reproduces per-turn
+        execution bit-identically.
+        """
+        assert self._baseline is not None and self._runner is not None
+        jobs = [(t, self.store.get(t.client), self.pool.data_view(t))
+                for t in tickets]
+        try:
+            with self._engine.tracer.span("pool.fused_batch", cat="pool",
+                                          clients=len(tickets)):
+                outcomes = self._runner.run_batch(jobs, self._baseline)
+        except Exception:  # noqa: BLE001 - fall back to the exact path
+            _LOG.exception(
+                "fused batch failed; re-running %d turns sequentially",
+                len(tickets),
+            )
+            for ticket in tickets:
+                self.pool.turn_done(ticket, *self._attempt(node, ticket))
+            return
+        done = []
+        for ticket, (result, snapshot) in zip(tickets, outcomes):
+            self.store.put(ticket.client, snapshot)
+            done.append((ticket, result, None))
+        self.pool.turns_done_batch(done)
 
     # -- introspection -------------------------------------------------
     def queue_depth(self) -> int:

@@ -1,5 +1,5 @@
 """Fused client turns: several pooled ``local_update`` calls as one stacked
-tensor pass (the opt-in ``batch_turns`` hot path).
+tensor pass, engaged by the ``memory://`` broker wherever it is exact.
 
 At bench scale the per-turn cost is dominated by fixed overheads — tape
 construction, per-layer dispatch, state-dict plumbing — on tiny matmuls.
@@ -23,9 +23,9 @@ only for configurations where the identity can be proven —
 * per ticket, :meth:`turn_eligible` checks the payload covers every model
   key not persisted per-client (so batched init needs no worker model).
 
-Anything failing a check falls back to the exact sequential path in
-:class:`~repro.runtime.broker.MemoryBroker`, so ``batch_turns`` can never
-change results — only how fast they arrive.
+Anything failing a check runs the exact per-turn path in
+:class:`~repro.runtime.broker.MemoryBroker`, so fusion can never change
+results — only how fast they arrive.
 """
 
 from __future__ import annotations
@@ -70,10 +70,12 @@ class _ClientTurn:
 class FusedTurnRunner:
     """Runs batches of compatible ``local_update`` turns as stacked math.
 
-    Built from :meth:`Node.fusion_context`; one instance per worker node
-    (the broker caches it).  ``run_batch`` never mutates the snapshots or
-    the payload it is given — a failure at any point leaves the sequential
-    fallback an untouched starting state.
+    Built once per broker from a worker's :meth:`Node.fusion_context`
+    (:meth:`build`) and shared by every worker thread: ``run_batch`` keeps
+    no state between calls and never mutates the snapshots or the payload
+    it is given — a failure at any point leaves the sequential fallback an
+    untouched starting state.  ``turn_eligible`` is called under the pool
+    lock only.
     """
 
     def __init__(self, context: Dict[str, Any]) -> None:
@@ -85,23 +87,33 @@ class FusedTurnRunner:
         self.algo = context["algorithm"]
         self.seed = int(context["seed"])
         self.batch_size = int(context["batch_size"])
-        plan_params = {k for op in self.plan if op[0] == "linear" for k in op[1:]}
-        cap = self.algo.max_batches_per_epoch
-        # every model entry must be a planned parameter: an unplanned entry
-        # (a buffer) would train differently than the autograd path; and a
-        # zero cap trains nothing yet still draws each epoch's shuffle, which
-        # materialize_batches does not do
-        self._static_ok = plan_params == set(self.state_keys) and (cap is None or cap > 0)
         # payload-coverage verdict, cached per payload object (payload
         # identity is stable per dispatch version via the scheduler cache;
         # the strong reference also keeps id() from being recycled)
         self._coverage: Optional[Tuple[Any, bool]] = None
 
+    @classmethod
+    def build(cls, context: Optional[Dict[str, Any]]) -> Optional["FusedTurnRunner"]:
+        """The runner for a node's fusion context, or ``None`` when the
+        configuration does not fuse: the node ruled it out (``context`` is
+        ``None``), a model entry is not a planned parameter (a buffer would
+        train differently than on the autograd path), or the batch cap is
+        zero (that trains nothing yet still draws each epoch's shuffle,
+        which ``materialize_batches`` does not do)."""
+        if context is None:
+            return None
+        runner = cls(context)
+        plan_params = {k for op in runner.plan if op[0] == "linear" for k in op[1:]}
+        cap = runner.algo.max_batches_per_epoch
+        if plan_params != set(runner.state_keys) or (cap is not None and cap <= 0):
+            return None
+        return runner
+
     # ------------------------------------------------------------------
     def turn_eligible(self, ticket) -> bool:
-        """Cheap per-ticket gate (called on the dispatch path)."""
-        if not self._static_ok:
-            return False
+        """Cheap per-ticket gate (called on the submit path): a training
+        turn in the scheduler's call shape whose payload covers every model
+        key the client does not keep itself."""
         if ticket.method != "local_update" or ticket.kwargs or len(ticket.args) != 3:
             return False
         payload = ticket.args[0]

@@ -16,7 +16,9 @@ members for ``tcp://``).  The pool owns everything transport-independent:
 
 The broker owns dispatch: ``capacity_free()`` gates the pump and
 ``execute(ticket)`` moves a turn onto the substrate; completions come back
-through :meth:`ClientPool.turn_done`.
+through :meth:`ClientPool.turn_done`.  The broker also says which turns it
+can fuse (``fusable(ticket)``): those wait until somebody needs one, then
+every startable one goes out together through ``execute_batch``.
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ class PoolTicket:
         self.args = args
         self.kwargs = kwargs
         self.needs_data = needs_data
+        #: the broker's verdict (:meth:`TurnBroker.fusable`), set on submit
+        self.fusable = False
         self.demanded = False
         self.started = False
         self._event = threading.Event()
@@ -120,7 +124,6 @@ class ClientPool(ClientRuntime):
         broker: "TurnBroker",
         data_provider,
         window: Optional[int] = None,
-        batch_turns: Optional[int] = None,
     ) -> None:
         self._engine = engine
         self.num_clients = int(num_clients)
@@ -142,23 +145,8 @@ class ClientPool(ClientRuntime):
         self._seq = itertools.count()
         # started-but-unconsumed turns admitted without demand: bounds how
         # many decoded results can pile up while the event queue waits
-        self._window = int(window) if window is not None else broker.default_window()
-        # opt-in turn fusion: gather up to _batch compatible head turns per
-        # dispatch so the broker can run them as one batched tensor pass
-        self._batch = max(1, int(batch_turns or 1))
-        if self._batch > 1 and not getattr(broker, "supports_batching", False):
-            _LOG.warning(
-                "broker %r does not support batch_turns; running per-turn",
-                broker.scheme,
-            )
-            self._batch = 1
-        if self._batch > 1 and window is None:
-            # batches admit several turns at once; widen the default window
-            # so fused dispatch is not starved down to singleton batches by
-            # out-of-order consumption pinning _unconsumed near the bound
-            # (4x keeps a few batches in flight without admitting the whole
-            # cohort's results at once)
-            self._window = max(self._window, 4 * self._batch)
+        # (None: the broker's default, asked once it has started)
+        self._window = int(window) if window is not None else None
         self._unconsumed = 0
         self._stopped = False
         self._started = False
@@ -189,6 +177,8 @@ class ClientPool(ClientRuntime):
         """Bring up the broker substrate (idempotent)."""
         if not self._started:
             self.broker.start()
+            if self._window is None:
+                self._window = self.broker.default_window()
             self._started = True
 
     def data_view(self, ticket: PoolTicket):
@@ -210,6 +200,7 @@ class ClientPool(ClientRuntime):
             queue = self._queues.get(ticket.client)
             if queue is None:
                 queue = self._queues[ticket.client] = deque()
+            ticket.fusable = self.broker.fusable(ticket)
             queue.append(ticket)
             self._n_pending += 1
             if len(queue) == 1 and ticket.client not in self._busy_clients:
@@ -402,43 +393,38 @@ class ClientPool(ClientRuntime):
     def _pump_locked(self) -> None:
         """Hand startable turns to the broker (per-client FIFO, demand
         first): always a client's *head* turn, never while an earlier turn
-        of the same client is still running.  With ``batch_turns`` > 1,
-        each dispatch tries to gather more compatible head turns into one
-        batched execution."""
-        if (
-            self._batch > 1
-            and self._n_pending < self._batch
-            and not self._demand_ready
-        ):
-            # accumulating toward a full batch with nobody blocked: skip the
-            # pop/requeue walk entirely (one submit lands here per pending
-            # turn, so this gate is on the hot path)
-            return
+        of the same client is still running.  A turn the broker cannot fuse
+        starts as soon as it may; a fusable one waits for company."""
         while not self._stopped and self.broker.capacity_free():
             client = self._pop_startable_locked()
             if client is None:
                 return
-            if (
-                self._batch > 1
-                and self._n_pending < self._batch
-                and not self._queues[client][0].demanded
-            ):
-                # batch accumulation: nobody is blocked on this turn and a
-                # full batch has not queued up yet — leave it pending so a
-                # later pump (more submissions, or a demand) starts a fused
-                # batch instead of a singleton.  Every consumed turn is
-                # demanded on read, so deferred turns can never be stranded.
-                if client not in self._ready_set:
-                    self._ready_set.add(client)
-                    self._ready.append(client)
+            head = self._queues[client][0]
+            if not head.fusable:
+                self.broker.execute(self._start_ticket_locked(client))
+                continue
+            if not head.demanded and self._n_pending < self._window:
+                # nobody is blocked on this turn and less than a window's
+                # worth is waiting: leave it pending so a later pump (a
+                # demand, or more submissions) starts a fused batch instead
+                # of a singleton.  Every consumed turn is demanded on read,
+                # so deferred turns can never be stranded.
+                self._ready_set.add(client)
+                self._ready.appendleft(client)
                 return
-            seed = self._start_ticket_locked(client)
-            if self._batch > 1:
-                batch = self._gather_batch_locked(seed)
-                if len(batch) > 1:
-                    self.broker.execute_batch(batch)
-                    continue
-            self.broker.execute(seed)
+            batch = [self._start_ticket_locked(client)]
+            unfusable: List[int] = []
+            while (client := self._pop_startable_locked()) is not None:
+                if self._queues[client][0].fusable:
+                    batch.append(self._start_ticket_locked(client))
+                else:
+                    unfusable.append(client)
+            for client in unfusable:  # next iteration starts them per turn
+                self._mark_ready_locked(client)
+            if len(batch) > 1:
+                self.broker.execute_batch(batch)
+            else:
+                self.broker.execute(batch[0])
 
     def _start_ticket_locked(self, client: int) -> PoolTicket:
         """Pop ``client``'s head turn and account it as started."""
@@ -451,60 +437,6 @@ class ClientPool(ClientRuntime):
         self._busy_clients.add(client)
         self._unconsumed += 1
         return ticket
-
-    def _gather_batch_locked(self, seed: PoolTicket) -> List[PoolTicket]:
-        """Collect head turns batchable with ``seed`` (training turns of the
-        same call shape — payloads and versions may differ, the fused runner
-        groups by dispatch epoch internally) from the ready lanes, up to
-        ``batch_turns`` tickets.
-
-        Only training turns fuse; lane entries whose head is incompatible
-        are put back (order within the lane may rotate, which perturbs only
-        throughput — per-client FIFO and per-turn math are untouched).
-        Demanded turns may overflow the window by one batch so a blocked
-        consumer's batch is never starved down to a singleton."""
-        batch = [seed]
-        if seed.method != "local_update" or seed.kwargs or len(seed.args) != 3:
-            return batch
-
-        def compatible(t: PoolTicket) -> bool:
-            return (
-                t.method == "local_update"
-                and not t.kwargs
-                and len(t.args) == 3
-            )
-
-        overflow = self._window + self._batch
-        for lane, lane_set, bound in (
-            (self._demand_ready, self._demand_set, overflow),
-            (self._ready, self._ready_set,
-             overflow if seed.demanded else self._window),
-        ):
-            skipped: List[int] = []
-            while lane and len(batch) < self._batch and self._unconsumed < bound:
-                client = lane.popleft()
-                lane_set.discard(client)
-                if client in self._busy_clients:
-                    continue  # re-enters a lane via turn_done
-                queue = self._queues.get(client)
-                if not queue:
-                    continue
-                head = queue[0]
-                if lane is self._demand_ready and not head.demanded:
-                    # the demanded turn already ran; back to the plain lane
-                    if client not in self._ready_set:
-                        self._ready_set.add(client)
-                        self._ready.append(client)
-                    continue
-                if not compatible(head):
-                    skipped.append(client)
-                    continue
-                batch.append(self._start_ticket_locked(client))
-            for client in skipped:
-                if client not in lane_set:
-                    lane_set.add(client)
-                    lane.append(client)
-        return batch
 
     def _pop_startable_locked(self) -> Optional[int]:
         """Next client whose head turn may start, validating stale lane
@@ -524,7 +456,7 @@ class ClientPool(ClientRuntime):
                     self._ready.append(client)
                 continue
             return client
-        if self._unconsumed + self._batch <= self._window:
+        if self._unconsumed < self._window:
             while self._ready:
                 client = self._ready.popleft()
                 self._ready_set.discard(client)

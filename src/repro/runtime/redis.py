@@ -65,7 +65,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import urlparse
 
 from repro.runtime import serde
 from repro.runtime.broker import (
@@ -74,6 +74,7 @@ from repro.runtime.broker import (
     TurnBroker,
     WorkerLink,
     register_broker,
+    url_fields,
 )
 from repro.runtime.resp import RespClient, RespError
 from repro.utils.logging import get_logger
@@ -114,11 +115,24 @@ class RedisUrl:
         return base + "?" + "&".join(params)
 
 
+#: URL query key -> (RedisUrl field, parser)
+_URL_PARAMS = {
+    "workers": ("workers", int),
+    "lease": ("lease", float),
+    "claim": ("claim", float),
+    "hb": ("heartbeat", float),
+    "requeues": ("max_requeues", int),
+    "inflight": ("inflight", int),
+    "run": ("run", str),
+}
+
+
 def parse_redis_url(url: str) -> RedisUrl:
+    """The one parser for redis broker URLs (engine and worker side);
+    ``ValueError`` on an unknown key or a bad value."""
     parsed = urlparse(url)
     if parsed.scheme != "redis":
         raise ValueError(f"not a redis URL: {url!r}")
-    params = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
     path = (parsed.path or "").strip("/")
     out = RedisUrl(
         url=url,
@@ -126,13 +140,7 @@ def parse_redis_url(url: str) -> RedisUrl:
         port=parsed.port or 6379,
         db=int(path) if path else 0,
         password=parsed.password,
-        workers=int(params.get("workers", 0)),
-        lease=float(params.get("lease", 30.0)),
-        claim=float(params.get("claim", 10.0)),
-        heartbeat=float(params.get("hb", 1.0)),
-        max_requeues=int(params.get("requeues", 2)),
-        inflight=int(params.get("inflight", 256)),
-        run=params.get("run", ""),
+        **url_fields(url, _URL_PARAMS),
     )
     if out.lease <= 0 or out.claim <= 0 or out.heartbeat <= 0:
         raise ValueError(f"lease/claim/hb must be positive in {url!r}")
@@ -564,6 +572,10 @@ class RedisBroker(TurnBroker):
         info.update(namespace=self.cfg.namespace(), lease=self.cfg.lease,
                     inflight=self.cfg.inflight)
         return info
+
+    @classmethod
+    def check_url(cls, url: str) -> None:
+        parse_redis_url(url)
 
     @classmethod
     def worker_link(cls, url: str, worker_id: str) -> "RedisLink":

@@ -105,11 +105,6 @@ class RespClient:
     def ping(self) -> bool:
         return self.execute("PING") == b"PONG"
 
-    def blpop(self, key: Value, timeout: float) -> Optional[Tuple[bytes, bytes]]:
-        """Blocking left pop; None on timeout (redis returns nil)."""
-        reply = self.execute("BLPOP", key, timeout, timeout=timeout + 10.0)
-        return None if reply is None else (reply[0], reply[1])
-
     def brpop(self, key: Value, timeout: float) -> Optional[Tuple[bytes, bytes]]:
         reply = self.execute("BRPOP", key, timeout, timeout=timeout + 10.0)
         return None if reply is None else (reply[0], reply[1])

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.utils.registry import Registry
+
+if TYPE_CHECKING:  # pragma: no cover - networkx loads only when graph() is called
+    import networkx as nx
 
 __all__ = [
     "NodeRole",
@@ -95,8 +97,9 @@ class Topology:
     """Defines the node graph and coordination pattern.
 
     Subclasses implement :meth:`specs` (the participants) and
-    :meth:`graph` (who communicates with whom, as a networkx graph whose
-    nodes are the spec indices).  The engine consumes both.
+    :meth:`edges` (who communicates with whom, as pairs of spec indices).
+    The engine consumes both; :meth:`graph` offers the same structure as a
+    networkx graph to whoever wants one.
     """
 
     #: coordination pattern the engine should run: "server" (broadcast/
@@ -111,8 +114,20 @@ class Topology:
     def specs(self) -> List[NodeSpec]:
         raise NotImplementedError
 
-    def graph(self) -> "nx.Graph":
+    def edges(self) -> List[Tuple[int, int]]:
+        """Undirected communication links, each listed once."""
         raise NotImplementedError
+
+    def graph(self) -> "nx.Graph":
+        """The node/edge structure as a networkx graph.  networkx is
+        imported here, not at module level: it costs every engine and worker
+        process 11-13 MB of RSS and no run needs it."""
+        import networkx as nx
+
+        g = nx.Graph()
+        g.add_nodes_from(s.index for s in self.specs())
+        g.add_edges_from(self.edges())
+        return g
 
     @property
     def world_size(self) -> int:
@@ -130,8 +145,11 @@ class Topology:
     # ------------------------------------------------------------------
     def neighbor_map(self) -> Dict[int, List[int]]:
         """Adjacency as ``{node index: sorted neighbor indices}``."""
-        g = self.graph()
-        return {int(i): sorted(int(j) for j in g.neighbors(i)) for i in g.nodes}
+        adjacency: Dict[int, set] = {int(s.index): set() for s in self.specs()}
+        for u, v in self.edges():
+            adjacency[int(u)].add(int(v))
+            adjacency[int(v)].add(int(u))
+        return {i: sorted(peers) for i, peers in adjacency.items()}
 
     def mixing_matrix(self) -> np.ndarray:
         """Row-stochastic mixing matrix ``W`` (``W[i, j]`` = weight node
@@ -159,11 +177,11 @@ class Topology:
         """Symmetric doubly-stochastic mixing weights from the graph alone:
         ``w_uv = 1 / (1 + max(deg(u), deg(v)))``, self-loops absorb the
         remainder.  Safe for arbitrary degree skew."""
-        g = self.graph()
+        neighbors = self.neighbor_map()
         n = self.world_size
         w = np.zeros((n, n), dtype=np.float64)
-        for u, v in g.edges:
-            weight = 1.0 / (1.0 + max(g.degree(u), g.degree(v)))
+        for u, v in self.edges():
+            weight = 1.0 / (1.0 + max(len(neighbors[u]), len(neighbors[v])))
             w[int(u), int(v)] = weight
             w[int(v), int(u)] = weight
         for i in range(n):
@@ -182,10 +200,9 @@ class Topology:
 
     def describe(self) -> str:
         """One-line summary for logs."""
-        g = self.graph()
         return (
             f"{type(self).__name__}(nodes={self.world_size}, trainers={self.trainer_count()}, "
-            f"edges={g.number_of_edges()}, pattern={self.pattern})"
+            f"edges={len(self.edges())}, pattern={self.pattern})"
         )
 
     def validate(self) -> None:

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
-
-import networkx as nx
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.topology.base import GroupSpec, NodeRole, NodeSpec, TOPOLOGIES, Topology
 
@@ -60,6 +58,5 @@ class CentralizedTopology(Topology):
             self._specs = out
         return self._specs
 
-    def graph(self) -> "nx.Graph":
-        g = nx.star_graph(self.num_clients)  # node 0 is the hub
-        return g
+    def edges(self) -> List[Tuple[int, int]]:
+        return [(0, i) for i in range(1, self.num_clients + 1)]  # node 0 is the hub

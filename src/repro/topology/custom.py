@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.topology.base import GroupSpec, NodeRole, NodeSpec, TOPOLOGIES, Topology
 
 __all__ = ["CustomGraphTopology"]
@@ -41,36 +39,38 @@ class CustomGraphTopology(Topology):
         if num_clients < 2:
             raise ValueError("need at least 2 nodes")
         self.num_clients = num_clients
-        self.edges: List[Tuple[int, int]] = []
+        # node -> neighbors in listing order (an insertion-ordered set)
+        self._adjacency: Dict[int, Dict[int, None]] = {i: {} for i in range(num_clients)}
         for e in edges:
             u, v = int(e[0]), int(e[1])
             if not (0 <= u < num_clients and 0 <= v < num_clients):
                 raise ValueError(f"edge {e} references unknown node")
             if u == v:
                 raise ValueError("self-loops are implicit; do not list them")
-            self.edges.append((u, v))
-        g = self.graph()
-        if not nx.is_connected(g):
+            self._adjacency[u][v] = self._adjacency[v][u] = None
+        reached, frontier = {0}, [0]
+        while frontier:
+            fresh = set(self._adjacency[frontier.pop()]) - reached
+            reached |= fresh
+            frontier.extend(fresh)
+        if len(reached) < num_clients:
             raise ValueError("custom topology graph must be connected")
         self.inner_comm = dict(inner_comm or {"backend": "torchdist"})
         self._specs: Optional[List[NodeSpec]] = None
 
-    def graph(self) -> "nx.Graph":
-        g = nx.Graph()
-        g.add_nodes_from(range(self.num_clients))
-        g.add_edges_from(self.edges)
-        return g
+    def edges(self) -> List[Tuple[int, int]]:
+        return [(u, v) for u, peers in self._adjacency.items() for v in peers if u < v]
 
     def specs(self) -> List[NodeSpec]:
         if self._specs is None:
-            g = self.graph()
+            adjacency = self._adjacency
             n = self.num_clients
             out = []
             for i in range(n):
                 # Metropolis-Hastings mixing weights
                 mixing: Dict[int, float] = {}
-                for j in g.neighbors(i):
-                    mixing[j] = 1.0 / (1.0 + max(g.degree(i), g.degree(j)))
+                for j in adjacency[i]:
+                    mixing[j] = 1.0 / (1.0 + max(len(adjacency[i]), len(adjacency[j])))
                 mixing[i] = 1.0 - sum(mixing.values())
                 out.append(
                     NodeSpec(

@@ -13,11 +13,12 @@ partitioning composes with any site layout.
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, List, Optional, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.topology.base import GroupSpec, NodeRole, NodeSpec, SiteGroup, TOPOLOGIES, Topology
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 __all__ = ["HierarchicalTopology"]
 
@@ -120,16 +121,15 @@ class HierarchicalTopology(Topology):
             index += 1 + size
         return out
 
+    def edges(self) -> List[Tuple[int, int]]:
+        groups = self.site_groups()
+        return [(0, g.head) for g in groups] + [
+            (g.head, trainer) for g in groups for trainer in g.trainers
+        ]
+
     def graph(self) -> "nx.Graph":
-        g = nx.Graph()
-        specs = self.specs()
-        g.add_nodes_from(s.index for s in specs)
-        heads = [s for s in specs if s.role is NodeRole.RELAY]
-        for head in heads:
-            g.add_edge(0, head.index, link="outer")
-        for s in specs:
-            if s.role is NodeRole.TRAINER:
-                site = s.name.split("_")[0]
-                head = next(h for h in heads if h.name.startswith(site))
-                g.add_edge(head.index, s.index, link="inner")
+        """Links carry the protocol tier they run over (``link``)."""
+        g = super().graph()
+        for u, v in g.edges:
+            g.edges[u, v]["link"] = "outer" if u == 0 else "inner"
         return g

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
-
-import networkx as nx
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.topology.base import GroupSpec, NodeRole, NodeSpec, TOPOLOGIES, Topology
 
@@ -42,5 +40,6 @@ class PeerToPeerTopology(Topology):
             ]
         return self._specs
 
-    def graph(self) -> "nx.Graph":
-        return nx.complete_graph(self.num_clients)
+    def edges(self) -> List[Tuple[int, int]]:
+        n = self.num_clients
+        return [(i, j) for i in range(n) for j in range(i + 1, n)]

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
-
-import networkx as nx
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.topology.base import GroupSpec, NodeRole, NodeSpec, TOPOLOGIES, Topology
 
@@ -60,5 +58,6 @@ class RingTopology(Topology):
             self._specs = out
         return self._specs
 
-    def graph(self) -> "nx.Graph":
-        return nx.cycle_graph(self.num_clients)
+    def edges(self) -> List[Tuple[int, int]]:
+        n = self.num_clients
+        return [(i, (i + 1) % n) for i in range(n)]

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import logging
 import os
-from typing import Optional
 
 _CONFIGURED = False
 
@@ -33,8 +32,3 @@ def get_logger(name: str) -> logging.Logger:
         name = f"repro.{name}"
     return logging.getLogger(name)
 
-
-def set_level(level: str, logger: Optional[str] = None) -> None:
-    """Set the level of the ``repro`` logger tree (or a sub-logger)."""
-    get_logger("repro")  # ensure configured
-    logging.getLogger(logger or "repro").setLevel(level.upper())

@@ -78,8 +78,20 @@ def test_live_mode_forbids_pool():
 
 
 def test_live_mode_forbids_batch_turns():
-    with pytest.raises(SpecError, match="batch_turns"):
-        ExperimentSpec(broker=LIVE, batch_turns=4)
+    # the knob is gone on every broker: fusion is the broker's own call, so
+    # a key arriving from outside the program (saved spec, composed config,
+    # +batch_turns= on the CLI) is named and refused rather than ignored
+    for broker in (LIVE, "memory://"):
+        with pytest.raises(SpecError, match="'batch_turns' was removed.*automatic"):
+            ExperimentSpec.from_dict({"broker": broker, "batch_turns": 4})
+    with pytest.raises(SpecError, match="'batch_turns' was removed"):
+        ExperimentSpec.from_yaml("batch_turns: 4\n")
+    from repro.conf import builtin_store
+    from repro.config import compose
+
+    cfg = compose(builtin_store(), "experiment", overrides=["+batch_turns=4"])
+    with pytest.raises(SpecError, match="config: 'batch_turns' was removed"):
+        ExperimentSpec.from_config(cfg)
 
 
 def test_cluster_under_rounds_mode_rejected():

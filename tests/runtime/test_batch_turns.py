@@ -1,16 +1,21 @@
-"""``batch_turns``: fused multi-client turns must be invisible in results.
+"""Fused turns: the broker's choice to fuse must be invisible in results.
 
-The opt-in hot path stacks K compatible ``local_update`` turns into one
-batched tensor pass.  Its entire contract is *bitwise invisibility*: same
-records, same final state as per-turn execution, for every scheduling
-policy — fusion may only change how fast results arrive.  These tests pin
-that contract (and that fusion actually engaged, so the identity is not
-vacuously comparing the fallback to itself), the downgrade on brokers that
-cannot batch, the pump's batch-accumulation behavior, and that
+The ``memory://`` broker stacks every turn it can prove exact into one
+batched tensor pass — no option turns this on or sizes it.  Its entire
+contract is *bitwise invisibility*: same records, same final state as
+per-turn execution, for every scheduling policy — fusion may only change how
+fast results arrive.  These tests pin that contract against the same spec
+with ``MemoryBroker.fusable`` patched to ``False`` (and that fusion actually
+engaged, so the identity is not vacuously comparing the per-turn path to
+itself), that configurations which cannot fuse keep eager per-turn dispatch
+and the pool-sized window, the pump's defer-until-demand-or-window rule
+(by hand and under seeded random interleavings), and that
 ``materialize_batches`` hands the runner the DataLoader's own batches.
 """
 
 import dataclasses
+import random
+import threading
 
 import numpy as np
 import pytest
@@ -20,7 +25,8 @@ from repro.data.dataloader import DataLoader, materialize_batches
 from repro.data.dataset import ArrayDataset
 from repro.engine.client_state import ClientStateStore
 from repro.experiment import Experiment, ExperimentSpec
-from repro.runtime.broker import TurnBroker
+from repro.node.node import Node
+from repro.runtime.broker import MemoryBroker, TurnBroker
 from repro.runtime.pool import ClientPool
 
 _WALL_FIELDS = ("wall_seconds",)
@@ -36,12 +42,11 @@ POLICIES = {
 }
 
 
-def make_spec(policy, algorithm="fedavg", batch_turns=None):
-    return ExperimentSpec(
+def make_spec(policy, algorithm="fedavg", **overrides):
+    spec = ExperimentSpec(
         topology="centralized",
         num_clients=8,
         pool_size=4,
-        batch_turns=batch_turns,
         data={
             "dataset": "blobs",
             "kwargs": {"train_size": 256, "test_size": 64},
@@ -59,6 +64,7 @@ def make_spec(policy, algorithm="fedavg", batch_turns=None):
         total_updates=16,
         seed=0,
     )
+    return dataclasses.replace(spec, **overrides)
 
 
 def records_of(result):
@@ -79,65 +85,202 @@ def assert_identical(a, b):
                                       err_msg=key)
 
 
+@pytest.fixture
+def fused_batches(monkeypatch):
+    """Sizes of every batch the fused runner ran."""
+    sizes = []
+    orig = fused_mod.FusedTurnRunner.run_batch
+
+    def counting(self, jobs, baseline):
+        sizes.append(len(jobs))
+        return orig(self, jobs, baseline)
+
+    monkeypatch.setattr(fused_mod.FusedTurnRunner, "run_batch", counting)
+    return sizes
+
+
+def run_per_turn(spec, monkeypatch):
+    """The reference arm: the same spec with the broker refusing to fuse."""
+    with monkeypatch.context() as patch:
+        patch.setattr(MemoryBroker, "fusable", lambda self, ticket: False)
+        return Experiment(spec).run()
+
+
 # --------------------------------------------------------------------------
 # the contract: fused == per-turn, bit for bit, and fusion really ran
 # --------------------------------------------------------------------------
 @pytest.mark.parametrize("policy", ["sync", "fedasync", "fedbuff"])
-def test_batched_turns_bit_identical_to_per_turn(policy, monkeypatch):
-    fused_batches = []
-    orig = fused_mod.FusedTurnRunner.run_batch
-
-    def counting(self, jobs, baseline):
-        fused_batches.append(len(jobs))
-        return orig(self, jobs, baseline)
-
-    monkeypatch.setattr(fused_mod.FusedTurnRunner, "run_batch", counting)
-    plain = Experiment(make_spec(policy)).run()
-    assert fused_batches == []  # batch_turns off: the runner must stay cold
-    batched = Experiment(make_spec(policy, batch_turns=4)).run()
+def test_batched_turns_bit_identical_to_per_turn(policy, monkeypatch, fused_batches):
+    plain = run_per_turn(make_spec(policy), monkeypatch)
+    assert fused_batches == []  # nothing fusable: the runner must stay cold
+    batched = Experiment(make_spec(policy)).run()
     assert fused_batches and max(fused_batches) > 1, "fusion never engaged"
     assert_identical(batched, plain)
 
 
-def test_batched_turns_with_persistent_model_keys(monkeypatch):
+def test_batched_turns_with_persistent_model_keys(monkeypatch, fused_batches):
     # fedper keeps personalization layers per client: fused swap-out must
     # persist exactly those keys, and results must still match per-turn
-    fused_batches = []
-    orig = fused_mod.FusedTurnRunner.run_batch
-
-    def counting(self, jobs, baseline):
-        fused_batches.append(len(jobs))
-        return orig(self, jobs, baseline)
-
-    monkeypatch.setattr(fused_mod.FusedTurnRunner, "run_batch", counting)
-    plain = Experiment(make_spec("sync", algorithm="fedper")).run()
-    batched = Experiment(make_spec("sync", algorithm="fedper", batch_turns=4)).run()
+    plain = run_per_turn(make_spec("sync", algorithm="fedper"), monkeypatch)
+    batched = Experiment(make_spec("sync", algorithm="fedper")).run()
     assert fused_batches and max(fused_batches) > 1
     assert_identical(batched, plain)
 
 
-def test_fusion_ineligible_algorithm_falls_back_identically():
-    # scaffold carries per-client algo state, which rules fusion out; the
-    # run must silently take the sequential path and still match
-    plain = Experiment(make_spec("sync", algorithm="scaffold")).run()
-    batched = Experiment(
-        make_spec("sync", algorithm="scaffold", batch_turns=4)
-    ).run()
-    assert_identical(batched, plain)
+def test_fusion_ineligible_algorithm_falls_back_identically(monkeypatch, fused_batches):
+    # scaffold carries per-client algo state, which rules fusion out: the
+    # broker builds no runner, so patching ``fusable`` changes nothing
+    plain = run_per_turn(make_spec("sync", algorithm="scaffold"), monkeypatch)
+    unpatched = Experiment(make_spec("sync", algorithm="scaffold")).run()
+    assert fused_batches == []
+    assert_identical(unpatched, plain)
+
+
+def test_one_runner_serves_every_worker_thread(monkeypatch, fused_batches):
+    # the broker builds one runner from worker 0's context and every worker
+    # thread calls it; with the window squeezed to the pool-sized default a
+    # fused batch on one worker overlaps per-turn singletons (demanded past
+    # the full window) on the others, worker 0's own algorithm included
+    import sys
+
+    import repro.runtime.broker as broker_mod
+
+    spec = make_spec("fedbuff", num_clients=24, total_updates=72)
+    plain = run_per_turn(spec, monkeypatch)
+    monkeypatch.setattr(broker_mod, "RESULT_BUDGET_BYTES", 0)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        experiment = Experiment(spec)
+        squeezed = experiment.run()
+    finally:
+        sys.setswitchinterval(old)
+    assert experiment.engine.pool._window == 2 * 4
+    assert len(fused_batches) > 1 and max(fused_batches) > 1
+    assert_identical(squeezed, plain)
+
+
+@pytest.mark.parametrize("fuses", [True, False], ids=["fused", "per-turn"])
+def test_a_turn_that_finishes_before_dispatch_returns_cannot_deadlock(fuses, monkeypatch):
+    # dispatch runs under the pool lock.  A worker fast enough to finish
+    # before execute() returns must still report from its own thread: a
+    # Future done-callback attached after completion runs inline on the
+    # attaching thread, which would re-enter the lock it already holds.
+    # Stand in for "fast enough" by waiting, inside submit_call, for the turn.
+    from concurrent.futures import wait
+
+    from repro.engine.actor import ActorHandle
+
+    submit_call = ActorHandle.submit_call
+
+    def finished_first(self, fn, *args, **kwargs):
+        future = submit_call(self, fn, *args, **kwargs)
+        wait([future], timeout=0.05)
+        return future
+
+    monkeypatch.setattr(ActorHandle, "submit_call", finished_first)
+    if not fuses:
+        monkeypatch.setattr(MemoryBroker, "fusable", lambda self, ticket: False)
+    outcome = []
+    runner = threading.Thread(
+        target=lambda: outcome.append(Experiment(make_spec("fedasync")).run()), daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "the run deadlocked on the pool lock"
+    assert outcome and outcome[0].metrics.total_applied() == 16
+
+
+_RESNET = {
+    "data": {"dataset": "cifar10", "kwargs": {"train_size": 48, "test_size": 16},
+             "partition": "iid", "batch_size": 8},
+    "train": {"algorithm": "fedavg", "model": "resnet18", "global_rounds": 1,
+              "eval_every": 0,
+              "algorithm_kwargs": {"lr": 0.02, "local_epochs": 1,
+                                   "max_batches_per_epoch": 1}},
+    "num_clients": 3, "pool_size": 2, "total_updates": 3,
+}
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param(_RESNET, id="resnet18"),
+    pytest.param({"train": {**dataclasses.asdict(make_spec("sync").train),
+                            "algorithm": "scaffold"}}, id="scaffold"),
+    pytest.param({"plugins": {"compressor": "topk",
+                              "compressor_kwargs": {"ratio": 4}}}, id="codec"),
+    pytest.param({"attack": {"kind": "sign_flip", "fraction": 0.25}}, id="attacked"),
+])
+def test_configurations_that_do_not_fuse_keep_per_turn_dispatch(overrides, monkeypatch):
+    """No runner, no ``execute_batch``, the pool-sized window, and turns on
+    several workers at once: what ``memory://`` did before it could fuse."""
+    monkeypatch.setattr(MemoryBroker, "execute_batch", lambda self, tickets: pytest.fail(
+        "a configuration that cannot fuse reached execute_batch"))
+    # the first two turns rendezvous on their workers' threads: unless two
+    # are in flight together the barrier breaks and their tickets fail
+    rendezvous, arrivals = threading.Barrier(2, timeout=30), []
+    run_turn = Node.run_client_turn
+
+    def meeting(self, *args, **kwargs):
+        arrivals.append(None)
+        if len(arrivals) <= 2:
+            rendezvous.wait()
+        return run_turn(self, *args, **kwargs)
+
+    monkeypatch.setattr(Node, "run_client_turn", meeting)
+    # dispatch is eager: the first pool_size turns start inside submit(),
+    # before any consumer has blocked on a ticket
+    depth, eager = [0], []
+    submit, execute = ClientPool.submit, MemoryBroker.execute
+
+    def submitting(self, *args, **kwargs):
+        depth[0] += 1
+        try:
+            return submit(self, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def executing(self, ticket):
+        eager.append(depth[0] > 0 and not ticket.demanded)
+        return execute(self, ticket)
+
+    monkeypatch.setattr(ClientPool, "submit", submitting)
+    monkeypatch.setattr(MemoryBroker, "execute", executing)
+
+    experiment = Experiment(make_spec("sync", **overrides))
+    experiment.run()
+    pool = experiment.engine.pool
+    assert pool.broker._runner is None
+    assert pool._window == max(2 * pool.pool_size, 4) == TurnBroker.default_window(pool.broker)
+    assert len(eager) >= pool.pool_size and all(eager[:pool.pool_size])
+
+
+def test_a_fusing_configuration_sizes_its_window_in_bytes():
+    from repro.runtime.broker import RESULT_BUDGET_BYTES
+
+    experiment = Experiment(make_spec("sync"))
+    result = experiment.run()
+    pool = experiment.engine.pool
+    nbytes = sum(a.nbytes for a in result.final_state.values())
+    assert pool.broker._runner is not None
+    assert pool._window == RESULT_BUDGET_BYTES // nbytes > 2 * pool.pool_size
 
 
 # --------------------------------------------------------------------------
-# pool-side plumbing: downgrade and batch accumulation
+# pool-side plumbing: what defers, what fuses, what never does
 # --------------------------------------------------------------------------
 class StubBroker(TurnBroker):
-    scheme = "stub"
-    supports_batching = True
+    """Fuses training turns; a dispatch (single or batch) holds one of
+    ``capacity`` slots until the test finishes it."""
 
-    def __init__(self):
+    scheme = "stub"
+
+    def __init__(self, capacity=1_000_000):
         super().__init__("stub://")
         self.store = ClientStateStore()
         self.singles = []
         self.batches = []
+        self.running = []  # dispatches in flight: a list of tickets each
+        self.completions = {}  # ticket -> times reported done
+        self._capacity = capacity
 
     def start(self):
         pass
@@ -150,97 +293,183 @@ class StubBroker(TurnBroker):
         return 4
 
     def capacity_free(self):
-        return True
+        return len(self.running) < self._capacity
+
+    def fusable(self, ticket):
+        return ticket.method == "local_update"
 
     def execute(self, ticket):
         self.singles.append(ticket)
+        self.running.append([ticket])
 
     def execute_batch(self, tickets):
+        assert len(tickets) > 1 and all(self.fusable(t) for t in tickets)
         self.batches.append(list(tickets))
+        self.running.append(list(tickets))
+
+    def finish(self, dispatch):
+        """Complete one in-flight dispatch the way a real broker would."""
+        for ticket in dispatch:
+            self.completions[ticket] = self.completions.get(ticket, 0) + 1
+        release = lambda: self.running.remove(dispatch)  # noqa: E731
+        if len(dispatch) == 1:
+            self.pool.turn_done(dispatch[0], "ok", None, release=release)
+        else:
+            self.pool.turns_done_batch([(t, "ok", None) for t in dispatch])
+            self.pool.release_capacity(release)
 
     def queue_depth(self):
-        return 0
+        return len(self.running)
 
     def idle_workers(self):
-        return 4
+        return self._capacity - len(self.running)
 
 
-class NonBatchingStub(StubBroker):
-    supports_batching = False
+class NeverFuses(StubBroker):
+    fusable = TurnBroker.fusable  # the contract's default: False
+
+    def execute_batch(self, tickets):
+        raise AssertionError("a broker whose fusable() is False saw execute_batch")
 
 
-def test_batch_turns_downgrades_on_non_batching_broker():
-    import logging
+def make_pool(broker, window, num_clients=8):
+    pool = ClientPool(None, num_clients, broker, None, window=window)
+    pool.start()
+    return pool
 
-    records = []
 
-    class Capture(logging.Handler):
-        def emit(self, record):
-            records.append(record)
-
-    handler = Capture(level=logging.WARNING)
-    logger = logging.getLogger("repro.pool")
-    logger.addHandler(handler)  # the repro tree does not propagate to root
-    try:
-        pool = ClientPool(None, 4, NonBatchingStub(), None, batch_turns=4)
-    finally:
-        logger.removeHandler(handler)
-    assert pool._batch == 1
-    assert any("does not support batch_turns" in r.getMessage() for r in records)
+PAYLOAD = {"w": np.zeros(2)}
 
 
 def test_pump_accumulates_until_a_full_batch_or_a_demand():
     broker = StubBroker()
-    pool = ClientPool(None, 8, broker, None, batch_turns=3)
-    pool._started = True
-    payload = {"w": np.zeros(2)}
-    t0 = pool.submit(0, "local_update", payload, 0, 0)
-    t1 = pool.submit(1, "local_update", payload, 0, 0)
-    # two of three: nothing may dispatch yet
+    pool = make_pool(broker, window=3)
+    t0 = pool.submit(0, "local_update", PAYLOAD, 0, 0)
+    t1 = pool.submit(1, "local_update", PAYLOAD, 0, 0)
+    # two of a window of three, nobody waiting: nothing may dispatch yet
     assert broker.singles == [] and broker.batches == []
-    pool.submit(2, "local_update", payload, 0, 0)
-    # the third submission completes the batch: one fused dispatch of 3
-    assert broker.singles == []
-    assert [len(b) for b in broker.batches] == [3]
-    # a demanded turn must not wait for a full batch (a lone demanded turn
-    # dispatches as a plain single)
-    t3 = pool.submit(3, "local_update", payload, 0, 0)
-    assert broker.singles == [] and len(broker.batches) == 1  # accumulating
+    t2 = pool.submit(2, "local_update", PAYLOAD, 0, 0)
+    # a window's worth is pending: one fused dispatch of all three
+    assert broker.singles == [] and broker.batches == [[t0, t1, t2]]
+    broker.finish(broker.running[0])
+    assert [t.result(0) for t in (t0, t1, t2)] == ["ok"] * 3
+    # accumulation starts over; a demanded turn does not wait for company
+    # (a lone one dispatches as a plain single)
+    t3 = pool.submit(3, "local_update", PAYLOAD, 0, 0)
+    assert broker.singles == [] and len(broker.batches) == 1
     pool._demand(t3)
     assert broker.singles == [t3]
-    assert t0.started and t1.started and t3.started
+    # ...and takes every startable fusable head with it when there are some
+    t4 = pool.submit(4, "local_update", PAYLOAD, 0, 0)
+    t5 = pool.submit(5, "local_update", PAYLOAD, 0, 0)
+    assert len(broker.batches) == 1
+    pool._demand(t5)
+    assert broker.batches[1:] == [[t5, t4]]
+
+
+def test_broker_that_cannot_fuse_never_sees_execute_batch():
+    # what replaced the batch_turns downgrade warning: nothing to downgrade,
+    # every turn dispatches eagerly, alone, the moment it may start
+    broker = NeverFuses()
+    pool = make_pool(broker, window=8)
+    tickets = [pool.submit(c, "local_update", PAYLOAD, 0, 0) for c in range(5)]
+    assert broker.singles == tickets and all(not t.fusable for t in tickets)
 
 
 def test_incompatible_turns_never_fuse():
     broker = StubBroker()
-    pool = ClientPool(None, 8, broker, None, batch_turns=2)
-    pool._started = True
-    payload = {"w": np.zeros(2)}
-    pool.submit(0, "evaluate", None, 4)  # not a training turn
-    pool.submit(1, "local_update", payload, 0, 0)
-    pool.submit(2, "local_update", payload, 0, 0)
-    assert all(t.method == "evaluate" for t in broker.singles)
-    assert all(
-        all(t.method == "local_update" for t in batch) for batch in broker.batches
-    )
+    pool = make_pool(broker, window=8)
+    e0 = pool.submit(0, "evaluate", None, 4)  # not a training turn: eager
+    assert broker.singles == [e0]
+    t1 = pool.submit(1, "local_update", PAYLOAD, 0, 0)
+    e2 = pool.submit(2, "evaluate", None, 4)
+    t3 = pool.submit(3, "local_update", PAYLOAD, 0, 0)
+    # a demanded training turn gathers the other training head and leaves the
+    # evaluation between them to start on its own right after
+    pool._demand(t1)
+    assert broker.batches == [[t1, t3]]
+    assert broker.singles == [e0, e2]
 
 
-def test_redis_broker_with_batch_turns_matches_fused_memory_broker():
-    # the redis broker cannot batch: the pool downgrades to per-turn over
-    # worker processes, and the outcome must still match the memory
+def test_redis_broker_matches_fused_memory_broker(fused_batches):
+    # the redis broker cannot fuse (TurnBroker.fusable's default): per-turn
+    # over worker processes, and the outcome must still match the memory
     # broker's fused path bit for bit (the cross-broker identity the bench
     # records rely on)
     from repro.runtime.miniredis import MiniRedis
 
-    fused = Experiment(make_spec("fedasync", batch_turns=4)).run()
+    fused = Experiment(make_spec("fedasync")).run()
+    assert fused_batches and max(fused_batches) > 1
     with MiniRedis() as server:
-        spec = dataclasses.replace(
-            make_spec("fedasync", batch_turns=4),
-            broker=f"{server.url}?workers=2&lease=30",
-            pool_size=None,
-        )
-        over_redis = Experiment(spec).run()
+        over_redis = Experiment(make_spec(
+            "fedasync", broker=f"{server.url}?workers=2&lease=30", pool_size=None,
+        )).run()
     assert_identical(over_redis, fused)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_interleavings_keep_the_pool_invariants(seed):
+    """submit / demand / consume / abandon / turn_done / turns_done_batch in
+    a seeded random order: every ticket completes exactly once, turns
+    admitted without demand never hold more than a window of unconsumed
+    results, and nothing demanded stays pending while it could start."""
+    rng = random.Random(seed)
+    window, clients = rng.choice([1, 2, 4, 6]), rng.choice([3, 6, 12])
+    broker = StubBroker(capacity=rng.choice([1, 2, 3]))
+    pool = make_pool(broker, window=window, num_clients=clients)
+    tickets, undemanded_admits = [], set()
+    seen_started = set()
+
+    def note_admissions():
+        for dispatch in broker.running:
+            for t in dispatch:
+                if t not in seen_started:
+                    seen_started.add(t)
+                    if not t.demanded:
+                        undemanded_admits.add(t)
+
+    def check():
+        note_admissions()
+        assert all(n == 1 for n in broker.completions.values())
+        assert sum(1 for t in undemanded_admits if not t._consumed) <= window
+        if broker.capacity_free():
+            running = {t.client for d in broker.running for t in d}
+            for t in tickets:
+                head = not t.started and pool._queues[t.client][0] is t
+                assert not (head and t.demanded and t.client not in running), (
+                    f"{t!r} is demanded, startable and still pending"
+                )
+
+    for _ in range(300):
+        op = rng.random()
+        waiting = [t for t in tickets if not t.done()]
+        if op < 0.40 or not tickets:
+            method = "local_update" if rng.random() < 0.8 else "evaluate"
+            tickets.append(pool.submit(rng.randrange(clients), method, PAYLOAD, 0, 0))
+        elif op < 0.55 and waiting:
+            pool._demand(rng.choice(waiting))
+        elif op < 0.65 and waiting:
+            with pytest.raises(TimeoutError):  # demands, then abandons
+                rng.choice(waiting).result(timeout=0)
+        elif op < 0.80:
+            ready = [t for t in tickets if t.done() and not t._consumed]
+            if ready:
+                assert rng.choice(ready).result(0) == "ok"
+        elif broker.running:
+            broker.finish(rng.choice(broker.running))
+        check()
+
+    # wind down the way a scheduler's drain does: block on every ticket
+    for ticket in tickets:
+        while not ticket.done():
+            pool._demand(ticket)
+            check()
+            broker.finish(broker.running[0])
+            check()
+        assert ticket.result(0) == "ok"
+    assert set(broker.completions) == set(tickets)
+    assert all(n == 1 for n in broker.completions.values())
+    assert pool._unconsumed == 0 and pool.pending_turns() == 0 and not broker.running
 
 
 # --------------------------------------------------------------------------

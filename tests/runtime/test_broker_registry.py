@@ -165,6 +165,12 @@ def test_parse_redis_url_rejects_nonpositive_timing():
             parse_redis_url(f"redis://localhost:6379/0?{bad}")
 
 
+def test_parse_redis_url_rejects_unknown_keys():
+    # `?leese=5` used to run with the default lease; now it names the typo
+    with pytest.raises(ValueError, match=r"unknown parameters \['leese'\].*'lease'"):
+        parse_redis_url("redis://localhost:6379/0?leese=5")
+
+
 def test_with_run_pins_the_namespace():
     cfg = parse_redis_url("redis://h:6379/0?workers=2&run=old")
     url = cfg.with_run("fresh")

@@ -161,3 +161,41 @@ def test_registry_names():
 def test_describe_mentions_counts():
     text = CentralizedTopology(num_clients=3).describe()
     assert "nodes=4" in text and "trainers=3" in text
+
+
+# ------------------------------------------------------------ import cost
+def test_runs_do_not_import_networkx():
+    # networkx is 11-13 MB of RSS per engine and worker process; edges() is
+    # the primitive every run reads, graph() the only caller of the library.
+    # A fresh interpreter, because this module imported it at the top.
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = """
+import sys
+from repro.experiment import Experiment, ExperimentSpec
+
+common = dict(
+    data={"dataset": "blobs", "kwargs": {"train_size": 96, "test_size": 32},
+          "partition": "iid", "batch_size": 16},
+    train={"algorithm": "fedavg", "model": "mlp", "global_rounds": 1,
+           "algorithm_kwargs": {"lr": 0.05, "local_epochs": 1}},
+)
+pooled = Experiment(ExperimentSpec(topology="centralized", num_clients=4,
+                                   pool_size=2, **common)).run()
+assert pooled.mode == "async", pooled.mode
+rounds = Experiment(ExperimentSpec(
+    topology="hierarchical",
+    topology_kwargs={"num_sites": 2, "clients_per_site": 2}, **common)).run()
+assert rounds.mode == "rounds", rounds.mode
+assert "networkx" not in sys.modules, "a run imported networkx"
+from repro.topology import RingTopology
+assert RingTopology(num_clients=4).graph().number_of_edges() == 4
+assert "networkx" in sys.modules
+"""
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": src})
