@@ -162,7 +162,6 @@ class Engine:
                     num_clients=n_trainers,
                 )
             self.pool = ClientPool(
-                self,
                 num_clients=n_trainers,
                 broker=broker,
                 data_provider=self.data_provider,

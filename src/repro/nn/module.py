@@ -37,12 +37,18 @@ class Parameter(Tensor):
 
 class _NameIndex(NamedTuple):
     """A module tree flattened once, in ``named_parameters``/``named_buffers``
-    order.  Buffers are held as ``(owner, name)``: BatchNorm replaces its
-    arrays, so the array itself would go stale."""
+    order.  Buffers are held as ``(owner's buffer table, name)``: BatchNorm
+    replaces its arrays, so the array itself would go stale.
 
+    Nothing here points back at the module the index is cached on (its own
+    version is kept by value, ``versions`` lists its descendants): a model
+    that was a reference cycle would hold its weights until the cycle
+    collector got round to it, not until its last user let go."""
+
+    version: int
     versions: List[Tuple["Module", int]]
     params: Dict[str, Parameter]
-    buffers: Dict[str, Tuple["Module", str]]
+    buffers: Dict[str, Tuple["OrderedDict[str, np.ndarray]", str]]
 
 
 class Module:
@@ -138,19 +144,20 @@ class Module:
     # -- state dict --------------------------------------------------------------
     def _name_index(self) -> _NameIndex:
         index = self._index
-        if index is not None:
+        if index is not None and index.version == self._version:
             for module, version in index.versions:
                 if module._version != version:
                     break
             else:
                 return index
         versions: List[Tuple[Module, int]] = []
-        buffers: Dict[str, Tuple[Module, str]] = {}
+        buffers: Dict[str, Tuple["OrderedDict[str, np.ndarray]", str]] = {}
         for mod_name, module in self.named_modules():
-            versions.append((module, module._version))
+            if module is not self:
+                versions.append((module, module._version))
             for bname in module._buffers:
-                buffers[f"{mod_name}.{bname}" if mod_name else bname] = (module, bname)
-        index = _NameIndex(versions, dict(self.named_parameters()), buffers)
+                buffers[f"{mod_name}.{bname}" if mod_name else bname] = (module._buffers, bname)
+        index = _NameIndex(self._version, versions, dict(self.named_parameters()), buffers)
         object.__setattr__(self, "_index", index)
         return index
 
@@ -160,8 +167,8 @@ class Module:
         out: "OrderedDict[str, np.ndarray]" = OrderedDict()
         for name, param in index.params.items():
             out[name] = param.data.copy()
-        for name, (module, bname) in index.buffers.items():
-            out[name] = module._buffers[bname].copy()
+        for name, (table, bname) in index.buffers.items():
+            out[name] = table[bname].copy()
         return out
 
     def load_state_dict(self, state: Dict[str, np.ndarray], strict: bool = True) -> None:
@@ -180,8 +187,8 @@ class Module:
                     raise ValueError(f"shape mismatch for {name!r}: {target.data.shape} vs {np.shape(value)}")
                 target.data[...] = value
             elif name in own_buffers:
-                module, bname = own_buffers[name]
-                buf = module._buffers[bname]
+                table, bname = own_buffers[name]
+                buf = table[bname]
                 if buf.shape != np.shape(value):
                     raise ValueError(f"shape mismatch for buffer {name!r}")
                 buf[...] = value

@@ -97,14 +97,16 @@ class DedicatedRuntime(ClientRuntime):
     pooled = False
 
     def __init__(self, engine: "Engine", id_to_pos) -> None:
-        self._engine = engine
+        # the engine's actor list, not the engine: nothing the engine owns
+        # points back at it, so dropping an engine frees it there and then
+        self._actors = engine.actors
         self._id_to_pos = {int(c): int(p) for c, p in dict(id_to_pos).items()}
 
     def client_ids(self) -> List[int]:
         return sorted(self._id_to_pos)
 
     def submit(self, client: int, method: str, *args, **kwargs):
-        return self._engine.actors[self._id_to_pos[int(client)]].submit(
+        return self._actors[self._id_to_pos[int(client)]].submit(
             method, *args, **kwargs
         )
 

@@ -28,6 +28,7 @@ speak — the two halves of one transport live behind one registry key.
 
 from __future__ import annotations
 
+import weakref
 from importlib import import_module
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Tuple, Type, Union,
@@ -356,7 +357,9 @@ class MemoryBroker(TurnBroker):
         super().__init__(url)
         if not worker_positions:
             raise ValueError("client pool needs at least one worker node")
-        self._engine = engine
+        # the engine's actor list, not the engine: nothing the engine owns
+        # points back at it, so dropping an engine frees it there and then
+        self._actors = engine.actors
         self._worker_pos = [int(w) for w in worker_positions]
         self._free = list(self._worker_pos)
         # with a known cohort size, back snapshots with a preallocated
@@ -373,12 +376,18 @@ class MemoryBroker(TurnBroker):
         url_fields(url, {})  # the in-process broker takes no parameters
 
     # -- lifecycle -----------------------------------------------------
+    def attach(self, pool: "ClientPool") -> None:
+        # weakly: this broker reaches the engine's worker nodes, so a strong
+        # pointer back at the pool that owns it would be the cycle that
+        # keeps a dropped engine's models alive until the collector runs
+        self.pool = weakref.proxy(pool)
+
     def start(self) -> None:
         """Capture the pristine first-turn state and what fuses (once, from
         any worker — all workers are built identically from the same seeded
         factories)."""
         if self._baseline is None:
-            worker = self._engine.actors[self._worker_pos[0]]
+            worker = self._actors[self._worker_pos[0]]
             self._baseline = worker.call("pool_baseline", timeout=60)
             self._runner = FusedTurnRunner.build(worker.call("fusion_context", timeout=60))
 
@@ -419,7 +428,7 @@ class MemoryBroker(TurnBroker):
             self.start()
         worker = self._free.pop()
         self._inflight += len(tickets)
-        self._engine.actors[worker].submit_call(self._serve, tickets, worker)
+        self._actors[worker].submit_call(self._serve, tickets, worker)
 
     def _serve(self, node, tickets: List["PoolTicket"], worker: int) -> None:
         """One dispatch on the worker's thread: run it, report every ticket,
@@ -472,8 +481,7 @@ class MemoryBroker(TurnBroker):
         jobs = [(t, self.store.get(t.client), self.pool.data_view(t))
                 for t in tickets]
         try:
-            with self._engine.tracer.span("pool.fused_batch", cat="pool",
-                                          clients=len(tickets)):
+            with node.tracer.span("pool.fused_batch", cat="pool", clients=len(tickets)):
                 outcomes = self._runner.run_batch(jobs, self._baseline)
         except Exception:  # noqa: BLE001 - fall back to the exact path
             _LOG.exception(

@@ -35,7 +35,6 @@ from repro.runtime.broker import PeerLostError
 from repro.utils.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.engine import Engine
     from repro.runtime.broker import TurnBroker
 
 __all__ = ["ClientPool", "PoolTicket"]
@@ -119,13 +118,11 @@ class ClientPool(ClientRuntime):
 
     def __init__(
         self,
-        engine: "Engine",
         num_clients: int,
         broker: "TurnBroker",
         data_provider,
         window: Optional[int] = None,
     ) -> None:
-        self._engine = engine
         self.num_clients = int(num_clients)
         self.broker = broker
         self._data = data_provider

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import copy
 import time
+import weakref
 from bisect import bisect_right
 from collections.abc import Sequence as SequenceABC
 from typing import Any, Dict, Iterator, List, Optional, Sequence, TYPE_CHECKING
@@ -354,6 +355,20 @@ class Scheduler:
     # ------------------------------------------------------------------
     # shared runtime machinery
     # ------------------------------------------------------------------
+    @property
+    def engine(self) -> Optional["Engine"]:
+        """The engine this policy is bound to (``None`` before ``bind``),
+        held weakly: the engine keeps its scheduler, and a pointer back
+        would make every engine a reference cycle — its models, snapshots
+        and datasets freed whenever the cycle collector next runs, not when
+        the engine is dropped."""
+        ref = self._engine
+        return ref() if ref is not None else None
+
+    @engine.setter
+    def engine(self, engine: Optional["Engine"]) -> None:
+        self._engine = weakref.ref(engine) if engine is not None else None
+
     @property
     def tracer(self):
         """The engine's tracer, read per call: ``bind`` happens before the

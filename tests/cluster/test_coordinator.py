@@ -371,7 +371,7 @@ def test_eviction_while_another_thread_submits_does_not_deadlock():
                    spec=SPEC, num_clients=clients)
     # a wide-open window: every submit (and every pump after a failed turn)
     # reaches execute(), so dispatch and eviction really interleave
-    pool = ClientPool(engine=None, num_clients=clients, broker=coord,
+    pool = ClientPool(num_clients=clients, broker=coord,
                       data_provider=None, window=1_000_000)
     deadlocked = True
     try:

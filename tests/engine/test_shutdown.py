@@ -75,3 +75,47 @@ def test_comm_shutdown_failure_does_not_block_fleet(fresh_port):
     engine.nodes[0].comms["broken"] = BrokenComm()
     engine.shutdown()  # swallowed with a warning; the rest tore down
     assert all(not actor._alive for actor in engine.actors)
+
+
+# ------------------------------------------------------- freed when dropped
+def _pooled_spec():
+    return ExperimentSpec(
+        topology="centralized", num_clients=4, pool_size=2,
+        data=DataSpec(dataset="blobs", kwargs={"train_size": 96, "test_size": 32},
+                      batch_size=16),
+        train=TrainSpec(algorithm="fedavg", algorithm_kwargs={"lr": 0.05},
+                        model="mlp", model_kwargs={"hidden": [16]}, global_rounds=1),
+        scheduler={"name": "sync"},
+        seed=3,
+    )
+
+
+def _dedicated_spec():
+    spec = _pooled_spec()
+    return ExperimentSpec.from_dict({**spec.to_dict(), "pool_size": None})
+
+
+@pytest.mark.parametrize("make_spec", [_pooled_spec, _dedicated_spec])
+def test_dropped_engine_is_freed_without_the_cycle_collector(make_spec):
+    """Nothing an engine owns points back at it (scheduler, runtime, broker,
+    the models' name indexes): the last reference going away frees its models
+    and snapshots there and then.  When they waited for the collector, the
+    peak memory of building engines in a row depended on where a collection
+    happened to fall."""
+    import gc
+    import weakref
+
+    gc.collect()
+    gc.disable()
+    try:
+        engine = Engine.from_spec(make_spec())
+        engine.run_async(total_updates=4)
+        engine.shutdown()
+        gone = [weakref.ref(engine), weakref.ref(engine.scheduler),
+                weakref.ref(engine.nodes[-1].model)]
+        if engine.pool is not None:
+            gone += [weakref.ref(engine.pool), weakref.ref(engine.pool.broker)]
+        del engine
+        assert [ref() for ref in gone] == [None] * len(gone)
+    finally:
+        gc.enable()

@@ -333,7 +333,7 @@ class NeverFuses(StubBroker):
 
 
 def make_pool(broker, window, num_clients=8):
-    pool = ClientPool(None, num_clients, broker, None, window=window)
+    pool = ClientPool(num_clients, broker, None, window=window)
     pool.start()
     return pool
 

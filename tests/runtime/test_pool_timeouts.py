@@ -69,7 +69,7 @@ class StubBroker(TurnBroker):
 
 def make_pool(window=None, num_clients=4, capacity=1_000_000):
     broker = StubBroker(capacity=capacity)
-    pool = ClientPool(None, num_clients, broker, None, window=window)
+    pool = ClientPool(num_clients, broker, None, window=window)
     pool.start()  # the stub needs no bring-up; the pool resolves its window here
     return pool, broker
 
