@@ -86,9 +86,13 @@ def _pair(value: _Pair) -> Tuple[int, int]:
 
 
 def _relu_fw(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(max(x, 0), mask)``; the mask is what :func:`_relu_bw` needs."""
+    """``(max(x, 0), mask)``; the mask is what :func:`_relu_bw` needs.  Bit for
+    bit ``where(x > 0, x, 0)`` without its branch: ``fmax`` maps NaN to 0
+    (``maximum`` keeps NaN) and adding +0 turns -0 into +0."""
     mask = x > 0
-    return np.where(mask, x, 0.0).astype(x.dtype, copy=False), mask
+    out = np.fmax(x, x.dtype.type(0))
+    out += x.dtype.type(0)
+    return out, mask
 
 
 def _relu_bw(grad: np.ndarray, mask: np.ndarray) -> np.ndarray:

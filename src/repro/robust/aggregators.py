@@ -143,10 +143,16 @@ class TrimmedMean(RobustAggregator):
         self.counters["rejected"] += 2 * k
         out: State = {}
         for key in float_keys:
-            stack = np.stack([np.asarray(s[key], dtype=np.float64) for s in states])
-            if k:  # nothing to trim: the plain mean needs no order
-                stack = np.sort(stack, axis=0)[k: n - k]
-            out[key] = stack.mean(axis=0).astype(np.asarray(states[0][key]).dtype)
+            first = np.asarray(states[0][key])
+            if k or first.size == 1:  # sorting needs the stack; numpy sums one coordinate pairwise
+                stack = np.stack([np.asarray(s[key], dtype=np.float64) for s in states])
+                mean = (np.sort(stack, axis=0)[k: n - k] if k else stack).mean(axis=0)
+            else:  # the stacked mean's own sum, bit for bit: rows added one by one onto +0
+                mean = np.add(first, 0.0, dtype=np.float64)
+                for s in states[1:]:
+                    mean += s[key]
+                mean /= n
+            out[key] = mean.astype(first.dtype, copy=False)
         return out
 
 

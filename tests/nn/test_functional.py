@@ -38,6 +38,59 @@ def test_relu_zeroes_negatives():
     assert np.allclose(out.data, [0.0, 0.0, 2.0])
 
 
+def relu_reference(x):
+    """The expression ``_relu_fw`` replaced; its values are the contract."""
+    return np.where(x > 0, x, 0.0).astype(x.dtype, copy=False)
+
+
+def relu_edge_values(rng, size, dtype):
+    """Ordinary values with NaN of both signs, signed zeros, infinities,
+    subnormals of both signs and +-max sprinkled over half the positions."""
+    info = np.finfo(dtype)
+    special = np.array(
+        [np.nan, np.copysign(np.nan, -1.0), 0.0, -0.0, np.inf, -np.inf,
+         info.smallest_subnormal, -info.smallest_subnormal, info.max, -info.max],
+        dtype=dtype,
+    )
+    x = rng.standard_normal(size).astype(dtype)
+    pick = rng.random(size) < 0.5
+    x[pick] = special[rng.integers(0, len(special), int(pick.sum()))]
+    if x.size >= len(special):
+        x.flat[: len(special)] = special  # every kind present at least once
+    return x
+
+
+def assert_relu_matches_reference(x):
+    uint = np.dtype(f"u{x.dtype.itemsize}")  # compare bits: NaN != NaN, -0.0 == 0.0
+    kept = x.copy()
+    out, mask = F._relu_fw(x)
+    ref = relu_reference(x)
+    assert out.dtype == ref.dtype and out.shape == ref.shape and out.strides == ref.strides
+    assert np.array_equal(out.view(uint), ref.view(uint))
+    assert mask.dtype == np.bool_ and np.array_equal(mask, x > 0)
+    g = np.random.default_rng(0).standard_normal(x.shape).astype(x.dtype)
+    assert np.array_equal(F._relu_bw(g, mask).view(uint), (g * (x > 0)).view(uint))
+    assert np.array_equal(x.view(uint), kept.view(uint))  # the input is not written
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("length", [1, 3, 7, 8, 15, 16, 17, 31, 33, 64, 67, 255, 1027])
+def test_relu_keeps_the_where_value_contract(dtype, length):
+    """``fmax(x, 0) + 0`` is bit for bit ``where(x > 0, x, 0)``: NaN -> +0,
+    -0 -> +0, subnormals kept, at lengths that reach numpy's SIMD body and
+    its scalar tail, on contiguous, strided and reversed views."""
+    x = relu_edge_values(np.random.default_rng(length), length, dtype)
+    for view in (x, x[::2], x[::-1], x[1:]):
+        assert_relu_matches_reference(view)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_value_contract_holds_on_stacks_and_strided_views(dtype):
+    x = relu_edge_values(np.random.default_rng(7), 4 * 9 * 6, dtype).reshape(4, 9, 6)
+    for view in (x, x[:, ::2, 1:], x.transpose(2, 0, 1), np.asfortranarray(x)):
+        assert_relu_matches_reference(view)
+
+
 def test_hard_sigmoid_saturates():
     out = F.hard_sigmoid(Tensor([-10.0, 0.0, 10.0]))
     assert np.allclose(out.data, [0.0, 0.5, 1.0])

@@ -11,9 +11,10 @@ algebraic contracts the adversarial-robustness suite relies on:
 * norm clipping — the aggregate never moves farther than ``clip_norm``
   from the base state;
 * mean reduction — on honest-only input the rules that claim weighted-mean
-  semantics (norm-clip inside the ball, take-all multi-Krum, zero-trim
-  trimmed mean) match the weighted mean to fp tolerance, and every rule is
-  a fixed point on unanimous input.
+  semantics (norm-clip inside the ball, take-all multi-Krum) match the
+  weighted mean to fp tolerance, the trimmed mean is the stacked (sorted,
+  sliced) float64 mean bit for bit, and every rule is a fixed point on
+  unanimous input.
 """
 
 import numpy as np
@@ -218,7 +219,50 @@ def test_honest_rules_reduce_to_weighted_mean(case):
     for key in ("w", "b"):
         np.testing.assert_allclose(clipped[key], mean[key], rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(take_all[key], mean[key], rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(zero_trim[key], uniform_mean[key], rtol=1e-9, atol=1e-12)
+        assert_same_bits(zero_trim[key], uniform_mean[key])
+
+
+def assert_same_bits(out, ref):
+    np.testing.assert_array_equal(out, ref)
+    assert np.asarray(out).dtype == np.asarray(ref).dtype
+    assert np.asarray(out).tobytes() == np.asarray(ref).tobytes()  # also tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "n, trim_ratio",
+    # k = 0: ratio 0 at any n, and 0.2 at n <= 4 (four clients, as the
+    # benchmark's resnet18 federation merges); n = 5 at 0.2 trims one per tail
+    [(1, 0.2), (2, 0.2), (3, 0.2), (4, 0.2), (4, 0.0), (9, 0.0), (5, 0.2)],
+)
+@settings(max_examples=10, deadline=None)
+@given(dim=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), with_base=st.booleans())
+def test_trimmed_mean_is_the_stacked_mean_bit_for_bit(dtype, n, trim_ratio, dim, seed, with_base):
+    """Whether it trims or not, the rule returns exactly what sorting (when
+    k > 0) and averaging a float64 stack of the states gives, cast back —
+    including signed zeros and mixed magnitudes, where another summation
+    order would show in the last bits."""
+    rng = np.random.default_rng(seed)
+    states = make_states(rng, n, dim)
+    for i, state in enumerate(states):
+        for key in ("w", "b"):
+            v = state[key] * 10.0 ** rng.integers(-6, 7, size=state[key].shape)
+            v[rng.random(v.shape) < 0.2] = -0.0
+            if key == "w":  # ("b" at dim 1 is the lone coordinate numpy sums pairwise)
+                v.flat[0] = -0.0  # one coordinate that is -0.0 in every state
+            state[key] = v.astype(dtype)
+        state["steps"] = np.array(i + 1, dtype=np.int64)
+    base = make_states(rng, 1, dim)[0] if with_base else None
+    if base is not None:
+        base["steps"] = np.array(99, dtype=np.int64)
+    k = int(trim_ratio * n)
+    out = TrimmedMean(trim_ratio=trim_ratio).combine(states, [1.0] * n, base=base)
+    for key in ("w", "b"):
+        stack = np.stack([np.asarray(s[key], dtype=np.float64) for s in states])
+        if k:
+            stack = np.sort(stack, axis=0)[k: n - k]
+        assert_same_bits(out[key], stack.mean(axis=0).astype(dtype))
+    assert out["steps"] == (99 if with_base else 1)  # from base, else the first candidate
 
 
 # ----------------------------------------------------------------------------

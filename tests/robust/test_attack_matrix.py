@@ -172,6 +172,14 @@ def _honest_peer_accuracy(eng):
     return float(np.mean(scores))
 
 
+# The attacker's own model diverges by design (sign flip at scale 10): its
+# logits overflow in the linear layer's GEMM and the overflowed rows turn to
+# NaN in cross-entropy's max shift.  Both warnings are expected here and
+# nowhere else.  This is the suite's only run with non-finite activations; the
+# ones reaching relu are +-inf (NaN appears only after it, inside
+# cross-entropy), so relu's NaN -> +0 is pinned by tests/nn/test_functional.py.
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
 def test_gossip_robust_mixing_protects_honest_peers(fresh_port):
     """On a gossip ring under sign-flip, median mixing keeps the honest
     peers' own models accurate; plain mixing lets the poison spread.
