@@ -289,7 +289,7 @@ class ClusterCoordinator(TurnBroker):
         if ticket is None:
             # duplicate or a turn already failed by eviction — drop it
             return encode_control("reply", ok=True, duplicate=True)
-        self.deliver(ticket, result)
+        self.pool.turn_done(*self.outcome(ticket, result))
         return encode_control("reply", ok=True)
 
     # ------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 import socket
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.cluster.heartbeat import Heartbeater
 from repro.cluster.protocol import decode_control, encode_control, parse_cluster_url, peek_kind
@@ -72,7 +72,7 @@ class ClusterLink(WorkerLink):
             lambda: self._call_control("heartbeat"), self._heartbeat_period
         ).start()
 
-    def next_turn(self) -> Optional[bytes]:
+    def next_item(self) -> Optional[List[bytes]]:
         if self._heartbeater.lost.is_set():
             raise ConnectionError(
                 "heartbeats failed or were rejected: the engine is unreachable "
@@ -84,7 +84,7 @@ class ClusterLink(WorkerLink):
             encode_control("poll", node_id=self.worker_id, wait=_POLL_WAIT)
         )
         if peek_kind(reply) == "request":
-            return reply
+            return [reply]  # every item is a batch of one on this link
         meta = decode_control(reply)[1]
         if meta.get("stop"):
             return self.STOP
@@ -92,19 +92,21 @@ class ClusterLink(WorkerLink):
             raise ConnectionError(f"the engine no longer lists {self.worker_id} as a member")
         return None
 
-    def load_snapshot(self, client: int):
-        return self._snapshots.get(client)
+    def claim(self, turns, gkeys):
+        # the engine never interns payloads here: frames carry the model
+        return [True] * len(turns), {}, [self._snapshots.get(c) for _, c in turns]
 
-    def commit(self, turn_id: int, client: int, snapshot, encode_result) -> None:
-        if snapshot is not None:
-            self._snapshots[client] = snapshot
-        try:
-            self._work.call(encode_result(0))
-        except (ConnectionError, OSError):
-            if not self._heartbeater.stopped.is_set():
-                raise
-            # the run ended while this turn trained (the heartbeat channel
-            # heard the stop flag): nobody is waiting for the result
+    def commit(self, outcomes) -> None:
+        for _, client, snapshot, encode_result in outcomes:
+            if snapshot is not None:
+                self._snapshots[client] = snapshot
+            try:
+                self._work.call(encode_result(0))
+            except (ConnectionError, OSError):
+                if not self._heartbeater.stopped.is_set():
+                    raise
+                # the run ended while this turn trained (the heartbeat channel
+                # heard the stop flag): nobody is waiting for the result
 
     def close(self) -> None:
         if self._heartbeater is not None:

@@ -120,7 +120,9 @@ def decode_message(frame: bytes) -> Tuple[str, Dict[str, Any], Dict[str, np.ndar
         expected = int(np.prod(shape)) * dtype.itemsize  # np.prod(()) == 1 covers 0-d
         if blen != expected:
             raise WireError(f"array {key!r}: buffer {blen}B but shape {shape} implies {expected}B")
-        arrays[key] = np.frombuffer(frame[offset : offset + blen], dtype=dtype).reshape(shape).copy()
+        # a view of the frame, then the one copy the array owns
+        count = blen // dtype.itemsize
+        arrays[key] = np.frombuffer(frame, dtype, count, offset).reshape(shape).copy()
         offset += blen
     if offset != len(frame):
         raise WireError(f"{len(frame) - offset} trailing bytes")

@@ -22,6 +22,7 @@ from repro.comm.factory import build_communicator
 from repro.engine.actor import ThreadActor, wait_all
 from repro.engine.metrics import MetricsCollector, NodeStats, RoundRecord, StopRun
 from repro.runtime import Broker, ClientPool, ClientRuntime, DedicatedRuntime, broker_class
+from repro.runtime.fused import FusedTurnRunner
 from repro.nn.serialization import state_average
 from repro.node.node import Node
 from repro.scheduler.base import build_scheduler
@@ -50,7 +51,6 @@ class Engine:
             raise TypeError(f"Engine.from_spec needs an ExperimentSpec, got {type(spec).__name__}")
         topology = spec_mod.resolve_topology(spec)
         datamodule = spec_mod.resolve_datamodule(spec)
-        algorithm_fn = spec_mod.resolve_algorithm_fn(spec)
         seed = int(spec.seed)
 
         topology.validate()
@@ -133,16 +133,22 @@ class Engine:
             if broker_class(broker_url).distributed:
                 # worker processes rebuild their own trainer nodes from the
                 # spec the broker publishes (a live broker also binds its
-                # listen address here, so workers may dial before run());
-                # this process holds no trainer, so probe the algorithm's
-                # evaluation convention directly
-                self._personalized_eval = bool(algorithm_fn().personalized_eval)
+                # listen address here, so workers may dial before run()).
+                # One probe trainer, built as each worker builds its own,
+                # answers for them: the evaluation convention, and the fused
+                # runner they build — the broker knows what fuses at submit
+                probe = make_node(NodeSpec(name="fusion_probe", index=1_000_000,
+                                           role=NodeRole.TRAINER))
+                probe.setup_local()
+                self._personalized_eval = bool(probe.algorithm.personalized_eval)
                 broker = Broker(
                     broker_url,
                     spec=spec,
                     num_clients=n_trainers,
                     default_workers=int(pool_size) if pool_size is not None else None,
+                    runner=FusedTurnRunner.build(probe.fusion_context()),
                 )
+                del probe
             else:
                 base_index = 1 + max(s.index for s in node_specs)
                 worker_positions = []

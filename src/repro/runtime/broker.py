@@ -229,19 +229,19 @@ class TurnBroker:
         execution."""
         raise NotImplementedError(f"{type(self).__name__} does not batch turns")
 
-    def deliver(self, ticket: "PoolTicket", result: Dict[str, Any]) -> None:
-        """Report a started turn from its worker's decoded result frame
-        (:func:`repro.runtime.serde.decode_result`)."""
+    def outcome(self, ticket: "PoolTicket", result: Dict[str, Any]) -> Tuple[Any, ...]:
+        """``(ticket, value, exc)`` for a started turn, from its worker's
+        decoded result frame (:func:`repro.runtime.serde.decode_result`) —
+        what ``pool.turn_done`` / ``pool.turns_done_batch`` take."""
         if result["ok"]:
-            self.pool.turn_done(ticket, result["value"], None)
-            return
+            return ticket, result["value"], None
         err = result["error"]
         detail = f"{err['type']}: {err['message']}"
         if err.get("traceback"):
             detail += f"\n--- worker {result['worker']} traceback ---\n{err['traceback']}"
-        self.pool.turn_done(ticket, None, RuntimeError(
+        return ticket, None, RuntimeError(
             f"client {result['client']} turn failed on worker {result['worker']}: {detail}"
-        ))
+        )
 
     # -- introspection (telemetry reads these on the record path) ------
     @property
@@ -280,14 +280,15 @@ class WorkerLink:
     """Transport contract between a worker process and its engine.
 
     The worker-side half of a distributed :class:`TurnBroker`: the
-    :class:`~repro.runtime.worker.Worker` loop is ``next_turn`` -> ``claim``
-    -> ``load_snapshot`` -> run -> ``commit``, and everything
-    transport-specific — where turns queue, where snapshots live, how the
-    worker proves it is alive — sits behind these calls.  A lost server
-    surfaces as ``ConnectionError``/``OSError`` from whichever call noticed.
+    :class:`~repro.runtime.worker.Worker` loop is ``next_item`` -> ``claim``
+    -> run -> ``commit``, one queue item (one or more turns) at a time, and
+    everything transport-specific — where turns queue, where snapshots live,
+    how the worker proves it is alive — sits behind these calls.  A lost
+    server surfaces as ``ConnectionError``/``OSError`` from whichever call
+    noticed.
     """
 
-    #: ``next_turn`` return value meaning "the run is over, exit cleanly"
+    #: ``next_item`` return value meaning "the run is over, exit cleanly"
     STOP = b"STOP"
 
     def __init__(self, url: str, worker_id: str) -> None:
@@ -301,30 +302,32 @@ class WorkerLink:
 
     def start(self) -> None:
         """Heartbeat on the link's own thread until :meth:`close`, so an
-        in-flight turn stays leased through a graceful stop."""
+        in-flight item stays leased through a graceful stop."""
         raise NotImplementedError
 
-    def next_turn(self) -> Optional[bytes]:
-        """Wait briefly for a serde turn frame; ``None`` when nothing
-        arrived yet, :attr:`STOP` when the engine said stop."""
+    def next_item(self) -> Union[None, bytes, List[bytes]]:
+        """Wait briefly for a queue item: the serde turn frames it carries;
+        ``None`` when nothing arrived yet, :attr:`STOP` when the engine
+        said stop."""
         raise NotImplementedError
 
-    def claim(self, turn_id: int) -> bool:
-        """Take ownership of a pulled turn; ``False``: it must not run."""
-        return True
-
-    def gstate(self, key: int) -> Optional[bytes]:
-        """The interned global-state frame a turn references, if held."""
-        return None
-
-    def load_snapshot(self, client: int) -> Any:
-        """The client's stored snapshot, or ``None`` before its first turn."""
+    def claim(self, turns: List[Tuple[int, int]], gkeys: List[int]
+              ) -> Tuple[List[bool], Dict[int, Optional[bytes]], List[Any]]:
+        """Take ownership of an item's ``(turn_id, client)`` turns and fetch
+        what running them needs, in one exchange.  Returns which turns to run
+        (``False``: already done — :meth:`commit` only releases it), the
+        interned global-state frames named by ``gkeys``, and
+        each client's stored snapshot (``None`` before its first turn)."""
         raise NotImplementedError
 
-    def commit(self, turn_id: int, client: int, snapshot: Any,
-               encode_result: Callable[[int], bytes]) -> None:
-        """Store ``snapshot`` (``None``: the turn never swapped in) and
-        deliver ``encode_result(snapshot_frame_bytes)``."""
+    def give_back(self, frames: List[bytes]) -> None:
+        """Return unclaimed turn frames to the front of the queue."""
+        raise NotImplementedError(f"{type(self).__name__} serves one turn per item")
+
+    def commit(self, outcomes: List[Tuple[int, int, Any, Callable[[int], bytes]]]) -> None:
+        """Finish the claimed item: for each ``(turn_id, client, snapshot,
+        encode_result)`` that ran, store ``snapshot`` (``None``: the turn
+        never swapped in) and deliver ``encode_result(snapshot_frame_bytes)``."""
         raise NotImplementedError
 
     def close(self) -> None:

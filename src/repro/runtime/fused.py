@@ -1,5 +1,6 @@
 """Fused client turns: several pooled ``local_update`` calls as one stacked
-tensor pass, engaged by the ``memory://`` broker wherever it is exact.
+tensor pass, engaged by the ``memory://`` broker and by ``redis://`` worker
+processes wherever it is exact.
 
 At bench scale the per-turn cost is dominated by fixed overheads — tape
 construction, per-layer dispatch, state-dict plumbing — on tiny matmuls.
@@ -23,9 +24,10 @@ only for configurations where the identity can be proven —
 * per ticket, :meth:`turn_eligible` checks the payload covers every model
   key not persisted per-client (so batched init needs no worker model).
 
-Anything failing a check runs the exact per-turn path in
-:class:`~repro.runtime.broker.MemoryBroker`, so fusion can never change
-results — only how fast they arrive.
+Anything failing a check runs the exact per-turn path (in
+:class:`~repro.runtime.broker.MemoryBroker`, or
+:class:`~repro.runtime.worker.Worker` in another process), so fusion can
+never change results — only how fast they arrive.
 """
 
 from __future__ import annotations

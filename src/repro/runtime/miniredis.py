@@ -17,7 +17,8 @@ Fidelity notes (deliberate simplifications):
 * ``BLPOP``/``BRPOP`` wait on a condition variable with the redis nil-on-
   timeout contract;
 * ``MULTI``/``EXEC`` queue per-connection and execute under the lock
-  (no WATCH);
+  (no WATCH); an unknown command refused while queueing aborts the
+  transaction with ``EXECABORT``;
 * no persistence, expiry, or pub/sub.
 """
 
@@ -32,6 +33,12 @@ from typing import Any, Dict, List, Optional
 __all__ = ["MiniRedis"]
 
 _NIL = object()  # sentinel distinguishing "no reply value" from None (nil)
+
+#: what :meth:`MiniRedis.dispatch` implements; MULTI refuses to queue
+#: anything else, and EXEC then discards the transaction, as redis does
+_COMMANDS = frozenset("PING ECHO SELECT AUTH FLUSHDB FLUSHALL SET GET INCR DEL EXISTS KEYS HSET "
+                      "HGET HMGET HDEL HEXISTS HLEN HGETALL LPUSH RPUSH LPOP RPOP LLEN LRANGE "
+                      "BLPOP BRPOP".split())
 
 
 class _Simple(bytes):
@@ -53,6 +60,7 @@ class _Handler(socketserver.BaseRequestHandler):
         self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._buf = b""
         self._multi: Optional[List[List[bytes]]] = None
+        self._multi_refused = False
 
     # -- RESP framing --------------------------------------------------
     def _read_line(self) -> Optional[bytes]:
@@ -99,7 +107,9 @@ class _Handler(socketserver.BaseRequestHandler):
         return args
 
     def _send(self, reply: Any) -> None:
-        self.request.sendall(_encode_reply(reply))
+        parts: List[bytes] = []
+        _encode_reply(reply, parts)
+        self.request.sendall(b"".join(parts))
 
     # -- main loop -----------------------------------------------------
     def handle(self) -> None:
@@ -118,7 +128,7 @@ class _Handler(socketserver.BaseRequestHandler):
             cmd = args[0].upper().decode("ascii", "replace")
             try:
                 if cmd == "MULTI":
-                    self._multi = []
+                    self._multi, self._multi_refused = [], False
                     self._send(_OK)
                 elif cmd == "DISCARD":
                     self._multi = None
@@ -127,8 +137,14 @@ class _Handler(socketserver.BaseRequestHandler):
                     queued, self._multi = self._multi, None
                     if queued is None:
                         raise _Error("ERR EXEC without MULTI")
+                    if self._multi_refused:
+                        raise _Error("EXECABORT Transaction discarded because of "
+                                     "previous errors.")
                     self._send(self.server.mini.exec_multi(queued))
                 elif self._multi is not None:
+                    if cmd not in _COMMANDS:
+                        self._multi_refused = True
+                        raise _Error(f"ERR unknown command '{cmd}'")
                     self._multi.append(args)
                     self._send(_Simple(b"QUEUED"))
                 else:
@@ -139,24 +155,26 @@ class _Handler(socketserver.BaseRequestHandler):
                 return
 
 
-def _encode_reply(reply: Any) -> bytes:
+def _encode_reply(reply: Any, parts: List[bytes]) -> None:
+    """Append ``reply``'s RESP encoding to ``parts`` (joined once by the caller)."""
     if isinstance(reply, _Error):
-        return b"-%s\r\n" % str(reply).encode("utf8", "replace")
-    if isinstance(reply, _Simple):
-        return b"+%s\r\n" % bytes(reply)
-    if isinstance(reply, bytes):
-        return b"$%d\r\n%s\r\n" % (len(reply), reply)
-    if isinstance(reply, bool):
-        return b":%d\r\n" % int(reply)
-    if isinstance(reply, int):
-        return b":%d\r\n" % reply
-    if reply is None:
-        return b"$-1\r\n"
-    if reply is _NIL:
-        return b"*-1\r\n"
-    if isinstance(reply, (list, tuple)):
-        return b"*%d\r\n%s" % (len(reply), b"".join(_encode_reply(r) for r in reply))
-    raise TypeError(f"cannot encode reply {type(reply).__name__}")
+        parts.append(b"-%s\r\n" % str(reply).encode("utf8", "replace"))
+    elif isinstance(reply, _Simple):
+        parts.append(b"+%s\r\n" % bytes(reply))
+    elif isinstance(reply, bytes):
+        parts += (b"$%d\r\n" % len(reply), reply, b"\r\n")
+    elif isinstance(reply, (bool, int)):
+        parts.append(b":%d\r\n" % int(reply))
+    elif reply is None:
+        parts.append(b"$-1\r\n")
+    elif reply is _NIL:
+        parts.append(b"*-1\r\n")
+    elif isinstance(reply, (list, tuple)):
+        parts.append(b"*%d\r\n" % len(reply))
+        for item in reply:
+            _encode_reply(item, parts)
+    else:
+        raise TypeError(f"cannot encode reply {type(reply).__name__}")
 
 
 class MiniRedisServer(socketserver.ThreadingTCPServer):
@@ -327,6 +345,11 @@ class MiniRedis:
             if not isinstance(value, dict):
                 raise _Error("WRONGTYPE Operation against a key holding the wrong kind of value")
             return value.get(args[1])
+        if cmd == "HMGET":
+            value = data.get(args[0])
+            if value is not None and not isinstance(value, dict):
+                raise _Error("WRONGTYPE Operation against a key holding the wrong kind of value")
+            return [None if value is None else value.get(f) for f in args[1:]]
         if cmd == "HDEL":
             value = data.get(args[0])
             if not isinstance(value, dict):

@@ -11,38 +11,54 @@ back out, using the :mod:`repro.comm.wire` codec (via
 :mod:`repro.runtime.serde`) for transport, so a cohort's state lives
 behind the broker rather than in any single process.
 
-The turn loop and its failure protocol::
+The turn loop and its failure protocol.  A *queue item* is a batch of one
+or more turn frames (:func:`~repro.runtime.serde.pack_frames`), results
+travel back the same way, and each block of lines is one round trip::
 
     engine                          redis                    worker
     ------                          -----                    ------
-    LPUSH turn ------------------>  turns
-                                    turns  --BRPOP---------> lease (HSET, TTL)
-                                    snap   --HGET----------> swap-in
-                                                             train
-                                    MULTI: snap<-HSET (swap-out)
-                                           done<-HSET (dedupe guard)
-                                           results<-LPUSH (ack)
-                                           leases<-HDEL
+    HSET gstate (new payloads)
+    HDEL gstate (unreferenced)
+    LPUSH item ------------------>  turns
+                                    stop, turns --GET, BRPOP-> item
+
+                                    done   --HMGET---------> claim: dedupe
+                                    leases <-HSET (K fields)   lease all K
+                                    snap   --HMGET---------> swap-in
+                                    gstate --HMGET---------> payloads not cached
+
+                                                             train (one stacked pass)
+
+                                    MULTI: snap<-HSET (K snapshots)
+                                           done<-HSET (K dedupe marks)
+                                           results<-LPUSH (one item)
+                                           leases<-HDEL (K fields)
+                                    EXEC
     BRPOP results <---------------  results
-    resolve ticket
+
+    HDEL done (K fields)
+    resolve K tickets
+
+Only fusable turns share an item (:meth:`RedisBroker.fusable`).  Lease,
+dedupe, requeue and loss stay per turn: a requeued turn goes back alone.
 
 ``local_update`` turns do not carry the global model: the engine interns
 each dispatch epoch's payload once in the ``gstate`` hash and the turn
-frame references it by key (workers keep a small decoded cache), so a
-1000-client round ships one model, not one thousand.
+frame references it by key (workers keep the last item's payloads
+decoded), so a 1000-client round ships one model, not one thousand.
 
-Worker heartbeats renew active leases; the engine-side collector sweeps
-the lease table and **requeues** turns whose lease expired (dead worker
-mid-turn), up to ``max_requeues`` times.  Liveness and lease expiry are
+Worker heartbeats renew every lease of the item in hand in one ``HSET``;
+the engine-side collector sweeps the lease table and **requeues** turns
+whose lease expired (dead worker mid-turn), up to ``max_requeues`` times.  Liveness and lease expiry are
 judged by change detection against the engine's *monotonic* clock — never
 by comparing worker wall-clock stamps to the engine's, which breaks under
 cross-host skew or an NTP step (see :meth:`RedisBroker._sweep`).  A turn that stays unclaimed past
 ``claim_timeout`` with no live heartbeat — or that exhausts its requeues —
 fails its ticket with :class:`~repro.runtime.broker.BrokerTurnLost`, so a
 scheduler blocked on the admission window gets a failed ticket instead of
-a stalled run.  Completed turns are recorded in the ``done`` hash; a
-requeued duplicate re-acks the recorded result instead of re-training, so
-retries cannot double-advance client state.
+a stalled run.  Completed turns are marked in the ``done`` hash, in the
+transaction that ships their results; a requeued duplicate is released
+without re-training, so retries cannot double-advance client state.
 
 URL parameters (``redis://host:port/db?workers=2&lease=30``):
 
@@ -63,6 +79,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 from urllib.parse import urlparse
@@ -76,6 +93,7 @@ from repro.runtime.broker import (
     register_broker,
     url_fields,
 )
+from repro.runtime.fused import FusedTurnRunner
 from repro.runtime.resp import RespClient, RespError
 from repro.utils.logging import get_logger
 
@@ -152,7 +170,7 @@ class _Entry:
     """Engine-side record of one dispatched, unresolved turn."""
 
     ticket: Any
-    frame: bytes
+    frame: bytes  # this turn's own frame: a requeue sends it as an item of one
     requeues: int = 0
     submitted: float = field(default_factory=time.monotonic)
     leased: bool = False
@@ -223,12 +241,16 @@ class RedisBroker(TurnBroker):
         spec: Any = None,
         num_clients: Optional[int] = None,
         default_workers: Optional[int] = None,
+        runner: Optional[FusedTurnRunner] = None,
         **_: Any,
     ) -> None:
         super().__init__(url)
         self.cfg = parse_redis_url(url)
         if self.cfg.workers == 0 and default_workers:
             self.cfg.workers = int(default_workers)
+        # the runner each worker builds from its trainer (None: nothing fuses),
+        # built by the engine from a probe trainer: one verdict, from the spec
+        self._runner = runner
         self._spec = spec
         self._num_clients = num_clients
         self._entries: Dict[int, _Entry] = {}
@@ -247,6 +269,9 @@ class RedisBroker(TurnBroker):
         self._hb_seen: Dict[Any, tuple] = {}
         self._lease_seen: Dict[int, tuple] = {}
         self._idle_workers = 0
+        # turns resolved, by the size of the batch each trained in
+        self._batch_sizes: Counter = Counter()
+        self._requeues = 0
         self._procs: List[subprocess.Popen] = []
         self._collector: Optional[threading.Thread] = None
         self._stop = threading.Event()
@@ -323,47 +348,65 @@ class RedisBroker(TurnBroker):
         with self._entry_lock:
             return len(self._entries) < self.cfg.inflight
 
-    def execute(self, ticket) -> None:
-        turn_id = self._next_turn
-        self._next_turn += 1
-        assert self._conn is not None
-        args, gkey = ticket.args, None
-        if (ticket.method == "local_update" and not ticket.kwargs
-                and len(args) == 3 and isinstance(args[0], dict)):
-            # intern the broadcast payload: ship the global state to redis
-            # once per dispatch epoch and reference it by key, instead of
-            # embedding a full model copy in every client's turn frame
-            payload = args[0]
-            gkey = self._gstate_ids.get(id(payload))
-            if gkey is None:
-                gkey = self._gstate_next
-                self._gstate_next += 1
-                # HSET must land before the turn frame is visible, so a
-                # worker can never dequeue a sentinel it cannot resolve
-                self._conn.execute("HSET", self.cfg.key("gstate"), gkey,
-                                   serde.encode_payload(payload))
-                self._gstate_ids[id(payload)] = gkey
-                self._gstate_refs[gkey] = payload
-                self._prune_gstate()
-            args = ({serde.GSTATE_KEY: gkey},) + tuple(args[1:])
-        frame = serde.encode_turn(
-            turn_id, ticket.client, ticket.method, args, ticket.kwargs
-        )
-        with self._entry_lock:
-            self._entries[turn_id] = _Entry(ticket=ticket, frame=frame, gkey=gkey)
-        self._conn.execute("LPUSH", self.cfg.key("turns"), frame)
+    def fusable(self, ticket) -> bool:
+        return self._runner is not None and self._runner.turn_eligible(ticket)
 
-    def _prune_gstate(self) -> None:
-        """Drop interned payloads no in-flight turn can still reference."""
+    def execute(self, ticket) -> None:
+        self.execute_batch([ticket])
+
+    def execute_batch(self, tickets) -> None:
+        """Queue the tickets as one item, in one round trip."""
+        assert self._conn is not None
+        payloads: List[Any] = []  # gkey, encoded payload, ...: the new interns
+        entries: Dict[int, _Entry] = {}
+        for ticket in tickets:
+            args, gkey = ticket.args, None
+            if (ticket.method == "local_update" and not ticket.kwargs
+                    and len(args) == 3 and isinstance(args[0], dict)):
+                # intern the broadcast payload: ship the global state to redis
+                # once per dispatch epoch and reference it by key, instead of
+                # embedding a full model copy in every client's turn frame
+                payload = args[0]
+                gkey = self._gstate_ids.get(id(payload))
+                if gkey is None:
+                    gkey = self._gstate_next
+                    self._gstate_next += 1
+                    payloads += [gkey, serde.encode_payload(payload)]
+                    self._gstate_ids[id(payload)] = gkey
+                    self._gstate_refs[gkey] = payload
+                args = ({serde.GSTATE_KEY: gkey},) + tuple(args[1:])
+            turn_id = self._next_turn
+            self._next_turn += 1
+            frame = serde.encode_turn(turn_id, ticket.client, ticket.method, args, ticket.kwargs)
+            entries[turn_id] = _Entry(ticket=ticket, frame=frame, gkey=gkey)
+        # register the whole batch before pruning, so no key it references
+        # counts as unreferenced
+        with self._entry_lock:
+            self._entries.update(entries)
+        commands = []
+        if payloads:
+            # lands before the item does, so a worker can never pull a
+            # sentinel it cannot resolve
+            commands.append(("HSET", self.cfg.key("gstate"), *payloads))
+        stale = self._unreferenced_gstate()
+        if stale:
+            commands.append(("HDEL", self.cfg.key("gstate"), *stale))
+        commands.append(("LPUSH", self.cfg.key("turns"),
+                         serde.pack_frames([e.frame for e in entries.values()])))
+        self._conn.pipeline(commands)
+
+    def _unreferenced_gstate(self) -> List[int]:
+        """Forget interned payloads no in-flight turn can still reference
+        (the latest stays); returns their keys."""
         latest = self._gstate_next - 1
         with self._entry_lock:
             live = {e.gkey for e in self._entries.values() if e.gkey is not None}
         live.add(latest)
-        assert self._conn is not None
-        for gkey in [k for k in self._gstate_refs if k not in live]:
+        stale = [k for k in self._gstate_refs if k not in live]
+        for gkey in stale:
             payload = self._gstate_refs.pop(gkey)
             self._gstate_ids.pop(id(payload), None)
-            self._conn.execute("HDEL", self.cfg.key("gstate"), gkey)
+        return stale
 
     # -- collector thread ----------------------------------------------
     def _collect_loop(self) -> None:
@@ -393,21 +436,26 @@ class RedisBroker(TurnBroker):
         finally:
             conn.close()
 
-    def _resolve(self, conn: RespClient, frame: bytes) -> None:
+    def _resolve(self, conn: RespClient, item: bytes) -> None:
         try:
-            result = serde.decode_result(frame)
+            results = [serde.decode_result(f) for f in serde.unpack_frames(item)]
         except Exception:
-            _LOG.exception("undecodable result frame (%d bytes) dropped", len(frame))
+            _LOG.exception("undecodable result item (%d bytes) dropped", len(item))
             return
-        turn_id = result["turn"]
+        turn_ids = [result["turn"] for result in results]
         with self._entry_lock:
-            entry = self._entries.pop(turn_id, None)
-        conn.execute("HDEL", self.cfg.key("done"), turn_id)
-        if entry is None:
-            return  # duplicate ack from a requeued turn already resolved
-        if result["snap_bytes"]:
-            self._note_snapshot(result["client"], result["snap_bytes"])
-        self.deliver(entry.ticket, result)
+            entries = [self._entries.pop(turn_id, None) for turn_id in turn_ids]
+        conn.execute("HDEL", self.cfg.key("done"), *turn_ids)
+        outcomes = []
+        for result, entry in zip(results, entries):
+            if entry is None:
+                continue  # duplicate ack from a requeued turn already resolved
+            if result["snap_bytes"]:
+                self._note_snapshot(result["client"], result["snap_bytes"])
+            self._batch_sizes[result["batch"]] += 1
+            outcomes.append(self.outcome(entry.ticket, result))
+        if outcomes:
+            self.pool.turns_done_batch(outcomes)
 
     def _sweep(self, conn: RespClient) -> None:
         """Requeue turns whose lease died; fail turns nobody can run.
@@ -486,10 +534,12 @@ class RedisBroker(TurnBroker):
             entry.requeues += 1
             entry.submitted = time.monotonic()
             entry.leased = False
+            self._requeues += 1
             _LOG.warning("requeueing turn %d (attempt %d): %s",
                          turn_id, entry.requeues + 1, reason)
-            # front of the queue: the turn already waited its fair share
-            conn.execute("RPUSH", self.cfg.key("turns"), entry.frame)
+            # front of the queue, alone: the turn already waited its fair
+            # share, and the rest of its item is none of its business
+            conn.execute("RPUSH", self.cfg.key("turns"), serde.pack_frames([entry.frame]))
         else:
             self._fail_entry(turn_id, entry,
                              f"{reason}; retry budget ({self.cfg.max_requeues}) exhausted")
@@ -570,7 +620,9 @@ class RedisBroker(TurnBroker):
     def describe(self) -> Dict[str, Any]:
         info = super().describe()
         info.update(namespace=self.cfg.namespace(), lease=self.cfg.lease,
-                    inflight=self.cfg.inflight)
+                    inflight=self.cfg.inflight, fuses=self._runner is not None,
+                    batch_sizes=dict(sorted(self._batch_sizes.items())),
+                    requeues=self._requeues)
         return info
 
     @classmethod
@@ -585,11 +637,11 @@ class RedisBroker(TurnBroker):
 class RedisLink(WorkerLink):
     """The worker's half of the turn loop drawn in the module docstring.
 
-    A heartbeat thread renews the worker's liveness stamp and the active
-    turn's lease on its own connection.  Before running a turn the worker
-    checks the ``done`` hash — a requeued duplicate of a *completed* turn
-    re-acks the recorded result instead of re-training, so retries cannot
-    double-advance client state.
+    A heartbeat thread renews the worker's liveness stamp and every lease
+    of the item in hand on its own connection.  The claim checks the
+    ``done`` hash: a requeued duplicate of a *completed* turn is released
+    without running — its result travelled in the transaction that marked
+    it done — so retries cannot double-advance client state.
     """
 
     def __init__(self, url: str, worker_id: str) -> None:
@@ -602,7 +654,7 @@ class RedisLink(WorkerLink):
             )
         self._conn: Optional[RespClient] = None
         self._hb_conn: Optional[RespClient] = None
-        self._current_turn: Optional[int] = None
+        self._leased: List[int] = []  # the claimed item's turns
         self._stopping = threading.Event()
 
     def _connect(self) -> RespClient:
@@ -621,9 +673,11 @@ class RedisLink(WorkerLink):
             )
         return spec_yaml.decode("utf8"), json.loads(meta_raw).get("num_clients")
 
-    def _lease(self) -> str:
-        return json.dumps({"worker": self.worker_id,
-                           "deadline": time.time() + self.cfg.lease})
+    def _leases(self, turn_ids: List[int]) -> List[Any]:
+        """``HSET`` field/value pairs leasing ``turn_ids`` to this worker."""
+        lease = json.dumps({"worker": self.worker_id,
+                            "deadline": time.time() + self.cfg.lease})
+        return [v for turn_id in turn_ids for v in (turn_id, lease)]
 
     def start(self) -> None:
         self._conn.execute("HSET", self.cfg.key("hb"), self.worker_id, time.time())
@@ -632,55 +686,71 @@ class RedisLink(WorkerLink):
 
     def _heartbeat_loop(self) -> None:
         while not self._stopping.wait(self.cfg.heartbeat):
+            commands = [("HSET", self.cfg.key("hb"), self.worker_id, time.time())]
+            leased = self._leased
+            if leased:
+                commands.append(("HSET", self.cfg.key("leases"), *self._leases(leased)))
             try:
-                self._hb_conn.execute(
-                    "HSET", self.cfg.key("hb"), self.worker_id, time.time()
-                )
-                turn = self._current_turn
-                if turn is not None:
-                    self._hb_conn.execute(
-                        "HSET", self.cfg.key("leases"), turn, self._lease()
-                    )
+                self._hb_conn.pipeline(commands)
             except RespError:
                 return  # connection gone; the turn loop will notice and exit
 
-    def next_turn(self) -> Optional[bytes]:
-        if self._conn.execute("GET", self.cfg.key("stop")) is not None:
+    def next_item(self):
+        # the stop check rides in the pull's round trip; an item pulled
+        # after the engine said stop has nobody left waiting for it
+        stop, item = self._conn.pipeline(
+            [("GET", self.cfg.key("stop")), ("BRPOP", self.cfg.key("turns"), 1.0)],
+            timeout=11.0,
+        )
+        if stop is not None:
             return self.STOP
-        item = self._conn.brpop(self.cfg.key("turns"), timeout=1.0)
-        return None if item is None else item[1]  # the queue's own b"STOP" included
+        if item is None:
+            return None
+        return self.STOP if item[1] == self.STOP else serde.unpack_frames(item[1])
 
-    def claim(self, turn_id: int) -> bool:
-        # duplicate of a completed turn (requeued by a lease sweep that
-        # raced the ack): re-ack the recorded result, never re-train
-        done = self._conn.execute("HGET", self.cfg.key("done"), turn_id)
-        if done is not None:
-            self._conn.execute("LPUSH", self.cfg.key("results"), done)
-            return False
-        self._conn.execute("HSET", self.cfg.key("leases"), turn_id, self._lease())
-        self._current_turn = turn_id
-        return True
+    def give_back(self, frames: List[bytes]) -> None:
+        self._conn.execute("RPUSH", self.cfg.key("turns"), serde.pack_frames(frames))
 
-    def gstate(self, key: int) -> Optional[bytes]:
-        return self._conn.execute("HGET", self.cfg.key("gstate"), key)
+    def claim(self, turns, gkeys):
+        turn_ids = [turn_id for turn_id, _ in turns]
+        commands = [("HMGET", self.cfg.key("done"), *turn_ids),
+                    ("HSET", self.cfg.key("leases"), *self._leases(turn_ids)),
+                    ("HMGET", self.cfg.key("snap"), *[client for _, client in turns])]
+        if gkeys:
+            commands.append(("HMGET", self.cfg.key("gstate"), *gkeys))
+        replies = self._conn.pipeline(commands)
+        done, snaps = replies[0], replies[2]
+        self._leased = turn_ids
+        # a duplicate of a completed turn (requeued by a lease sweep that
+        # raced the ack) must not re-train; the commit just releases it
+        snapshots = [None if raw is None or record is not None else serde.decode_snapshot(raw)
+                     for raw, record in zip(snaps, done)]
+        gstate = dict(zip(gkeys, replies[3])) if gkeys else {}
+        return [record is None for record in done], gstate, snapshots
 
-    def load_snapshot(self, client: int):
-        raw = self._conn.execute("HGET", self.cfg.key("snap"), client)
-        return None if raw is None else serde.decode_snapshot(raw)
-
-    def commit(self, turn_id: int, client: int, snapshot, encode_result) -> None:
-        snap_frame = None if snapshot is None else serde.encode_snapshot(snapshot)
-        result_frame = encode_result(len(snap_frame) if snap_frame else 0)
-        # swap-out + done-record + ack + lease release, atomically: a lease
-        # sweep observes either "running" or "fully completed", never a
-        # half-acked turn it might requeue against a stale snapshot
-        commands = [("HSET", self.cfg.key("done"), turn_id, result_frame),
-                    ("LPUSH", self.cfg.key("results"), result_frame),
-                    ("HDEL", self.cfg.key("leases"), turn_id)]
-        if snap_frame is not None:
-            commands.insert(0, ("HSET", self.cfg.key("snap"), client, snap_frame))
+    def commit(self, outcomes) -> None:
+        snaps: List[Any] = []
+        records: List[Any] = []
+        frames = []
+        for turn_id, client, snapshot, encode_result in outcomes:
+            snap_frame = None if snapshot is None else serde.encode_snapshot(snapshot)
+            if snap_frame is not None:
+                snaps += [client, snap_frame]
+            records += [turn_id, self.worker_id]
+            frames.append(encode_result(len(snap_frame) if snap_frame else 0))
+        # swap-out + done-records + ack + lease release, atomically and in
+        # one round trip: a lease sweep observes each turn either "running"
+        # or "fully completed", never a half-acked turn it might requeue
+        # against a stale snapshot
+        commands = []
+        if snaps:
+            commands.append(("HSET", self.cfg.key("snap"), *snaps))
+        if records:
+            commands += [("HSET", self.cfg.key("done"), *records),
+                         ("LPUSH", self.cfg.key("results"), serde.pack_frames(frames))]
+        commands.append(("HDEL", self.cfg.key("leases"), *self._leased))
         self._conn.multi(commands)
-        self._current_turn = None
+        self._leased = []
 
     def close(self) -> None:
         self._stopping.set()

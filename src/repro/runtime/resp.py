@@ -1,9 +1,10 @@
 """A minimal RESP (REdis Serialization Protocol) client on raw sockets.
 
 The redis broker needs exactly one queue primitive set — lists with
-blocking pops, hashes, strings, and MULTI/EXEC — and the container image
-deliberately ships no redis client library, so this module speaks RESP2
-directly over a TCP socket with the standard library only.  It works
+blocking pops, hashes, strings, pipelines and MULTI/EXEC — and the
+container image deliberately ships no redis client library, so this
+module speaks RESP2 directly over a TCP socket with the standard library
+only.  It works
 against a real redis server (the CI broker-smoke job's service container)
 and against the in-repo :mod:`repro.runtime.miniredis` test server, which
 implements the same command subset.
@@ -17,7 +18,7 @@ blocking pops anyway).
 from __future__ import annotations
 
 import socket
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 from urllib.parse import urlparse
 
 __all__ = ["RespClient", "RespError", "connect_url"]
@@ -37,6 +38,25 @@ def _as_bytes(value: Value) -> bytes:
     if isinstance(value, (int, float)):
         return repr(value).encode("ascii")
     raise TypeError(f"cannot send {type(value).__name__} over RESP")
+
+
+def _encode_command(args: Tuple[Value, ...], parts: List[bytes]) -> None:
+    """Append one command's RESP encoding to ``parts`` (values are not
+    copied: the caller joins every part once)."""
+    if not args:
+        raise ValueError("empty RESP command")
+    parts.append(b"*%d\r\n" % len(args))
+    for arg in args:
+        data = _as_bytes(arg)
+        parts += (b"$%d\r\n" % len(data), data, b"\r\n")
+
+
+def _checked(replies: List[Any]) -> List[Any]:
+    """``replies``, unless one is a server error: then that is raised."""
+    for reply in replies:
+        if isinstance(reply, RespError):
+            raise reply
+    return replies
 
 
 class RespClient:
@@ -79,24 +99,39 @@ class RespClient:
         generous value for blocking pops (``BLPOP``/``BRPOP``).  Server
         errors raise :class:`RespError`.
         """
-        if not args:
-            raise ValueError("empty RESP command")
-        parts = [b"*%d\r\n" % len(args)]
-        for arg in args:
-            data = _as_bytes(arg)
-            parts.append(b"$%d\r\n%s\r\n" % (len(data), data))
+        return self.pipeline([args], timeout=timeout)[0]
+
+    def pipeline(self, commands: Sequence[Tuple[Value, ...]],
+                 timeout: Optional[float] = None) -> List[Any]:
+        """Send ``commands`` in one write and return their replies in order.
+
+        A server error raises only after every reply has been read, so the
+        connection stays in step with the server either way.
+        """
+        return _checked(self._exchange(commands, timeout))
+
+    def _exchange(self, commands: Sequence[Tuple[Value, ...]],
+                  timeout: Optional[float]) -> List[Any]:
+        """One round trip; server errors come back as :class:`RespError`
+        values in their reply slots."""
+        parts: List[bytes] = []
+        for cmd in commands:
+            _encode_command(cmd, parts)
+        payload = b"".join(parts)
         if timeout is not None:
             self._sock.settimeout(timeout)
         try:
-            self._sock.sendall(b"".join(parts))
-            return self._read_reply()
+            self._sock.sendall(payload)
+            return [self._read_reply() for _ in commands]
         except socket.timeout as exc:
             raise RespError(
-                f"redis command {args[0]!r} timed out after "
+                f"redis command {commands[0][0]!r} timed out after "
                 f"{timeout if timeout is not None else self.timeout}s"
             ) from exc
         except OSError as exc:
-            raise RespError(f"redis connection lost during {args[0]!r}: {exc}") from exc
+            raise RespError(
+                f"redis connection lost during {commands[0][0]!r}: {exc}"
+            ) from exc
         finally:
             if timeout is not None:
                 self._sock.settimeout(self.timeout)
@@ -110,16 +145,17 @@ class RespClient:
         return None if reply is None else (reply[0], reply[1])
 
     def multi(self, commands: List[Tuple[Value, ...]]) -> List[Any]:
-        """Run ``commands`` atomically inside MULTI/EXEC."""
-        self.execute("MULTI")
-        for cmd in commands:
-            queued = self.execute(*cmd)
-            if queued not in (b"QUEUED", "QUEUED"):
-                raise RespError(f"command {cmd[0]!r} not queued in MULTI: {queued!r}")
-        replies = self.execute("EXEC")
-        if replies is None:
-            raise RespError("EXEC aborted")
-        return replies
+        """Run ``commands`` atomically inside MULTI/EXEC, in one round trip.
+
+        A command the server refuses to queue makes it discard the whole
+        transaction (``EXECABORT``); that, or an error inside EXEC's reply,
+        raises once every reply has been read.
+        """
+        replies = self._exchange([("MULTI",), *commands, ("EXEC",)], None)
+        result, refused = replies[-1], [r for r in replies[1:-1] if r != b"QUEUED"]
+        if refused or not isinstance(result, list):
+            raise RespError(f"transaction aborted: {result} (refused: {refused})")
+        return _checked(result)
 
     def hgetall(self, key: Value) -> dict:
         flat = self.execute("HGETALL", key) or []
@@ -156,7 +192,8 @@ class RespClient:
         if marker == b"+":
             return body
         if marker == b"-":
-            raise RespError(body.decode("utf8", "replace"))
+            # a value, not a raise: the replies after it must still be read
+            return RespError(body.decode("utf8", "replace"))
         if marker == b":":
             return int(body)
         if marker == b"$":

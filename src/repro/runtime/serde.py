@@ -18,7 +18,8 @@ bit-identically to the in-process pool (pinned by the hypothesis suite in
 from __future__ import annotations
 
 import base64
-from typing import Any, Dict, Mapping, Tuple
+import struct
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +39,8 @@ __all__ = [
     "encode_result",
     "encode_error",
     "decode_result",
+    "pack_frames",
+    "unpack_frames",
 ]
 
 #: sentinel key for an interned global-state payload: a ``local_update``
@@ -193,39 +196,70 @@ def decode_turn(frame: bytes) -> Tuple[int, int, str, tuple, dict]:
 
 
 def encode_result(
-    turn_id: int, client: int, value: Any, *, snap_bytes: int = 0, worker: str = ""
+    turn_id: int, client: int, value: Any, *, snap_bytes: int = 0, worker: str = "",
+    batch: int = 1,
 ) -> bytes:
+    """``batch``: how many turns trained together in the pass that ran this
+    one (1 when it ran alone)."""
     tree, arrays = pack_tree(value)
     meta = {"turn": int(turn_id), "client": int(client), "ok": True,
-            "payload": tree, "snap_bytes": int(snap_bytes), "worker": worker}
+            "payload": tree, "snap_bytes": int(snap_bytes), "worker": worker,
+            "batch": int(batch)}
     return encode_message("response", meta, arrays)
 
 
 def encode_error(
     turn_id: int, client: int, exc: BaseException, *,
-    traceback_text: str = "", snap_bytes: int = 0, worker: str = ""
+    traceback_text: str = "", snap_bytes: int = 0, worker: str = "", batch: int = 1,
 ) -> bytes:
     meta = {
         "turn": int(turn_id), "client": int(client), "ok": False,
         "error": {"type": type(exc).__name__, "message": str(exc),
                   "traceback": traceback_text},
-        "snap_bytes": int(snap_bytes), "worker": worker,
+        "snap_bytes": int(snap_bytes), "worker": worker, "batch": int(batch),
     }
     return encode_message("error", meta, {})
 
 
 def decode_result(frame: bytes) -> Dict[str, Any]:
-    """-> {turn, client, ok, value?/error?, snap_bytes, worker}."""
+    """-> {turn, client, ok, value?/error?, snap_bytes, worker, batch}."""
     kind, meta, arrays = decode_message(frame)
     if kind not in ("response", "error"):
         raise WireError(f"frame is not a turn result (kind={kind!r})")
     out: Dict[str, Any] = {
         "turn": int(meta["turn"]), "client": int(meta["client"]),
         "ok": bool(meta["ok"]), "snap_bytes": int(meta.get("snap_bytes", 0)),
-        "worker": str(meta.get("worker", "")),
+        "worker": str(meta.get("worker", "")), "batch": int(meta.get("batch", 1)),
     }
     if out["ok"]:
         out["value"] = unpack_tree(meta["payload"], arrays)
     else:
         out["error"] = dict(meta["error"])
     return out
+
+
+# --------------------------------------------------------------------------
+# queue items: several turn (or result) frames travelling as one
+# --------------------------------------------------------------------------
+
+def pack_frames(frames: Sequence[bytes]) -> bytes:
+    """Frames as one queue item: their count, their lengths, then the frames
+    back to back (a batch of one is still an item)."""
+    header = struct.pack(f"<I{len(frames)}Q", len(frames), *map(len, frames))
+    return b"".join([header, *frames])
+
+
+def unpack_frames(item: bytes) -> List[bytes]:
+    """Inverse of :func:`pack_frames`."""
+    try:
+        (count,) = struct.unpack_from("<I", item)
+        sizes = struct.unpack_from(f"<{count}Q", item, 4)
+    except struct.error as exc:
+        raise WireError(f"truncated queue item ({len(item)} bytes)") from exc
+    frames, pos = [], 4 + 8 * count
+    for size in sizes:
+        frames.append(item[pos:pos + size])
+        pos += size
+    if pos != len(item):
+        raise WireError(f"queue item holds {len(item)} bytes, its header {pos}")
+    return frames

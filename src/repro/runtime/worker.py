@@ -9,26 +9,31 @@ through the broker registry; everything else is one loop.  On startup the
 worker fetches the experiment spec the engine published, rebuilds an
 identical trainer node from the same seeded factories the engine uses —
 which is what makes its turns bit-identical to in-process execution — and
-loops::
+loops over queue items, each a batch of one or more turns::
 
-    next turn -> claim -> swap in the client's snapshot -> run the method
-    -> swap out -> commit {snapshot, result}
+    next item -> claim every turn (and fetch their snapshots) -> run the
+    fusable ones as one stacked pass, the rest one by one -> commit
+    {snapshots, results}
 
-The link heartbeats on its own thread; if the process dies mid-turn the
-engine notices (an expired lease requeues the turn on redis, an evicted
-member's turns fail as lost peers on tcp).
+A configuration the engine cannot fuse only ever arrives one turn per item
+(the ``tcp://`` link always does).  The link heartbeats on its own thread;
+if the process dies mid-item the engine notices (an expired lease requeues
+each of the item's turns on redis, an evicted member's turns fail as lost
+peers on tcp).
 
 Exit codes of :func:`run_worker`: 0 after a stop request (the engine's stop
-flag, SIGTERM/SIGINT, the turn cap), 2 when startup failed, 3 when the
-serve loop ended because the server was lost or revoked this worker.
+flag, SIGTERM/SIGINT — the claimed item commits first — or the turn cap),
+2 when startup failed, 3 when the serve loop ended because the server was
+lost or revoked this worker.
 
 Environment knobs (used by the regression tests):
 
 ``REPRO_WORKER_TURN_DELAY``
-    Seconds to sleep after claiming a turn and before training — widens
-    the kill window for dead-worker tests.
+    Seconds to sleep once per claimed item, after claiming and before
+    training — widens the kill window for dead-worker tests.
 ``REPRO_WORKER_MAX_TURNS``
-    Exit after this many turns (crash-recovery tests).
+    Exit after running this many turns (crash-recovery tests); the turns of
+    an item past the cap go back to the front of the queue unclaimed.
 """
 
 from __future__ import annotations
@@ -39,16 +44,26 @@ import socket
 import threading
 import time
 import traceback
-from collections import OrderedDict
-from typing import Any, Optional
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.runtime import serde
 from repro.runtime.broker import broker_class
+from repro.runtime.fused import FusedTurnRunner
 from repro.utils.logging import get_logger
 
 _LOG = get_logger("worker")
 
 __all__ = ["Worker", "run_worker"]
+
+
+class _Turn(NamedTuple):
+    """One decoded turn frame; also the ticket shape the fused runner reads."""
+
+    turn_id: int
+    client: int
+    method: str
+    args: tuple
+    kwargs: dict
 
 
 class Worker:
@@ -58,22 +73,23 @@ class Worker:
         self.worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
         self.link = broker_class(url).worker_link(url, self.worker_id)
         # a graceful stop request (signal or stop()) only ends the pull
-        # loop: the link keeps heartbeating until the in-flight turn has
-        # been committed and run() closes it
+        # loop: the link keeps heartbeating until the claimed item has been
+        # committed and run() closes it
         self._stop_requested = threading.Event()
         self.node: Any = None
         self.provider: Any = None
         self.baseline: Any = None
+        #: the stacked-pass runner (None: the configuration does not fuse)
+        self.runner: Optional[FusedTurnRunner] = None
         self.turns_run = 0
         #: True once the serve loop ended because the server went away
         self.lost = False
-        self._turn_id: Optional[int] = None
+        self._turn_ids: Optional[List[int]] = None
         self._stage = "start"
-        # decoded global-state payloads, keyed by the engine's intern key;
-        # a round's whole cohort shares one entry, async policies keep a
-        # few recent versions warm
-        self._gstate_cache: "OrderedDict[int, Any]" = OrderedDict()
-        self._gstate_cache_cap = 4
+        # decoded global-state payloads of the last item, keyed by the
+        # engine's intern key: a round's whole cohort shares one entry, an
+        # async batch brings one per version it trained on
+        self._gstate_cache: Dict[int, Any] = {}
 
     def load(self) -> None:
         """Open the link, fetch the published spec, build the trainer."""
@@ -97,6 +113,7 @@ class Worker:
         )
         self.node.setup_local()
         self.baseline = self.node.pool_baseline()
+        self.runner = FusedTurnRunner.build(self.node.fusion_context())
 
     # ------------------------------------------------------------------
     # the turn loop
@@ -115,104 +132,145 @@ class Worker:
             _LOG.info("worker %s serving %s", self.worker_id, link.url)
             while max_turns is None or self.turns_run < max_turns:
                 if self._stop_requested.is_set():
-                    break  # the in-flight turn, if any, already committed
+                    break  # the claimed item, if any, already committed
                 self._stage = "poll"
-                frame = link.next_turn()
-                if frame is None:
+                frames = link.next_item()
+                if frames is None:
                     continue
-                if frame == link.STOP:
+                if frames is link.STOP:
                     break
-                self._serve(frame)
+                if max_turns is not None and len(frames) > max_turns - self.turns_run:
+                    keep = max_turns - self.turns_run
+                    link.give_back(frames[keep:])
+                    frames = frames[:keep]
+                self._serve(frames)
         except (ConnectionError, OSError) as exc:
             self.lost = True
             _LOG.error(
                 "worker %s lost its server (last turn %s, stage %s): %s",
-                self.worker_id, self._turn_id, self._stage, exc,
+                self.worker_id, self._turn_ids, self._stage, exc,
             )
         finally:
             link.close()
         return self.turns_run
 
     def stop(self) -> None:
-        """Request a graceful shutdown: finish the in-flight turn, then exit."""
+        """Request a graceful shutdown: finish the claimed item, then exit."""
         self._stop_requested.set()
 
-    def _resolve_gstate(self, args: tuple) -> tuple:
-        """Swap an interned-payload sentinel for the decoded global state.
+    @staticmethod
+    def _gstate_key(args: tuple) -> Optional[int]:
+        """The intern key of an interned-payload sentinel heading ``args``."""
+        head = args[0] if args else None
+        if isinstance(head, dict) and len(head) == 1 and serde.GSTATE_KEY in head:
+            return int(head[serde.GSTATE_KEY])
+        return None
+
+    def _serve(self, frames: List[bytes]) -> None:
+        """One queue item: claim, run, commit.
 
         The engine ships each dispatch epoch's model to the broker once and
-        sends ``{GSTATE_KEY: key}`` in the turn frame; decoding it once per
-        key (instead of once per turn) is the worker half of the
-        round-decode cache.  The decoded payload is shared across turns and
-        must be treated as read-only — same contract as the in-process
-        pool, where one payload dict fans out to the whole cohort.
+        the turn frames carry ``{GSTATE_KEY: key}``; the claim fetches the
+        keys this worker has not decoded yet, and each is decoded once per
+        item (the worker half of the round-decode cache).  A decoded payload
+        is shared across turns and must be treated as read-only — same
+        contract as the in-process pool, where one payload dict fans out to
+        the whole cohort.
         """
-        head = args[0] if args else None
-        if not (isinstance(head, dict) and len(head) == 1
-                and serde.GSTATE_KEY in head):
-            return args
-        gkey = int(head[serde.GSTATE_KEY])
-        payload = self._gstate_cache.get(gkey)
-        if payload is None:
-            frame = self.link.gstate(gkey)
-            if frame is None:
-                # the engine prunes only keys no in-flight turn references,
-                # so a miss means the run is gone or the namespace was wiped
-                raise RuntimeError(
-                    f"interned global state {gkey} missing from broker"
-                )
-            payload = serde.decode_payload(frame)
-            self._gstate_cache[gkey] = payload
-            while len(self._gstate_cache) > self._gstate_cache_cap:
-                self._gstate_cache.popitem(last=False)
-        else:
-            self._gstate_cache.move_to_end(gkey)
-        return (payload,) + tuple(args[1:])
-
-    def _serve(self, frame: bytes) -> None:
         link = self.link
-        turn_id, client, method, args, kwargs = serde.decode_turn(frame)
-        self._turn_id, self._stage = turn_id, "claim"
-        if not link.claim(turn_id):
-            return
+        turns = [_Turn(*serde.decode_turn(frame)) for frame in frames]
+        self._turn_ids, self._stage = [t.turn_id for t in turns], "claim"
+        keys = {k for k in map(self._gstate_key, (t.args for t in turns)) if k is not None}
+        runnable, fetched, snapshots = link.claim(
+            [(t.turn_id, t.client) for t in turns],
+            sorted(k for k in keys if k not in self._gstate_cache),
+        )
         delay = float(os.environ.get("REPRO_WORKER_TURN_DELAY", "0") or 0)
         if delay:
             time.sleep(delay)
+        self._stage = "swap-in"
+        cache = {k: self._gstate_cache[k] for k in keys if k in self._gstate_cache}
+        for key, frame in fetched.items():
+            # the engine prunes only keys no in-flight turn references, so a
+            # miss means the run is gone or the namespace was wiped; the turns
+            # that need it fail, the rest of the item runs
+            if frame is not None:
+                cache[key] = serde.decode_payload(frame)
+        self._gstate_cache = cache
+        jobs = []
+        for turn, ok, snapshot in zip(turns, runnable, snapshots):
+            key = self._gstate_key(turn.args)
+            if key in cache:
+                turn = turn._replace(args=(cache[key],) + turn.args[1:])
+            if ok:
+                jobs.append((turn, snapshot))
+        outcomes = self._run(jobs)
+        self._stage = "commit"
+        link.commit([
+            (t.turn_id, t.client, snapshot,
+             lambda snap_bytes, t=t, value=value, error=error, batch=batch:
+                 self._encode_result(t.turn_id, t.client, value, error, snap_bytes, batch))
+            for (t, _), (value, error, snapshot, batch) in zip(jobs, outcomes)
+        ])
+        self.turns_run += len(jobs)
+
+    def _run(self, jobs: List[Tuple[_Turn, Any]]) -> List[Tuple[Any, Any, Any, int]]:
+        """``(value, error, snapshot, batch size)`` per ``(turn, stored
+        snapshot)`` job: fusable turns as one stacked pass — with the exact
+        per-turn path as the fallback the memory broker uses — and the rest
+        one at a time."""
+        outcomes: List[Any] = [None] * len(jobs)
+        fused = [i for i, (turn, _) in enumerate(jobs)
+                 if self.runner is not None and self._gstate_key(turn.args) is None
+                 and self.runner.turn_eligible(turn)]
+        if len(fused) > 1:
+            self._stage = "train"
+            batch = [jobs[i] + (self.provider.view(jobs[i][0].client),) for i in fused]
+            try:
+                results = self.runner.run_batch(batch, self.baseline)
+            except Exception:  # noqa: BLE001 - fall back to the exact path
+                _LOG.exception("fused batch failed; re-running %d turns one by one", len(fused))
+            else:
+                for i, (value, snapshot) in zip(fused, results):
+                    outcomes[i] = (value, None, snapshot, len(fused))
+        for i, (turn, snapshot) in enumerate(jobs):
+            if outcomes[i] is None:
+                outcomes[i] = self._run_one(turn, snapshot) + (1,)
+        return outcomes
+
+    def _run_one(self, turn: _Turn, previous: Any) -> Tuple[Any, Any, Any]:
         value = error = snapshot = None
         try:
             self._stage = "swap-in"
-            args = self._resolve_gstate(args)
-            previous = link.load_snapshot(client)
-            needs_data = method in ("local_update", "run_round")
-            dataset = self.provider.view(client) if needs_data else None
+            key = self._gstate_key(turn.args)
+            if key is not None:
+                raise RuntimeError(f"interned global state {key} missing from broker")
+            needs_data = turn.method in ("local_update", "run_round")
+            dataset = self.provider.view(turn.client) if needs_data else None
             self._stage = "train"
             value, error, snapshot = self.node.run_client_turn(
-                client, previous, dataset, self.baseline, method, args, kwargs
+                turn.client, previous, dataset, self.baseline, turn.method, turn.args, turn.kwargs
             )
         except (ConnectionError, OSError):
             raise  # the link died under the swap-in: nothing to report to
         except Exception as exc:  # noqa: BLE001 - report, keep serving
             error = exc
-        self._stage = "commit"
-        link.commit(
-            turn_id, client, snapshot,
-            lambda snap_bytes: self._encode_result(turn_id, client, value, error, snap_bytes),
-        )
-        self.turns_run += 1
+        return value, error, snapshot
 
     def _encode_result(self, turn_id: int, client: int, value: Any,
-                       error: Optional[Exception], snap_bytes: int) -> bytes:
+                       error: Optional[Exception], snap_bytes: int, batch: int) -> bytes:
         if error is None:
             try:
                 return serde.encode_result(
-                    turn_id, client, value, snap_bytes=snap_bytes, worker=self.worker_id
+                    turn_id, client, value, snap_bytes=snap_bytes, worker=self.worker_id,
+                    batch=batch,
                 )
             except Exception as exc:  # noqa: BLE001 - an unencodable value fails the turn
                 error = exc
         trace = "".join(traceback.format_exception(type(error), error, error.__traceback__))
         return serde.encode_error(
             turn_id, client, error, traceback_text=trace,
-            snap_bytes=snap_bytes, worker=self.worker_id,
+            snap_bytes=snap_bytes, worker=self.worker_id, batch=batch,
         )
 
 
@@ -229,12 +287,12 @@ def run_worker(url: str, worker_id: Optional[str] = None,
             worker.link.close()
         return 2
 
-    # graceful shutdown: SIGTERM/SIGINT finish the in-flight turn (its
-    # commit acks the result and releases the lease), then the run loop
-    # exits and the link deregisters — nothing for the engine to requeue
+    # graceful shutdown: SIGTERM/SIGINT finish the claimed item (its commit
+    # acks the results and releases the leases), then the run loop exits
+    # and the link deregisters — nothing for the engine to requeue
     def _graceful(signum, frame):  # noqa: ARG001 - signal handler signature
         _LOG.info(
-            "worker %s received signal %d, finishing current turn",
+            "worker %s received signal %d, finishing the claimed item",
             worker.worker_id, signum,
         )
         worker.stop()

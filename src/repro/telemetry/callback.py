@@ -251,9 +251,13 @@ class Telemetry(Callback):
                     "repro_broker_snapshot_bytes",
                     "Bytes of client state held behind the broker",
                 ),
+                reg.gauge(
+                    "repro_broker_fused_turns",
+                    "Turns a remote worker trained in a fused batch of two or more",
+                ),
             )
         (queue_g, inflight_g, turns_g, pending_g, free_g, occ_g, window_g,
-         turns_run_g, broker_depth_g, broker_bytes_g) = self._runtime_gauges
+         turns_run_g, broker_depth_g, broker_bytes_g, fused_g) = self._runtime_gauges
         sched = engine.scheduler
         if sched is not None and getattr(sched, "engine", None) is engine:
             queue_g.set(len(getattr(sched, "queue", ())))
@@ -295,6 +299,8 @@ class Telemetry(Callback):
             turns_run_g.set(pool.turns_run)
             broker_depth_g.set(pool.broker.queue_depth())
             broker_bytes_g.set(pool.broker.snapshot_bytes())
+            sizes = pool.broker.describe().get("batch_sizes", {})
+            fused_g.set(sum(n for k, n in sizes.items() if k > 1))
 
     def on_shutdown(self, engine: "Engine") -> None:
         self.registry.gauge(

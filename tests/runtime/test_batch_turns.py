@@ -1,7 +1,8 @@
 """Fused turns: the broker's choice to fuse must be invisible in results.
 
-The ``memory://`` broker stacks every turn it can prove exact into one
-batched tensor pass — no option turns this on or sizes it.  Its entire
+The ``memory://`` broker (and the ``redis://`` one, across the process
+edge) stacks every turn it can prove exact into one batched tensor pass —
+no option turns this on or sizes it.  Its entire
 contract is *bitwise invisibility*: same records, same final state as
 per-turn execution, for every scheduling policy — fusion may only change how
 fast results arrive.  These tests pin that contract against the same spec
@@ -392,18 +393,20 @@ def test_incompatible_turns_never_fuse():
 
 
 def test_redis_broker_matches_fused_memory_broker(fused_batches):
-    # the redis broker cannot fuse (TurnBroker.fusable's default): per-turn
-    # over worker processes, and the outcome must still match the memory
-    # broker's fused path bit for bit (the cross-broker identity the bench
-    # records rely on)
+    # both sides fuse — in-process threads here, worker processes there,
+    # which report the size of each stacked pass in their result frames —
+    # and the outcomes match bit for bit (the cross-broker identity the
+    # bench records rely on)
     from repro.runtime.miniredis import MiniRedis
 
     fused = Experiment(make_spec("fedasync")).run()
     assert fused_batches and max(fused_batches) > 1
     with MiniRedis() as server:
-        over_redis = Experiment(make_spec(
+        experiment = Experiment(make_spec(
             "fedasync", broker=f"{server.url}?workers=2&lease=30", pool_size=None,
-        )).run()
+        ))
+        over_redis = experiment.run()
+    assert max(experiment.engine.pool.broker.describe()["batch_sizes"]) > 1
     assert_identical(over_redis, fused)
 
 

@@ -61,6 +61,48 @@ def test_hashes(conn):
     assert conn.execute("HEXISTS", "h", "a") == 0
 
 
+def test_hmget_answers_every_field_in_order(conn):
+    # beside HGET: nil for each missing field, and for every field of a
+    # missing key; WRONGTYPE on a key that is not a hash
+    conn.execute("HSET", "hm", "a", "1", "b", "2")
+    assert conn.execute("HMGET", "hm", "b", "zzz", "a") == [b"2", None, b"1"]
+    assert conn.execute("HMGET", "absent", "a", "b") == [None, None]
+    conn.execute("SET", "str", "x")
+    with pytest.raises(RespError, match="WRONGTYPE"):
+        conn.execute("HMGET", "str", "a")
+
+
+def test_variadic_replies_count_like_redis(conn):
+    # HSET: fields added (an overwritten field is not added); HDEL: fields
+    # removed (a missing one is not); LPUSH: the list's length afterwards
+    assert conn.execute("HSET", "v", "a", "1", "b", "2") == 2
+    assert conn.execute("HSET", "v", "b", "3", "c", "4") == 1
+    assert conn.execute("HDEL", "v", "a", "c", "nope") == 2
+    assert conn.hgetall("v") == {b"b": b"3"}
+    assert conn.execute("LPUSH", "vl", "x", "y") == 2
+    assert conn.execute("LPUSH", "vl", "z") == 3
+
+
+def test_pipeline_reads_every_reply_before_raising(conn):
+    # one write, the replies in order; an error in the middle raises only
+    # after the replies behind it are read, so the next command is in step
+    assert conn.pipeline([("SET", "p", "1"), ("GET", "p"), ("HMGET", "ph", "f")]) == [
+        b"OK", b"1", [None]]
+    with pytest.raises(RespError, match="WRONGTYPE"):
+        conn.pipeline([("HGET", "p", "f"), ("SET", "after", "2")])
+    assert conn.execute("GET", "after") == b"2"
+    assert conn.pipeline([]) == []
+
+
+def test_multi_aborts_on_a_command_it_cannot_queue(conn):
+    # as redis does: the refused command poisons the transaction, EXEC
+    # answers EXECABORT, nothing runs, and the connection stays in step
+    with pytest.raises(RespError, match="EXECABORT"):
+        conn.multi([("SET", "m", "1"), ("NOSUCHCMD", "m")])
+    assert conn.execute("GET", "m") is None
+    assert conn.multi([("SET", "m", "1"), ("GET", "m")]) == [b"OK", b"1"]
+
+
 def test_lists_fifo_order(conn):
     conn.execute("LPUSH", "q", "1")
     conn.execute("LPUSH", "q", "2")

@@ -6,10 +6,15 @@ survive a worker killed mid-turn, and — the regression this PR fixes —
 must fail the waiting ticket with :class:`BrokerTurnLost` when no worker
 can ever finish the turn, instead of stalling the run.
 
+Fusable turns cross the queue as one item and train as one stacked pass;
+lease, dedupe, requeue and loss stay per turn (the fused-item tests below).
+
 Runs against any real redis the same way: set ``REDIS_URL`` to point the
-final test at an external server (it skips cleanly otherwise).
+fused-item tests and the final test at an external server (the final test
+skips cleanly otherwise).
 """
 
+import dataclasses
 import json
 import os
 import threading
@@ -19,9 +24,11 @@ import numpy as np
 import pytest
 
 from repro.experiment import Experiment, ExperimentSpec
-from repro.runtime import BrokerTurnLost, BrokerUnavailable, Broker
+from repro.runtime import BrokerTurnLost, BrokerUnavailable, Broker, serde
+from repro.runtime.fused import FusedTurnRunner
 from repro.runtime.miniredis import MiniRedis
-from repro.runtime.resp import connect_url
+from repro.runtime.redis import RedisBroker, RedisLink
+from repro.runtime.resp import RespError, connect_url
 from repro.runtime.worker import Worker, run_worker
 
 _WALL_FIELDS = ("wall_seconds",)
@@ -31,6 +38,12 @@ _WALL_FIELDS = ("wall_seconds",)
 def miniredis():
     with MiniRedis() as server:
         yield server
+
+
+@pytest.fixture(scope="module")
+def redis_url(miniredis):
+    """The external server when ``REDIS_URL`` names one, else MiniRedis."""
+    return os.environ.get("REDIS_URL", "").rstrip("/") or miniredis.url
 
 
 def make_spec(broker, pool_size=None, total_updates=10):
@@ -120,6 +133,26 @@ def _wait_for_lease(conn, broker, pids, timeout=30.0):
     raise AssertionError("no targeted worker ever held a lease")
 
 
+def _leases_of(conn, broker, pid):
+    """Turn ids whose lease the worker process ``pid`` holds."""
+    return sorted(int(turn) for turn, raw in conn.hgetall(broker.cfg.key("leases")).items()
+                  if json.loads(raw).get("worker", "").endswith(f"-{pid}"))
+
+
+def _wait_for_published(experiment, url, timeout=30.0):
+    """Poll until the broker has published the experiment's spec."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        engine = experiment.engine
+        pool = getattr(engine, "pool", None) if engine is not None else None
+        if pool is not None and getattr(pool.broker, "cfg", None) is not None:
+            with connect_url(url) as conn:
+                if conn.execute("GET", pool.broker.cfg.key("spec")) is not None:
+                    return pool.broker
+        time.sleep(0.02)
+    raise AssertionError("broker never published the experiment")
+
+
 # --------------------------------------------------------------------------
 # the headline pin: worker processes == in-process pool, bit for bit
 # --------------------------------------------------------------------------
@@ -129,9 +162,16 @@ def test_two_worker_processes_match_memory_broker(miniredis):
     redis_result = experiment.run()
     assert_identical(redis_result, memory)
 
-    broker = experiment.engine.pool.broker
+    pool = experiment.engine.pool
+    broker = pool.broker
     assert broker.distributed and broker.scheme == "redis"
     assert broker.pool_size == 2
+    # the training turns crossed as fused items and trained in stacked
+    # passes; each result frame says how many turns its pass held
+    info = broker.describe()
+    assert info["fuses"] and max(info["batch_sizes"]) > 1
+    assert sum(info["batch_sizes"].values()) == pool.turns_run
+    assert info["requeues"] == 0
     assert broker._procs == []  # workers reaped at shutdown
     # the run's namespace is cleaned out of the server
     with connect_url(miniredis.url) as conn:
@@ -150,31 +190,39 @@ def test_pool_size_maps_to_worker_count_when_url_has_none(miniredis):
 
 
 # --------------------------------------------------------------------------
-# failure protocol: kill a worker mid-turn
+# failure protocol: kill a worker mid-item
 # --------------------------------------------------------------------------
-def test_worker_killed_mid_turn_requeues_to_survivor(miniredis, monkeypatch):
-    # every turn sleeps after claiming its lease, widening the kill window;
-    # short lease + fast heartbeat keep recovery quick
-    monkeypatch.setenv("REPRO_WORKER_TURN_DELAY", "0.5")
+def test_worker_killed_mid_turn_requeues_to_survivor(redis_url, monkeypatch):
+    # the victim sleeps once per claimed item, so it is killed holding the
+    # leases of a whole fused item; each of its turns must requeue on its
+    # own (an item of one) and rerun on the survivor from its pre-turn
+    # snapshot, so records stay bit-identical to the in-process pool
     memory = Experiment(make_spec("memory://", pool_size=2, total_updates=6)).run()
-    monkeypatch.setenv("REPRO_WORKER_TURN_DELAY", "0.3")
+    monkeypatch.setenv("REPRO_WORKER_TURN_DELAY", "0.6")
     experiment = Experiment(make_spec(
-        f"{miniredis.url}?workers=2&lease=2&hb=0.25&requeues=4", total_updates=6,
+        f"{redis_url}?workers=2&lease=2&hb=0.25&requeues=4", total_updates=6,
     ))
     thread, outcome = _run_in_thread(experiment)
     broker = _wait_for_procs(experiment)
-    with connect_url(miniredis.url) as conn:
-        pids = [p.pid for p in broker._procs]
-        victim_pid = _wait_for_lease(conn, broker, pids)
-    for proc in broker._procs:
-        if proc.pid == victim_pid:
-            proc.kill()
+    deadline = time.monotonic() + 30
+    held = victim = None
+    with connect_url(redis_url) as conn:
+        while victim is None:
+            assert time.monotonic() < deadline, "no worker ever held a fused item"
+            for proc in broker._procs:
+                leases = _leases_of(conn, broker, proc.pid)
+                if len(leases) >= 2:
+                    held, victim = leases, proc
+                    break
+            time.sleep(0.01)
+    victim.kill()
     thread.join(timeout=120)
-    assert not thread.is_alive(), "run stalled after a worker was killed"
+    assert not thread.is_alive(), "run stalled after a worker holding a fused item died"
     assert "error" not in outcome, f"run failed: {outcome.get('error')!r}"
-    # the requeued turn reran from the pre-turn snapshot on the survivor,
-    # so the outcome is still bit-identical to the in-process pool
     assert_identical(outcome["result"], memory)
+    info = broker.describe()
+    assert info["requeues"] == len(held)
+    assert info["batch_sizes"].get(1, 0) >= len(held)  # each reran alone
 
 
 def test_sole_worker_death_fails_ticket_instead_of_stalling(miniredis, monkeypatch):
@@ -201,6 +249,145 @@ def test_sole_worker_death_fails_ticket_instead_of_stalling(miniredis, monkeypat
 
 
 # --------------------------------------------------------------------------
+# fused items: one queue item per batch, failure handling per turn
+# --------------------------------------------------------------------------
+def test_worker_turn_cap_gives_the_rest_of_its_item_back(redis_url, monkeypatch):
+    memory = Experiment(make_spec("memory://", pool_size=2, total_updates=6)).run()
+    experiment = Experiment(make_spec(f"{redis_url}?lease=30", total_updates=6))
+    thread, outcome = _run_in_thread(experiment)
+    broker = _wait_for_published(experiment, redis_url)
+    worker_url = broker.cfg.with_run(broker.cfg.run)
+    monkeypatch.setenv("REPRO_WORKER_MAX_TURNS", "1")
+    capped = Worker(worker_url, worker_id="capped")
+    # the first item is the initial cohort, fused: one turn runs, the rest
+    # go back to the front of the queue unclaimed, and the worker stops
+    assert capped.run() == 1 and not capped.lost
+    with connect_url(redis_url) as conn:
+        (item,) = conn.execute("LRANGE", broker.cfg.key("turns"), -1, -1)
+        returned = [serde.decode_turn(f)[0] for f in serde.unpack_frames(item)]
+        leased = {int(t) for t in conn.hgetall(broker.cfg.key("leases"))}
+    assert returned and not leased & set(returned)
+    monkeypatch.delenv("REPRO_WORKER_MAX_TURNS")
+    exits = []
+    finisher = threading.Thread(
+        target=lambda: exits.append(run_worker(worker_url, worker_id="finisher")), daemon=True)
+    finisher.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and "error" not in outcome, outcome.get("error")
+    finisher.join(timeout=30)
+    assert exits == [0]
+    assert_identical(outcome["result"], memory)
+
+
+def test_a_fused_pass_that_fails_reruns_its_turns_one_by_one(miniredis, monkeypatch):
+    # the worker's fallback is the memory broker's: the runner mutates
+    # nothing it is handed, so the exact per-turn path reproduces the item
+    memory = Experiment(make_spec("memory://", pool_size=2)).run()
+
+    def failing(self, jobs, baseline):
+        raise FloatingPointError("injected failure in the stacked pass")
+
+    monkeypatch.setattr(FusedTurnRunner, "run_batch", failing)
+    experiment = Experiment(make_spec(f"{miniredis.url}?lease=30"))
+    thread, outcome = _run_in_thread(experiment)
+    broker = _wait_for_published(experiment, miniredis.url)
+    exits = []
+    worker = threading.Thread(target=lambda: exits.append(run_worker(
+        broker.cfg.with_run(broker.cfg.run), worker_id="fallback")), daemon=True)
+    worker.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and "error" not in outcome, outcome.get("error")
+    worker.join(timeout=30)
+    assert exits == [0]
+    assert_identical(outcome["result"], memory)
+    assert set(broker.describe()["batch_sizes"]) == {1}
+
+
+def test_a_requeued_duplicate_of_a_done_turn_is_released_not_rerun(redis_url):
+    # turn 7 completed earlier (its result went out with its done mark) but
+    # came back in an item beside turn 8: the claim leases both and runs
+    # only 8; the commit releases both and ships 8's result alone
+    link = RedisLink(f"{redis_url}?run=dedupe{os.getpid()}", "w")
+    key = link.cfg.key
+    fresh = serde.encode_result(8, 1, {"x": 2}, worker="w")
+    link._conn = link._connect()
+    try:
+        link._conn.execute("HSET", key("done"), 7, "earlier")
+        runnable, gstate, snapshots = link.claim([(7, 0), (8, 1)], [])
+        assert runnable == [False, True] and gstate == {} and snapshots == [None, None]
+        assert set(link._conn.hgetall(key("leases"))) == {b"7", b"8"}
+        link.commit([(8, 1, None, lambda snap_bytes: fresh)])
+        (item,) = link._conn.execute("LRANGE", key("results"), 0, -1)
+        assert serde.unpack_frames(item) == [fresh]
+        assert link._conn.hgetall(key("leases")) == {}
+        assert link._conn.execute("HMGET", key("done"), 7, 8) == [b"earlier", b"w"]
+        # an item that held only duplicates ships nothing and releases all
+        link.claim([(7, 0)], [])
+        link.commit([])
+        assert link._conn.execute("LLEN", key("results")) == 1
+        assert link._conn.hgetall(key("leases")) == {}
+    finally:
+        link._conn.execute("DEL", *[key(n) for n in ("done", "leases", "results")])
+        link._conn.close()
+
+
+_UNFUSABLE = {
+    "resnet18": {
+        "data": {"dataset": "cifar10", "kwargs": {"train_size": 48, "test_size": 16},
+                 "partition": "iid", "batch_size": 8},
+        "train": {"algorithm": "fedavg", "model": "resnet18", "global_rounds": 1,
+                  "eval_every": 0, "algorithm_kwargs": {"lr": 0.02, "local_epochs": 1,
+                                                        "max_batches_per_epoch": 1}},
+        "num_clients": 3, "total_updates": 3,
+    },
+    "scaffold": {"train": {"algorithm": "scaffold", "model": "mlp", "global_rounds": 2,
+                           "algorithm_kwargs": {"lr": 0.05, "local_epochs": 1}}},
+    "codec": {"plugins": {"compressor": "topk", "compressor_kwargs": {"ratio": 4}}},
+    "attacked": {"attack": {"kind": "sign_flip", "fraction": 0.25}},
+}
+
+
+@pytest.mark.parametrize("name", list(_UNFUSABLE))
+def test_configurations_that_do_not_fuse_queue_one_turn_per_item(name, redis_url, monkeypatch):
+    items = []
+    execute_batch = RedisBroker.execute_batch
+
+    def counting(self, tickets):
+        items.append(len(tickets))
+        return execute_batch(self, tickets)
+
+    monkeypatch.setattr(RedisBroker, "execute_batch", counting)
+    spec = dataclasses.replace(make_spec(f"{redis_url}?workers=1&lease=30", total_updates=4),
+                               scheduler="sync", **_UNFUSABLE[name])
+    experiment = Experiment(spec)
+    experiment.run()
+    info = experiment.engine.pool.broker.describe()
+    assert not info["fuses"]
+    assert items and set(items) == {1}
+    assert set(info["batch_sizes"]) == {1}
+
+
+def test_pipeline_and_multi_keep_replies_aligned(redis_url):
+    # the same contract on redis 7 as on MiniRedis: an error raises only
+    # after every reply is read, and a command the server will not queue
+    # aborts the whole transaction with EXECABORT
+    key = f"pipeline-test-{os.getpid()}"
+    with connect_url(redis_url) as conn:
+        try:
+            assert conn.pipeline([("DEL", key), ("HSET", key, "a", "1", "b", "2"),
+                                  ("HMGET", key, "a", "zz", "b")]) == [0, 2, [b"1", None, b"2"]]
+            with pytest.raises(RespError, match="WRONGTYPE"):
+                conn.pipeline([("LPUSH", key, "x"), ("HGET", key, "a")])
+            assert conn.execute("HGET", key, "b") == b"2"
+            with pytest.raises(RespError, match="EXECABORT"):
+                conn.multi([("HSET", key, "c", "3"), ("NOSUCHCMD", key)])
+            assert conn.execute("HGET", key, "c") is None
+            assert conn.multi([("HSET", key, "c", "3"), ("HDEL", key, "a")]) == [1, 1]
+        finally:
+            conn.execute("DEL", key)
+
+
+# --------------------------------------------------------------------------
 # external workers join a run by URL (the `python -m repro worker` path)
 # --------------------------------------------------------------------------
 def test_external_workers_join_by_url_and_match_memory(miniredis):
@@ -210,18 +397,7 @@ def test_external_workers_join_by_url_and_match_memory(miniredis):
     memory = Experiment(make_spec("memory://", pool_size=2)).run()
     experiment = Experiment(make_spec(f"{miniredis.url}?lease=30"))
     thread, outcome = _run_in_thread(experiment)
-
-    deadline = time.monotonic() + 30
-    broker = None
-    while time.monotonic() < deadline and broker is None:
-        engine = experiment.engine
-        pool = getattr(engine, "pool", None) if engine is not None else None
-        if pool is not None and getattr(pool.broker, "cfg", None) is not None:
-            with connect_url(miniredis.url) as conn:
-                if conn.execute("GET", pool.broker.cfg.key("spec")) is not None:
-                    broker = pool.broker
-        time.sleep(0.02)
-    assert broker is not None, "broker never published the experiment"
+    broker = _wait_for_published(experiment, miniredis.url)
     assert broker.cfg.workers == 0
 
     worker_url = broker.cfg.with_run(broker.cfg.run)

@@ -55,12 +55,22 @@ class FakeConn:
     def execute(self, cmd, *args):
         self.commands.append((cmd,) + tuple(args))
         if cmd == "HSET":
-            self.hashes.setdefault(args[0], {})[args[1]] = args[2]
+            fields = self.hashes.setdefault(args[0], {})
+            fields.update(zip(args[1::2], args[2::2]))
         elif cmd == "HDEL":
-            self.hashes.get(args[0], {}).pop(args[1], None)
+            for field in args[1:]:
+                self.hashes.get(args[0], {}).pop(field, None)
         elif cmd in ("LPUSH", "RPUSH"):
             self.lists.setdefault(args[0], []).append(args[1])
         return None
+
+    def pipeline(self, commands):
+        return [self.execute(*cmd) for cmd in commands]
+
+
+def turn_frames(conn, broker):
+    """Every turn frame queued so far, item by item."""
+    return [f for item in conn.lists[broker.cfg.key("turns")] for f in serde.unpack_frames(item)]
 
 
 class FakePool:
@@ -71,6 +81,9 @@ class FakePool:
         self.done.append((ticket, result, exc))
         if release is not None:
             release()
+
+    def turns_done_batch(self, outcomes):
+        self.done.extend(outcomes)
 
 
 class FakeTicket:
@@ -141,7 +154,8 @@ def test_frozen_lease_requeues_then_fails_by_monotonic_age(broker):
     clock.mono += b.cfg.lease + 0.5
     b._sweep(conn)  # unchanged past the lease: requeue (budget is 1)
     assert entry.requeues == 1
-    assert conn.lists[b.cfg.key("turns")] == [entry.frame]
+    # requeued alone: an item of one
+    assert conn.lists[b.cfg.key("turns")] == [serde.pack_frames([entry.frame])]
     assert b.pool.done == []
     # the requeued turn gets claimed and freezes again: budget exhausted
     leases[b"3"] = frozen
@@ -205,7 +219,7 @@ def test_execute_interns_one_payload_per_epoch(broker):
         serde.decode_payload(gstate[0])["w"], payload["w"]
     )
     # every turn frame carries the sentinel, not the model
-    frames = conn.lists[b.cfg.key("turns")]
+    frames = turn_frames(conn, b)
     assert len(frames) == 3
     for frame in frames:
         _, _, method, args, _ = serde.decode_turn(frame)
@@ -237,5 +251,23 @@ def test_non_training_turns_bypass_interning(broker):
     b, _, conn = broker
     b.execute(FakeTicket(client=0, method="evaluate", args=(None, 8)))
     assert b.cfg.key("gstate") not in conn.hashes
-    _, _, _, args, _ = serde.decode_turn(conn.lists[b.cfg.key("turns")][0])
+    _, _, _, args, _ = serde.decode_turn(turn_frames(conn, b)[0])
     assert args == (None, 8)
+
+
+# --------------------------------------------------------------------------
+# results: one item per fused batch, each turn resolved at most once
+# --------------------------------------------------------------------------
+def test_a_results_item_resolves_each_turn_once(broker):
+    b, _, conn = broker
+    first, second = add_entry(b, 1, client=0), add_entry(b, 2, client=1)
+    item = serde.pack_frames([serde.encode_result(t, c, {"v": t}, worker="w", batch=2)
+                              for t, c in ((1, 0), (2, 1))])
+    b._resolve(conn, item)
+    assert [(t, v) for t, v, _ in b.pool.done] == [(first.ticket, {"v": 1}),
+                                                    (second.ticket, {"v": 2})]
+    assert ("HDEL", b.cfg.key("done"), 1, 2) in conn.commands
+    # a second result for a resolved turn: dropped, never applied twice
+    b._resolve(conn, serde.pack_frames([serde.encode_result(1, 0, {"v": 1}, worker="w2")]))
+    assert len(b.pool.done) == 2
+    assert b.describe()["batch_sizes"] == {2: 2}

@@ -22,7 +22,9 @@ from repro.runtime.serde import (
     encode_result,
     encode_snapshot,
     encode_turn,
+    pack_frames,
     pack_tree,
+    unpack_frames,
     unpack_tree,
 )
 
@@ -213,3 +215,17 @@ def test_frames_reject_wrong_kind():
         decode_result(snapshot_frame)
     with pytest.raises(WireError):
         decode_snapshot(encode_turn(0, 0, "evaluate", (), {}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(frames=st.lists(st.binary(max_size=64), max_size=6))
+def test_queue_item_roundtrip_and_truncation(frames):
+    # a queue item (a batch of turn or result frames) comes back frame for
+    # frame, empty frames and the empty batch included; a cut item is an
+    # error, never a shorter batch
+    item = pack_frames(frames)
+    assert unpack_frames(item) == frames
+    with pytest.raises(WireError):
+        unpack_frames(item[:-1])
+    with pytest.raises(WireError):
+        unpack_frames(item + b"x")

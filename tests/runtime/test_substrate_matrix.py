@@ -82,7 +82,11 @@ def run_on(substrate):
         return Experiment(make_spec("memory://", pool_size=2)).run()
     if substrate == "redis":
         with MiniRedis() as server:
-            return Experiment(make_spec(f"{server.url}?workers=2&lease=30")).run()
+            experiment = Experiment(make_spec(f"{server.url}?workers=2&lease=30"))
+            result = experiment.run()
+        # the redis arm fuses too: its workers report stacked passes
+        assert max(experiment.engine.pool.broker.describe()["batch_sizes"]) > 1
+        return result
     return run_with_thread_workers(make_spec("inproc://substrate-matrix?min_nodes=2&hb=0.1"))
 
 

@@ -299,7 +299,7 @@ def test_failed_turn_reports_its_error_and_the_worker_keeps_serving(link, minire
         _wait_until(lambda: worker.turns_run == 2, "the worker to count both turns")
         assert not worker.lost
         if link == "tcp":  # the failed turn's swap-out was kept, then advanced
-            assert worker.link.load_snapshot(0).turns == 2
+            assert worker.link._snapshots[0].turns == 2
     finally:
         engine.shutdown()
         if serving is not None:
