@@ -133,10 +133,9 @@ class Engine:
             if broker_class(broker_url).distributed:
                 # worker processes rebuild their own trainer nodes from the
                 # spec the broker publishes (a live broker also binds its
-                # listen address here, so workers may dial before run()).
-                # One probe trainer, built as each worker builds its own,
-                # answers for them: the evaluation convention, and the fused
-                # runner they build — the broker knows what fuses at submit
+                # listen address here, so workers may dial before run()); a
+                # probe trainer built as theirs answers for them: evaluation
+                # convention and fused runner (what fuses is known at submit)
                 probe = make_node(NodeSpec(name="fusion_probe", index=1_000_000,
                                            role=NodeRole.TRAINER))
                 probe.setup_local()

@@ -37,7 +37,6 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.engine.client_state import ClientStateStore, StateArena
 from repro.runtime.fused import FusedTurnRunner
-from repro.utils.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.engine import Engine
@@ -58,8 +57,6 @@ __all__ = [
     "BrokerUnavailable",
     "PeerLostError",
 ]
-
-_LOG = get_logger("broker")
 
 #: decoded turn results a fusing ``memory://`` pool may hold unconsumed: its
 #: admission window is this many bytes of model states (see
@@ -473,31 +470,20 @@ class MemoryBroker(TurnBroker):
         return value, error
 
     def _run_batch(self, node, tickets: List["PoolTicket"]) -> None:
-        """A fused batch; reports each ticket itself.
-
-        The fused attempt reads snapshots/payloads without consuming or
-        mutating any of them, so on an unexpected error mid-math, falling
-        back to the exact sequential per-turn path reproduces per-turn
-        execution bit-identically.
-        """
+        """A fused batch, falling back to the exact per-turn path
+        (:meth:`FusedTurnRunner.run_or_fallback`); reports each ticket."""
         assert self._baseline is not None and self._runner is not None
         jobs = [(t, self.store.get(t.client), self.pool.data_view(t))
                 for t in tickets]
-        try:
-            with node.tracer.span("pool.fused_batch", cat="pool", clients=len(tickets)):
-                outcomes = self._runner.run_batch(jobs, self._baseline)
-        except Exception:  # noqa: BLE001 - fall back to the exact path
-            _LOG.exception(
-                "fused batch failed; re-running %d turns sequentially",
-                len(tickets),
-            )
-            for ticket in tickets:
-                self.pool.turn_done(ticket, *self._attempt(node, ticket))
-            return
+        with node.tracer.span("pool.fused_batch", cat="pool", clients=len(tickets)):
+            # a per-turn rerun stores its own snapshot, so it hands back None
+            outcomes = self._runner.run_or_fallback(
+                jobs, self._baseline, lambda job: self._attempt(node, job[0]) + (None,))
         done = []
-        for ticket, (result, snapshot) in zip(tickets, outcomes):
-            self.store.put(ticket.client, snapshot)
-            done.append((ticket, result, None))
+        for ticket, (result, error, snapshot, _) in zip(tickets, outcomes):
+            if snapshot is not None:
+                self.store.put(ticket.client, snapshot)
+            done.append((ticket, result, error))
         self.pool.turns_done_batch(done)
 
     # -- introspection -------------------------------------------------

@@ -41,7 +41,10 @@ from repro.data.dataloader import materialize_batches
 from repro.engine.client_state import ClientSnapshot
 from repro.nn import functional as F
 from repro.nn.optim import SGD
+from repro.utils.logging import get_logger
 from repro.utils.seeding import DATA_STREAM, client_rng
+
+_LOG = get_logger("fused")
 
 __all__ = ["FusedTurnRunner"]
 
@@ -184,6 +187,17 @@ class FusedTurnRunner:
         for group in groups.values():
             self._run_group(group, baseline, outcomes)
         return [outcomes[id(ct)] for ct in clients]
+
+    def run_or_fallback(self, jobs, baseline, attempt) -> List[Tuple[Any, Any, Any, int]]:
+        """Job-aligned ``(value, error, snapshot, batch size)``: one stacked
+        pass, or if it raises — it mutated nothing — every job rerun exactly
+        through ``attempt(job) -> (value, error, snapshot)``."""
+        try:
+            results = self.run_batch(jobs, baseline)
+        except Exception:  # noqa: BLE001 - fall back to the exact path
+            _LOG.exception("fused batch failed; re-running %d turns one by one", len(jobs))
+            return [tuple(attempt(job)) + (1,) for job in jobs]
+        return [(value, None, snapshot, len(jobs)) for value, snapshot in results]
 
     # ------------------------------------------------------------------
     def _run_group(

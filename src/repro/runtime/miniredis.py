@@ -34,8 +34,9 @@ __all__ = ["MiniRedis"]
 
 _NIL = object()  # sentinel distinguishing "no reply value" from None (nil)
 
-#: what :meth:`MiniRedis.dispatch` implements; MULTI refuses to queue
-#: anything else, and EXEC then discards the transaction, as redis does
+#: the one gate in front of :meth:`MiniRedis.dispatch` and MULTI (which then
+#: discards the transaction at EXEC, as redis does): a handler added without
+#: its name here is refused everywhere, not only inside MULTI
 _COMMANDS = frozenset("PING ECHO SELECT AUTH FLUSHDB FLUSHALL SET GET INCR DEL EXISTS KEYS HSET "
                       "HGET HMGET HDEL HEXISTS HLEN HGETALL LPUSH RPUSH LPOP RPOP LLEN LRANGE "
                       "BLPOP BRPOP".split())
@@ -141,10 +142,10 @@ class _Handler(socketserver.BaseRequestHandler):
                         raise _Error("EXECABORT Transaction discarded because of "
                                      "previous errors.")
                     self._send(self.server.mini.exec_multi(queued))
+                elif cmd not in _COMMANDS:
+                    self._multi_refused = self._multi is not None
+                    raise _Error(f"ERR unknown command '{cmd}'")
                 elif self._multi is not None:
-                    if cmd not in _COMMANDS:
-                        self._multi_refused = True
-                        raise _Error(f"ERR unknown command '{cmd}'")
                     self._multi.append(args)
                     self._send(_Simple(b"QUEUED"))
                 else:

@@ -39,8 +39,10 @@ travel back the same way, and each block of lines is one round trip::
     HDEL done (K fields)
     resolve K tickets
 
-Only fusable turns share an item (:meth:`RedisBroker.fusable`).  Lease,
-dedupe, requeue and loss stay per turn: a requeued turn goes back alone.
+Only fusable turns share an item (:meth:`RedisBroker.fusable`), and one
+worker trains a whole item (on a 2-core host, faster with 2 or 4 workers
+than splitting the batch among them).  Lease, dedupe, requeue and loss
+stay per turn: a requeued turn goes back alone.
 
 ``local_update`` turns do not carry the global model: the engine interns
 each dispatch epoch's payload once in the ``gstate`` hash and the turn
@@ -67,7 +69,7 @@ URL parameters (``redis://host:port/db?workers=2&lease=30``):
 ``claim``     seconds an unclaimed turn may wait with no live workers (10)
 ``hb``        worker heartbeat period in seconds (1.0)
 ``requeues``  max requeues per turn before the ticket fails (2)
-``inflight``  max dispatched-but-unresolved turns (256)
+``inflight``  max unresolved turns before a new batch is held back (256)
 ``run``       namespace id (default: derived from the spec + a nonce)
 """
 
@@ -165,6 +167,14 @@ def parse_redis_url(url: str) -> RedisUrl:
     return out
 
 
+def _lease_holder(raw: Any) -> str:
+    """The worker id a raw ``leases`` hash value names (``?`` if unreadable)."""
+    try:
+        return str(json.loads(raw).get("worker", "?"))
+    except (ValueError, TypeError, AttributeError):
+        return "?"
+
+
 @dataclass
 class _Entry:
     """Engine-side record of one dispatched, unresolved turn."""
@@ -248,8 +258,7 @@ class RedisBroker(TurnBroker):
         self.cfg = parse_redis_url(url)
         if self.cfg.workers == 0 and default_workers:
             self.cfg.workers = int(default_workers)
-        # the runner each worker builds from its trainer (None: nothing fuses),
-        # built by the engine from a probe trainer: one verdict, from the spec
+        # the runner every worker builds (None: nothing fuses), from a probe
         self._runner = runner
         self._spec = spec
         self._num_clients = num_clients
@@ -491,7 +500,9 @@ class RedisBroker(TurnBroker):
         for worker in [w for w in self._hb_seen if w not in heartbeats]:
             del self._hb_seen[worker]
         with self._entry_lock:
-            self._idle_workers = max(0, live - len(raw_leases))
+            # a worker holding a fused item holds one lease per turn in it
+            busy = {_lease_holder(raw) for raw in raw_leases.values()}
+            self._idle_workers = max(0, live - len(busy))
             entries = dict(self._entries)
         for turn_id, entry in entries.items():
             raw = raw_leases.get(turn_id)
@@ -501,14 +512,10 @@ class RedisBroker(TurnBroker):
                 if seen is None or seen[0] != raw:
                     self._lease_seen[turn_id] = (raw, mono)
                 elif mono - seen[1] > self.cfg.lease:
-                    try:
-                        holder = json.loads(raw).get("worker", "?")
-                    except (ValueError, TypeError):
-                        holder = "?"
                     conn.execute("HDEL", self.cfg.key("leases"), turn_id)
                     self._lease_seen.pop(turn_id, None)
                     self._requeue_or_fail(conn, turn_id, entry, (
-                        f"worker {holder} lost its lease mid-turn "
+                        f"worker {_lease_holder(raw)} lost its lease mid-turn "
                         f"(no renewal for {self.cfg.lease:.1f}s)"
                     ))
             elif (not live

@@ -4,10 +4,9 @@ The redis broker needs exactly one queue primitive set — lists with
 blocking pops, hashes, strings, pipelines and MULTI/EXEC — and the
 container image deliberately ships no redis client library, so this
 module speaks RESP2 directly over a TCP socket with the standard library
-only.  It works
-against a real redis server (the CI broker-smoke job's service container)
-and against the in-repo :mod:`repro.runtime.miniredis` test server, which
-implements the same command subset.
+only.  It works against a real redis server (the CI broker-smoke job's
+service container) and against the in-repo :mod:`repro.runtime.miniredis`
+test server, which implements the same command subset.
 
 Not a general client: no pooling, no pub/sub, no RESP3, no cluster.  One
 :class:`RespClient` is one socket and is **not** thread-safe — each thread
@@ -129,9 +128,7 @@ class RespClient:
                 f"{timeout if timeout is not None else self.timeout}s"
             ) from exc
         except OSError as exc:
-            raise RespError(
-                f"redis connection lost during {commands[0][0]!r}: {exc}"
-            ) from exc
+            raise RespError(f"redis connection lost during {commands[0][0]!r}: {exc}") from exc
         finally:
             if timeout is not None:
                 self._sock.settimeout(self.timeout)

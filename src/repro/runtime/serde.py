@@ -199,8 +199,7 @@ def encode_result(
     turn_id: int, client: int, value: Any, *, snap_bytes: int = 0, worker: str = "",
     batch: int = 1,
 ) -> bytes:
-    """``batch``: how many turns trained together in the pass that ran this
-    one (1 when it ran alone)."""
+    """``batch``: the turns in the stacked pass that ran this one (1: alone)."""
     tree, arrays = pack_tree(value)
     meta = {"turn": int(turn_id), "client": int(client), "ok": True,
             "payload": tree, "snap_bytes": int(snap_bytes), "worker": worker,
@@ -243,8 +242,7 @@ def decode_result(frame: bytes) -> Dict[str, Any]:
 # --------------------------------------------------------------------------
 
 def pack_frames(frames: Sequence[bytes]) -> bytes:
-    """Frames as one queue item: their count, their lengths, then the frames
-    back to back (a batch of one is still an item)."""
+    """Frames as one queue item: count, lengths, then the frames back to back."""
     header = struct.pack(f"<I{len(frames)}Q", len(frames), *map(len, frames))
     return b"".join([header, *frames])
 

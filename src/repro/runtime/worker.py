@@ -215,10 +215,9 @@ class Worker:
         self.turns_run += len(jobs)
 
     def _run(self, jobs: List[Tuple[_Turn, Any]]) -> List[Tuple[Any, Any, Any, int]]:
-        """``(value, error, snapshot, batch size)`` per ``(turn, stored
-        snapshot)`` job: fusable turns as one stacked pass — with the exact
-        per-turn path as the fallback the memory broker uses — and the rest
-        one at a time."""
+        """``(value, error, snapshot, batch size)`` per ``(turn, stored snapshot)``
+        job: fusable turns as one stacked pass (:meth:`FusedTurnRunner.run_or_fallback`),
+        the rest one at a time."""
         outcomes: List[Any] = [None] * len(jobs)
         fused = [i for i, (turn, _) in enumerate(jobs)
                  if self.runner is not None and self._gstate_key(turn.args) is None
@@ -226,13 +225,10 @@ class Worker:
         if len(fused) > 1:
             self._stage = "train"
             batch = [jobs[i] + (self.provider.view(jobs[i][0].client),) for i in fused]
-            try:
-                results = self.runner.run_batch(batch, self.baseline)
-            except Exception:  # noqa: BLE001 - fall back to the exact path
-                _LOG.exception("fused batch failed; re-running %d turns one by one", len(fused))
-            else:
-                for i, (value, snapshot) in zip(fused, results):
-                    outcomes[i] = (value, None, snapshot, len(fused))
+            results = self.runner.run_or_fallback(
+                batch, self.baseline, lambda job: self._run_one(job[0], job[1]))
+            for i, outcome in zip(fused, results):
+                outcomes[i] = outcome
         for i, (turn, snapshot) in enumerate(jobs):
             if outcomes[i] is None:
                 outcomes[i] = self._run_one(turn, snapshot) + (1,)

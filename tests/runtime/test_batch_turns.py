@@ -128,6 +128,22 @@ def test_batched_turns_with_persistent_model_keys(monkeypatch, fused_batches):
     assert_identical(batched, plain)
 
 
+def test_a_stacked_pass_that_fails_reruns_per_turn_identically(monkeypatch):
+    # the fallback rule the redis worker shares: every turn of the failed
+    # pass reruns through the exact per-turn path from untouched state
+    plain = run_per_turn(make_spec("fedasync"), monkeypatch)
+    failed = []
+
+    def failing(self, jobs, baseline):
+        failed.append(len(jobs))
+        raise FloatingPointError("injected failure in the stacked pass")
+
+    monkeypatch.setattr(fused_mod.FusedTurnRunner, "run_batch", failing)
+    rerun = Experiment(make_spec("fedasync")).run()
+    assert failed and max(failed) > 1
+    assert_identical(rerun, plain)
+
+
 def test_fusion_ineligible_algorithm_falls_back_identically(monkeypatch, fused_batches):
     # scaffold carries per-client algo state, which rules fusion out: the
     # broker builds no runner, so patching ``fusable`` changes nothing

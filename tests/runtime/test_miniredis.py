@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.runtime import miniredis
 from repro.runtime.miniredis import MiniRedis
 from repro.runtime.resp import RespClient, RespError, connect_url
 
@@ -101,6 +102,19 @@ def test_multi_aborts_on_a_command_it_cannot_queue(conn):
         conn.multi([("SET", "m", "1"), ("NOSUCHCMD", "m")])
     assert conn.execute("GET", "m") is None
     assert conn.multi([("SET", "m", "1"), ("GET", "m")]) == [b"OK", b"1"]
+
+
+def test_one_command_list_gates_dispatch_and_multi(server, conn):
+    # the list MULTI checks is the list the server serves: a command outside
+    # it is refused outside MULTI too, and every command in it has a handler
+    with pytest.raises(RespError, match="unknown command"):
+        conn.execute("NOSUCHCMD", "k")
+    for cmd in sorted(miniredis._COMMANDS):
+        server.data.clear()
+        try:
+            server.dispatch([cmd.encode("ascii"), b"k", b"0", b"-1"])
+        except miniredis._Error as exc:
+            assert "unknown command" not in str(exc), cmd
 
 
 def test_lists_fifo_order(conn):

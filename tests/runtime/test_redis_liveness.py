@@ -190,6 +190,16 @@ def test_unclaimed_turn_fails_only_when_no_heartbeat_changes(broker):
     assert "no live workers" in str(exc)
 
 
+def test_idle_workers_count_lease_holders_not_leases(broker):
+    b, _, conn = broker
+    add_entry(b, 1), add_entry(b, 2, client=1)
+    conn.hashes[b.cfg.key("hb")] = {b"w-1": b"1.0", b"w-2": b"1.0"}
+    # w-1 holds a fused item of two turns; w-2 holds nothing
+    conn.hashes[b.cfg.key("leases")] = {b"1": lease_value(9.0), b"2": lease_value(9.0)}
+    b._sweep(conn)
+    assert b.idle_workers() == 1
+
+
 def test_departed_worker_state_is_dropped(broker):
     b, clock, conn = broker
     hb = conn.hashes.setdefault(b.cfg.key("hb"), {})
@@ -245,6 +255,16 @@ def test_gstate_kept_while_a_requeued_turn_may_still_need_it(broker):
     b.execute(FakeTicket(client=0, args=(payload_dict(), 0, 0)))  # stays in flight
     b.execute(FakeTicket(client=1, args=(payload_dict(), 1, 1)))
     assert sorted(conn.hashes[b.cfg.key("gstate")]) == [0, 1]
+
+
+def test_a_batch_is_one_item_whatever_the_worker_count(broker):
+    # one stacked pass on one worker beat splitting the batch among several
+    b, _, conn = broker
+    conn.hashes[b.cfg.key("hb")] = {b"w-1": b"1.0", b"w-2": b"1.0"}
+    b._sweep(conn)
+    b.execute_batch([FakeTicket(client=c, args=(payload_dict(), 4, 4)) for c in range(5)])
+    (item,) = conn.lists[b.cfg.key("turns")]
+    assert len(serde.unpack_frames(item)) == 5
 
 
 def test_non_training_turns_bypass_interning(broker):
