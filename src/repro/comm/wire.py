@@ -24,6 +24,7 @@ never executes arbitrary code.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import Any, Dict, Mapping, Tuple
 
@@ -63,6 +64,8 @@ _DTYPES = [
     np.dtype("complex128"),
 ]
 _DTYPE_CODE = {dt: i for i, dt in enumerate(_DTYPES)}
+#: ``json.dumps(meta, separators=...)`` builds this encoder on every call
+_encode_meta = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class WireError(ValueError):
@@ -73,22 +76,20 @@ def encode_message(kind: str, meta: Mapping[str, Any], arrays: Mapping[str, np.n
     """Serialize one message to a byte frame."""
     if kind not in MESSAGE_KINDS:
         raise WireError(f"unknown message kind {kind!r}")
-    meta_bytes = json.dumps(dict(meta), separators=(",", ":")).encode("utf8")
+    meta_bytes = _encode_meta(dict(meta)).encode("utf8")
     parts = [MAGIC, struct.pack("<BIH", MESSAGE_KINDS[kind], len(meta_bytes), len(arrays)), meta_bytes]
     for key, arr in arrays.items():
-        arr = np.asarray(arr)
-        if arr.ndim > 0:  # ascontiguousarray silently promotes 0-d to 1-d
-            arr = np.ascontiguousarray(arr)
-        if arr.dtype not in _DTYPE_CODE:
+        if type(arr) is not np.ndarray:
+            arr = np.asarray(arr)
+        code = _DTYPE_CODE.get(arr.dtype)
+        if code is None:
             raise WireError(f"unsupported array dtype {arr.dtype} for key {key!r}")
         kb = key.encode("utf8")
-        buf = arr.tobytes()
-        parts.append(struct.pack("<H", len(kb)))
-        parts.append(kb)
-        parts.append(struct.pack("<BB", _DTYPE_CODE[arr.dtype], arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(struct.pack("<Q", len(buf)))
-        parts.append(buf)
+        # a C-contiguous array joins the frame through the buffer protocol;
+        # any other layout is copied out in C order
+        parts.append(struct.pack(f"<H{len(kb)}sBB{arr.ndim}IQ", len(kb), kb, code,
+                                 arr.ndim, *arr.shape, arr.nbytes))
+        parts.append(arr if arr.flags.c_contiguous else arr.tobytes())
     return b"".join(parts)
 
 
@@ -109,15 +110,13 @@ def decode_message(frame: bytes) -> Tuple[str, Dict[str, Any], Dict[str, np.ndar
         key = frame[offset : offset + klen].decode("utf8")
         offset += klen
         dt_code, nd = struct.unpack_from("<BB", frame, offset)
-        offset += 2
-        shape = struct.unpack_from(f"<{nd}I", frame, offset)
-        offset += 4 * nd
-        (blen,) = struct.unpack_from("<Q", frame, offset)
-        offset += 8
+        header = struct.unpack_from(f"<{nd}IQ", frame, offset + 2)
+        shape, blen = header[:nd], header[nd]
+        offset += 10 + 4 * nd
         if dt_code >= len(_DTYPES):
             raise WireError(f"array {key!r}: unknown dtype code {dt_code}")
         dtype = _DTYPES[dt_code]
-        expected = int(np.prod(shape)) * dtype.itemsize  # np.prod(()) == 1 covers 0-d
+        expected = math.prod(shape) * dtype.itemsize  # prod(()) == 1 covers 0-d
         if blen != expected:
             raise WireError(f"array {key!r}: buffer {blen}B but shape {shape} implies {expected}B")
         # a view of the frame, then the one copy the array owns

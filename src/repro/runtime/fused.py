@@ -155,7 +155,9 @@ class FusedTurnRunner:
             if snapshot is None:
                 rng = client_rng(self.seed, ticket.client, DATA_STREAM)
             else:
-                rng = np.random.default_rng()
+                # a fixed seed, overwritten at once: default_rng() would draw
+                # OS entropy per client per pass only to throw it away
+                rng = np.random.Generator(np.random.PCG64(0))
                 rng.bit_generator.state = snapshot.loader_rng
             batches = materialize_batches(
                 view, self.batch_size, rng, algo.local_epochs, algo.max_batches_per_epoch

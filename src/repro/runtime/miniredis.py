@@ -13,6 +13,10 @@ service container via ``REDIS_URL``.
 
 Fidelity notes (deliberate simplifications):
 
+* commands are parsed by :class:`~repro.runtime.resp.RespReader`, the
+  client's own reader; each reply is written as soon as it is computed
+  (coalescing a pipeline's replies into one write was measured on the
+  ``redis_worker`` benchmark and bought nothing end to end);
 * single global lock — commands are atomic, as in redis's event loop;
 * ``BLPOP``/``BRPOP`` wait on a condition variable with the redis nil-on-
   timeout contract;
@@ -29,6 +33,8 @@ import socketserver
 import threading
 import time
 from typing import Any, Dict, List, Optional
+
+from repro.runtime.resp import RespReader
 
 __all__ = ["MiniRedis"]
 
@@ -59,52 +65,21 @@ class _Handler(socketserver.BaseRequestHandler):
 
     def setup(self) -> None:
         self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._buf = b""
+        self._reader = RespReader(self.request.recv)
         self._multi: Optional[List[List[bytes]]] = None
         self._multi_refused = False
 
-    # -- RESP framing --------------------------------------------------
-    def _read_line(self) -> Optional[bytes]:
-        while True:
-            idx = self._buf.find(b"\r\n")
-            if idx >= 0:
-                line, self._buf = self._buf[:idx], self._buf[idx + 2:]
-                return line
-            try:
-                chunk = self.request.recv(65536)
-            except OSError:
-                return None
-            if not chunk:
-                return None
-            self._buf += chunk
-
-    def _read_exact(self, n: int) -> Optional[bytes]:
-        while len(self._buf) < n:
-            try:
-                chunk = self.request.recv(65536)
-            except OSError:
-                return None
-            if not chunk:
-                return None
-            self._buf += chunk
-        data, self._buf = self._buf[:n], self._buf[n:]
-        return data
-
-    def _read_command(self) -> Optional[List[bytes]]:
-        line = self._read_line()
-        if line is None:
-            return None
+    # -- RESP framing: the client's reader -----------------------------
+    def _read_command(self) -> List[bytes]:
+        line = self._reader.read_line()
         if not line.startswith(b"*"):
             raise _Error(f"ERR protocol: expected array, got {line[:16]!r}")
         args: List[bytes] = []
         for _ in range(int(line[1:])):
-            header = self._read_line()
-            if header is None or not header.startswith(b"$"):
-                return None
-            data = self._read_exact(int(header[1:]))
-            if data is None or self._read_exact(2) is None:
-                return None
-            args.append(data)
+            header = self._reader.read_line()
+            if not header.startswith(b"$"):
+                raise ValueError(f"expected a bulk string, got {header[:16]!r}")
+            args.append(self._reader.read_bulk(int(header[1:])))
         return args
 
     def _send(self, reply: Any) -> None:
@@ -120,10 +95,8 @@ class _Handler(socketserver.BaseRequestHandler):
             except _Error as exc:
                 self._send(exc)
                 continue
-            except ValueError:
-                return
-            if args is None:
-                return
+            except (OSError, ValueError):
+                return  # peer gone (RespError included) or unparseable input
             if not args:
                 continue
             cmd = args[0].upper().decode("ascii", "replace")

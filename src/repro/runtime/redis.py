@@ -34,9 +34,8 @@ travel back the same way, and each block of lines is one round trip::
                                            results<-LPUSH (one item)
                                            leases<-HDEL (K fields)
                                     EXEC
+    HDEL done (last item's, bar requeued turns)
     BRPOP results <---------------  results
-
-    HDEL done (K fields)
     resolve K tickets
 
 Only fusable turns share an item (:meth:`RedisBroker.fusable`), and one
@@ -60,7 +59,9 @@ fails its ticket with :class:`~repro.runtime.broker.BrokerTurnLost`, so a
 scheduler blocked on the admission window gets a failed ticket instead of
 a stalled run.  Completed turns are marked in the ``done`` hash, in the
 transaction that ships their results; a requeued duplicate is released
-without re-training, so retries cannot double-advance client state.
+without re-training, so retries cannot double-advance client state.  The
+collector clears the marks in its next pull (drawn above) except those of
+turns ever requeued, which stay until shutdown for a duplicate to find.
 
 URL parameters (``redis://host:port/db?workers=2&lease=30``):
 
@@ -96,7 +97,7 @@ from repro.runtime.broker import (
     url_fields,
 )
 from repro.runtime.fused import FusedTurnRunner
-from repro.runtime.resp import RespClient, RespError
+from repro.runtime.resp import POP_SLACK, RespClient, RespError
 from repro.utils.logging import get_logger
 
 _LOG = get_logger("redis-broker")
@@ -281,6 +282,7 @@ class RedisBroker(TurnBroker):
         # turns resolved, by the size of the batch each trained in
         self._batch_sizes: Counter = Counter()
         self._requeues = 0
+        self._done_clear: List[int] = []  # done marks the collector's next pull drops
         self._procs: List[subprocess.Popen] = []
         self._collector: Optional[threading.Thread] = None
         self._stop = threading.Event()
@@ -424,14 +426,14 @@ class RedisBroker(TurnBroker):
         try:
             while not self._stop.is_set():
                 try:
-                    item = conn.brpop(self.cfg.key("results"), timeout=0.5)
+                    item = self._pull(conn)
                 except RespError as exc:
                     if self._stop.is_set():
                         return
                     self._fail_all(BrokerUnavailable(f"redis connection lost: {exc}"))
                     return
                 if item is not None:
-                    self._resolve(conn, item[1])
+                    self._resolve(item)
                 now = time.monotonic()
                 if now - last_sweep >= min(0.5, self.cfg.lease / 4):
                     last_sweep = now
@@ -445,20 +447,33 @@ class RedisBroker(TurnBroker):
         finally:
             conn.close()
 
-    def _resolve(self, conn: RespClient, item: bytes) -> None:
+    def _pull(self, conn: RespClient) -> Optional[bytes]:
+        """The next results item (``None`` after a quiet 0.5 s), in one round
+        trip with the ``HDEL`` of the done marks the last items left to clear."""
+        wait = 0.5
+        commands = [("BRPOP", self.cfg.key("results"), wait)]
+        if self._done_clear:
+            commands.insert(0, ("HDEL", self.cfg.key("done"), *self._done_clear))
+            self._done_clear = []
+        popped = conn.pipeline(commands, timeout=wait + POP_SLACK)[-1]
+        return None if popped is None else popped[1]
+
+    def _resolve(self, item: bytes) -> None:
         try:
             results = [serde.decode_result(f) for f in serde.unpack_frames(item)]
         except Exception:
             _LOG.exception("undecodable result item (%d bytes) dropped", len(item))
             return
-        turn_ids = [result["turn"] for result in results]
         with self._entry_lock:
-            entries = [self._entries.pop(turn_id, None) for turn_id in turn_ids]
-        conn.execute("HDEL", self.cfg.key("done"), *turn_ids)
+            entries = [self._entries.pop(result["turn"], None) for result in results]
         outcomes = []
         for result, entry in zip(results, entries):
             if entry is None:
                 continue  # duplicate ack from a requeued turn already resolved
+            if not entry.requeues:
+                # a requeued turn keeps its mark (until shutdown's DEL): a
+                # duplicate still queued must find it and not train again
+                self._done_clear.append(result["turn"])
             if result["snap_bytes"]:
                 self._note_snapshot(result["client"], result["snap_bytes"])
             self._batch_sizes[result["batch"]] += 1
@@ -705,9 +720,10 @@ class RedisLink(WorkerLink):
     def next_item(self):
         # the stop check rides in the pull's round trip; an item pulled
         # after the engine said stop has nobody left waiting for it
+        wait = 1.0
         stop, item = self._conn.pipeline(
-            [("GET", self.cfg.key("stop")), ("BRPOP", self.cfg.key("turns"), 1.0)],
-            timeout=11.0,
+            [("GET", self.cfg.key("stop")), ("BRPOP", self.cfg.key("turns"), wait)],
+            timeout=wait + POP_SLACK,
         )
         if stop is not None:
             return self.STOP

@@ -12,17 +12,25 @@ Not a general client: no pooling, no pub/sub, no RESP3, no cluster.  One
 :class:`RespClient` is one socket and is **not** thread-safe — each thread
 owns its own connection (redis semantics make that the natural shape for
 blocking pops anyway).
+
+:class:`RespReader` is the one RESP parser in the tree: the client reads
+replies with it, MiniRedis reads commands with it.
 """
 
 from __future__ import annotations
 
 import socket
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 from urllib.parse import urlparse
 
-__all__ = ["RespClient", "RespError", "connect_url"]
+__all__ = ["POP_SLACK", "RespClient", "RespError", "RespReader", "connect_url"]
 
 Value = Union[bytes, str, int, float]
+
+#: bytes asked of one ``recv``: bounded, so a connection's buffer stays small
+_RECV_SIZE = 65536
+#: a blocking pop's socket timeout is its own timeout plus this
+POP_SLACK = 10.0
 
 
 class RespError(ConnectionError):
@@ -58,6 +66,62 @@ def _checked(replies: List[Any]) -> List[Any]:
     return replies
 
 
+class RespReader:
+    """RESP parsing over a ``recv(size) -> bytes`` callable, by offset into
+    its buffer: a line or a bulk value costs a slice of its own bytes, never
+    a copy of everything unread.  An empty ``recv`` raises :class:`RespError`."""
+
+    def __init__(self, recv: Callable[[int], bytes]) -> None:
+        self._recv = recv
+        self._buf = b""
+        self._pos = 0
+
+    def _fill(self, need: int) -> None:
+        """Receive until ``need`` bytes are unread, dropping the consumed prefix."""
+        chunks = [self._buf[self._pos:]]
+        have = len(chunks[0])
+        while have < need:
+            chunk = self._recv(_RECV_SIZE)
+            if not chunk:
+                raise RespError("redis connection closed mid-reply")
+            chunks.append(chunk)
+            have += len(chunk)
+        self._buf, self._pos = b"".join(chunks), 0
+
+    def read_line(self) -> bytes:
+        while True:
+            idx = self._buf.find(b"\r\n", self._pos)
+            if idx >= 0:
+                line, self._pos = self._buf[self._pos:idx], idx + 2
+                return line
+            self._fill(len(self._buf) - self._pos + 1)
+
+    def read_bulk(self, n: int) -> bytes:
+        """``n`` bytes of a bulk value, consuming its trailing CRLF too."""
+        if len(self._buf) - self._pos < n + 2:
+            self._fill(n + 2)
+        start, self._pos = self._pos, self._pos + n + 2
+        return self._buf[start:start + n]
+
+    def read_reply(self) -> Any:
+        line = self.read_line()
+        marker, body = line[:1], line[1:]
+        if marker == b"$":
+            length = int(body)
+            return None if length < 0 else self.read_bulk(length)
+        if marker == b"+":
+            return body
+        if marker == b":":
+            return int(body)
+        if marker == b"*":
+            count = int(body)
+            return None if count < 0 else [self.read_reply() for _ in range(count)]
+        if marker == b"-":
+            # a value, not a raise: the replies after it must still be read
+            return RespError(body.decode("utf8", "replace"))
+        raise RespError(f"unknown RESP reply marker {marker!r}")
+
+
 class RespClient:
     """One RESP connection (see module docstring for scope)."""
 
@@ -66,12 +130,12 @@ class RespClient:
         self.host = host
         self.port = int(port)
         self.timeout = float(timeout)
-        self._buf = b""
         try:
             self._sock = socket.create_connection((host, self.port), timeout=self.timeout)
         except OSError as exc:
             raise RespError(f"cannot connect to redis at {host}:{port}: {exc}") from exc
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._reader = RespReader(self._sock.recv)
         if password:
             self.execute("AUTH", password)
         if db:
@@ -121,7 +185,7 @@ class RespClient:
             self._sock.settimeout(timeout)
         try:
             self._sock.sendall(payload)
-            return [self._read_reply() for _ in commands]
+            return [self._reader.read_reply() for _ in commands]
         except socket.timeout as exc:
             raise RespError(
                 f"redis command {commands[0][0]!r} timed out after "
@@ -138,7 +202,7 @@ class RespClient:
         return self.execute("PING") == b"PONG"
 
     def brpop(self, key: Value, timeout: float) -> Optional[Tuple[bytes, bytes]]:
-        reply = self.execute("BRPOP", key, timeout, timeout=timeout + 10.0)
+        reply = self.execute("BRPOP", key, timeout, timeout=timeout + POP_SLACK)
         return None if reply is None else (reply[0], reply[1])
 
     def multi(self, commands: List[Tuple[Value, ...]]) -> List[Any]:
@@ -157,55 +221,6 @@ class RespClient:
     def hgetall(self, key: Value) -> dict:
         flat = self.execute("HGETALL", key) or []
         return {flat[i]: flat[i + 1] for i in range(0, len(flat), 2)}
-
-    # ------------------------------------------------------------------
-    # reply parsing
-    # ------------------------------------------------------------------
-    def _read_line(self) -> bytes:
-        while True:
-            idx = self._buf.find(b"\r\n")
-            if idx >= 0:
-                line, self._buf = self._buf[:idx], self._buf[idx + 2:]
-                return line
-            chunk = self._sock.recv(65536)
-            if not chunk:
-                raise RespError("redis connection closed mid-reply")
-            self._buf += chunk
-
-    def _read_exact(self, n: int) -> bytes:
-        while len(self._buf) < n:
-            chunk = self._sock.recv(65536)
-            if not chunk:
-                raise RespError("redis connection closed mid-reply")
-            self._buf += chunk
-        data, self._buf = self._buf[:n], self._buf[n:]
-        return data
-
-    def _read_reply(self) -> Any:
-        line = self._read_line()
-        if not line:
-            raise RespError("empty RESP reply line")
-        marker, body = line[:1], line[1:]
-        if marker == b"+":
-            return body
-        if marker == b"-":
-            # a value, not a raise: the replies after it must still be read
-            return RespError(body.decode("utf8", "replace"))
-        if marker == b":":
-            return int(body)
-        if marker == b"$":
-            length = int(body)
-            if length < 0:
-                return None
-            data = self._read_exact(length)
-            self._read_exact(2)  # trailing \r\n
-            return data
-        if marker == b"*":
-            count = int(body)
-            if count < 0:
-                return None
-            return [self._read_reply() for _ in range(count)]
-        raise RespError(f"unknown RESP reply marker {marker!r}")
 
 
 def connect_url(url: str, timeout: float = 10.0) -> RespClient:

@@ -59,6 +59,9 @@ _TUPLE = "__tuple__"
 _BYTES = "__bytes__"
 _MAP = "__map__"
 _MARKERS = frozenset((_ARRAY, _SCALAR, _TUPLE, _BYTES, _MAP))
+#: leaves that pass through as they are (exact types: ``np.float64`` is a
+#: ``float`` subclass and must take the ``__np__`` path instead)
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
 def pack_tree(obj: Any) -> Tuple[Any, Dict[str, np.ndarray]]:
@@ -66,11 +69,19 @@ def pack_tree(obj: Any) -> Tuple[Any, Dict[str, np.ndarray]]:
 
     Arrays and numpy scalars are replaced by markers pointing into the
     returned array dict; tuples and bytes get tagged so :func:`unpack_tree`
-    restores the exact Python types.
+    restores the exact Python types.  JSON scalars and ``dict`` dispatch on
+    exact ``type()``, ahead of the ``isinstance`` chain that everything else
+    takes (numpy scalars — ``np.float64`` is a ``float`` — subclasses, and
+    non-``dict`` mappings, whose ABC check is the slow one).
     """
     arrays: Dict[str, np.ndarray] = {}
 
     def walk(value: Any) -> Any:
+        kind = type(value)
+        if kind in _JSON_SCALARS:
+            return value
+        if kind is dict:
+            return mapping(value)
         if isinstance(value, np.ndarray):
             slot = f"a{len(arrays)}"
             arrays[slot] = value
@@ -87,31 +98,39 @@ def pack_tree(obj: Any) -> Tuple[Any, Dict[str, np.ndarray]]:
         if isinstance(value, list):
             return [walk(v) for v in value]
         if isinstance(value, Mapping):
-            out = {}
-            for k, v in value.items():
-                if not isinstance(k, str):
-                    raise WireError(
-                        f"cannot serialize mapping key {k!r} ({type(k).__name__}): "
-                        "broker payload keys must be strings"
-                    )
-                out[k] = walk(v)
-            if _MARKERS & out.keys():
-                return {_MAP: out}
-            return out
-        if value is None or isinstance(value, (bool, int, float, str)):
+            return mapping(value)
+        if isinstance(value, (bool, int, float, str)):
             return value
         raise WireError(
             f"cannot serialize {type(value).__name__} for broker transport"
         )
 
+    def mapping(value: Mapping) -> Dict[str, Any]:
+        out = {}
+        for k, v in value.items():
+            if not isinstance(k, str):
+                raise WireError(
+                    f"cannot serialize mapping key {k!r} ({type(k).__name__}): "
+                    "broker payload keys must be strings"
+                )
+            out[k] = walk(v)
+        if _MARKERS & out.keys():
+            return {_MAP: out}
+        return out
+
     return walk(obj), arrays
 
 
 def unpack_tree(tree: Any, arrays: Mapping[str, np.ndarray]) -> Any:
-    """Inverse of :func:`pack_tree`."""
+    """Inverse of :func:`pack_tree`.  ``tree`` is decoded JSON or
+    :func:`pack_tree` output, so its containers are exact ``dict`` and
+    ``list`` and dispatch on ``type()``."""
 
     def walk(value: Any) -> Any:
-        if isinstance(value, Mapping):
+        kind = type(value)
+        if kind is list:
+            return [walk(v) for v in value]
+        if kind is dict:
             if _ARRAY in value:
                 return arrays[value[_ARRAY]]
             if _SCALAR in value:
@@ -123,8 +142,6 @@ def unpack_tree(tree: Any, arrays: Mapping[str, np.ndarray]) -> Any:
             if _MAP in value:
                 return {k: walk(v) for k, v in value[_MAP].items()}
             return {k: walk(v) for k, v in value.items()}
-        if isinstance(value, list):
-            return [walk(v) for v in value]
         return value
 
     return walk(tree)

@@ -6,14 +6,17 @@ replies, blocking-pop wakeups, MULTI/EXEC atomicity, WRONGTYPE) so the
 pair stays a faithful stand-in for a real server.
 """
 
+import random
+import socket
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from repro.runtime import miniredis
+from repro.runtime import miniredis, resp
 from repro.runtime.miniredis import MiniRedis
-from repro.runtime.resp import RespClient, RespError, connect_url
+from repro.runtime.resp import RespClient, RespError, RespReader, connect_url
 
 
 @pytest.fixture()
@@ -190,3 +193,129 @@ def test_select_and_auth_accepted(server):
 def test_connect_refused_raises_resp_error():
     with pytest.raises(RespError, match="cannot connect"):
         RespClient("127.0.0.1", 1, timeout=0.5)
+
+
+# --------------------------------------------------------------------------
+# RESP framing: one reader under the client and the server alike
+# --------------------------------------------------------------------------
+class StubSocket:
+    """Hands ``incoming`` over in chunks of ``chunk()`` bytes (then end of
+    stream) and records every ``sendall``."""
+
+    def __init__(self, incoming, chunk):
+        self.incoming, self.chunk = incoming, chunk
+        self.writes = []
+
+    def recv(self, size):
+        data = self.incoming[:min(size, self.chunk())]
+        self.incoming = self.incoming[len(data):]
+        return data
+
+    def sendall(self, data):
+        self.writes.append(bytes(data))
+
+    def setsockopt(self, *args):
+        pass
+
+    def settimeout(self, timeout):
+        pass
+
+    def close(self):
+        pass
+
+
+def chunkers():
+    rng = random.Random(27)
+    return {"one-byte": lambda: 1, "random": lambda: rng.randint(1, 5000),
+            "whole": lambda: 1 << 30}
+
+
+BIG = bytes(range(256)) * 400  # 100 KiB: past one 64 KiB receive
+
+
+def encode(commands):
+    parts = []
+    for command in commands:
+        resp._encode_command(command, parts)
+    return b"".join(parts)
+
+
+@pytest.mark.parametrize("name", list(chunkers()))
+def test_client_parses_replies_however_they_are_chunked(name, monkeypatch):
+    replies = (b"+OK\r\n$%d\r\n%s\r\n*3\r\n$1\r\na\r\n$-1\r\n$0\r\n\r\n:42\r\n*-1\r\n"
+               b"*2\r\n*1\r\n:-7\r\n+QUEUED\r\n-ERR boom\r\n" % (len(BIG), BIG))
+    stub = StubSocket(replies, chunkers()[name])
+    monkeypatch.setattr(resp.socket, "create_connection", lambda *args, **kwargs: stub)
+    client = RespClient("stub", 0)
+    assert client.pipeline([("SET", "k", BIG), ("GET", "k"), ("HMGET", "h", "a", "b", "c"),
+                            ("INCR", "n"), ("BRPOP", "q", 1), ("X",)]) == [
+        b"OK", BIG, [b"a", None, b""], 42, None, [[-7], b"QUEUED"]]
+    with pytest.raises(RespError, match="boom"):
+        client.execute("GET", "k")
+    assert stub.writes[0] == encode([("SET", "k", BIG), ("GET", "k"), ("HMGET", "h", "a", "b", "c"),
+                                     ("INCR", "n"), ("BRPOP", "q", 1), ("X",)])
+    with pytest.raises(RespError, match="closed"):
+        client.execute("PING")  # the stub's stream has ended
+
+
+def serve(stub, count):
+    """Run one MiniRedis connection handler over ``stub`` to end of stream;
+    returns the ``count`` replies it wrote, parsed, and checks that was all."""
+    miniredis._Handler(stub, ("stub", 0), SimpleNamespace(mini=MiniRedis()))
+    reader = RespReader(StubSocket(b"".join(stub.writes), lambda: 1 << 30).recv)
+    replies = [reader.read_reply() for _ in range(count)]
+    with pytest.raises(RespError, match="closed"):
+        reader.read_reply()
+    return replies
+
+
+@pytest.mark.parametrize("name", list(chunkers()))
+def test_server_parses_commands_however_they_are_chunked(name):
+    commands = [("SET", "k", BIG), ("GET", "k"), ("HSET", "h", "a", "1"),
+                ("HMGET", "h", "a", "b"), ("MULTI",), ("LPUSH", "l", "x"), ("EXEC",),
+                ("GET", "h")]
+    replies = serve(StubSocket(encode(commands), chunkers()[name]), len(commands))
+    assert replies[:7] == [b"OK", BIG, 1, [b"1", None], b"OK", b"QUEUED", [1]]
+    assert isinstance(replies[7], RespError) and "WRONGTYPE" in str(replies[7])
+
+
+def test_a_50_command_pipeline_is_answered_in_order():
+    commands = [("RPUSH", "l", b"%d" % i) for i in range(49)] + [("LRANGE", "l", 0, -1)]
+    stub = StubSocket(encode(commands), lambda: 1 << 30)
+    replies = serve(stub, len(commands))
+    assert replies == list(range(1, 50)) + [[b"%d" % i for i in range(49)]]
+
+
+def test_a_blocking_pop_does_not_hold_back_the_replies_before_it(server):
+    # GET's reply must arrive while the pop waits out its timeout, not
+    # with the pop's nil
+    with connect_url(server.url) as client:
+        client.execute("SET", "k", "v")
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+        start = time.monotonic()
+        sock.sendall(encode([("GET", "k"), ("BRPOP", "empty", 2)]))
+        assert sock.recv(64) == b"$1\r\nv\r\n"
+        assert time.monotonic() - start < 1.5
+        assert sock.recv(64) == b"*-1\r\n"
+        assert time.monotonic() - start >= 1.9
+
+
+def test_a_pop_woken_by_stop_still_gets_its_nil_reply():
+    # stop() wakes the blocked pop and ends the handler loop: the nil it
+    # computed must still be written before the connection closes
+    got = {}
+
+    def pop(client):
+        try:
+            got["reply"] = client.brpop("q", 30.0)
+        except RespError as exc:
+            got["error"] = exc
+
+    with MiniRedis() as srv, connect_url(srv.url) as client:
+        popper = threading.Thread(target=pop, args=(client,))
+        popper.start()
+        time.sleep(0.2)
+        srv.stop()
+        popper.join(timeout=10)
+    assert not popper.is_alive()
+    assert got == {"reply": None}

@@ -19,15 +19,17 @@ import json
 import os
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.engine.client_state import ClientSnapshot
 from repro.experiment import Experiment, ExperimentSpec
 from repro.runtime import BrokerTurnLost, BrokerUnavailable, Broker, serde
 from repro.runtime.fused import FusedTurnRunner
 from repro.runtime.miniredis import MiniRedis
-from repro.runtime.redis import RedisBroker, RedisLink
+from repro.runtime.redis import RedisBroker, RedisLink, _Entry
 from repro.runtime.resp import RespError, connect_url
 from repro.runtime.worker import Worker, run_worker
 
@@ -329,6 +331,74 @@ def test_a_requeued_duplicate_of_a_done_turn_is_released_not_rerun(redis_url):
     finally:
         link._conn.execute("DEL", *[key(n) for n in ("done", "leases", "results")])
         link._conn.close()
+
+
+def _until(predicate, what, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            raise AssertionError(f"timed out waiting for {what}")
+        time.sleep(0.01)
+
+
+def test_a_requeued_turn_that_resolves_keeps_its_done_mark(redis_url):
+    # the race: a stalled worker's lease expires and the sweep requeues turn
+    # 7; the stalled worker then commits 7 and the collector resolves it.
+    # The duplicate is still queued, so 7's done mark must survive the
+    # collector's clear, or the next worker to pull it trains 7 again over
+    # the snapshot the first run stored
+    resolved = []
+    pool = type("Pool", (), {"turns_done_batch": staticmethod(resolved.extend),
+                             "turn_done": lambda *args, **kwargs: None})()
+    broker = RedisBroker(f"{redis_url}?run=keepmark{os.getpid()}&lease=30")
+    broker.attach(pool)
+    broker.start()
+    key, worker_url = broker.cfg.key, broker.cfg.with_run(broker.cfg.run)
+    stalled, other = RedisLink(worker_url, "stalled"), RedisLink(worker_url, "other")
+    stalled._conn, other._conn = stalled._connect(), other._connect()
+    try:
+        entry = _Entry(ticket=SimpleNamespace(client=0, method="local_update"),
+                       frame=serde.encode_turn(7, 0, "local_update", (), {}))
+        with broker._entry_lock:
+            broker._entries[7] = entry
+        assert stalled.claim([(7, 0)], []) == ([True], {}, [None])
+        broker._requeue_or_fail(other._conn, 7, entry, "lease expired")
+        snapshot = ClientSnapshot(stats={"loss": 0.5}, turns=1)
+        stalled.commit([(7, 0, snapshot, lambda snap_bytes: serde.encode_result(
+            7, 0, {"v": 1}, snap_bytes=snap_bytes, worker="stalled"))])
+        _until(lambda: len(resolved) == 1, "the collector to resolve turn 7")
+        # an ack for a turn nobody tracks: once it is gone from the results
+        # list, the pull after 7's resolve (and any HDEL it carried) is done
+        other._conn.execute("LPUSH", key("results"),
+                            serde.pack_frames([serde.encode_result(999, 9, None)]))
+        _until(lambda: other._conn.execute("LLEN", key("results")) == 0,
+               "the collector's next pull")
+        (frame,) = other.next_item()
+        assert serde.decode_turn(frame)[0] == 7
+        assert other.claim([(7, 0)], []) == ([False], {}, [None])
+        other.commit([])
+        stored = other._conn.execute("HGET", key("snap"), 0)
+        assert stored == serde.encode_snapshot(snapshot)
+    finally:
+        broker.shutdown()
+        for link in (stalled, other):
+            link._conn.close()
+
+
+def test_client_carries_large_values_and_long_pipelines(redis_url):
+    # values past the 64 KiB receive size and 50 replies in one read, on
+    # redis 7 as on MiniRedis
+    key = f"large-value-{os.getpid()}"
+    value = np.random.default_rng(3).bytes(1 << 20)
+    with connect_url(redis_url) as conn:
+        try:
+            assert conn.execute("SET", key, value) == b"OK"
+            assert conn.execute("GET", key) == value
+            replies = conn.pipeline([("DEL", key)] + [("RPUSH", key, b"%d" % i) for i in range(48)]
+                                    + [("LRANGE", key, 0, -1)])
+            assert replies == [1] + list(range(1, 49)) + [[b"%d" % i for i in range(48)]]
+        finally:
+            conn.execute("DEL", key)
 
 
 _UNFUSABLE = {

@@ -48,6 +48,7 @@ class FakeConn:
         self.hashes = {}
         self.lists = {}
         self.commands = []
+        self.pipelines = []  # each pipeline's commands: one round trip apiece
 
     def hgetall(self, key):
         return dict(self.hashes.get(key, {}))
@@ -64,7 +65,8 @@ class FakeConn:
             self.lists.setdefault(args[0], []).append(args[1])
         return None
 
-    def pipeline(self, commands):
+    def pipeline(self, commands, timeout=None):
+        self.pipelines.append(list(commands))
         return [self.execute(*cmd) for cmd in commands]
 
 
@@ -283,11 +285,29 @@ def test_a_results_item_resolves_each_turn_once(broker):
     first, second = add_entry(b, 1, client=0), add_entry(b, 2, client=1)
     item = serde.pack_frames([serde.encode_result(t, c, {"v": t}, worker="w", batch=2)
                               for t, c in ((1, 0), (2, 1))])
-    b._resolve(conn, item)
+    b._resolve(item)
     assert [(t, v) for t, v, _ in b.pool.done] == [(first.ticket, {"v": 1}),
                                                     (second.ticket, {"v": 2})]
-    assert ("HDEL", b.cfg.key("done"), 1, 2) in conn.commands
+    # the done marks are cleared by the collector's next pull, in the same
+    # round trip as its BRPOP
+    b._pull(conn)
+    assert conn.pipelines[-1] == [("HDEL", b.cfg.key("done"), 1, 2),
+                                  ("BRPOP", b.cfg.key("results"), 0.5)]
     # a second result for a resolved turn: dropped, never applied twice
-    b._resolve(conn, serde.pack_frames([serde.encode_result(1, 0, {"v": 1}, worker="w2")]))
+    b._resolve(serde.pack_frames([serde.encode_result(1, 0, {"v": 1}, worker="w2")]))
     assert len(b.pool.done) == 2
     assert b.describe()["batch_sizes"] == {2: 2}
+    b._pull(conn)  # nothing left to clear: the pull is the BRPOP alone
+    assert conn.pipelines[-1] == [("BRPOP", b.cfg.key("results"), 0.5)]
+
+
+def test_a_requeued_turn_keeps_its_done_mark(broker):
+    b, _, conn = broker
+    add_entry(b, 1, client=0)
+    requeued = add_entry(b, 2, client=1)
+    b._requeue_or_fail(conn, 2, requeued, "lease expired")
+    b._resolve(serde.pack_frames([serde.encode_result(t, c, {"v": t}, worker="w", batch=2)
+                                  for t, c in ((1, 0), (2, 1))]))
+    assert len(b.pool.done) == 2
+    b._pull(conn)
+    assert conn.pipelines[-1][0] == ("HDEL", b.cfg.key("done"), 1)

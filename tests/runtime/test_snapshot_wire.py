@@ -7,6 +7,9 @@ large integers inside rng bit-generator states.  Property-based over the
 tree grammar the brokers actually ship.
 """
 
+import hashlib
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,11 +17,14 @@ from hypothesis import strategies as st
 
 from repro.comm.wire import WireError
 from repro.engine.client_state import ClientSnapshot
+from repro.models import build_model
 from repro.runtime.serde import (
+    GSTATE_KEY,
     decode_result,
     decode_snapshot,
     decode_turn,
     encode_error,
+    encode_payload,
     encode_result,
     encode_snapshot,
     encode_turn,
@@ -229,3 +235,98 @@ def test_queue_item_roundtrip_and_truncation(frames):
         unpack_frames(item[:-1])
     with pytest.raises(WireError):
         unpack_frames(item + b"x")
+
+
+# --------------------------------------------------------------------------
+# golden frames: the exact bytes every codec emits, pinned
+# --------------------------------------------------------------------------
+def golden_frames():
+    """Fixed inputs covering what the brokers ship, as the frames they encode to."""
+    loader, fault = np.random.default_rng(5), np.random.default_rng(6)
+    loader.random(3)  # off the seed point: the state's counters are non-trivial
+    snapshot = ClientSnapshot(  # fedavg persists no model rows
+        fault_rng=fault.bit_generator.state, loader_rng=loader.bit_generator.state,
+        stats={"loss": 0.6931471805599453, "accuracy": 0.25, "steps": 3.0}, turns=3,
+    )
+    state = build_model("mlp", seed=0).state_dict()  # an OrderedDict of float32
+    value = {"state": state, "meta": {"num_samples": 48},
+             "stats": {"loss": np.float64(0.3), "acc": 0.9, "steps": np.int64(2)},
+             "version": 4}
+    payload = {"model": dict(state), "__nd__": "collides", "flags": [True, 1, 1.0, None],
+               "extras": (b"\x00\xff", np.bool_(True), np.float32(1.5), [(-2, "x")]),
+               "fortran": np.asfortranarray(np.arange(6, dtype=np.int16).reshape(2, 3)),
+               "zero_d": np.asarray(2.5)}
+    try:
+        raise KeyError("missing shard")
+    except KeyError as exc:
+        error = encode_error(5, 9, exc, traceback_text="tb-text", worker="w-2", batch=3)
+    frames = {
+        "snapshot": encode_snapshot(snapshot),
+        "result": encode_result(17, 3, value, snap_bytes=473, worker="w-1", batch=2),
+        "payload": encode_payload(payload),
+        "turn": encode_turn(12, 3, "local_update", ({GSTATE_KEY: 2}, 4, 1), {}),
+        "error": error,
+    }
+    frames["item"] = pack_frames([frames["turn"], b"", frames["error"]])
+    return frames
+
+
+#: computed with the isinstance-chain codec these hashes must outlive
+GOLDEN_SHA256 = {
+    "error": "51f58ba19a233f41d6b8d9ac0eaf5f2948edb8f3238a115e4ff7efc4a19a8d1b",  # 161 B
+    "item": "63a26f9ff43b69b1a6761030ceb755d8a63d317ebabcdc12cc17df105c969464",  # 314 B
+    "payload": "1f91c04da0e894910bf58ad37b08791f7612c98edd1587786a317ca6becdd8f5",  # 28353 B
+    "result": "7aea4331c5faf818609a6b069d15070ae25f125aadd72b90b2a75c79551fe140",  # 28274 B
+    "snapshot": "9ffb9c625db15009670694687fd0049573f25a7a11d9132bb508b78f41e7aab8",  # 488 B
+    "turn": "a1affbeef1ee43d006aaef6e5c27fdd01bc05aa11880612ffc2f4f0939278398",  # 125 B
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_frames_are_byte_identical_to_the_pinned_encoding(name):
+    assert hashlib.sha256(golden_frames()[name]).hexdigest() == GOLDEN_SHA256[name]
+
+
+# --------------------------------------------------------------------------
+# the exact-type dispatch: look-alike types keep their own paths
+# --------------------------------------------------------------------------
+_LOOKALIKES = st.one_of(
+    st.floats(allow_nan=False).map(np.float64),  # a float subclass: not a plain float
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.booleans(),  # bool is an int subclass and stays a bool
+    st.integers(-(2**70), 2**70),
+)
+
+
+def lookalike_trees():
+    return st.recursive(
+        _LOOKALIKES,
+        lambda children: st.one_of(
+            st.lists(st.lists(children, max_size=3).map(tuple), max_size=3),  # tuples in lists
+            st.dictionaries(st.sampled_from(["__nd__", "__np__", "__tuple__", "__bytes__",
+                                             "__map__", "__gstate__", "k"]),
+                            children, max_size=3),
+        ),
+        max_leaves=12,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(lookalike_trees())
+def test_lookalike_types_roundtrip_to_their_exact_type(tree):
+    packed, arrays_out = pack_tree(tree)
+    assert_tree_equal(unpack_tree(packed, arrays_out), tree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.text(max_size=8), lookalike_trees()), max_size=4))
+def test_an_ordered_dict_packs_exactly_as_the_equal_dict(items):
+    # a dict subclass takes the isinstance path and lands on the same bytes;
+    # the frame has no type tag for it, so it comes back as a plain dict
+    ordered, plain = OrderedDict(items), dict(items)
+    assert encode_payload(ordered) == encode_payload(plain)
+    packed, arrays_out = pack_tree(ordered)
+    again = unpack_tree(packed, arrays_out)
+    assert type(again) is dict and list(again) == list(ordered)
+    assert_tree_equal(again, plain)
