@@ -3,9 +3,13 @@
 
     python3 scripts/records_digest.py redis_worker --seed 1 --updates 600
     python3 scripts/records_digest.py pool_async --seed 1 --updates 3000
+    python3 scripts/records_digest.py hier_rounds --seed 1 --rounds 24
 
 Runs the workload's spec (``benchmarks/perf/workloads.py``) once through
-``Experiment.run()`` with ``total_updates`` set, and prints one hex digest.
+``Experiment.run()`` and prints one hex digest.  How long it runs is set the
+way the spec's loop counts work: ``--updates`` sets ``total_updates`` on a
+scheduler-driven spec, ``--rounds`` sets ``train.global_rounds`` on a
+collective-rounds one (``hier_rounds``); the other flag is an error there.
 A ``redis://`` workload runs against an in-process MiniRedis with one
 auto-spawned worker process.  Two trees that print the same digest produced
 the same records and the same final model, bit for bit.
@@ -58,11 +62,21 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload", choices=sorted(workloads.SPECS))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--updates", type=int, required=True)
+    length = parser.add_mutually_exclusive_group(required=True)
+    length.add_argument("--updates", type=int, help="total_updates (scheduler-driven specs)")
+    length.add_argument("--rounds", type=int, help="train.global_rounds (collective-rounds specs)")
     args = parser.parse_args()
 
     spec_map = workloads.SPECS[args.workload](args.seed)
-    spec_map["total_updates"] = args.updates
+    rounds_mode = ExperimentSpec(**spec_map).run_mode() == "rounds"
+    if rounds_mode and args.updates is not None:
+        parser.error(f"{args.workload} runs collective rounds: give --rounds, not --updates")
+    if not rounds_mode and args.rounds is not None:
+        parser.error(f"{args.workload} is scheduler-driven: give --updates, not --rounds")
+    if rounds_mode:
+        spec_map["train"] = {**spec_map["train"], "global_rounds": args.rounds}
+    else:
+        spec_map["total_updates"] = args.updates
     server = None
     if spec_map.get("broker") == workloads.REDIS_PLACEHOLDER:
         from repro.runtime.miniredis import MiniRedis

@@ -10,7 +10,8 @@ import numpy as np
 from repro.utils.registry import Registry
 
 __all__ = [
-    "CompressedPayload", "Compressor", "IdentityCompressor", "COMPRESSORS", "build_compressor", "largest_k",
+    "CompressedPayload", "Compressor", "IdentityCompressor", "SparseCompressor", "COMPRESSORS",
+    "build_compressor", "kth_largest", "largest_k",
 ]
 
 COMPRESSORS: Registry["Compressor"] = Registry("compressor")
@@ -85,30 +86,79 @@ class Compressor:
         return arr
 
 
-def largest_k(magnitudes: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` largest entries of a 1-D float vector, in no
-    particular order (``1 <= k <= magnitudes.size``).
+def _order_keys(magnitudes: np.ndarray) -> np.ndarray:
+    """The bit patterns of non-negative floats, as signed integers: their
+    integer order is the float order, with NaN above ``inf``."""
+    return magnitudes.view(f"i{magnitudes.itemsize}")
 
-    ``np.argpartition`` falls off a cliff on zero-heavy input: an average of
-    already-sparsified deltas is ~80 % exact zeros, and numpy 2.4's
-    introselect takes 20-40x longer on it than on a dense vector of the same
-    length (occasionally from 40 % zeros, usually from 60 %).  So when at
-    least half the entries are zero only the non-zero support is partitioned,
-    and that answer stands only when it is the unique top-k set — exactly
-    ``k`` entries reach the smallest selected value.  Ties at that value,
-    NaNs, ``nnz <= k`` and dense input all take the plain full-vector call,
-    so callers get the set that call returns, always.
+
+def largest_k(magnitudes: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` largest entries of a 1-D vector of non-negative
+    floats (``|x|``), in ascending order (``1 <= k <= magnitudes.size``).
+
+    The rule is exact and fully specified: the ``k`` largest magnitudes are
+    kept, NaN ranks above every number, and among the entries equal to the
+    k-th magnitude the lowest indices are kept — the first ``k`` of a stable
+    sort by magnitude, descending.  Without a tie at the k-th magnitude that
+    is the one set ``np.argpartition(magnitudes, n - k)[n - k:]`` returns.
+
+    ``np.argpartition`` and ``np.partition`` fall off a cliff on zero-heavy
+    input: an average of already-sparsified deltas is ~80 % exact zeros, and
+    numpy 2.4's introselect takes 20-40x longer on it than on a dense vector
+    of the same length (occasionally from 40 % zeros, usually from 60 %).  So
+    no partition here ever sees a vector that is at least half zeros: such
+    input partitions only its non-zero support, and ``nnz <= k`` needs no
+    partition at all (every non-zero, then the lowest-index zeros).  What is
+    partitioned is the magnitudes' bit patterns viewed as integers, which
+    order non-negative floats exactly and cost less to compare.
     """
-    n = magnitudes.size
-    nonzero = magnitudes != 0
-    nnz = np.count_nonzero(nonzero)
-    if k < nnz <= n // 2:
+    keys = _order_keys(magnitudes)
+    nonzero = keys != 0
+    nnz = int(np.count_nonzero(nonzero))
+    if nnz <= k:
+        if nnz < k:
+            nonzero[np.flatnonzero(~nonzero)[: k - nnz]] = True
+        return np.flatnonzero(nonzero)
+    support = None
+    if nnz <= keys.size // 2:
         support = np.flatnonzero(nonzero)
-        candidates = magnitudes[support]
-        top = np.argpartition(candidates, nnz - k)[nnz - k :]
-        if np.count_nonzero(magnitudes >= candidates[top].min()) == k:
-            return support[top]
-    return np.argpartition(magnitudes, n - k)[n - k :]
+        keys = keys[support]
+    kth = np.partition(keys, keys.size - k)[keys.size - k]
+    inf = np.asarray(np.inf, magnitudes.dtype).view(keys.dtype)
+    if kth > inf:  # at least k NaNs, whatever their payloads: all tie
+        idx = np.flatnonzero(keys > inf)[:k]
+    else:
+        idx = np.flatnonzero(keys >= kth)
+        extra = idx.size - k
+        if extra:  # ties at the k-th magnitude: drop the highest-index ones
+            tied = np.flatnonzero(keys[idx] == kth)
+            idx = np.delete(idx, tied[tied.size - extra :])
+    return idx if support is None else support[idx]
+
+
+def kth_largest(magnitudes: np.ndarray, k: int) -> np.generic:
+    """The ``k``-th largest of a 1-D vector of non-negative floats — the value
+    ``np.partition(magnitudes, n - k)[n - k]`` has — selected through
+    :func:`largest_k`, so zero-heavy input never reaches a partition."""
+    return _order_keys(magnitudes)[largest_k(magnitudes, k)].min().view(magnitudes.dtype)
+
+
+class SparseCompressor(Compressor):
+    """A sparsifier: the payload is the kept entries' ``indices`` (uint32)
+    and ``values``, with ``n`` and ``k`` in the metadata."""
+
+    @staticmethod
+    def _payload(flat: np.ndarray, idx: np.ndarray, **meta: Any) -> CompressedPayload:
+        return CompressedPayload(
+            {"indices": idx.astype(np.uint32), "values": flat[idx]},
+            {"n": int(flat.size), "k": int(idx.size), **meta},
+            flat.nbytes,
+        )
+
+    def decompress(self, payload: CompressedPayload) -> np.ndarray:
+        out = np.zeros(int(payload.meta["n"]), dtype=np.float32)
+        out[payload.arrays["indices"].astype(np.int64)] = payload.arrays["values"]
+        return out
 
 
 @COMPRESSORS.register("identity", "none")

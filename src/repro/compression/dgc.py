@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import COMPRESSORS, CompressedPayload, Compressor, largest_k
+from repro.compression.base import COMPRESSORS, CompressedPayload, SparseCompressor, kth_largest, largest_k
 
 __all__ = ["DGC"]
 
 
 @COMPRESSORS.register("dgc")
-class DGC(Compressor):
-    collective_hint = "allgather"
-
+class DGC(SparseCompressor):
     def __init__(self, ratio: float = 10.0, sample_fraction: float = 0.01, seed: int = 0) -> None:
         if ratio < 1.0:
             raise ValueError("ratio must be >= 1")
@@ -51,7 +49,7 @@ class DGC(Compressor):
         else:
             sample = magnitudes
         sample_k = max(1, int(round(sample.size * target_k / n)))
-        threshold = np.partition(sample, sample.size - sample_k)[sample.size - sample_k]
+        threshold = kth_largest(sample, sample_k)
 
         idx = np.flatnonzero(magnitudes >= threshold)
         if idx.size == 0:  # degenerate threshold (all-equal vectors)
@@ -59,13 +57,4 @@ class DGC(Compressor):
         # hierarchical re-selection if the estimate overshot badly (DGC's trick)
         if idx.size > 2 * target_k:
             idx = idx[largest_k(magnitudes[idx], target_k)]
-        return CompressedPayload(
-            {"indices": idx.astype(np.uint32), "values": flat[idx]},
-            {"n": int(n), "k": int(idx.size), "threshold": float(threshold)},
-            flat.nbytes,
-        )
-
-    def decompress(self, payload: CompressedPayload) -> np.ndarray:
-        out = np.zeros(int(payload.meta["n"]), dtype=np.float32)
-        out[payload.arrays["indices"].astype(np.int64)] = payload.arrays["values"]
-        return out
+        return self._payload(flat, idx, threshold=float(threshold))

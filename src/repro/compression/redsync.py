@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import COMPRESSORS, CompressedPayload, Compressor, largest_k
+from repro.compression.base import COMPRESSORS, CompressedPayload, SparseCompressor, largest_k
 
 __all__ = ["RedSync"]
 
 
 @COMPRESSORS.register("redsync")
-class RedSync(Compressor):
-    collective_hint = "allgather"
-
+class RedSync(SparseCompressor):
     def __init__(self, ratio: float = 10.0, tolerance: float = 0.2, max_iters: int = 20) -> None:
         if ratio < 1.0:
             raise ValueError("ratio must be >= 1")
@@ -55,13 +53,4 @@ class RedSync(Compressor):
                 idx = np.array([int(np.argmax(mags))])
             if idx.size > 2 * target_k:  # final trim
                 idx = idx[largest_k(mags[idx], target_k)]
-        return CompressedPayload(
-            {"indices": idx.astype(np.uint32), "values": flat[idx]},
-            {"n": int(n), "k": int(idx.size)},
-            flat.nbytes,
-        )
-
-    def decompress(self, payload: CompressedPayload) -> np.ndarray:
-        out = np.zeros(int(payload.meta["n"]), dtype=np.float32)
-        out[payload.arrays["indices"].astype(np.int64)] = payload.arrays["values"]
-        return out
+        return self._payload(flat, idx)

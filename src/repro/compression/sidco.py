@@ -13,15 +13,13 @@ import math
 
 import numpy as np
 
-from repro.compression.base import COMPRESSORS, CompressedPayload, Compressor, largest_k
+from repro.compression.base import COMPRESSORS, CompressedPayload, SparseCompressor, largest_k
 
 __all__ = ["SIDCo"]
 
 
 @COMPRESSORS.register("sidco")
-class SIDCo(Compressor):
-    collective_hint = "allgather"
-
+class SIDCo(SparseCompressor):
     def __init__(self, ratio: float = 10.0, stages: int = 3) -> None:
         if ratio < 1.0:
             raise ValueError("ratio must be >= 1")
@@ -55,13 +53,4 @@ class SIDCo(Compressor):
             idx = largest_k(mags, target_k)
         elif idx.size > 2 * target_k:
             idx = idx[largest_k(mags[idx], target_k)]
-        return CompressedPayload(
-            {"indices": idx.astype(np.uint32), "values": flat[idx]},
-            {"n": int(n), "k": int(idx.size), "threshold": float(threshold)},
-            flat.nbytes,
-        )
-
-    def decompress(self, payload: CompressedPayload) -> np.ndarray:
-        out = np.zeros(int(payload.meta["n"]), dtype=np.float32)
-        out[payload.arrays["indices"].astype(np.int64)] = payload.arrays["values"]
-        return out
+        return self._payload(flat, idx, threshold=float(threshold))

@@ -66,14 +66,30 @@ def spec_of(state: Mapping[str, np.ndarray]) -> StateSpec:
     return StateSpec([(k, tuple(v.shape), v.dtype) for k, v in state.items()])
 
 
-def state_dict_to_vector(state: Mapping[str, np.ndarray], keys: Optional[Iterable[str]] = None) -> Tuple[np.ndarray, StateSpec]:
-    """Flatten selected entries (default: all) into one float32 vector."""
+def state_dict_to_vector(
+    state: Mapping[str, np.ndarray],
+    keys: Optional[Iterable[str]] = None,
+    minus: Optional[Mapping[str, np.ndarray]] = None,
+) -> Tuple[np.ndarray, StateSpec]:
+    """Flatten selected entries (default: all) into one float32 vector.
+
+    With ``minus``, the vector is ``state - minus``, entry by entry, each
+    difference written by one float32 subtraction straight into its slice —
+    bit for bit the difference of the two flattened vectors, without them.
+    """
     selected = list(keys) if keys is not None else list(state.keys())
     entries = [(k, tuple(state[k].shape), state[k].dtype) for k in selected]
     spec = StateSpec(entries)
     if not selected:
         return np.zeros(0, dtype=np.float32), spec
-    vec = np.concatenate([np.asarray(state[k], dtype=np.float32).ravel() for k in selected])
+    if minus is None:
+        return np.concatenate([np.asarray(state[k], dtype=np.float32).ravel() for k in selected]), spec
+    vec = np.empty(spec.total, dtype=np.float32)
+    offset = 0
+    for k in selected:
+        a = np.ravel(state[k])
+        np.subtract(a, np.ravel(minus[k]), out=vec[offset : offset + a.size], dtype=np.float32)
+        offset += a.size
     return vec, spec
 
 
@@ -153,9 +169,12 @@ def state_average(
     first = states[0]
     for k, v in first.items():
         if is_float(v):
+            # one float64 temporary per entry; the accumulator starts from
+            # +0.0, so an all -0.0 entry still averages to +0.0
             acc = np.zeros_like(v, dtype=np.float64)
+            tmp = np.empty_like(acc)
             for s, w in zip(states, norm):
-                acc += np.asarray(s[k], dtype=np.float64) * w
+                acc += np.multiply(s[k], w, out=tmp, dtype=np.float64)
             out[k] = acc.astype(v.dtype)
         else:
             out[k] = v.copy()

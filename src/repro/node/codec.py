@@ -50,20 +50,16 @@ def encode_update(
     if compressor is None and dp is None:
         return state, {}
     keys = _float_keys(state)
-    vec, spec = state_dict_to_vector(state, keys)
+    delta_coded = reference is not None and all(k in reference for k in keys)
+    vec, spec = state_dict_to_vector(state, keys, minus=reference if delta_coded else None)
     extra: Dict[str, Any] = {}
-    delta_coded = False
-    if reference is not None and all(k in reference for k in keys):
-        ref_vec, _ = state_dict_to_vector(reference, keys)
-        vec = vec - ref_vec
-        delta_coded = True
     if dp is not None:
         vec = dp.apply(vec)
         extra["dp"] = {"epsilon": dp.epsilon, "delta": dp.delta, "mechanism": dp.mechanism}
     if compressor is None:
         # re-assemble the privatized floats alongside untouched int entries
         if delta_coded:
-            vec = vec + ref_vec
+            vec = vec + state_dict_to_vector(reference, keys)[0]
         out = OrderedDict(vector_to_state_dict(vec, spec))
         for k, v in state.items():
             if k not in out:

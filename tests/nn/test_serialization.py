@@ -121,3 +121,40 @@ def test_pack_unpack_property(sizes, seed):
     restored = vector_to_state_dict(vec, spec)
     for k in state:
         assert np.array_equal(restored[k], state[k])
+
+
+def _parent_state_average(states, weights):
+    """``state_average``'s float arithmetic with a fresh float64 product per
+    state and entry, as it was before the shared temporary."""
+    total = float(sum(weights))
+    out = OrderedDict()
+    for k, v in states[0].items():
+        if v.dtype.kind == "f":
+            acc = np.zeros_like(v, dtype=np.float64)
+            for s, w in zip(states, [w / total for w in weights]):
+                acc += np.asarray(s[k], dtype=np.float64) * w
+            out[k] = acc.astype(v.dtype)
+        else:
+            out[k] = v.copy()
+    return out
+
+
+@pytest.mark.parametrize("weights", [[1.0, 1.0, 1.0], [3, 1, 7], [0.1, 2.5, 1e-3], [np.float32(0.3), 1, 2]])
+def test_state_average_is_bit_identical_to_the_fresh_product_formula(weights):
+    rng = np.random.default_rng(len(weights) + int(sum(map(float, weights))))
+    states = [
+        OrderedDict(
+            w=rng.standard_normal((6, 5)).astype(np.float32),
+            d=rng.standard_normal(7),  # a float64 entry stays float64
+            neg_zero=np.array([-0.0, -0.0, 0.0], dtype=np.float32),
+            n=np.asarray(i, dtype=np.int64),
+        )
+        for i in range(3)
+    ]
+    got = state_average(states, weights)
+    want = _parent_state_average(states, weights)
+    assert list(got) == list(want)
+    for k in want:
+        assert got[k].dtype == want[k].dtype and got[k].tobytes() == want[k].tobytes()
+    assert not np.signbit(got["neg_zero"]).any()  # -0.0 everywhere still averages to +0.0
+    assert int(got["n"]) == 0

@@ -133,3 +133,53 @@ def test_decode_entries_flattens_the_reference_once(rng, monkeypatch):
     for got, want in zip(decoded, expected):
         assert list(got["state"]) == list(want)
         assert all(got["state"][k].tobytes() == want[k].tobytes() for k in want)
+
+
+def _hostile_pair(seed):
+    """A state and its reference with what a one-pass delta could get wrong:
+    ``-0.0`` on both sides, float64 entries (the delta is taken in float32,
+    after each side is rounded), a float64 reference under a float32 entry,
+    and an integer buffer that never enters the vector."""
+    rng = np.random.default_rng(seed)
+    state = OrderedDict(
+        w=rng.standard_normal((5, 7)).astype(np.float32),
+        d=rng.standard_normal(9),
+        steps=np.asarray(3, dtype=np.int64),
+        z=np.array([-0.0, 0.0, -0.0, 1.5], dtype=np.float32),
+    )
+    reference = OrderedDict(
+        w=rng.standard_normal((5, 7)),
+        d=rng.standard_normal(9),
+        steps=np.asarray(2, dtype=np.int64),
+        z=np.array([0.0, -0.0, -0.0, 1.5], dtype=np.float32),
+    )
+    return state, reference
+
+
+def _parent_delta(state, reference):
+    """The delta as flatten-both-then-subtract computed it."""
+    keys = [k for k, v in state.items() if v.dtype.kind == "f"]
+    flat = lambda s: np.concatenate([np.asarray(s[k], dtype=np.float32).ravel() for k in keys])
+    return flat(state) - flat(reference), flat(reference)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_delta_encoding_is_bit_identical_to_flatten_then_subtract(seed):
+    state, reference = _hostile_pair(seed)
+    delta, _ = _parent_delta(state, reference)
+    wire, meta = encode_update(state, TopK(ratio=1), reference=reference)
+    assert meta["delta_coded"] is True
+    assert np.array_equal(wire["__czip__.indices"], np.arange(delta.size))
+    assert wire["__czip__.values"].tobytes() == delta.tobytes()  # -0.0 included
+    assert wire["steps"] is state["steps"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dp_delta_path_is_bit_identical_to_flatten_then_subtract(seed):
+    state, reference = _hostile_pair(seed)
+    delta, ref_vec = _parent_delta(state, reference)
+    expected = DifferentialPrivacy(epsilon=2.0, clip_norm=5.0, seed=seed).apply(delta) + ref_vec
+    wire, _ = encode_update(state, None, DifferentialPrivacy(epsilon=2.0, clip_norm=5.0, seed=seed), reference)
+    got = np.concatenate([np.asarray(wire[k], dtype=np.float32).ravel() for k in ("w", "d", "z")])
+    assert got.tobytes() == expected.tobytes()
+    assert wire["d"].dtype == np.float64 and wire["steps"] is state["steps"]

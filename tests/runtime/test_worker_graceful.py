@@ -181,11 +181,16 @@ def test_sigterm_to_worker_process_is_graceful(link, miniredis):
         worker_url = broker.url
 
     env = {**os.environ, "PYTHONPATH": SRC, "REPRO_WORKER_TURN_DELAY": "0.3"}
-    procs = [
-        subprocess.Popen([sys.executable, "-m", "repro", "worker", worker_url], env=env,
-                         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        for _ in range(2)
-    ]
+
+    def spawn():
+        return subprocess.Popen([sys.executable, "-m", "repro", "worker", worker_url], env=env,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+    # on redis one queue item carries a whole fused batch, so a survivor
+    # started alongside could drain the run before the victim claims
+    # anything: it joins once the victim holds a lease.  A tcp run starts
+    # only when both members have joined.
+    procs = [spawn()] if link == "redis" else [spawn(), spawn()]
     victim, suffix = procs[0], f"-{procs[0].pid}"
     try:
         # wait until the victim is mid-turn so SIGTERM lands on a claimed turn
@@ -195,6 +200,7 @@ def test_sigterm_to_worker_process_is_graceful(link, miniredis):
                     json.loads(v).get("worker", "").endswith(suffix)
                     for v in conn.hgetall(broker.cfg.key("leases")).values()
                 ), "the victim to lease a turn")
+            procs.append(spawn())
         else:
             turn_id = _wait_until(lambda: next(
                 (t for t, owner in dict(broker._in_flight).items() if owner.endswith(suffix)),
