@@ -32,15 +32,6 @@ class ActorHandle:
         fn = getattr(self._obj, method)
         return self._executor.submit(fn, *args, **kwargs)
 
-    def submit_call(self, fn: Any, *args: Any, **kwargs: Any) -> "Future[Any]":
-        """Run an arbitrary callable on the actor thread (it receives the
-        wrapped object first).  The client pool uses this to wrap a node
-        method call in state inject/extract without teaching the node about
-        tickets."""
-        if not self._alive:
-            raise RuntimeError(f"actor {self.name} has been stopped")
-        return self._executor.submit(fn, self._obj, *args, **kwargs)
-
     def call(self, method: str, *args: Any, timeout: Optional[float] = None, **kwargs: Any) -> Any:
         """Blocking convenience wrapper around :meth:`submit`."""
         return self.submit(method, *args, **kwargs).result(timeout)

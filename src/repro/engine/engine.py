@@ -121,10 +121,11 @@ class Engine:
         self.actors: List[ThreadActor] = []
         self.pool: Optional[ClientPool] = None
         if pooled:
-            # aggregators/relays materialize as real nodes; the cohort's
-            # trainers become logical clients served by broker workers (no
-            # communicator groups: pooled execution runs on the scheduler
-            # runtime, which moves updates through turn tickets)
+            # aggregators/relays materialize as real nodes (listed first, so
+            # actors[i] serves nodes[i]); the cohort's trainers become
+            # logical clients served by broker workers (no communicator
+            # groups: pooled execution runs on the scheduler runtime, which
+            # moves updates through turn tickets)
             for nspec in node_specs:
                 if nspec.role.trains():
                     continue
@@ -149,23 +150,14 @@ class Engine:
                 )
                 del probe
             else:
-                base_index = 1 + max(s.index for s in node_specs)
-                worker_positions = []
-                for w in range(int(pool_size)):
-                    wspec = NodeSpec(
-                        name=f"pool_worker_{w}",
-                        index=base_index + w,
-                        role=NodeRole.TRAINER,
-                    )
-                    worker_positions.append(len(self.nodes))
-                    self.nodes.append(make_node(wspec, None))
-                    self.actors.append(ThreadActor(self.nodes[-1], name=wspec.name))
-                broker = Broker(
-                    broker_url,
-                    engine=self,
-                    worker_positions=worker_positions,
-                    num_clients=n_trainers,
-                )
+                # one trainer node serves every logical client, called on
+                # whichever thread pumps the pool: it gets no actor, and
+                # pool_size counts dispatch slots, not replicas
+                wspec = NodeSpec(name="pool_worker", index=1 + max(s.index for s in node_specs),
+                                 role=NodeRole.TRAINER)
+                self.nodes.append(make_node(wspec, None))
+                broker = Broker(broker_url, node=self.nodes[-1], slots=int(pool_size),
+                                num_clients=n_trainers)
             self.pool = ClientPool(
                 num_clients=n_trainers,
                 broker=broker,

@@ -3,8 +3,9 @@
 A :class:`ClientRuntime` is the seam between scheduling policy and client
 execution: schedulers (and ``Engine.evaluate``) submit *turns* — one method
 call on one logical client — and consume the returned tickets, without
-knowing whether the client lives on a dedicated in-process node, a pooled
-worker thread, or a worker process on another machine behind a broker.
+knowing whether the client lives on a dedicated in-process node, on the
+pool's one in-process node (run on the caller's thread), or in a worker
+process on another machine behind a broker.
 
 The contract, which every implementation must honor:
 
@@ -19,7 +20,8 @@ The contract, which every implementation must honor:
     and ``exception(timeout)``.  Turns for the *same* client execute in
     submission order (per-client FIFO) — this is what makes pooled and
     dedicated execution bit-identical.  Turns for different clients may run
-    in any order or in parallel.
+    in any order or in parallel.  Where a turn runs on the waiting thread
+    (``memory://``), ``timeout`` bounds only the wait after it.
 ``evaluate_all(max_batches=None, timeout=None)``
     Run ``evaluate`` on every client against its own state and return the
     ``(mean_loss, mean_accuracy)`` over clients in sorted-id order.
@@ -36,7 +38,7 @@ The contract, which every implementation must honor:
 
 Two implementations: :class:`DedicatedRuntime` here, and the pooled
 :class:`~repro.runtime.pool.ClientPool`, whose broker decides whether turns
-run on threads, redis workers or live cluster members.
+run on the caller's thread, redis workers or live cluster members.
 """
 
 from __future__ import annotations

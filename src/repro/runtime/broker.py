@@ -9,7 +9,8 @@ are chosen by URL scheme through a registry, mirroring the WorQ/pymq
 ===========  ===============================================================
 scheme       execution substrate
 ===========  ===============================================================
-memory       in-process worker-node actor threads (the classic pool; default)
+memory       one in-process worker node, turns run on the thread that pumps
+             the pool (default)
 redis        worker *processes* pulling turns from a redis list, with the
              ``ClientStateStore`` sharded into a redis hash (see
              :mod:`repro.runtime.redis`)
@@ -28,10 +29,12 @@ speak — the two halves of one transport live behind one registry key.
 
 from __future__ import annotations
 
+import threading
 import weakref
+from collections import deque
 from importlib import import_module
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Tuple, Type, Union,
+    TYPE_CHECKING, Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple, Type, Union,
 )
 from urllib.parse import parse_qs, urlparse
 
@@ -39,7 +42,7 @@ from repro.engine.client_state import ClientStateStore, StateArena
 from repro.runtime.fused import FusedTurnRunner
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.engine import Engine
+    from repro.node.node import Node
     from repro.runtime.pool import ClientPool, PoolTicket
 
 __all__ = [
@@ -211,6 +214,11 @@ class TurnBroker:
         """Dispatch one started ticket; must return without waiting."""
         raise NotImplementedError
 
+    def run_dispatched(self) -> None:
+        """Run what :meth:`execute`/:meth:`execute_batch` recorded, on the
+        calling thread and outside the pool lock.  Brokers whose turns run
+        elsewhere have nothing to do here."""
+
     def fusable(self, ticket: "PoolTicket") -> bool:
         """Whether this turn may ride in an :meth:`execute_batch` with other
         fusable turns.  The pool asks once per submitted ticket (after
@@ -335,12 +343,15 @@ class WorkerLink:
 # ----------------------------------------------------------------------
 @register_broker("memory")
 class MemoryBroker(TurnBroker):
-    """The in-process substrate: turns run on worker-node actor threads.
+    """The in-process substrate: one node, run on the thread that pumps the
+    pool (inside ``submit`` or ``result``).
 
-    Reproduces the pre-broker ``ClientPool`` dispatch bit-identically —
-    same swap-in/turn/swap-out spans on the same actor threads, same
-    free-worker LIFO — so ``memory://`` is a pure refactor of the classic
-    pool, not a behavioral fork.
+    :meth:`execute`/:meth:`execute_batch` only record a dispatch under the
+    pool lock; :meth:`run_dispatched` runs it once the lock is released.  A
+    completion that starts the next turn appends to the run list instead of
+    recursing, so the thousandth turn runs as deep in the stack as the
+    first.  ``pool_size`` counts dispatch slots, not threads or replicas;
+    records never depended on either (streams are keyed by client id).
     """
 
     distributed = False
@@ -349,19 +360,14 @@ class MemoryBroker(TurnBroker):
         self,
         url: str = "memory://",
         *,
-        engine: "Engine",
-        worker_positions,
+        node: "Node",
+        slots: int = 1,
         num_clients: Optional[int] = None,
         **_: Any,
     ) -> None:
         super().__init__(url)
-        if not worker_positions:
-            raise ValueError("client pool needs at least one worker node")
-        # the engine's actor list, not the engine: nothing the engine owns
-        # points back at it, so dropping an engine frees it there and then
-        self._actors = engine.actors
-        self._worker_pos = [int(w) for w in worker_positions]
-        self._free = list(self._worker_pos)
+        self._node = node
+        self._slots = int(slots)
         # with a known cohort size, back snapshots with a preallocated
         # per-client arena so steady-state state swaps are allocation-free
         arena = StateArena(num_clients) if num_clients else None
@@ -369,7 +375,9 @@ class MemoryBroker(TurnBroker):
         self._baseline: Optional[Dict[str, Any]] = None
         # None when the configured algorithm/model/plugins rule fusion out
         self._runner: Optional[FusedTurnRunner] = None
-        self._inflight = 0
+        self._runs: Deque[List["PoolTicket"]] = deque()  # recorded, not yet run
+        self._draining = threading.Lock()  # held by the thread running them
+        self._dispatched = self._inflight = 0  # dispatches/turns not yet reported
 
     @classmethod
     def check_url(cls, url: str) -> None:
@@ -377,31 +385,30 @@ class MemoryBroker(TurnBroker):
 
     # -- lifecycle -----------------------------------------------------
     def attach(self, pool: "ClientPool") -> None:
-        # weakly: this broker reaches the engine's worker nodes, so a strong
+        # weakly: this broker holds the engine's worker node, so a strong
         # pointer back at the pool that owns it would be the cycle that
         # keeps a dropped engine's models alive until the collector runs
         self.pool = weakref.proxy(pool)
 
     def start(self) -> None:
-        """Capture the pristine first-turn state and what fuses (once, from
-        any worker — all workers are built identically from the same seeded
-        factories)."""
+        """Set the node up, then capture the pristine first-turn state and
+        what fuses (once)."""
         if self._baseline is None:
-            worker = self._actors[self._worker_pos[0]]
-            self._baseline = worker.call("pool_baseline", timeout=60)
-            self._runner = FusedTurnRunner.build(worker.call("fusion_context", timeout=60))
+            self._node.setup_local()
+            self._baseline = self._node.pool_baseline()
+            self._runner = FusedTurnRunner.build(self._node.fusion_context())
 
     def shutdown(self) -> None:
-        # worker actors belong to the engine; nothing broker-owned to stop
-        pass
+        # the pool's stop() already ran every recorded dispatch
+        self._node.shutdown()
 
     # -- dispatch ------------------------------------------------------
     @property
     def pool_size(self) -> int:
-        return len(self._worker_pos)
+        return self._slots
 
     def capacity_free(self) -> bool:
-        return bool(self._free)
+        return self._dispatched < self._slots
 
     def default_window(self) -> int:
         """A configuration that fuses admits as many turns as fit the result
@@ -417,50 +424,52 @@ class MemoryBroker(TurnBroker):
         return self._runner is not None and self._runner.turn_eligible(ticket)
 
     def execute(self, ticket: "PoolTicket") -> None:
-        self._dispatch([ticket])
+        self._record([ticket])
 
     def execute_batch(self, tickets: List["PoolTicket"]) -> None:
-        """Run several fusable turns on ONE worker as a fused pass."""
-        self._dispatch(list(tickets))
+        """Record several fusable turns to run as one fused pass."""
+        self._record(list(tickets))
 
-    def _dispatch(self, tickets: List["PoolTicket"]) -> None:
-        if self._baseline is None:
-            self.start()
-        worker = self._free.pop()
+    def _record(self, tickets: List["PoolTicket"]) -> None:
+        self._dispatched += 1
         self._inflight += len(tickets)
-        self._actors[worker].submit_call(self._serve, tickets, worker)
+        self._runs.append(tickets)
 
-    def _serve(self, node, tickets: List["PoolTicket"], worker: int) -> None:
-        """One dispatch on the worker's thread: run it, report every ticket,
-        hand the worker back.  Reporting happens here and not in a done
-        callback on the future: a callback attached after a fast turn has
-        already finished runs inline on the attaching thread — the
-        dispatching one, inside the pool lock ``turn_done`` takes."""
+    def run_dispatched(self) -> None:
+        """Run every recorded dispatch on the calling thread.  While a drain
+        is under way (this thread's, or another's) this returns at once:
+        that drain's loop runs what was appended."""
+        while self._runs and self._draining.acquire(blocking=False):
+            try:
+                while self._runs:
+                    self._serve(self._runs.popleft())
+            finally:
+                self._draining.release()
+
+    def _serve(self, tickets: List["PoolTicket"]) -> None:
+        """Run one dispatch, report every ticket, hand its slot back."""
 
         def release() -> None:  # runs under the pool lock, before the pump
-            self._free.append(worker)
+            self._dispatched -= 1
             self._inflight -= len(tickets)
 
         if len(tickets) == 1:
-            self.pool.turn_done(tickets[0], *self._attempt(node, tickets[0]), release=release)
+            self.pool.turn_done(tickets[0], *self._attempt(tickets[0]), release=release)
             return
         try:
-            self._run_batch(node, tickets)
+            done = self._run_batch(tickets)
         except BaseException as exc:  # noqa: BLE001 - delivered through the tickets
-            # _run_batch reports per ticket; getting here means the batch
-            # machinery itself died — fail whatever was not yet reported
-            for ticket in tickets:
-                if not ticket.done():
-                    self.pool.turn_done(ticket, None, exc)
-        self.pool.release_capacity(release)
+            # the batch machinery itself died before reporting anything
+            done = [(ticket, None, exc) for ticket in tickets]
+        self.pool.turns_done_batch(done, release)
 
-    def _attempt(self, node, ticket: "PoolTicket") -> Tuple[Any, Optional[BaseException]]:
+    def _attempt(self, ticket: "PoolTicket") -> Tuple[Any, Optional[BaseException]]:
         """One turn as ``(value, error)`` — whatever went wrong, the ticket
         carries it to the consumer.  The snapshot is stored even when the
         method raised (see :meth:`Node.run_client_turn`)."""
         assert self._baseline is not None
         try:
-            value, error, snapshot = node.run_client_turn(
+            value, error, snapshot = self._node.run_client_turn(
                 ticket.client, self.store.get(ticket.client), self.pool.data_view(ticket),
                 self._baseline, ticket.method, ticket.args, ticket.kwargs,
             )
@@ -469,26 +478,27 @@ class MemoryBroker(TurnBroker):
             return None, exc
         return value, error
 
-    def _run_batch(self, node, tickets: List["PoolTicket"]) -> None:
+    def _run_batch(self, tickets: List["PoolTicket"]) -> List[Tuple[Any, ...]]:
         """A fused batch, falling back to the exact per-turn path
-        (:meth:`FusedTurnRunner.run_or_fallback`); reports each ticket."""
+        (:meth:`FusedTurnRunner.run_or_fallback`), as the
+        ``(ticket, value, error)`` outcomes to report."""
         assert self._baseline is not None and self._runner is not None
         jobs = [(t, self.store.get(t.client), self.pool.data_view(t))
                 for t in tickets]
-        with node.tracer.span("pool.fused_batch", cat="pool", clients=len(tickets)):
+        with self._node.tracer.span("pool.fused_batch", cat="pool", clients=len(tickets)):
             # a per-turn rerun stores its own snapshot, so it hands back None
             outcomes = self._runner.run_or_fallback(
-                jobs, self._baseline, lambda job: self._attempt(node, job[0]) + (None,))
+                jobs, self._baseline, lambda job: self._attempt(job[0]) + (None,))
         done = []
         for ticket, (result, error, snapshot, _) in zip(tickets, outcomes):
             if snapshot is not None:
                 self.store.put(ticket.client, snapshot)
             done.append((ticket, result, error))
-        self.pool.turns_done_batch(done)
+        return done
 
     # -- introspection -------------------------------------------------
     def queue_depth(self) -> int:
         return self._inflight
 
     def idle_workers(self) -> int:
-        return len(self._free)
+        return self._slots - self._dispatched

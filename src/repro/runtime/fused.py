@@ -76,7 +76,7 @@ class FusedTurnRunner:
     """Runs batches of compatible ``local_update`` turns as stacked math.
 
     Built once per broker from a worker's :meth:`Node.fusion_context`
-    (:meth:`build`) and shared by every worker thread: ``run_batch`` keeps
+    (:meth:`build`) and shared by every batch it runs: ``run_batch`` keeps
     no state between calls and never mutates the snapshots or the payload
     it is given — a failure at any point leaves the sequential fallback an
     untouched starting state.  ``turn_eligible`` is called under the pool

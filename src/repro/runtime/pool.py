@@ -1,8 +1,8 @@
 """The client pool: scheduling policy for pooled logical clients.
 
 ``num_clients`` logical clients share a bounded set of execution slots
-provided by a :class:`~repro.runtime.broker.TurnBroker` (in-process actor
-threads for ``memory://``, worker processes for ``redis://``, live cluster
+provided by a :class:`~repro.runtime.broker.TurnBroker` (the caller's own
+thread for ``memory://``, worker processes for ``redis://``, live cluster
 members for ``tcp://``).  The pool owns everything transport-independent:
 
 1. **per-client FIFO** — all submissions for one client run in submission
@@ -18,7 +18,9 @@ The broker owns dispatch: ``capacity_free()`` gates the pump and
 ``execute(ticket)`` moves a turn onto the substrate; completions come back
 through :meth:`ClientPool.turn_done`.  The broker also says which turns it
 can fuse (``fusable(ticket)``): those wait until somebody needs one, then
-every startable one goes out together through ``execute_batch``.
+every startable one goes out together through ``execute_batch``.  Entry
+points that may start a turn call ``broker.run_dispatched()`` after
+releasing the lock; ``memory://`` runs its recorded turns there.
 """
 
 from __future__ import annotations
@@ -47,7 +49,9 @@ class PoolTicket:
 
     Satisfies the surface the event queue uses (``result``/``exception``/
     ``done``); ``result`` additionally *demands* the ticket, telling the pool
-    a consumer is blocked on it so it may jump the admission window.
+    a consumer is blocked on it so it may jump the admission window.  On
+    ``memory://`` the turn runs on the waiting thread before the wait, so
+    ``timeout`` cannot interrupt it; it bounds only the wait that follows.
     """
 
     def __init__(self, pool: "ClientPool", seq: int, client: int, method: str,
@@ -203,6 +207,7 @@ class ClientPool(ClientRuntime):
             if len(queue) == 1 and ticket.client not in self._busy_clients:
                 self._mark_ready_locked(ticket.client)
             self._pump_locked()
+        self.broker.run_dispatched()
         return ticket
 
     def pending_turns(self) -> int:
@@ -246,7 +251,8 @@ class ClientPool(ClientRuntime):
         return float(np.mean(losses)), float(np.mean(accs))
 
     def stop(self) -> None:
-        """Fail everything still queued; started turns finish on their own."""
+        """Fail everything still queued; started turns finish (here, on
+        ``memory://``)."""
         with self._lock:
             self._stopped = True
             pending = [t for q in self._queues.values() for t in q]
@@ -259,6 +265,7 @@ class ClientPool(ClientRuntime):
         for ticket in pending:
             ticket._exc = RuntimeError("client pool stopped with turns still queued")
             ticket._event.set()
+        self.broker.run_dispatched()
 
     def shutdown(self) -> None:
         """Stop the queue and tear the broker (and its workers) down."""
@@ -281,33 +288,15 @@ class ClientPool(ClientRuntime):
         broker can return capacity (e.g. a freed worker slot) atomically
         with the client becoming schedulable again.
         """
-        if exc is not None:
-            ticket._exc = exc
-        else:
-            ticket._result = result
-        with self._lock:
-            self.turns_run += 1
-            self._busy_clients.discard(ticket.client)
-            if ticket.client in self._queues:
-                self._mark_ready_locked(ticket.client)
-            if ticket._abandoned and not ticket._consumed:
-                # the waiter timed out and may never come back for the
-                # result: return the admission slot here instead
-                ticket._consumed = True
-                self._unconsumed -= 1
-            if release is not None:
-                release()
-            self._pump_locked()
-        ticket._event.set()
+        self.turns_done_batch([(ticket, result, exc)], release)
 
-    def turns_done_batch(
-        self, outcomes: Any
-    ) -> None:
+    def turns_done_batch(self, outcomes: Any, release: Optional[Any] = None) -> None:
         """Report several finished turns under one lock acquisition.
 
         ``outcomes`` is ``[(ticket, result, exc), ...]``.  Semantics match
         per-ticket :meth:`turn_done` calls, but a fused batch of K turns
-        pays one lock/pump cycle instead of K."""
+        pays one lock/pump cycle instead of K, and returns its substrate
+        slot once (``release``)."""
         for ticket, result, exc in outcomes:
             if exc is not None:
                 ticket._exc = exc
@@ -320,21 +309,15 @@ class ClientPool(ClientRuntime):
                 if ticket.client in self._queues:
                     self._mark_ready_locked(ticket.client)
                 if ticket._abandoned and not ticket._consumed:
+                    # the waiter timed out and may never come back for the
+                    # result: return the admission slot here instead
                     ticket._consumed = True
                     self._unconsumed -= 1
-            self._pump_locked()
-        for ticket, _, _ in outcomes:
-            ticket._event.set()
-
-    def release_capacity(self, release: Any) -> None:
-        """Run a broker's capacity-return closure under the pool lock and
-        re-pump.  Brokers that complete several tickets per substrate slot
-        (batched dispatch) report each ticket via :meth:`turn_done` and
-        return the slot once, here."""
-        with self._lock:
             if release is not None:
                 release()
             self._pump_locked()
+        for ticket, _, _ in outcomes:
+            ticket._event.set()
 
     # ------------------------------------------------------------------
     # internals (all under self._lock unless noted)
@@ -368,6 +351,7 @@ class ClientPool(ClientRuntime):
                 if ticket.client not in self._busy_clients:
                     self._mark_ready_locked(ticket.client)
             self._pump_locked()
+        self.broker.run_dispatched()
 
     def _consume(self, ticket: PoolTicket) -> None:
         with self._lock:
@@ -375,6 +359,7 @@ class ClientPool(ClientRuntime):
                 ticket._consumed = True
                 self._unconsumed -= 1
                 self._pump_locked()
+        self.broker.run_dispatched()
 
     def _abandon(self, ticket: PoolTicket) -> None:
         """A waiter timed out on ``ticket`` and may never collect it: give
@@ -386,6 +371,7 @@ class ClientPool(ClientRuntime):
                 ticket._consumed = True
                 self._unconsumed -= 1
                 self._pump_locked()
+        self.broker.run_dispatched()
 
     def _pump_locked(self) -> None:
         """Hand startable turns to the broker (per-client FIFO, demand

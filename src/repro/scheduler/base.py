@@ -11,7 +11,8 @@ the axis the synchronous engine hard-codes as one barrier per round.  It owns
   the engine's thread-actor futures.
 
 Training is real (each dispatch runs ``Node.local_update`` on the client's
-actor thread); *time* is virtual: the heterogeneity model stamps every
+actor thread, on this thread in a ``memory://`` pool, or in a broker's worker
+process); *time* is virtual: the heterogeneity model stamps every
 dispatch with an arrival time and policies advance ``self.now`` instead of
 sleeping, so straggler dynamics are reproducible and fast.  Concrete
 policies (sync barrier, semi-sync deadline, FedAsync, FedBuff) live in

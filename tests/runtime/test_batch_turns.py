@@ -9,13 +9,16 @@ fast results arrive.  These tests pin that contract against the same spec
 with ``MemoryBroker.fusable`` patched to ``False`` (and that fusion actually
 engaged, so the identity is not vacuously comparing the per-turn path to
 itself), that configurations which cannot fuse keep eager per-turn dispatch
-and the pool-sized window, the pump's defer-until-demand-or-window rule
-(by hand and under seeded random interleavings), and that
-``materialize_batches`` hands the runner the DataLoader's own batches.
+and the pool-sized window and run one turn at a time on the caller's thread,
+that a long run's turns all run at one stack depth, the pump's
+defer-until-demand-or-window rule (by hand and under seeded random
+interleavings), and that ``materialize_batches`` hands the runner the
+DataLoader's own batches.
 """
 
 import dataclasses
 import random
+import sys
 import threading
 
 import numpy as np
@@ -153,58 +156,69 @@ def test_fusion_ineligible_algorithm_falls_back_identically(monkeypatch, fused_b
     assert_identical(unpatched, plain)
 
 
-def test_one_runner_serves_every_worker_thread(monkeypatch, fused_batches):
-    # the broker builds one runner from worker 0's context and every worker
-    # thread calls it; with the window squeezed to the pool-sized default a
-    # fused batch on one worker overlaps per-turn singletons (demanded past
-    # the full window) on the others, worker 0's own algorithm included
-    import sys
-
+def test_one_runner_serves_fused_batches_and_singletons_on_one_node(monkeypatch, fused_batches):
+    # the broker builds one runner from its node's context; with the window
+    # squeezed to the pool-sized default, fused batches interleave with
+    # per-turn singletons (demanded past the full window) on that one node,
+    # whose own algorithm state the singletons swap in and out
     import repro.runtime.broker as broker_mod
 
     spec = make_spec("fedbuff", num_clients=24, total_updates=72)
     plain = run_per_turn(spec, monkeypatch)
     monkeypatch.setattr(broker_mod, "RESULT_BUDGET_BYTES", 0)
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        experiment = Experiment(spec)
-        squeezed = experiment.run()
-    finally:
-        sys.setswitchinterval(old)
+    experiment = Experiment(spec)
+    squeezed = experiment.run()
     assert experiment.engine.pool._window == 2 * 4
     assert len(fused_batches) > 1 and max(fused_batches) > 1
     assert_identical(squeezed, plain)
 
 
+def _frame_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
 @pytest.mark.parametrize("fuses", [True, False], ids=["fused", "per-turn"])
-def test_a_turn_that_finishes_before_dispatch_returns_cannot_deadlock(fuses, monkeypatch):
-    # dispatch runs under the pool lock.  A worker fast enough to finish
-    # before execute() returns must still report from its own thread: a
-    # Future done-callback attached after completion runs inline on the
-    # attaching thread, which would re-enter the lock it already holds.
-    # Stand in for "fast enough" by waiting, inside submit_call, for the turn.
-    from concurrent.futures import wait
+def test_turn_one_and_turn_three_thousand_run_at_the_same_stack_depth(fuses, monkeypatch):
+    # a completion re-pumps the pool, and on memory:// the turn it starts
+    # runs on the same thread.  Were that a call from inside the completion,
+    # every turn would sit a few frames deeper than the last; the run list
+    # is drained by one loop instead, so depth does not grow with the run.
+    # The run has its own thread so that a turn re-entering the pool lock it
+    # already holds shows up as a hang, not a stuck suite.
+    depths = []
+    if fuses:
+        run_batch = fused_mod.FusedTurnRunner.run_batch
 
-    from repro.engine.actor import ActorHandle
+        def deep(self, jobs, baseline):
+            depths.append(_frame_depth())
+            return run_batch(self, jobs, baseline)
 
-    submit_call = ActorHandle.submit_call
+        monkeypatch.setattr(fused_mod.FusedTurnRunner, "run_batch", deep)
+    else:
+        run_turn = Node.run_client_turn
 
-    def finished_first(self, fn, *args, **kwargs):
-        future = submit_call(self, fn, *args, **kwargs)
-        wait([future], timeout=0.05)
-        return future
+        def deep(self, *args, **kwargs):
+            depths.append(_frame_depth())
+            return run_turn(self, *args, **kwargs)
 
-    monkeypatch.setattr(ActorHandle, "submit_call", finished_first)
-    if not fuses:
         monkeypatch.setattr(MemoryBroker, "fusable", lambda self, ticket: False)
+        monkeypatch.setattr(Node, "run_client_turn", deep)
     outcome = []
-    runner = threading.Thread(
-        target=lambda: outcome.append(Experiment(make_spec("fedasync")).run()), daemon=True)
+    runner = threading.Thread(target=lambda: outcome.append(
+        Experiment(make_spec("fedasync", total_updates=3000)).run()), daemon=True)
     runner.start()
-    runner.join(timeout=60)
+    runner.join(timeout=120)
     assert not runner.is_alive(), "the run deadlocked on the pool lock"
-    assert outcome and outcome[0].metrics.total_applied() == 16
+    assert outcome and outcome[0].metrics.total_applied() == 3000
+    if fuses:
+        # batches start from submit, result or drain: a frame apart at most
+        assert len(depths) > 100 and max(depths) - min(depths) <= 1
+    else:
+        assert len(depths) >= 3000 and depths[2999] == depths[0]
+        assert max(depths) == min(depths)
 
 
 _RESNET = {
@@ -227,22 +241,25 @@ _RESNET = {
     pytest.param({"attack": {"kind": "sign_flip", "fraction": 0.25}}, id="attacked"),
 ])
 def test_configurations_that_do_not_fuse_keep_per_turn_dispatch(overrides, monkeypatch):
-    """No runner, no ``execute_batch``, the pool-sized window, and turns on
-    several workers at once: what ``memory://`` did before it could fuse."""
+    """No runner, no ``execute_batch``, the pool-sized window, and one turn
+    at a time on the caller's thread, however many dispatch slots the pool
+    has: ``memory://`` runs every turn on the thread that pumps it."""
     monkeypatch.setattr(MemoryBroker, "execute_batch", lambda self, tickets: pytest.fail(
         "a configuration that cannot fuse reached execute_batch"))
-    # the first two turns rendezvous on their workers' threads: unless two
-    # are in flight together the barrier breaks and their tickets fail
-    rendezvous, arrivals = threading.Barrier(2, timeout=30), []
+    # count the turns inside run_client_turn at once: never more than one
+    active, most, turns = [0], [0], [0]
     run_turn = Node.run_client_turn
 
-    def meeting(self, *args, **kwargs):
-        arrivals.append(None)
-        if len(arrivals) <= 2:
-            rendezvous.wait()
-        return run_turn(self, *args, **kwargs)
+    def one_at_a_time(self, *args, **kwargs):
+        active[0] += 1
+        turns[0] += 1
+        most[0] = max(most[0], active[0])
+        try:
+            return run_turn(self, *args, **kwargs)
+        finally:
+            active[0] -= 1
 
-    monkeypatch.setattr(Node, "run_client_turn", meeting)
+    monkeypatch.setattr(Node, "run_client_turn", one_at_a_time)
     # dispatch is eager: the first pool_size turns start inside submit(),
     # before any consumer has blocked on a ticket
     depth, eager = [0], []
@@ -268,6 +285,7 @@ def test_configurations_that_do_not_fuse_keep_per_turn_dispatch(overrides, monke
     assert pool.broker._runner is None
     assert pool._window == max(2 * pool.pool_size, 4) == TurnBroker.default_window(pool.broker)
     assert len(eager) >= pool.pool_size and all(eager[:pool.pool_size])
+    assert turns[0] >= pool.pool_size and most[0] == 1
 
 
 def test_a_fusing_configuration_sizes_its_window_in_bytes():
@@ -332,8 +350,7 @@ class StubBroker(TurnBroker):
         if len(dispatch) == 1:
             self.pool.turn_done(dispatch[0], "ok", None, release=release)
         else:
-            self.pool.turns_done_batch([(t, "ok", None) for t in dispatch])
-            self.pool.release_capacity(release)
+            self.pool.turns_done_batch([(t, "ok", None) for t in dispatch], release)
 
     def queue_depth(self):
         return len(self.running)

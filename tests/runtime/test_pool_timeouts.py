@@ -1,4 +1,5 @@
-"""Pool admission-window accounting under timeouts (two bugfix pins).
+"""Pool admission-window accounting under timeouts (two bugfix pins), and
+what a stopped pool does with the turns queued behind a busy slot.
 
 1. A waiter that times out on ``PoolTicket.result`` abandons the ticket;
    when the turn eventually finishes, its admission slot must be returned —
@@ -9,6 +10,9 @@
    the timeout is configurable (default ``None``: wait indefinitely) and
    the whole sweep is demanded up front in submission order, so dispatch
    order is deterministic and independent of result-consumption order.
+
+3. ``ClientPool.stop`` fails every turn still queued and lets the started
+   ones finish.
 
 All tests run against a stub broker so completion timing is scripted, not
 raced.
@@ -146,3 +150,26 @@ def test_evaluate_all_timeout_propagates():
     broker._capacity = 0  # nothing ever starts, so nothing ever finishes
     with pytest.raises(TimeoutError, match="still pending"):
         pool.evaluate_all(timeout=0.05)
+
+
+# --------------------------------------------------------------------------
+# stop: queued turns fail, started ones finish
+# --------------------------------------------------------------------------
+def test_pool_stop_fails_queued_tickets():
+    pool, broker = make_pool(num_clients=3, capacity=1)
+    # saturate the single slot, then stop with turns still queued
+    tickets = [pool.submit(c, "step") for c in (0, 1, 2)]
+    assert broker.started == tickets[:1]
+    pool.stop()
+    broker.finish(tickets[0], "ok")
+    # started turns finish; queued ones fail loudly instead of hanging
+    outcomes = []
+    for t in tickets:
+        try:
+            t.result(5)
+            outcomes.append("ok")
+        except RuntimeError:
+            outcomes.append("stopped")
+    assert "stopped" in outcomes  # at least the tail of the queue
+    assert outcomes == sorted(outcomes, key=("ok", "stopped").index)
+    assert broker.started == tickets[:1]  # nothing started after the stop
