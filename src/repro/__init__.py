@@ -1,6 +1,8 @@
 """OmniFed reproduction: configurable federated learning from edge to HPC.
 
 Top-level convenience surface; see DESIGN.md for the system inventory.
+Every name resolves on first use (:mod:`repro.utils.lazy`), so importing
+one module of the package never loads the rest of it.
 
 Quickstart (the Experiment API v2)::
 
@@ -17,63 +19,30 @@ Quickstart (the Experiment API v2)::
     print(result.summary())
 """
 
-from repro.algorithms import ALGORITHMS, build_algorithm
-from repro.compression import COMPRESSORS, build_compressor
-from repro.config import ConfigStore, compose, instantiate
-from repro.data import DATAMODULES, build_datamodule
-from repro.engine import Callback, Checkpoint, CSVLogger, EarlyStopping, Engine
-from repro.experiment import (
-    AggregationSpec,
-    AttackSpec,
-    DataSpec,
-    Experiment,
-    ExperimentSpec,
-    FaultSpec,
-    MTDSpec,
-    PluginSpec,
-    RunResult,
-    SchedulerSpec,
-    TrainSpec,
-)
-from repro.models import MODELS, build_model
-from repro.telemetry import MetricsRegistry, OpsServer, Telemetry, Tracer
-from repro.topology import TOPOLOGIES, build_topology
+from repro.utils.lazy import lazy_surface
 
 __version__ = "0.2.0"
 
-__all__ = [
-    "Engine",
-    "Experiment",
-    "ExperimentSpec",
-    "RunResult",
-    "DataSpec",
-    "TrainSpec",
-    "PluginSpec",
-    "FaultSpec",
-    "SchedulerSpec",
-    "AttackSpec",
-    "AggregationSpec",
-    "MTDSpec",
-    "Callback",
-    "EarlyStopping",
-    "Checkpoint",
-    "CSVLogger",
-    "Telemetry",
-    "Tracer",
-    "MetricsRegistry",
-    "OpsServer",
-    "ALGORITHMS",
-    "build_algorithm",
-    "COMPRESSORS",
-    "build_compressor",
-    "DATAMODULES",
-    "build_datamodule",
-    "MODELS",
-    "build_model",
-    "TOPOLOGIES",
-    "build_topology",
-    "ConfigStore",
-    "compose",
-    "instantiate",
-    "__version__",
-]
+# registries are named by package, not by defining module: importing the
+# package is what registers its members
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "repro.engine.engine": ["Engine"],
+    "repro.experiment.experiment": ["Experiment"],
+    "repro.experiment.spec": [
+        "ExperimentSpec", "DataSpec", "TrainSpec", "PluginSpec", "FaultSpec",
+        "SchedulerSpec", "AttackSpec", "AggregationSpec", "MTDSpec",
+    ],
+    "repro.experiment.result": ["RunResult"],
+    "repro.engine.callbacks": ["Callback", "EarlyStopping", "Checkpoint", "CSVLogger"],
+    "repro.telemetry.callback": ["Telemetry"],
+    "repro.telemetry.tracer": ["Tracer"],
+    "repro.telemetry.registry": ["MetricsRegistry"],
+    "repro.telemetry.server": ["OpsServer"],
+    "repro.algorithms": ["ALGORITHMS", "build_algorithm"],
+    "repro.compression": ["COMPRESSORS", "build_compressor"],
+    "repro.data": ["DATAMODULES", "build_datamodule"],
+    "repro.models": ["MODELS", "build_model"],
+    "repro.topology": ["TOPOLOGIES", "build_topology"],
+    "repro.config": ["ConfigStore", "compose", "instantiate"],
+})
+__all__ += ["__version__"]

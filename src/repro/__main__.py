@@ -33,11 +33,10 @@ instead loads a typed :class:`~repro.experiment.ExperimentSpec` dumped by
 from __future__ import annotations
 
 import argparse
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.conf import builtin_store
-from repro.config import ConfigStore, compose, dumps
-from repro.experiment import Experiment, ExperimentSpec, RunResult
+if TYPE_CHECKING:  # pragma: no cover - imported in main(), after worker dispatch
+    from repro.experiment import Experiment, RunResult
 
 
 def _print_result(experiment: Experiment, result: RunResult) -> None:
@@ -93,6 +92,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    if args.overrides and args.overrides[0] == "worker":
+        # worker mode: `python -m repro worker <broker-url>` — serve client
+        # turns for a running engine (redis queue or tcp cluster member,
+        # by URL scheme) until it says stop.  Dispatched before anything
+        # below is imported: a worker loads only the turn loop.
+        if len(args.overrides) != 2:
+            parser.error("usage: python -m repro worker <broker-url>")
+        from repro.runtime.worker import run_worker
+
+        return run_worker(args.overrides[1])
+
+    from repro.conf import builtin_store
+    from repro.config import ConfigStore, compose, dumps
+    from repro.experiment import Experiment, ExperimentSpec
+
     store = ConfigStore(args.config_dir) if args.config_dir else builtin_store()
 
     if args.list:
@@ -102,16 +116,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             if options:
                 print(f"{group:12s} {', '.join(options)}")
         return 0
-
-    if args.overrides and args.overrides[0] == "worker":
-        # worker mode: `python -m repro worker <broker-url>` — serve client
-        # turns for a running engine (redis queue or tcp cluster member,
-        # by URL scheme) until it says stop
-        if len(args.overrides) != 2:
-            parser.error("usage: python -m repro worker <broker-url>")
-        from repro.runtime.worker import run_worker
-
-        return run_worker(args.overrides[1])
 
     if args.overrides and args.overrides[0] == "run":
         # spec-file mode: `python -m repro run <spec.yaml>`

@@ -18,26 +18,16 @@ size/bandwidth per its :class:`~repro.comm.network.NetworkModel`) so
 laptop-scale runs still expose the paper's inner-vs-outer cost gap (Fig. 7).
 """
 
-from repro.comm.base import CommStats, Communicator
-from repro.comm.collectives import CollectiveGroup
-from repro.comm.network import LINK_PRESETS, NetworkModel
-from repro.comm.pubsub import AmqpCommunicator, Broker, MqttCommunicator
-from repro.comm.rpc import GrpcCommunicator, RpcServer
-from repro.comm.torchdist import TorchDistCommunicator
+# eager: light, and tracers rebind these two in this namespace
 from repro.comm.wire import decode_message, encode_message
+from repro.utils.lazy import lazy_surface
 
-__all__ = [
-    "Communicator",
-    "CommStats",
-    "CollectiveGroup",
-    "NetworkModel",
-    "LINK_PRESETS",
-    "TorchDistCommunicator",
-    "GrpcCommunicator",
-    "RpcServer",
-    "MqttCommunicator",
-    "AmqpCommunicator",
-    "Broker",
-    "encode_message",
-    "decode_message",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "repro.comm.base": ["Communicator", "CommStats"],
+    "repro.comm.collectives": ["CollectiveGroup"],
+    "repro.comm.network": ["NetworkModel", "LINK_PRESETS"],
+    "repro.comm.torchdist": ["TorchDistCommunicator"],
+    "repro.comm.rpc": ["GrpcCommunicator", "RpcServer"],
+    "repro.comm.pubsub": ["MqttCommunicator", "AmqpCommunicator", "Broker"],
+})
+__all__ += ["encode_message", "decode_message"]

@@ -74,7 +74,7 @@ class CollectiveGroup:
         n = self.world_size
         buf = np.array(vector, dtype=np.float32, copy=True).ravel()
         if n == 1:
-            return buf if op == "sum" else buf
+            return buf.reshape(np.shape(vector))  # the sum and the mean of one
         bounds = np.linspace(0, buf.size, n + 1).astype(int)
         chunks = [slice(bounds[i], bounds[i + 1]) for i in range(n)]
         chunk_bytes = int(math.ceil(buf.size / n)) * buf.itemsize

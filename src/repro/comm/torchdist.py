@@ -174,9 +174,10 @@ class _P2PMailboxes:
             self._cond.notify_all()
 
     def get(self, rank: int, tag: int, timeout: float) -> Any:
-        deadline = timeout
+        key = (rank, tag)
         with self._cond:
-            while not self._boxes.get((rank, tag)):
-                if not self._cond.wait(timeout=deadline):
-                    raise TimeoutError(f"recv timeout on rank {rank} tag {tag}")
-            return self._boxes[(rank, tag)].pop(0)
+            # wait_for keeps one monotonic deadline across wake-ups: a put to
+            # any other (rank, tag) wakes this waiter without refilling it
+            if not self._cond.wait_for(lambda: self._boxes.get(key), timeout=timeout):
+                raise TimeoutError(f"recv timeout on rank {rank} tag {tag}")
+            return self._boxes[key].pop(0)

@@ -9,20 +9,11 @@ a spec with ``Engine.from_spec`` — or stay one level up and use
 :class:`repro.experiment.Experiment`.
 """
 
-from repro.engine.actor import ActorHandle, ThreadActor
-from repro.engine.callbacks import Callback, Checkpoint, CSVLogger, EarlyStopping
-from repro.engine.engine import Engine
-from repro.engine.metrics import MetricsCollector, RoundRecord, StopRun
+from repro.utils.lazy import lazy_surface
 
-__all__ = [
-    "Engine",
-    "ThreadActor",
-    "ActorHandle",
-    "MetricsCollector",
-    "RoundRecord",
-    "StopRun",
-    "Callback",
-    "EarlyStopping",
-    "Checkpoint",
-    "CSVLogger",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "repro.engine.engine": ["Engine"],
+    "repro.engine.actor": ["ThreadActor", "ActorHandle"],
+    "repro.engine.metrics": ["MetricsCollector", "RoundRecord", "StopRun"],
+    "repro.engine.callbacks": ["Callback", "EarlyStopping", "Checkpoint", "CSVLogger"],
+})

@@ -21,32 +21,13 @@ See :mod:`repro.experiment.spec` for the spec tree,
 :mod:`repro.engine.callbacks` for the callback subsystem.
 """
 
-from repro.experiment.experiment import Experiment
-from repro.experiment.result import RunResult
-from repro.experiment.spec import (
-    AggregationSpec,
-    AttackSpec,
-    DataSpec,
-    ExperimentSpec,
-    FaultSpec,
-    MTDSpec,
-    PluginSpec,
-    SchedulerSpec,
-    SpecError,
-    TrainSpec,
-)
+from repro.utils.lazy import lazy_surface
 
-__all__ = [
-    "Experiment",
-    "RunResult",
-    "ExperimentSpec",
-    "DataSpec",
-    "TrainSpec",
-    "PluginSpec",
-    "FaultSpec",
-    "SchedulerSpec",
-    "AttackSpec",
-    "AggregationSpec",
-    "MTDSpec",
-    "SpecError",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "repro.experiment.experiment": ["Experiment"],
+    "repro.experiment.result": ["RunResult"],
+    "repro.experiment.spec": [
+        "ExperimentSpec", "DataSpec", "TrainSpec", "PluginSpec", "FaultSpec",
+        "SchedulerSpec", "AttackSpec", "AggregationSpec", "MTDSpec", "SpecError",
+    ],
+})

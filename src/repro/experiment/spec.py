@@ -367,13 +367,15 @@ class ExperimentSpec:
     #: cohort size override injected into the topology (flat topologies'
     #: ``num_clients``); null keeps the topology's own setting
     num_clients: Optional[int] = None
-    #: simulate the cohort on this many reusable worker nodes instead of one
+    #: simulate the cohort on this many dispatch slots instead of one
     #: dedicated node per client (null: dedicated).  A pool >= the trainer
-    #: count degenerates to dedicated execution; a smaller pool bounds
-    #: memory/threads by the pool while staying bit-identical to dedicated
+    #: count degenerates to dedicated execution; a smaller pool stays
+    #: bit-identical to dedicated.  On ``memory://`` it counts dispatch
+    #: slots only (one reusable node runs every turn); a distributed broker
+    #: also sizes its default worker fleet by it
     pool_size: Optional[int] = None
     #: turn-queue broker URL for pooled execution: ``memory://`` (default)
-    #: runs turns on in-process worker actors, ``redis://host:port/db``
+    #: runs turns on the caller's thread, ``redis://host:port/db``
     #: dispatches them to worker processes, ``tcp://host:port?min_nodes=N``
     #: listens for live workers that join as cluster members (either kind
     #: is a ``repro worker <url>`` process); see :mod:`repro.runtime.broker`

@@ -10,20 +10,12 @@
   shared keys, to be replaced by Diffie-Hellman).
 """
 
-from repro.privacy.accountant import PrivacyAccountant
-from repro.privacy.dp import DifferentialPrivacy, gaussian_sigma, laplace_scale
-from repro.privacy.he import HomomorphicEncryption
-from repro.privacy.paillier import PaillierKeyPair, PaillierPublicKey, generate_keypair
-from repro.privacy.secure_agg import SecureAggregation
+from repro.utils.lazy import lazy_surface
 
-__all__ = [
-    "PrivacyAccountant",
-    "DifferentialPrivacy",
-    "gaussian_sigma",
-    "laplace_scale",
-    "HomomorphicEncryption",
-    "PaillierKeyPair",
-    "PaillierPublicKey",
-    "generate_keypair",
-    "SecureAggregation",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "repro.privacy.accountant": ["PrivacyAccountant"],
+    "repro.privacy.dp": ["DifferentialPrivacy", "gaussian_sigma", "laplace_scale"],
+    "repro.privacy.he": ["HomomorphicEncryption"],
+    "repro.privacy.paillier": ["PaillierKeyPair", "PaillierPublicKey", "generate_keypair"],
+    "repro.privacy.secure_agg": ["SecureAggregation"],
+})

@@ -9,48 +9,29 @@ How logical clients reach execution substrates:
   scheduled (per-client FIFO, bounded admission window) onto a turn broker
   (:mod:`repro.runtime.pool`);
 * :func:`Broker` — scheme-registry factory over broker URLs:
-  ``memory://`` runs turns on in-process worker actors, ``redis://`` on
-  worker processes pulling from a redis queue, ``tcp://`` on live worker
-  processes that join this engine as cluster members
-  (:mod:`repro.runtime.broker`, :mod:`repro.runtime.redis`,
-  :mod:`repro.cluster.coordinator` — imported only when a URL names it);
+  ``memory://`` runs turns on the caller's thread (the one pumping the
+  pool), ``redis://`` on worker processes pulling from a redis queue,
+  ``tcp://`` on live worker processes that join this engine as cluster
+  members (:mod:`repro.runtime.broker`; :mod:`repro.runtime.redis` and
+  :mod:`repro.cluster.coordinator` are imported only when a URL names them);
 * :class:`~repro.runtime.worker.Worker` — the one remote worker process,
   ``python -m repro worker <url>``, serving turns through the
   :class:`WorkerLink` the URL's scheme names.
+
+Every name resolves on first use (:mod:`repro.utils.lazy`), so a worker
+process, which needs only the broker module and its own link, never loads
+the pool.
 """
 
-from repro.runtime.base import ClientRuntime, DedicatedRuntime
-from repro.runtime.broker import (
-    BROKER_SCHEMES,
-    Broker,
-    BrokerError,
-    BrokerTurnLost,
-    BrokerUnavailable,
-    MemoryBroker,
-    TurnBroker,
-    WorkerLink,
-    broker_class,
-    broker_scheme,
-    register_broker,
-)
-from repro.runtime.pool import ClientPool, PoolTicket
-from repro.runtime.redis import RedisBroker  # registers the redis:// scheme
+from repro.utils.lazy import lazy_surface
 
-__all__ = [
-    "ClientRuntime",
-    "DedicatedRuntime",
-    "ClientPool",
-    "PoolTicket",
-    "Broker",
-    "TurnBroker",
-    "WorkerLink",
-    "MemoryBroker",
-    "RedisBroker",
-    "BROKER_SCHEMES",
-    "register_broker",
-    "broker_class",
-    "broker_scheme",
-    "BrokerError",
-    "BrokerTurnLost",
-    "BrokerUnavailable",
-]
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "repro.runtime.base": ["ClientRuntime", "DedicatedRuntime"],
+    "repro.runtime.pool": ["ClientPool", "PoolTicket"],
+    "repro.runtime.broker": [
+        "Broker", "TurnBroker", "WorkerLink", "MemoryBroker", "BROKER_SCHEMES",
+        "register_broker", "broker_class", "broker_scheme", "BrokerError",
+        "BrokerTurnLost", "BrokerUnavailable",
+    ],
+    "repro.runtime.redis": ["RedisBroker"],
+})

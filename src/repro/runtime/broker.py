@@ -67,9 +67,10 @@ __all__ = [
 RESULT_BUDGET_BYTES = 32 << 20
 
 #: scheme -> broker class, or the path of the module that registers it when
-#: first asked for (a ``memory://`` run never imports the control plane);
-#: extend with :func:`register_broker`
+#: first asked for (a ``memory://`` run never imports redis or the control
+#: plane, a worker only its own link); extend with :func:`register_broker`
 BROKER_SCHEMES: Dict[str, Union[Type["TurnBroker"], str]] = {
+    "redis": "repro.runtime.redis",
     "tcp": "repro.cluster.coordinator",
     "inproc": "repro.cluster.coordinator",
 }

@@ -9,36 +9,19 @@ endpoint.
   the HTTP thread serving ``/metrics``, ``/health``, ``/runs``;
 * :class:`Telemetry` — the callback that wires all of it onto a run.
 
-``Telemetry`` is exported lazily (PEP 562): it imports the callback base
-from :mod:`repro.engine`, while :mod:`repro.engine.engine` imports the
-no-op tracer from here — eager re-export would close that cycle at import
-time.  Everything imported eagerly below is stdlib-only.
+Every name resolves on first use (:mod:`repro.utils.lazy`): a process that
+only records spans never loads the HTTP server, and ``Telemetry`` (which
+imports the callback base from :mod:`repro.engine`) cannot close an import
+cycle with :mod:`repro.engine.engine`, which imports the no-op tracer from
+here.
 """
 
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
-from .runs import RunInfo, RunRegistry
-from .server import OpsServer
-from .tracer import NOOP_TRACER, NoopTracer, Tracer
+from repro.utils.lazy import lazy_surface
 
-__all__ = [
-    "Tracer",
-    "NoopTracer",
-    "NOOP_TRACER",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "RunInfo",
-    "RunRegistry",
-    "OpsServer",
-    "Telemetry",
-    "GLOBAL_RUNS",
-]
-
-
-def __getattr__(name: str):
-    if name in ("Telemetry", "GLOBAL_RUNS"):
-        from . import callback
-
-        return getattr(callback, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__, __all__ = lazy_surface(__name__, {
+    "repro.telemetry.tracer": ["Tracer", "NoopTracer", "NOOP_TRACER"],
+    "repro.telemetry.registry": ["MetricsRegistry", "Counter", "Gauge", "Histogram"],
+    "repro.telemetry.runs": ["RunInfo", "RunRegistry"],
+    "repro.telemetry.server": ["OpsServer"],
+    "repro.telemetry.callback": ["Telemetry", "GLOBAL_RUNS"],
+})

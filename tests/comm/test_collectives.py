@@ -46,11 +46,17 @@ def test_allreduce_sum_and_mean(world, rng):
         assert np.allclose(out, expected_sum / world, atol=1e-5)
 
 
-def test_allreduce_preserves_shape(rng):
-    group = CollectiveGroup(3)
-    data = [rng.standard_normal((4, 5)).astype(np.float32) for _ in range(3)]
-    results = run_ranks(group, lambda r: group.allreduce(r, data[r], "sum"))
-    assert results[0].shape == (4, 5)
+@pytest.mark.parametrize("op", ["sum", "mean"])
+@pytest.mark.parametrize("world", [1, 3])
+def test_allreduce_preserves_shape(world, op, rng):
+    # world 1 takes its own early return, which must reshape like the ring
+    group = CollectiveGroup(world)
+    data = [rng.standard_normal((4, 5)).astype(np.float32) for _ in range(world)]
+    results = run_ranks(group, lambda r: group.allreduce(r, data[r], op))
+    expected = np.sum(data, axis=0) / (world if op == "mean" else 1)
+    for out in results:
+        assert out.shape == (4, 5)
+        assert np.allclose(out, expected, atol=1e-5)
 
 
 def test_allreduce_rejects_bad_op():

@@ -2,6 +2,7 @@
 the unified-API claim of the paper's Communicator module."""
 
 import threading
+import time
 from collections import OrderedDict
 
 import numpy as np
@@ -171,3 +172,34 @@ def test_stats_track_bytes(group):
 def test_rank_validation():
     with pytest.raises(ValueError):
         TorchDistCommunicator(5, 4, master_port=39999)
+
+
+def test_torchdist_recv_times_out_under_other_traffic(fresh_port):
+    # every send wakes every waiting recv; a wake-up for another tag must not
+    # restart the waiter's timeout
+    comms = make_group("torchdist", fresh_port)
+    stop = threading.Event()
+    outcome = {}
+
+    def chatter():
+        while not stop.wait(0.05):
+            comms[1].send({"n": 1}, dst=0, tag=9)
+
+    def receive():
+        start = time.monotonic()
+        try:
+            comms[0].recv(src=1, tag=7, timeout=0.3)
+        except TimeoutError as exc:
+            outcome["error"] = exc
+        outcome["elapsed"] = time.monotonic() - start
+
+    sender = threading.Thread(target=chatter, daemon=True)
+    receiver = threading.Thread(target=receive, daemon=True)
+    sender.start()
+    receiver.start()
+    receiver.join(timeout=5)
+    stop.set()
+    sender.join(timeout=5)
+    assert not receiver.is_alive() and not sender.is_alive()
+    assert isinstance(outcome.get("error"), TimeoutError)
+    assert outcome["elapsed"] < 0.6
