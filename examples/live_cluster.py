@@ -11,7 +11,8 @@ localhost:
 3. spawns ``--nodes`` ``python -m repro worker tcp://...`` subprocesses that
    join, rebuild the trainer from the published spec, and serve turns;
 4. optionally SIGKILLs one worker mid-run (``--kill``) to demonstrate
-   phi/lease failure detection: the dead member is evicted, its clients
+   lease eviction: the dead member falls silent for longer than the lease
+   and is evicted, its clients
    orphan out of the selection set, and the run still completes.
 
 Run:  python examples/live_cluster.py [--nodes 3] [--updates 24] [--kill]
@@ -36,9 +37,8 @@ def make_spec(nodes: int, updates: int) -> ExperimentSpec:
     return ExperimentSpec(
         topology="centralized",
         num_clients=2 * nodes,
-        # ephemeral port (printed below); phi = adaptive suspicion with the
-        # lease as the hard bound
-        broker=f"tcp://127.0.0.1:0?min_nodes={nodes}&hb=0.2&lease=1.5&detector=phi",
+        # ephemeral port (printed below); a member silent for 1.5 s is evicted
+        broker=f"tcp://127.0.0.1:0?min_nodes={nodes}&hb=0.2&lease=1.5",
         data={"dataset": "blobs",
               "kwargs": {"train_size": 512, "test_size": 128},
               "batch_size": 32},

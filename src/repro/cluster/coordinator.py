@@ -5,8 +5,8 @@ Runs inside the engine process, behind the
 :class:`~repro.comm.transport.ServerTransport` (TCP for real deployments,
 in-proc for tests), a :class:`~repro.cluster.membership.Membership`
 registry fed by the join/heartbeat/leave ops, a per-member work queue of
-pre-encoded turn frames, and a sweep thread that asks the failure detector
-who died and evicts them — failing the evicted member's queued and
+pre-encoded turn frames, and a sweep thread that evicts every member silent
+for longer than the lease — failing the evicted member's queued and
 in-flight turns with :class:`~repro.runtime.broker.PeerLostError` so the
 scheduler maps them onto its dropped-dispatch path instead of stalling.
 Members are ``python -m repro worker tcp://host:port`` processes (see
@@ -36,7 +36,6 @@ import time
 from collections import deque
 from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
-from repro.cluster.failure import build_detector
 from repro.cluster.membership import Membership
 from repro.cluster.protocol import (
     ProtocolError,
@@ -48,16 +47,12 @@ from repro.cluster.protocol import (
 from repro.comm.transport import make_server_transport
 from repro.engine.client_state import ClientStateStore
 from repro.runtime import serde
-from repro.runtime.broker import PeerLostError, TurnBroker, register_broker
+from repro.runtime.broker import MAX_INFLIGHT, PeerLostError, TurnBroker, register_broker
 from repro.utils.logging import get_logger
 
 __all__ = ["ClusterCoordinator"]
 
 _LOG = get_logger("cluster.coordinator")
-
-#: dispatched-but-unresolved turns the broker accepts before the pool's
-#: pump backs off (the redis broker's default for the same bound)
-_MAX_INFLIGHT = 256
 
 
 @register_broker("inproc")
@@ -74,10 +69,7 @@ class ClusterCoordinator(TurnBroker):
         self.scheme = cfg.kind
         self.spec_yaml = spec.to_yaml()  # handed to every member at join
         self.num_clients = int(num_clients)
-        self.membership = Membership(
-            self.num_clients,
-            build_detector(cfg.detector, lease=cfg.lease, phi_threshold=cfg.phi_threshold),
-        )
+        self.membership = Membership(self.num_clients, cfg.lease)
         # client state lives on the members; nothing is held on this side
         self.store = ClientStateStore()
         self._server = make_server_transport(cfg.kind, cfg.address)
@@ -177,7 +169,7 @@ class ClusterCoordinator(TurnBroker):
 
     def capacity_free(self) -> bool:
         with self._lock:
-            return len(self._tickets) < _MAX_INFLIGHT
+            return len(self._tickets) < MAX_INFLIGHT
 
     def execute(self, ticket) -> None:
         """Encode one turn and queue it on the client's owning member."""
@@ -306,7 +298,7 @@ class ClusterCoordinator(TurnBroker):
             for member in self.membership.sweep():
                 self._drop_member_turns(
                     member.node_id,
-                    f"member {member.node_id} evicted by the failure detector",
+                    f"member {member.node_id} evicted after {self.cfg.lease:.1f}s of silence",
                 )
 
     def _drop_member_turns(self, node_id: str, reason: str) -> None:

@@ -8,9 +8,9 @@ and then, through the one :class:`~repro.runtime.worker.Worker` loop:
    published :class:`~repro.experiment.spec.ExperimentSpec` YAML plus the
    heartbeat/lease contract;
 2. **serves turns**: long-poll for a turn frame, run it against the client's
-   *member-local* snapshot, post the serde result frame — while a
-   :class:`~repro.cluster.heartbeat.Heartbeater` renews the lease on a
-   second channel;
+   *member-local* snapshot, post the serde result frame — while the
+   worker's heartbeat thread renews the lease through :meth:`ClusterLink.beat`
+   on a second channel;
 3. **leaves gracefully** on a stop request or the engine's stop flag — the
    in-flight turn finishes, then the member deregisters.
 
@@ -25,7 +25,6 @@ import os
 import socket
 from typing import Any, Dict, List, Optional
 
-from repro.cluster.heartbeat import Heartbeater
 from repro.cluster.protocol import decode_control, encode_control, parse_cluster_url, peek_kind
 from repro.comm.transport import make_channel
 from repro.runtime.broker import WorkerLink
@@ -46,8 +45,6 @@ class ClusterLink(WorkerLink):
         self.cfg = parse_cluster_url(url)
         self._work = None       # turn channel
         self._control = None    # heartbeat/leave channel
-        self._heartbeater: Optional[Heartbeater] = None
-        self._heartbeat_period = 0.5
         self._snapshots: Dict[int, Any] = {}
 
     def _call_control(self, op: str, **meta: Any) -> Dict[str, Any]:
@@ -64,22 +61,13 @@ class ClusterLink(WorkerLink):
             raise ConnectionError(
                 f"cluster join rejected: {reply.get('error', 'unknown reason')}"
             )
-        self._heartbeat_period = float(reply.get("heartbeat", 0.5))
+        self.beat_period = float(reply.get("heartbeat", 0.5))
         return str(reply["spec"]), int(reply["num_clients"])
 
-    def start(self) -> None:
-        self._heartbeater = Heartbeater(
-            lambda: self._call_control("heartbeat"), self._heartbeat_period
-        ).start()
+    def beat(self) -> Dict[str, Any]:
+        return self._call_control("heartbeat")
 
     def next_item(self) -> Optional[List[bytes]]:
-        if self._heartbeater.lost.is_set():
-            raise ConnectionError(
-                "heartbeats failed or were rejected: the engine is unreachable "
-                "or evicted this member"
-            )
-        if self._heartbeater.stopped.is_set():
-            return self.STOP
         reply = self._work.call(
             encode_control("poll", node_id=self.worker_id, wait=_POLL_WAIT)
         )
@@ -100,17 +88,9 @@ class ClusterLink(WorkerLink):
         for _, client, snapshot, encode_result in outcomes:
             if snapshot is not None:
                 self._snapshots[client] = snapshot
-            try:
-                self._work.call(encode_result(0))
-            except (ConnectionError, OSError):
-                if not self._heartbeater.stopped.is_set():
-                    raise
-                # the run ended while this turn trained (the heartbeat channel
-                # heard the stop flag): nobody is waiting for the result
+            self._work.call(encode_result(0))
 
     def close(self) -> None:
-        if self._heartbeater is not None:
-            self._heartbeater.stop()
         # graceful deregistration: best effort, the lease sweep is the
         # backstop if the engine is already gone
         if self._control is not None:

@@ -3,8 +3,9 @@
 The coordinator owns one :class:`Membership` registry.  Nodes enter through
 a join handshake (capability exchange: host, pid, slots), stay alive by
 renewing their lease with heartbeats, and exit either gracefully (leave) or
-by eviction when the :class:`~repro.cluster.failure.FailureDetector` stops
-believing their heartbeats.
+by eviction once they have been silent for longer than the lease — the one
+rule of :mod:`repro.runtime.liveness`, judged on ``Member.last_heartbeat``
+(set by a join as by a heartbeat).
 
 Logical clients (data-shard indices) are *pinned* to members: once the
 minimum quorum joins, every client is assigned round-robin over the joined
@@ -29,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.cluster.failure import FailureDetector
+from repro.runtime.liveness import silent
 from repro.utils.logging import get_logger
 
 __all__ = ["Member", "Membership"]
@@ -65,13 +66,13 @@ class Membership:
     def __init__(
         self,
         num_clients: int,
-        detector: FailureDetector,
+        lease: float,
         *,
         clock: Callable[[], float] = time.monotonic,
         events: Optional[Callable[[str, Member], None]] = None,
     ) -> None:
         self.num_clients = int(num_clients)
-        self.detector = detector
+        self.lease = float(lease)
         self._clock = clock
         self._events = events
         self._lock = threading.RLock()
@@ -104,7 +105,6 @@ class Membership:
                 joined_at=now, last_heartbeat=now,
             )
             self._members[node_id] = member
-            self.detector.observe(node_id, now)
             if self._assigned_once and self._unassigned:
                 self._adopt(member)
             self._fire("joined", member)
@@ -124,7 +124,6 @@ class Membership:
                 return False
             member.last_heartbeat = now
             member.heartbeats += 1
-            self.detector.observe(node_id, now)
             return True
 
     def leave(self, node_id: str) -> List[int]:
@@ -135,7 +134,6 @@ class Membership:
                 return []
             member.state = LEFT
             orphans = self._orphan(member)
-            self.detector.forget(node_id)
             self._fire("left", member)
             if self._ctr_leaves is not None:
                 self._ctr_leaves.inc()
@@ -144,15 +142,14 @@ class Membership:
             return orphans
 
     def sweep(self) -> List[Member]:
-        """Evict every member the failure detector now suspects."""
+        """Evict every member silent for longer than the lease."""
         now = self._clock()
         evicted: List[Member] = []
         with self._lock:
             for member in self._members.values():
-                if member.alive and self.detector.suspect(member.node_id, now):
+                if member.alive and silent(member.last_heartbeat, now, self.lease):
                     member.state = EVICTED
                     self._orphan(member)
-                    self.detector.forget(member.node_id)
                     evicted.append(member)
             for member in evicted:
                 self._fire("evicted", member)
@@ -163,7 +160,7 @@ class Membership:
         for member in evicted:
             _LOG.warning(
                 "member %s evicted after %.1fs of silence; clients re-orphaned",
-                member.node_id, self._clock() - member.last_heartbeat,
+                member.node_id, now - member.last_heartbeat,
             )
         return evicted
 
@@ -252,7 +249,8 @@ class Membership:
                     "clients": list(m.clients),
                     "heartbeats": m.heartbeats,
                     "age_seconds": round(now - m.joined_at, 3),
-                    "suspicion": round(self.detector.suspicion(m.node_id, now), 3)
+                    # silence as a fraction of the lease: 1 is the eviction line
+                    "suspicion": round((now - m.last_heartbeat) / self.lease, 3)
                     if m.alive else None,
                     "caps": dict(m.caps),
                 }
@@ -281,7 +279,7 @@ class Membership:
             )
             self._ctr_evictions = registry.counter(
                 "repro_cluster_evictions_total",
-                "Members evicted by the failure detector",
+                "Members evicted after a lease of silence",
             )
             self._ctr_leaves = registry.counter(
                 "repro_cluster_leaves_total", "Graceful member departures"

@@ -22,16 +22,13 @@ Ops (node -> coordinator, each answered synchronously on the same channel):
 
 Both halves also agree on the URL: ``tcp://host:port`` (``inproc://name`` in
 tests) names where the engine listens, and the query string carries the
-liveness contract — ``tcp://0.0.0.0:7070?min_nodes=3&join=60&hb=0.5&lease=3
-&detector=phi&phi=8``:
+liveness contract — ``tcp://0.0.0.0:7070?min_nodes=3&join=60&hb=0.5&lease=3``:
 
 ``min_nodes``  joining quorum the run waits for (1)
 ``join``       seconds to wait for that quorum (60)
 ``hb``         member heartbeat period in seconds (0.5)
-``lease``      seconds of silence after which a member is evicted (3)
-``detector``   ``timeout`` (plain lease) or ``phi`` (phi-accrual; the lease
-               stays as the hard bound) (timeout)
-``phi``        phi-accrual suspicion threshold (8)
+``lease``      seconds of silence after which a member is evicted (3; must
+               exceed ``hb``)
 """
 
 from __future__ import annotations
@@ -69,8 +66,6 @@ class ClusterUrl:
     join_timeout: float = 60.0
     heartbeat: float = 0.5
     lease: float = 3.0
-    detector: str = "timeout"
-    phi_threshold: float = 8.0
 
     def __post_init__(self) -> None:
         if self.min_nodes < 1:
@@ -84,10 +79,6 @@ class ClusterUrl:
                 "cluster.lease must exceed cluster.heartbeat (a lease shorter "
                 "than one heartbeat period evicts healthy members)"
             )
-        if self.detector not in ("timeout", "phi"):
-            raise ValueError("cluster.detector must be 'timeout' or 'phi'")
-        if self.phi_threshold <= 0:
-            raise ValueError("cluster.phi_threshold must be > 0")
 
 
 #: URL query key -> (ClusterUrl field, parser)
@@ -96,8 +87,6 @@ _URL_PARAMS = {
     "join": ("join_timeout", float),
     "hb": ("heartbeat", float),
     "lease": ("lease", float),
-    "detector": ("detector", str),
-    "phi": ("phi_threshold", float),
 }
 
 

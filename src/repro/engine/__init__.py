@@ -13,7 +13,7 @@ from repro.utils.lazy import lazy_surface
 
 __getattr__, __dir__, __all__ = lazy_surface(__name__, {
     "repro.engine.engine": ["Engine"],
-    "repro.engine.actor": ["ThreadActor", "ActorHandle"],
+    "repro.engine.actor": ["ActorHandle"],
     "repro.engine.metrics": ["MetricsCollector", "RoundRecord", "StopRun"],
     "repro.engine.callbacks": ["Callback", "EarlyStopping", "Checkpoint", "CSVLogger"],
 })

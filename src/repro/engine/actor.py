@@ -12,7 +12,7 @@ from __future__ import annotations
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, List, Optional, Sequence, TypeVar
 
-__all__ = ["ThreadActor", "ActorHandle", "wait_all"]
+__all__ = ["ActorHandle", "wait_all"]
 
 T = TypeVar("T")
 
@@ -48,10 +48,6 @@ class ActorHandle:
 
     def __repr__(self) -> str:
         return f"ActorHandle({self.name}, alive={self._alive})"
-
-
-# Back-compat-friendly alias: ThreadActor(obj) is how the engine spawns nodes.
-ThreadActor = ActorHandle
 
 
 def wait_all(futures: Sequence["Future[T]"], timeout: Optional[float] = None) -> List[T]:

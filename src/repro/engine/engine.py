@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.comm.factory import build_communicator
-from repro.engine.actor import ThreadActor, wait_all
+from repro.engine.actor import ActorHandle, wait_all
 from repro.engine.metrics import MetricsCollector, NodeStats, RoundRecord, StopRun
 from repro.runtime import Broker, ClientPool, ClientRuntime, DedicatedRuntime, broker_class
 from repro.runtime.fused import FusedTurnRunner
@@ -118,7 +118,7 @@ class Engine:
         make_node = spec_mod.resolve_node_fn(spec, datamodule, self.attack_plan)
 
         self.nodes: List[Node] = []
-        self.actors: List[ThreadActor] = []
+        self.actors: List[ActorHandle] = []
         self.pool: Optional[ClientPool] = None
         if pooled:
             # aggregators/relays materialize as real nodes (listed first, so
@@ -130,7 +130,7 @@ class Engine:
                 if nspec.role.trains():
                     continue
                 self.nodes.append(make_node(nspec, None))
-                self.actors.append(ThreadActor(self.nodes[-1], name=nspec.name))
+                self.actors.append(ActorHandle(self.nodes[-1], name=nspec.name))
             if broker_class(broker_url).distributed:
                 # worker processes rebuild their own trainer nodes from the
                 # spec the broker publishes (a live broker also binds its
@@ -174,7 +174,7 @@ class Engine:
                         gspec.comm_config, gspec.rank, gspec.world_size, self.sim_clock
                     )
                 self.nodes.append(node)
-                self.actors.append(ThreadActor(node, name=nspec.name))
+                self.actors.append(ActorHandle(node, name=nspec.name))
 
         self._setup_done = False
         self._shutdown_done = False

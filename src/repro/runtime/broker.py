@@ -47,6 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "BROKER_SCHEMES",
+    "MAX_INFLIGHT",
     "register_broker",
     "broker_scheme",
     "broker_class",
@@ -65,6 +66,10 @@ __all__ = [
 #: admission window is this many bytes of model states (see
 #: :meth:`MemoryBroker.default_window`)
 RESULT_BUDGET_BYTES = 32 << 20
+
+#: dispatched-but-unresolved turns a remote broker (``redis://``, ``tcp://``)
+#: holds before the pool's pump backs off
+MAX_INFLIGHT = 256
 
 #: scheme -> broker class, or the path of the module that registers it when
 #: first asked for (a ``memory://`` run never imports redis or the control
@@ -93,7 +98,7 @@ class BrokerUnavailable(BrokerError, ConnectionError):
 
 class PeerLostError(BrokerError):
     """A live cluster member serving this turn's client left or was evicted
-    by the failure detector.  Unlike :class:`BrokerTurnLost` (a fatal loss
+    when its lease ran out.  Unlike :class:`BrokerTurnLost` (a fatal loss
     on a substrate that promised delivery), peer loss is an *expected* event
     on a live broker: the scheduler maps it onto the dropped-dispatch path, so
     the run continues on the surviving membership."""
@@ -289,13 +294,17 @@ class WorkerLink:
     :class:`~repro.runtime.worker.Worker` loop is ``next_item`` -> ``claim``
     -> run -> ``commit``, one queue item (one or more turns) at a time, and
     everything transport-specific — where turns queue, where snapshots live,
-    how the worker proves it is alive — sits behind these calls.  A lost
-    server surfaces as ``ConnectionError``/``OSError`` from whichever call
-    noticed.
+    what one heartbeat sends — sits behind these calls.  The worker's
+    :class:`~repro.runtime.liveness.Heartbeater` calls :meth:`beat` from its
+    own thread, so ``beat`` uses a connection of its own.  A lost server
+    surfaces as ``ConnectionError``/``OSError`` from whichever call noticed.
     """
 
     #: ``next_item`` return value meaning "the run is over, exit cleanly"
     STOP = b"STOP"
+
+    #: seconds between beats; :meth:`open` may take it from the engine
+    beat_period = 1.0
 
     def __init__(self, url: str, worker_id: str) -> None:
         self.url = url
@@ -306,9 +315,10 @@ class WorkerLink:
         (``num_clients`` ``None``: derive it from the spec's topology)."""
         raise NotImplementedError
 
-    def start(self) -> None:
-        """Heartbeat on the link's own thread until :meth:`close`, so an
-        in-flight item stays leased through a graceful stop."""
+    def beat(self) -> Dict[str, Any]:
+        """Send one heartbeat — renewing this worker's liveness mark and the
+        leases of the item in hand — and return the engine's reply meta
+        (``stop``: the run is over; ``ok: False``: this worker was revoked)."""
         raise NotImplementedError
 
     def next_item(self) -> Union[None, bytes, List[bytes]]:
@@ -337,7 +347,7 @@ class WorkerLink:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Stop heartbeating and deregister; safe on a link never opened."""
+        """Deregister and disconnect; safe on a link never opened."""
         raise NotImplementedError
 
 

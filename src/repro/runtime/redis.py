@@ -50,14 +50,15 @@ decoded), so a 1000-client round ships one model, not one thousand.
 
 Worker heartbeats renew every lease of the item in hand in one ``HSET``;
 the engine-side collector sweeps the lease table and **requeues** turns
-whose lease expired (dead worker mid-turn), up to ``max_requeues`` times.  Liveness and lease expiry are
-judged by change detection against the engine's *monotonic* clock — never
-by comparing worker wall-clock stamps to the engine's, which breaks under
-cross-host skew or an NTP step (see :meth:`RedisBroker._sweep`).  A turn that stays unclaimed past
-``claim_timeout`` with no live heartbeat — or that exhausts its requeues —
-fails its ticket with :class:`~repro.runtime.broker.BrokerTurnLost`, so a
-scheduler blocked on the admission window gets a failed ticket instead of
-a stalled run.  Completed turns are marked in the ``done`` hash, in the
+whose lease expired (dead worker mid-turn), up to ``max_requeues`` times.
+Worker liveness and lease expiry are the one rule of
+:mod:`repro.runtime.liveness`: a hash value unchanged for longer than its
+window on the engine's monotonic clock is dead — never a worker's wall-clock
+stamp compared to the engine's (see :meth:`RedisBroker._sweep`).  A turn
+that stays unclaimed past ``claim_timeout`` with no live heartbeat — or
+that exhausts its requeues — fails its ticket with
+:class:`~repro.runtime.broker.BrokerTurnLost`, so a scheduler blocked on
+the admission window gets a failed ticket instead of a stalled run.  Completed turns are marked in the ``done`` hash, in the
 transaction that ships their results; a requeued duplicate is released
 without re-training, so retries cannot double-advance client state.  The
 collector clears the marks in its next pull (drawn above) except those of
@@ -66,12 +67,15 @@ turns ever requeued, which stay until shutdown for a duplicate to find.
 URL parameters (``redis://host:port/db?workers=2&lease=30``):
 
 ``workers``   worker processes to auto-spawn (default 0: external workers)
-``lease``     seconds a claimed turn may go unrenewed before requeue (30)
+``lease``     seconds a claimed turn may go unrenewed before requeue (30;
+              must exceed ``hb``)
 ``claim``     seconds an unclaimed turn may wait with no live workers (10)
 ``hb``        worker heartbeat period in seconds (1.0)
 ``requeues``  max requeues per turn before the ticket fails (2)
-``inflight``  max unresolved turns before a new batch is held back (256)
 ``run``       namespace id (default: derived from the spec + a nonce)
+
+At most :data:`~repro.runtime.broker.MAX_INFLIGHT` turns are unresolved
+before a new batch is held back.
 """
 
 from __future__ import annotations
@@ -89,6 +93,7 @@ from urllib.parse import urlparse
 
 from repro.runtime import serde
 from repro.runtime.broker import (
+    MAX_INFLIGHT,
     BrokerTurnLost,
     BrokerUnavailable,
     TurnBroker,
@@ -97,6 +102,7 @@ from repro.runtime.broker import (
     url_fields,
 )
 from repro.runtime.fused import FusedTurnRunner
+from repro.runtime.liveness import Marks, silent
 from repro.runtime.resp import POP_SLACK, RespClient, RespError
 from repro.utils.logging import get_logger
 
@@ -119,7 +125,6 @@ class RedisUrl:
     claim: float = 10.0
     heartbeat: float = 1.0
     max_requeues: int = 2
-    inflight: int = 256
     run: str = ""
 
     def namespace(self) -> str:
@@ -143,7 +148,6 @@ _URL_PARAMS = {
     "claim": ("claim", float),
     "hb": ("heartbeat", float),
     "requeues": ("max_requeues", int),
-    "inflight": ("inflight", int),
     "run": ("run", str),
 }
 
@@ -165,6 +169,11 @@ def parse_redis_url(url: str) -> RedisUrl:
     )
     if out.lease <= 0 or out.claim <= 0 or out.heartbeat <= 0:
         raise ValueError(f"lease/claim/hb must be positive in {url!r}")
+    if out.lease <= out.heartbeat:
+        raise ValueError(
+            f"lease must exceed hb in {url!r} (a lease shorter than one renewal "
+            "period requeues turns held by live workers)"
+        )
     return out
 
 
@@ -274,10 +283,10 @@ class RedisBroker(TurnBroker):
         self._gstate_ids: Dict[int, int] = {}  # id(payload) -> gkey
         self._gstate_refs: Dict[int, Any] = {}  # gkey -> payload
         self._gstate_next = 0
-        # change-detection liveness state (see _sweep): raw hash values and
-        # the engine monotonic instant each value was first observed
-        self._hb_seen: Dict[Any, tuple] = {}
-        self._lease_seen: Dict[int, tuple] = {}
+        # the marks _sweep judges: raw heartbeat values by worker, raw lease
+        # values by turn
+        self._hb_seen = Marks()
+        self._lease_seen = Marks()
         self._idle_workers = 0
         # turns resolved, by the size of the batch each trained in
         self._batch_sizes: Counter = Counter()
@@ -357,7 +366,7 @@ class RedisBroker(TurnBroker):
 
     def capacity_free(self) -> bool:
         with self._entry_lock:
-            return len(self._entries) < self.cfg.inflight
+            return len(self._entries) < MAX_INFLIGHT
 
     def fusable(self, ticket) -> bool:
         return self._runner is not None and self._runner.turn_eligible(ticket)
@@ -484,16 +493,11 @@ class RedisBroker(TurnBroker):
     def _sweep(self, conn: RespClient) -> None:
         """Requeue turns whose lease died; fail turns nobody can run.
 
-        Liveness is judged by *change detection on the engine's monotonic
-        clock*: workers stamp heartbeats and lease renewals with their own
-        wall clock, which the engine must never compare against its own
-        ``time.time()`` — across hosts (or across an NTP step) the two wall
-        clocks can disagree by more than a lease, expiring turns on live
-        workers or keeping dead ones alive.  Instead the engine records the
-        raw hash value it last saw and how long ago (monotonic) it changed:
-        a renewing worker rewrites the value every heartbeat period, so
-        "value unchanged for longer than the lease/liveness window" is a
-        clock-skew-immune death signal.
+        Workers stamp heartbeats and lease renewals with their own wall
+        clock, which the engine never compares against its own: a renewing
+        worker rewrites each value every heartbeat period, so a value
+        unchanged on the engine's monotonic clock for longer than its
+        window is the death signal (:mod:`repro.runtime.liveness`).
         """
         mono = time.monotonic()
         raw_leases: Dict[int, Any] = {}
@@ -504,16 +508,9 @@ class RedisBroker(TurnBroker):
                 continue
         heartbeats = conn.hgetall(self.cfg.key("hb"))
         live_after = max(3.0 * self.cfg.heartbeat, 1.0)
-        live = 0
-        for worker, raw in heartbeats.items():
-            seen = self._hb_seen.get(worker)
-            if seen is None or seen[0] != raw:
-                self._hb_seen[worker] = (raw, mono)
-                live += 1
-            elif mono - seen[1] < live_after:
-                live += 1
-        for worker in [w for w in self._hb_seen if w not in heartbeats]:
-            del self._hb_seen[worker]
+        live = sum(not silent(self._hb_seen.see(worker, raw, mono), mono, live_after)
+                   for worker, raw in heartbeats.items())
+        self._hb_seen.retain(heartbeats)
         with self._entry_lock:
             # a worker holding a fused item holds one lease per turn in it
             busy = {_lease_holder(raw) for raw in raw_leases.values()}
@@ -523,12 +520,9 @@ class RedisBroker(TurnBroker):
             raw = raw_leases.get(turn_id)
             if raw is not None:
                 entry.leased = True
-                seen = self._lease_seen.get(turn_id)
-                if seen is None or seen[0] != raw:
-                    self._lease_seen[turn_id] = (raw, mono)
-                elif mono - seen[1] > self.cfg.lease:
+                if silent(self._lease_seen.see(turn_id, raw, mono), mono, self.cfg.lease):
                     conn.execute("HDEL", self.cfg.key("leases"), turn_id)
-                    self._lease_seen.pop(turn_id, None)
+                    del self._lease_seen[turn_id]
                     self._requeue_or_fail(conn, turn_id, entry, (
                         f"worker {_lease_holder(raw)} lost its lease mid-turn "
                         f"(no renewal for {self.cfg.lease:.1f}s)"
@@ -544,11 +538,9 @@ class RedisBroker(TurnBroker):
         for turn_id in raw_leases:
             if turn_id not in entries:
                 conn.execute("HDEL", self.cfg.key("leases"), turn_id)
-                self._lease_seen.pop(turn_id, None)
-        # completed turns release their lease in the worker's MULTI; drop
-        # their change-detection state so the dict tracks only live leases
-        for turn_id in [t for t in self._lease_seen if t not in raw_leases]:
-            del self._lease_seen[turn_id]
+        # completed turns release their lease in the worker's MULTI: track
+        # only the leases still held on turns still in flight
+        self._lease_seen.retain(raw_leases.keys() & entries.keys())
 
     def _requeue_or_fail(self, conn: RespClient, turn_id: int,
                          entry: _Entry, reason: str) -> None:
@@ -642,7 +634,7 @@ class RedisBroker(TurnBroker):
     def describe(self) -> Dict[str, Any]:
         info = super().describe()
         info.update(namespace=self.cfg.namespace(), lease=self.cfg.lease,
-                    inflight=self.cfg.inflight, fuses=self._runner is not None,
+                    inflight=MAX_INFLIGHT, fuses=self._runner is not None,
                     batch_sizes=dict(sorted(self._batch_sizes.items())),
                     requeues=self._requeues)
         return info
@@ -659,8 +651,9 @@ class RedisBroker(TurnBroker):
 class RedisLink(WorkerLink):
     """The worker's half of the turn loop drawn in the module docstring.
 
-    A heartbeat thread renews the worker's liveness stamp and every lease
-    of the item in hand on its own connection.  The claim checks the
+    A beat renews the worker's liveness stamp and every lease of the item
+    in hand, on a connection of its own, and reports the run over once the
+    engine has deleted its namespace.  The claim checks the
     ``done`` hash: a requeued duplicate of a *completed* turn is released
     without running — its result travelled in the transaction that marked
     it done — so retries cannot double-advance client state.
@@ -674,10 +667,10 @@ class RedisLink(WorkerLink):
                 "worker URL needs the broker's run namespace "
                 "(redis://host:port/db?run=<id>); the engine logs it at start"
             )
+        self.beat_period = self.cfg.heartbeat
         self._conn: Optional[RespClient] = None
         self._hb_conn: Optional[RespClient] = None
         self._leased: List[int] = []  # the claimed item's turns
-        self._stopping = threading.Event()
 
     def _connect(self) -> RespClient:
         return RespClient(self.cfg.host, self.cfg.port, db=self.cfg.db,
@@ -701,21 +694,17 @@ class RedisLink(WorkerLink):
                             "deadline": time.time() + self.cfg.lease})
         return [v for turn_id in turn_ids for v in (turn_id, lease)]
 
-    def start(self) -> None:
-        self._conn.execute("HSET", self.cfg.key("hb"), self.worker_id, time.time())
-        threading.Thread(target=self._heartbeat_loop,
-                         name="worker-heartbeat", daemon=True).start()
-
-    def _heartbeat_loop(self) -> None:
-        while not self._stopping.wait(self.cfg.heartbeat):
-            commands = [("HSET", self.cfg.key("hb"), self.worker_id, time.time())]
-            leased = self._leased
-            if leased:
-                commands.append(("HSET", self.cfg.key("leases"), *self._leases(leased)))
-            try:
-                self._hb_conn.pipeline(commands)
-            except RespError:
-                return  # connection gone; the turn loop will notice and exit
+    def beat(self) -> Dict[str, Any]:
+        commands = [("EXISTS", self.cfg.key("meta")),
+                    ("HSET", self.cfg.key("hb"), self.worker_id, time.time())]
+        leased = self._leased
+        if leased:
+            commands.append(("HSET", self.cfg.key("leases"), *self._leases(leased)))
+        published = self._hb_conn.pipeline(commands)[0]
+        # the stop flag and STOP items live only until the engine deletes its
+        # namespace; a worker between two pulls then misses both, but its
+        # next beat finds the run gone
+        return {"stop": not published}
 
     def next_item(self):
         # the stop check rides in the pull's round trip; an item pulled
@@ -776,7 +765,6 @@ class RedisLink(WorkerLink):
         self._leased = []
 
     def close(self) -> None:
-        self._stopping.set()
         if self._conn is not None:
             try:
                 self._conn.execute("HDEL", self.cfg.key("hb"), self.worker_id)

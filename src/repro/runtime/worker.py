@@ -16,10 +16,14 @@ loops over queue items, each a batch of one or more turns::
     {snapshots, results}
 
 A configuration the engine cannot fuse only ever arrives one turn per item
-(the ``tcp://`` link always does).  The link heartbeats on its own thread;
-if the process dies mid-item the engine notices (an expired lease requeues
-each of the item's turns on redis, an evicted member's turns fail as lost
-peers on tcp).
+(the ``tcp://`` link always does).  Beside the loop runs the worker's one
+heartbeat thread (:class:`~repro.runtime.liveness.Heartbeater`), whatever
+the link: it calls the link's ``beat`` every period, and the loop ends
+cleanly once a beat hears the engine's stop flag, or as lost once beats fail
+or are rejected.  If the process dies mid-item the engine notices by the
+same rule on both links — a liveness mark unchanged for longer than its
+window — and requeues each of the item's turns (redis) or fails them as
+lost peers (tcp).
 
 Exit codes of :func:`run_worker`: 0 after a stop request (the engine's stop
 flag, SIGTERM/SIGINT — the claimed item commits first — or the turn cap),
@@ -49,6 +53,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 from repro.runtime import serde
 from repro.runtime.broker import broker_class
 from repro.runtime.fused import FusedTurnRunner
+from repro.runtime.liveness import Heartbeater
 from repro.utils.logging import get_logger
 
 _LOG = get_logger("worker")
@@ -73,8 +78,8 @@ class Worker:
         self.worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
         self.link = broker_class(url).worker_link(url, self.worker_id)
         # a graceful stop request (signal or stop()) only ends the pull
-        # loop: the link keeps heartbeating until the claimed item has been
-        # committed and run() closes it
+        # loop: the heartbeat keeps the claimed item leased until it has been
+        # committed and run() closes the link
         self._stop_requested = threading.Event()
         self.node: Any = None
         self.provider: Any = None
@@ -127,13 +132,19 @@ class Worker:
         env_cap = os.environ.get("REPRO_WORKER_MAX_TURNS")
         if max_turns is None and env_cap:
             max_turns = int(env_cap)
+        heart = Heartbeater(link.beat, link.beat_period)
         try:
-            link.start()
+            heart.start()
             _LOG.info("worker %s serving %s", self.worker_id, link.url)
             while max_turns is None or self.turns_run < max_turns:
-                if self._stop_requested.is_set():
+                if self._stop_requested.is_set() or heart.stopped.is_set():
                     break  # the claimed item, if any, already committed
                 self._stage = "poll"
+                if heart.lost.is_set():
+                    raise ConnectionError(
+                        "heartbeats failed or were rejected: the engine is "
+                        "unreachable or revoked this worker"
+                    )
                 frames = link.next_item()
                 if frames is None:
                     continue
@@ -145,12 +156,19 @@ class Worker:
                     frames = frames[:keep]
                 self._serve(frames)
         except (ConnectionError, OSError) as exc:
-            self.lost = True
-            _LOG.error(
-                "worker %s lost its server (last turn %s, stage %s): %s",
-                self.worker_id, self._turn_ids, self._stage, exc,
-            )
+            if heart.stopped.is_set():
+                # the engine said stop, then went away while this item
+                # trained: nobody is left waiting for its results
+                _LOG.info("worker %s: engine gone after its stop flag (%s)",
+                          self.worker_id, exc)
+            else:
+                self.lost = True
+                _LOG.error(
+                    "worker %s lost its server (last turn %s, stage %s): %s",
+                    self.worker_id, self._turn_ids, self._stage, exc,
+                )
         finally:
+            heart.stop()
             link.close()
         return self.turns_run
 

@@ -73,12 +73,12 @@ def run_live(spec, worker_ids, callbacks=(), timeout=60):
 def test_parse_cluster_url():
     cfg = parse_cluster_url("tcp://10.0.0.1:7070")
     assert (cfg.kind, cfg.address) == ("tcp", "10.0.0.1:7070")
-    cfg = parse_cluster_url("inproc://x?min_nodes=3&join=5&hb=0.25&lease=2&detector=phi&phi=6")
+    cfg = parse_cluster_url("inproc://x?min_nodes=3&join=5&hb=0.25&lease=2")
     assert (cfg.kind, cfg.address) == ("inproc", "x")
-    assert (cfg.min_nodes, cfg.join_timeout, cfg.heartbeat) == (3, 5.0, 0.25)
-    assert (cfg.lease, cfg.detector, cfg.phi_threshold) == (2.0, "phi", 6.0)
+    assert (cfg.min_nodes, cfg.join_timeout, cfg.heartbeat, cfg.lease) == (3, 5.0, 0.25, 2.0)
     for bad in ("http://x", "tcp://", "tcp://hostonly", "justtext",
-                "tcp://h:1?min_node=3", "tcp://h:1?min_nodes=many"):
+                "tcp://h:1?min_node=3", "tcp://h:1?min_nodes=many",
+                "tcp://h:1?detector=phi", "tcp://h:1?phi=6"):
         with pytest.raises(ValueError):
             parse_cluster_url(bad)
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cluster.failure import TimeoutDetector
 from repro.cluster.membership import Membership
 from repro.telemetry.registry import MetricsRegistry
 
@@ -25,9 +24,7 @@ def clock():
 
 def make_membership(num_clients=6, lease=2.0, clock=None, events=None):
     clock = clock or FakeClock()
-    return Membership(
-        num_clients, TimeoutDetector(lease=lease), clock=clock, events=events,
-    ), clock
+    return Membership(num_clients, lease, clock=clock, events=events), clock
 
 
 # ------------------------------------------------------------ join
@@ -143,6 +140,20 @@ def test_sweep_noop_when_everyone_beats():
     assert m.sweep() == []
 
 
+def test_rejoin_renews_the_lease():
+    # a live member retrying its handshake is heard from: the sweep must
+    # judge its silence from the re-join, not from the first join
+    m, clock = make_membership(num_clients=2, lease=3.0)
+    m.join("a")
+    m.assign_initial()
+    clock.advance(2.5)
+    m.join("a")
+    clock.advance(0.6)
+    assert m.sweep() == []
+    assert m.get("a").alive and m.live_clients() == [0, 1]
+    assert m.describe()[0]["suspicion"] == pytest.approx(0.2)
+
+
 def test_evicted_member_can_rejoin_and_adopt():
     m, clock = make_membership(num_clients=2, lease=0.5)
     m.join("a")
@@ -201,6 +212,36 @@ def test_bind_registry_exports_gauges_and_counters():
     assert "repro_cluster_evictions_total 1" in text
     # only b's pinned clients remain live
     assert "repro_cluster_live_clients" in text
+
+
+def test_suspicion_is_silence_over_lease():
+    m, clock = make_membership(lease=4.0)
+    m.join("a")
+    clock.advance(2.0)
+    assert m.describe()[0]["suspicion"] == pytest.approx(0.5)
+    clock.advance(6.0)
+    assert m.describe()[0]["suspicion"] == pytest.approx(2.0)
+    m.sweep()
+    assert m.describe()[0]["suspicion"] is None  # only the alive are judged
+
+
+def test_a_member_that_left_is_never_evicted():
+    m, clock = make_membership(lease=1.0)
+    m.join("a")
+    m.leave("a")
+    clock.advance(100.0)
+    assert m.sweep() == []
+    assert m.counts() == {"alive": 0, "left": 1, "evicted": 0}
+
+
+def test_an_evicted_member_is_evicted_once():
+    m, clock = make_membership(lease=1.0)
+    m.join("a")
+    clock.advance(2.0)
+    assert [e.node_id for e in m.sweep()] == ["a"]
+    clock.advance(2.0)
+    assert m.sweep() == []
+    assert m.counts()["evicted"] == 1
 
 
 def test_describe_is_json_safe():

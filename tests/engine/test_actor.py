@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from repro.engine.actor import ThreadActor, wait_all
+from repro.engine.actor import ActorHandle, wait_all
 
 
 class Counter:
@@ -25,7 +25,7 @@ class Counter:
 
 
 def test_calls_run_on_actor_thread():
-    actor = ThreadActor(Counter(), name="c")
+    actor = ActorHandle(Counter(), name="c")
     try:
         assert actor.call("bump") == 1
         assert actor.call("bump", by=4) == 5
@@ -35,7 +35,7 @@ def test_calls_run_on_actor_thread():
 
 
 def test_same_actor_calls_serialize():
-    actor = ThreadActor(Counter(), name="c")
+    actor = ActorHandle(Counter(), name="c")
     try:
         futures = [actor.submit("bump") for _ in range(50)]
         results = wait_all(futures)
@@ -46,7 +46,7 @@ def test_same_actor_calls_serialize():
 
 
 def test_cross_actor_concurrency():
-    actors = [ThreadActor(Counter(), name=f"a{i}") for i in range(4)]
+    actors = [ActorHandle(Counter(), name=f"a{i}") for i in range(4)]
     try:
         start = time.perf_counter()
         futures = [a.submit("slow", 0.2) for a in actors]
@@ -59,7 +59,7 @@ def test_cross_actor_concurrency():
 
 
 def test_exception_propagates():
-    actor = ThreadActor(Counter(), name="c")
+    actor = ActorHandle(Counter(), name="c")
     try:
         with pytest.raises(RuntimeError, match="kaboom"):
             actor.call("boom")
@@ -68,7 +68,7 @@ def test_exception_propagates():
 
 
 def test_wait_all_fails_fast_on_exception():
-    a, b = ThreadActor(Counter(), "a"), ThreadActor(Counter(), "b")
+    a, b = ActorHandle(Counter(), "a"), ActorHandle(Counter(), "b")
     try:
         futures = [b.submit("slow", 3.0), a.submit("boom")]
         start = time.perf_counter()
@@ -81,7 +81,7 @@ def test_wait_all_fails_fast_on_exception():
 
 
 def test_wait_all_timeout():
-    actor = ThreadActor(Counter(), "slowpoke")
+    actor = ActorHandle(Counter(), "slowpoke")
     try:
         with pytest.raises(TimeoutError):
             wait_all([actor.submit("slow", 2.0)], timeout=0.1)
@@ -90,7 +90,7 @@ def test_wait_all_timeout():
 
 
 def test_stopped_actor_rejects_calls():
-    actor = ThreadActor(Counter(), "c")
+    actor = ActorHandle(Counter(), "c")
     actor.stop()
     with pytest.raises(RuntimeError, match="stopped"):
         actor.submit("bump")

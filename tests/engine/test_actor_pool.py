@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.engine.actor import ActorHandle, ThreadActor, wait_all
+from repro.engine.actor import ActorHandle, wait_all
 from repro.engine.engine import Engine
 from repro.experiment import ExperimentSpec
 
@@ -40,8 +40,8 @@ class Worker:
 # actor primitives
 # --------------------------------------------------------------------------
 def test_wait_all_fails_fast_on_first_exception():
-    actor_a = ThreadActor(Worker(), name="a")
-    actor_b = ThreadActor(Worker(), name="b")
+    actor_a = ActorHandle(Worker(), name="a")
+    actor_b = ActorHandle(Worker(), name="b")
     try:
         futures = [actor_b.submit("slow", 2.0, 1), actor_a.submit("boom")]
         start = time.perf_counter()
@@ -55,7 +55,7 @@ def test_wait_all_fails_fast_on_first_exception():
 
 
 def test_wait_all_timeout_reports_pending_count():
-    actor = ThreadActor(Worker(), name="t")
+    actor = ActorHandle(Worker(), name="t")
     try:
         futures = [actor.submit("slow", 1.0, 1)]
         with pytest.raises(TimeoutError, match="1 actor call"):

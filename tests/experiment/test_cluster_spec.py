@@ -20,7 +20,7 @@ LIVE = "tcp://127.0.0.1:0"
 
 #: ClusterUrl field -> its URL query key
 _QUERY_KEY = {"min_nodes": "min_nodes", "join_timeout": "join", "heartbeat": "hb",
-              "lease": "lease", "detector": "detector", "phi_threshold": "phi"}
+              "lease": "lease"}
 
 
 def cluster_url(transport="tcp", **fields):
@@ -34,7 +34,6 @@ def test_cluster_defaults():
     assert cl.address == "127.0.0.1:0"
     assert cl.kind == "tcp"
     assert cl.min_nodes == 1
-    assert cl.detector == "timeout"
     assert cl.lease > cl.heartbeat
 
 
@@ -44,8 +43,6 @@ def test_cluster_defaults():
     ({"join_timeout": 0}, "join_timeout"),
     ({"heartbeat": 0}, "heartbeat"),
     ({"heartbeat": 1.0, "lease": 0.5}, "lease"),
-    ({"detector": "seance"}, "detector"),
-    ({"phi_threshold": 0}, "phi_threshold"),
 ])
 def test_cluster_spec_validation(kwargs, match):
     url = cluster_url(**kwargs)
@@ -56,6 +53,16 @@ def test_cluster_spec_validation(kwargs, match):
         # (an unknown transport is an unknown scheme: the registry's error)
         with pytest.raises(SpecError, match=match):
             ExperimentSpec(broker=url)
+
+
+def test_failure_detector_keys_are_gone():
+    # one liveness rule: a member is dead once silent for longer than the
+    # lease, so the detector/phi knobs are unknown keys, not ignored ones
+    for key in ("detector=phi", "phi=8"):
+        with pytest.raises(ValueError, match=r"unknown parameters \['(detector|phi)'\]"):
+            parse_cluster_url(f"{LIVE}?{key}")
+        with pytest.raises(SpecError, match="unknown parameters"):
+            ExperimentSpec(broker=f"{LIVE}?{key}")
 
 
 # ------------------------------------------------------------ live-broker rules
@@ -126,7 +133,7 @@ def test_auto_without_cluster_unchanged():
 
 # ------------------------------------------------------------ serialization
 def test_cluster_yaml_roundtrip():
-    spec = ExperimentSpec(broker="tcp://0.0.0.0:7070?min_nodes=3&detector=phi&phi=6.0")
+    spec = ExperimentSpec(broker="tcp://0.0.0.0:7070?min_nodes=3&hb=0.25&lease=2")
     clone = ExperimentSpec.from_yaml(spec.to_yaml())
     assert clone.broker == spec.broker
     assert clone == spec

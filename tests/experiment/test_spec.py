@@ -132,6 +132,7 @@ def test_unknown_keys_rejected():
     ("memory://?window=9", r"unknown parameters \['window'\]"),
     ("redis://localhost:6379/0?leese=5", r"unknown parameters \['leese'\]"),
     ("redis://localhost:6379/0?lease=0", "must be positive"),
+    ("redis://localhost:6379/0?lease=1&hb=1", "lease must exceed hb"),
     ("tcp://127.0.0.1:0?leese=5", r"unknown parameters \['leese'\]"),
     ("inproc://spec-url-check?leese=5", r"unknown parameters \['leese'\]"),
 ])
@@ -144,7 +145,7 @@ def test_every_scheme_validates_its_url_at_construction(url, match):
 
 def test_known_url_parameters_stay_valid():
     for url in ("memory://", "redis://127.0.0.1:6379/0?run=bench7x1&claim=60",
-                "redis://h:6379/1?workers=2&lease=30&hb=0.5&requeues=1&inflight=8",
+                "redis://h:6379/1?workers=2&lease=30&hb=0.5&requeues=1",
                 "tcp://127.0.0.1:0?min_nodes=2&hb=0.5&lease=3",
                 "inproc://spec-url-check?min_nodes=1"):
         assert ExperimentSpec(broker=url).broker == url

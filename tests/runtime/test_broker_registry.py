@@ -18,6 +18,7 @@ from repro.runtime import (
     broker_scheme,
     register_broker,
 )
+from repro.runtime.broker import MAX_INFLIGHT
 from repro.runtime.redis import RedisLink, parse_redis_url
 
 
@@ -141,28 +142,32 @@ def test_parse_redis_url_defaults():
     assert (cfg.host, cfg.port, cfg.db) == ("localhost", 6379, 0)
     assert cfg.workers == 0
     assert cfg.lease == 30.0 and cfg.claim == 10.0 and cfg.heartbeat == 1.0
-    assert cfg.max_requeues == 2 and cfg.inflight == 256
+    assert cfg.max_requeues == 2
     assert cfg.run == ""
+    # the in-flight bound is one constant for every remote broker
+    assert RedisBroker("redis://localhost:6379/0").describe()["inflight"] == MAX_INFLIGHT
     assert cfg.namespace() == "repro:run"
 
 
 def test_parse_redis_url_params():
     cfg = parse_redis_url(
         "redis://broker.example:7777/3"
-        "?workers=4&lease=5&claim=2&hb=0.25&requeues=1&inflight=64&run=abc123"
+        "?workers=4&lease=5&claim=2&hb=0.25&requeues=1&run=abc123"
     )
     assert (cfg.host, cfg.port, cfg.db) == ("broker.example", 7777, 3)
     assert cfg.workers == 4
     assert cfg.lease == 5.0 and cfg.claim == 2.0 and cfg.heartbeat == 0.25
-    assert cfg.max_requeues == 1 and cfg.inflight == 64
+    assert cfg.max_requeues == 1
     assert cfg.namespace() == "repro:abc123"
     assert cfg.key("turns") == "repro:abc123:turns"
 
 
-def test_parse_redis_url_rejects_nonpositive_timing():
-    for bad in ("lease=0", "claim=-1", "hb=0"):
-        with pytest.raises(ValueError, match="must be positive"):
-            parse_redis_url(f"redis://localhost:6379/0?{bad}")
+def test_parse_redis_url_rejects_bad_timing():
+    for bad, match in (("lease=0", "must be positive"), ("claim=-1", "must be positive"),
+                       ("hb=0", "must be positive"), ("lease=0.5&hb=1", "lease must exceed hb"),
+                       ("inflight=64", r"unknown parameters \['inflight'\]")):
+        with pytest.raises(ValueError, match=match):
+            parse_redis_url(f"redis://h:1/0?{bad}")
 
 
 def test_parse_redis_url_rejects_unknown_keys():

@@ -119,8 +119,10 @@ def test_stop_finishes_in_flight_turn_and_deregisters(miniredis, monkeypatch):
     threads = [
         threading.Thread(target=w.run, daemon=True) for w in (stopper, survivor)
     ]
-    for t in threads:
-        t.start()
+    # one queue item carries a whole fused batch, so a survivor started
+    # alongside could take every update before the stopper polls: it starts
+    # once the stopper holds a lease
+    threads[0].start()
 
     # wait until the stopper holds a lease, then request a graceful stop
     lease_key = broker.cfg.key("leases")
@@ -133,6 +135,7 @@ def test_stop_finishes_in_flight_turn_and_deregisters(miniredis, monkeypatch):
             time.sleep(0.01)
         else:
             raise AssertionError("stopper never claimed a turn")
+        threads[1].start()
         stopper.stop()
         threads[0].join(timeout=30)
         assert not threads[0].is_alive(), "stop() did not interrupt the pull loop"
