@@ -179,6 +179,10 @@ class Scheduler:
     #: are freed as soon as the next aggregation replaces them
     needs_base_state = False
 
+    #: barrier policies merge through the algorithm's ``aggregate`` hook,
+    #: which a robust rule would replace: bind refuses a custom hook then
+    uses_algorithm_aggregate = False
+
     #: server-driven policies resolve an aggregator node at bind time;
     #: decentralized (gossip) policies have no server and skip that step
     requires_aggregator = True
@@ -314,10 +318,7 @@ class Scheduler:
                     "control variates — use a full-state algorithm (the "
                     "fedavg family) or drop aggregation.robust"
                 )
-            uses_algo_aggregate = (
-                self.name in ("sync", "semi_sync") or getattr(self, "outer", None) == "sync"
-            )
-            if uses_algo_aggregate and type(algo).aggregate is not Algorithm.aggregate:
+            if self.uses_algorithm_aggregate and type(algo).aggregate is not Algorithm.aggregate:
                 # never silently ignore a robustness request: a custom
                 # aggregate() and a robust rule cannot both own the merge
                 raise ValueError(
@@ -524,8 +525,15 @@ class Scheduler:
         self,
         merged: Sequence[Dict[str, Any]],
         staleness: Sequence[int],
+        applied: Optional[int] = None,
     ) -> "RoundRecord":
-        """Append one metrics record for an aggregation event."""
+        """Append one metrics record for an aggregation event.
+
+        The only place a scheduler builds a record.  ``applied`` defaults to
+        one client update per ``merged`` result; the policy's
+        :meth:`_annotate` hook fills its own fields before
+        ``metrics.add``, so every callback sees the record complete.
+        """
         # imported lazily: repro.engine.engine imports this module, and the
         # engine package __init__ pulls engine.py in — a top-level import
         # here would close that cycle before Scheduler exists
@@ -537,7 +545,7 @@ class Scheduler:
             round_idx=len(self.metrics.history),
             wall_seconds=wall,
             sim_time=self.now,
-            applied=len(merged),
+            applied=len(merged) if applied is None else applied,
             # integer version gaps: the exact sum divided once is np.mean's
             # float64 result, without building an array for one element
             staleness_mean=sum(staleness) / len(staleness) if len(staleness) else 0.0,
@@ -562,8 +570,12 @@ class Scheduler:
         # re-anchor after evaluation so its cost is charged to no record —
         # mirroring the sync engine, whose round timer also excludes eval
         self._wall_anchor = time.perf_counter()
+        self._annotate(record, merged)
         self.metrics.add(record)
         return record
+
+    def _annotate(self, record: "RoundRecord", merged: Sequence[Dict[str, Any]]) -> None:
+        """Policy-specific record fields (none by default)."""
 
     # ------------------------------------------------------------------
     # entry point

@@ -39,7 +39,7 @@ self-weight (rows stay stochastic, so averaging never diverges).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -438,7 +438,7 @@ class GossipScheduler(Scheduler):
             span.set(merged=len(entries))
         return taus
 
-    def _annotate(self, record: "RoundRecord") -> None:  # noqa: F821
+    def _annotate(self, record: "RoundRecord", merged: Sequence[Dict[str, Any]]) -> None:  # noqa: F821
         """Per-edge byte deltas and consensus distance for one record."""
         total = sum(self.edge_bytes.values())
         record.bytes_sent = total - self._bytes_seen
@@ -466,6 +466,36 @@ class GossipScheduler(Scheduler):
         else:
             self._run_async(target)
 
+    def _land(self, event: PendingUpdate) -> Optional[Dict[str, Any]]:
+        """Deliver one popped event: a neighbor message joins its receiver's
+        inbox, a training step retires.  Returns the step's result, or
+        ``None`` for a message or a dropped step."""
+        if event.value is not None:  # a neighbor message lands
+            self.tracer.sim_span(
+                "gossip.msg", event.dispatched_at, event.arrival, cat="gossip",
+                track=f"edge {event.value['sender']}->{event.client}",
+                sender=event.value["sender"], receiver=event.client,
+            )
+            self.inbox[event.client].append(event.value)
+            return None
+        peer = event.client
+        self._in_flight.pop(peer, None)
+        self.tracer.sim_span(
+            "peer.train", event.dispatched_at, event.arrival, cat="gossip",
+            track=f"peer {peer}", peer=peer, dropped=event.dropped,
+        )
+        if event.dropped:
+            self.dropped += 1
+            return None
+        result = event.result(_TRAIN_TIMEOUT)
+        self.steps[peer] += 1
+        if self.engine.nodes[self._node_pos[peer]].is_attacker:
+            self.attacked += 1
+        stats = result.get("stats", {})
+        if "loss" in stats:
+            self.last_loss[peer] = float(stats["loss"])
+        return result
+
     def _run_async(self, target: int) -> None:
         for peer in self.peers:
             if peer not in self._in_flight:
@@ -473,39 +503,19 @@ class GossipScheduler(Scheduler):
         while self.applied < target:
             event = self.queue.pop()
             self.now = max(self.now, event.arrival)
-            if event.value is not None:  # a neighbor message lands
-                self.tracer.sim_span(
-                    "gossip.msg", event.dispatched_at, event.arrival, cat="gossip",
-                    track=f"edge {event.value['sender']}->{event.client}",
-                    sender=event.value["sender"], receiver=event.client,
-                )
-                self.inbox[event.client].append(event.value)
-                continue
+            result = self._land(event)
             peer = event.client
-            self._in_flight.pop(peer, None)
-            self.tracer.sim_span(
-                "peer.train", event.dispatched_at, event.arrival, cat="gossip",
-                track=f"peer {peer}", peer=peer, dropped=event.dropped,
-            )
-            if event.dropped:
-                # the peer's compute failed this cycle: nothing to publish
-                # or mix; retry from its current state
-                self.dropped += 1
-                self._dispatch_train(peer, self.now)
+            if result is None:
+                if event.dropped:
+                    # the peer's compute failed this cycle: nothing to
+                    # publish or mix; retry from its current state
+                    self._dispatch_train(peer, self.now)
                 continue
-            result = event.result(_TRAIN_TIMEOUT)
-            self.steps[peer] += 1
-            if self.engine.nodes[self._node_pos[peer]].is_attacker:
-                self.attacked += 1
-            stats = result.get("stats", {})
-            if "loss" in stats:
-                self.last_loss[peer] = float(stats["loss"])
             self._publish(peer, self.now)
             taus = self._mix(peer, result["state"])
             self.applied += 1
             self.version += 1
-            record = self.record_aggregation([result], taus)
-            self._annotate(record)
+            self.record_aggregation([result], taus)
             self._maybe_reshuffle()
             self._dispatch_train(peer, self.now)
 
@@ -523,33 +533,11 @@ class GossipScheduler(Scheduler):
         while self.queue:
             event = self.queue.pop()
             barrier_time = max(barrier_time, event.arrival)
-            if event.value is not None:
-                self.tracer.sim_span(
-                    "gossip.msg", event.dispatched_at, event.arrival, cat="gossip",
-                    track=f"edge {event.value['sender']}->{event.client}",
-                    sender=event.value["sender"], receiver=event.client,
-                )
-                self.inbox[event.client].append(event.value)
-                continue
-            peer = event.client
-            self._in_flight.pop(peer, None)
-            self.tracer.sim_span(
-                "peer.train", event.dispatched_at, event.arrival, cat="gossip",
-                track=f"peer {peer}", peer=peer, dropped=event.dropped,
-            )
-            if event.dropped:
-                self.dropped += 1
-                continue
-            result = event.result(_TRAIN_TIMEOUT)
-            self.steps[peer] += 1
-            if self.engine.nodes[self._node_pos[peer]].is_attacker:
-                self.attacked += 1
-            stats = result.get("stats", {})
-            if "loss" in stats:
-                self.last_loss[peer] = float(stats["loss"])
-            trained[peer] = result["state"]
-            merged.append(result)
-            self._publish(peer, event.arrival)
+            result = self._land(event)
+            if result is not None:
+                trained[event.client] = result["state"]
+                merged.append(result)
+                self._publish(event.client, event.arrival)
         self.now = barrier_time
         taus: List[int] = []
         for peer in self.peers:
@@ -558,8 +546,7 @@ class GossipScheduler(Scheduler):
         self.applied += len(trained)
         self.version += 1
         if merged:
-            record = self.record_aggregation(merged, taus)
-            self._annotate(record)
+            self.record_aggregation(merged, taus)
         self._maybe_reshuffle()
 
     def drain(self) -> None:

@@ -14,6 +14,13 @@ composable per tier, the same way the topology already composes protocols:
   across sites, reproducing the synchronous hierarchy under the same
   virtual clock).
 
+Each outer merge is the flat policy's own rule — :func:`~repro.scheduler.
+policies.merge_interpolate`, :func:`~repro.scheduler.policies.merge_buffered`
+and :func:`~repro.scheduler.policies.merge_barrier`, robust case included —
+so a rule is written once and behaves the same at every tier.  This module
+owns only the tier logic: site dispatch, upload decoding, drops, and the
+per-site breakdown of the root's records.
+
 Site uploads travel through the site head's ``outer_compressor``/DP codec,
 delta-coded against the global state the site was dispatched from — exactly
 the slow-link treatment of the synchronous hierarchical round (§3.4.5).
@@ -30,7 +37,6 @@ time, which keeps the virtual-time accounting exact.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -40,10 +46,10 @@ from repro.scheduler.base import SCHEDULERS, Scheduler, build_scheduler
 from repro.scheduler.events import PendingUpdate
 from repro.scheduler.heterogeneity import HeterogeneityModel
 from repro.scheduler.policies import (
-    _apply_buffered_deltas,
     _float_delta,
-    _interpolate,
-    _robust_flush_deltas,
+    merge_barrier,
+    merge_buffered,
+    merge_interpolate,
 )
 from repro.utils.logging import get_logger
 
@@ -143,6 +149,8 @@ class HierarchicalScheduler(Scheduler):
             raise ValueError("updates_per_site_round must be >= 1")
         self.inner = inner
         self.outer = outer
+        # only the barrier outer merges through the algorithm's aggregate()
+        self.uses_algorithm_aggregate = outer == "sync"
         self.inner_kwargs = dict(inner_kwargs or {})
         self.outer_alpha = float(outer_alpha)
         self.outer_buffer_size = int(outer_buffer_size)
@@ -292,25 +300,10 @@ class HierarchicalScheduler(Scheduler):
             tau = self.staleness_of(event)
             assert self.discount is not None
             if self.outer == "fedasync":
-                weight = self.outer_alpha * self.discount(tau)
                 with self.tracer.span("outer.merge", cat="hier", sim_time=self.now,
                                       policy=self.outer, site=upload["site"]):
-                    target = self._decode(event)
-                    if self.robust is not None:
-                        # robust outer fedasync: interpolate toward a robust
-                        # combination of the recent site uploads rather than
-                        # trusting the latest arrival alone
-                        self._robust_window.append(target)
-                        cap = max(3, len(self.sites))
-                        while len(self._robust_window) > cap:
-                            self._robust_window.pop(0)
-                        target = self.robust.combine(
-                            list(self._robust_window),
-                            [1.0] * len(self._robust_window),
-                            base=self.global_state,
-                        )
-                    self.global_state = _interpolate(self.global_state, target, weight)
-                self.version += 1
+                    merge_interpolate(self, self._robust_window, max(3, len(self.sites)),
+                                      self._decode(event), self.outer_alpha * self.discount(tau))
                 site.merged_rounds += 1
                 self._record_outer([upload], [tau])
             else:  # fedbuff outer: buffer the site delta, flush every K
@@ -340,29 +333,15 @@ class HierarchicalScheduler(Scheduler):
             if event.dropped:
                 self.dropped += 1
                 continue
-            entries.append(
-                {
-                    "rank": event.client,
-                    "state": self._decode(event),
-                    "meta": {"num_samples": int(event.value["meta"].get("num_samples", 1))},
-                }
-            )
+            meta = {"num_samples": int(event.value["meta"].get("num_samples", 1))}
+            entries.append({"rank": event.client, "state": self._decode(event), "meta": meta})
             site.merged_rounds += 1
             uploads.append(event.value)
             staleness.append(self.staleness_of(event))
         if entries:
-            algo = self.server.algorithm
             with self.tracer.span("outer.merge", cat="hier", sim_time=self.now,
                                   policy=self.outer, merged=len(entries)):
-                if self.robust is not None:
-                    self.global_state = self.robust.combine(
-                        [e["state"] for e in entries],
-                        [float(e["meta"].get("num_samples", 1.0)) for e in entries],
-                        base=self.global_state,
-                    )
-                else:
-                    self.global_state = algo.aggregate(entries, self.global_state, self.version)
-            self.version += 1
+                merge_barrier(self, entries)
             self._record_outer(uploads, staleness)
         for site in self.sites:
             if site.state == _IDLE:
@@ -376,69 +355,33 @@ class HierarchicalScheduler(Scheduler):
         buffer, self._outer_buffer = self._outer_buffer, []
         with self.tracer.span("outer.merge", cat="hier", sim_time=self.now,
                               policy=self.outer, merged=len(buffer)):
-            if self.robust is not None:
-                self.global_state = _robust_flush_deltas(
-                    self.global_state, buffer, self.outer_server_lr, self.robust
-                )
-            else:
-                self.global_state = _apply_buffered_deltas(
-                    self.global_state, buffer, self.outer_server_lr
-                )
-        self.version += 1
+            merge_buffered(self, buffer, self.outer_server_lr)
         self.outer_flushes += 1
-        self._record_outer(
-            [item["upload"] for item in buffer],
-            [item["tau"] for item in buffer],
-        )
+        self._record_outer([item["upload"] for item in buffer], [item["tau"] for item in buffer])
 
     # ------------------------------------------------------------------
     # two-tier round accounting
     # ------------------------------------------------------------------
     def _record_outer(self, uploads: Sequence[Dict[str, Any]], staleness: Sequence[int]) -> None:
-        """One global record per root aggregation.
-
-        ``applied`` counts *client* updates carried by the merged site
-        uploads (so totals compare 1:1 with flat policies), ``sites_merged``
-        counts the uploads, and ``per_node`` keeps the per-site breakdown.
-        Site-tier records live in each site's own collector
-        (``scheduler.site_metrics``).
-        """
-        from repro.engine.metrics import RoundRecord
-
-        assert self.engine is not None and self.metrics is not None
+        """One global record per root aggregation; its ``applied`` counts the
+        *client* updates the merged site uploads carry, so totals compare
+        1:1 with flat policies.  Site-tier records live in each site's own
+        collector (``scheduler.site_metrics``)."""
         applied = int(sum(u["applied"] for u in uploads))
-        record = RoundRecord(
-            round_idx=len(self.metrics.history),
-            wall_seconds=time.perf_counter() - self._wall_anchor,
-            sim_time=self.now,
-            applied=applied,
-            staleness_mean=float(np.mean(staleness)) if len(staleness) else 0.0,
-            tier=self.tier,
-            sites_merged=len(uploads),
-        )
-        losses, accs, weights = [], [], []
-        record.per_node = per_site = {}
-        for u in uploads:
-            stats = u.get("stats", {})
-            per_site[f"site{u['site']}"] = {
-                k: float(v) for k, v in stats.items() if isinstance(v, (int, float))
-            }
-            per_site[f"site{u['site']}"]["applied"] = float(u["applied"])
-            if "loss" in stats:
-                w = float(stats.get("samples", 1.0))
-                losses.append(float(stats["loss"]) * w)
-                accs.append(float(stats.get("accuracy", 0.0)) * w)
-                weights.append(w)
-        if sum(weights) > 0:
-            record.train_loss = sum(losses) / sum(weights)
-            record.train_accuracy = sum(accs) / sum(weights)
         self.applied += applied
-        if self._eval_updates and self.applied >= self._next_eval:
-            record.eval_loss, record.eval_accuracy = self.engine.evaluate()
-            while self._next_eval <= self.applied:
-                self._next_eval += self._eval_updates
-        self._wall_anchor = time.perf_counter()
-        self.metrics.add(record)
+        self.record_aggregation(uploads, staleness, applied=applied)
+
+    def _annotate(self, record: "RoundRecord", merged: Sequence[Dict[str, Any]]) -> None:  # noqa: F821
+        """``sites_merged`` counts the uploads; ``per_node`` keeps the
+        per-site breakdown (upload stats plus client updates applied)."""
+        record.sites_merged = len(merged)
+        record.per_node = {
+            f"site{u['site']}": {
+                **{k: float(v) for k, v in u["stats"].items() if isinstance(v, (int, float))},
+                "applied": float(u["applied"]),
+            }
+            for u in merged
+        }
 
     @property
     def site_metrics(self) -> List["MetricsCollector"]:  # noqa: F821

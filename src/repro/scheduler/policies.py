@@ -13,6 +13,13 @@ Scheduler`; they differ only in *when* arrivals enter the global model:
                ``alpha · s(staleness)`` (Xie et al. 2019);
 ``fedbuff``    buffer staleness-discounted deltas and flush every ``K``
                arrivals (Nguyen et al. 2022).
+
+Each merge rule is written once, as a module-level function that handles
+both the plain and the robust case — :func:`merge_barrier`,
+:func:`merge_interpolate` and :func:`merge_buffered` — and is used at every
+tier: the flat policies here call them, and so does the hierarchical root
+(:mod:`repro.scheduler.hierarchical`) for its ``sync``, ``fedasync`` and
+``fedbuff`` outer merges.
 """
 
 from __future__ import annotations
@@ -72,47 +79,72 @@ def _float_delta(
     return delta
 
 
-def _apply_buffered_deltas(
-    global_state: Dict[str, np.ndarray],
-    buffer: List[Dict[str, Any]],
-    server_lr: float,
-) -> Dict[str, np.ndarray]:
-    """One FedBuff flush: mean of discounted deltas scaled by ``server_lr``.
+def merge_barrier(sched: Scheduler, entries: List[Dict[str, Any]]) -> None:
+    """The barrier merge (``sync``/``semi_sync`` rounds, ``sync`` outer tier):
+    the algorithm's own ``aggregate`` over ``entries``, or — with a robust
+    rule bound — that rule over the entries' states, weighted by each
+    entry's effective ``num_samples`` (where a staleness discount enters)."""
+    if sched.robust is not None:
+        sched.global_state = sched.robust.combine(
+            [e["state"] for e in entries],
+            [float(e["meta"].get("num_samples", 1.0)) for e in entries],
+            base=sched.global_state,
+        )
+    else:
+        sched.global_state = sched.server.algorithm.aggregate(
+            entries, sched.global_state, sched.version
+        )
+    sched.version += 1
 
+
+def merge_interpolate(
+    sched: Scheduler,
+    window: List[Dict[str, np.ndarray]],
+    cap: int,
+    state: Dict[str, np.ndarray],
+    weight: float,
+) -> None:
+    """The FedAsync merge: ``x ← (1 − w)·x + w·state``.
+
+    With a robust rule bound, ``state`` joins ``window`` (the last ``cap``
+    arrivals) and the target becomes the window's robust combination — one
+    poisoned state then moves the model only as far as the rule lets it.
+    """
+    target = state
+    if sched.robust is not None:
+        window.append(state)
+        del window[:-cap]
+        target = sched.robust.combine(list(window), [1.0] * len(window), base=sched.global_state)
+    sched.global_state = _interpolate(sched.global_state, target, weight)
+    sched.version += 1
+
+
+def merge_buffered(sched: Scheduler, buffer: List[Dict[str, Any]], server_lr: float) -> None:
+    """One FedBuff flush of ``buffer`` items (``delta``, discount ``weight``).
+
+    Plain: the mean of the discounted deltas, scaled by ``server_lr``.
     Dividing by the buffer count (not the weight sum) keeps the staleness
     discount absolute — a buffer of uniformly stale updates steps
     proportionally smaller, instead of the discount cancelling out of the
-    normalization.  Shared by the flat FedBuff policy and the hierarchical
-    outer tier so the two "fedbuff" semantics cannot diverge.
+    normalization.  Robust: the rule combines the discounted deltas
+    (median/trimmed mean/Krum screen out poisoned steps, norm-clip bounds
+    them at zero base), then one ``server_lr`` step applies the result.
     """
-    new_state = clone_state(global_state)
-    for item in buffer:
-        scale = server_lr * item["weight"] / len(buffer)
-        for key, d in item["delta"].items():
-            new_state[key] = (new_state[key] + scale * d).astype(new_state[key].dtype)
-    return new_state
-
-
-def _robust_flush_deltas(
-    global_state: Dict[str, np.ndarray],
-    buffer: List[Dict[str, Any]],
-    server_lr: float,
-    robust: Any,
-) -> Dict[str, np.ndarray]:
-    """A FedBuff flush through a robust rule: combine the discount-weighted
-    deltas robustly (median/trimmed mean/Krum screen out poisoned steps,
-    norm-clip bounds them at zero base), then apply one ``server_lr`` step.
-    With a plain weighted mean this reduces to :func:`_apply_buffered_deltas`.
-    """
-    weighted = [
-        {key: item["weight"] * d for key, d in item["delta"].items()} for item in buffer
-    ]
-    combined = robust.combine(weighted, [1.0] * len(weighted), base=None)
-    new_state = clone_state(global_state)
-    for key, d in combined.items():
-        if key in new_state:
-            new_state[key] = (new_state[key] + server_lr * d).astype(new_state[key].dtype)
-    return new_state
+    if sched.robust is not None:
+        weighted = [
+            {key: item["weight"] * d for key, d in item["delta"].items()} for item in buffer
+        ]
+        combined = sched.robust.combine(weighted, [1.0] * len(weighted), base=None)
+        steps = [(server_lr, combined)]
+    else:
+        steps = [(server_lr * item["weight"] / len(buffer), item["delta"]) for item in buffer]
+    new_state = clone_state(sched.global_state)
+    for scale, delta in steps:
+        for key, d in delta.items():
+            if key in new_state:
+                new_state[key] = (new_state[key] + scale * d).astype(new_state[key].dtype)
+    sched.global_state = new_state
+    sched.version += 1
 
 
 # ----------------------------------------------------------------------
@@ -137,6 +169,7 @@ class SemiSyncScheduler(Scheduler):
     """
 
     name = "semi_sync"
+    uses_algorithm_aggregate = True
 
     def __init__(
         self,
@@ -216,22 +249,9 @@ class SemiSyncScheduler(Scheduler):
             merged.append(result)
             staleness.append(tau)
         if entries:
-            algo = self.server.algorithm
             with self.tracer.span("sched.aggregate", cat="sched", sim_time=self.now,
                                   policy=self.name, merged=len(entries)):
-                if self.robust is not None:
-                    # the robust rule replaces the weighted mean; the
-                    # staleness discount still enters through each entry's
-                    # effective sample weight, exactly as it does for the
-                    # algorithm aggregators
-                    self.global_state = self.robust.combine(
-                        [e["state"] for e in entries],
-                        [float(e["meta"].get("num_samples", 1.0)) for e in entries],
-                        base=self.global_state,
-                    )
-                else:
-                    self.global_state = algo.aggregate(entries, self.global_state, self.version)
-            self.version += 1
+                merge_barrier(self, entries)
         return merged, staleness
 
 
@@ -297,31 +317,16 @@ class FedAsyncScheduler(_ContinuousScheduler):
         if not (0.0 < alpha <= 1.0):
             raise ValueError("fedasync alpha must be in (0, 1]")
         self.alpha = float(alpha)
-        # robust mode keeps a sliding window of recent arrivals and
-        # interpolates toward their robust combination instead of the raw
-        # (possibly byzantine) arrival — one poisoned state then moves the
-        # target only as far as the robust rule lets it
+        # recent arrivals, combined by the robust rule (merge_interpolate)
         self._robust_window: List[Dict[str, np.ndarray]] = []
 
     def ingest(self, event: PendingUpdate, result: Dict[str, Any]) -> None:
         assert self.discount is not None
         tau = self.staleness_of(event)
-        weight = self.alpha * self.discount(tau)
-        target = result["state"]
-        if self.robust is not None:
-            self._robust_window.append(result["state"])
-            cap = max(3, int(self.concurrency or 1))
-            if len(self._robust_window) > cap:
-                self._robust_window.pop(0)
-            target = self.robust.combine(
-                list(self._robust_window),
-                [1.0] * len(self._robust_window),
-                base=self.global_state,
-            )
         with self.tracer.span("sched.aggregate", cat="sched", sim_time=self.now,
                               policy=self.name, client=event.client, staleness=tau):
-            self.global_state = _interpolate(self.global_state, target, weight)
-        self.version += 1
+            merge_interpolate(self, self._robust_window, max(3, int(self.concurrency or 1)),
+                              result["state"], self.alpha * self.discount(tau))
         self.applied += 1
         self.record_aggregation([result], [tau])
 
@@ -369,15 +374,7 @@ class FedBuffScheduler(_ContinuousScheduler):
         buffer, self._buffer = self._buffer, []
         with self.tracer.span("sched.aggregate", cat="sched", sim_time=self.now,
                               policy=self.name, merged=len(buffer)):
-            if self.robust is not None:
-                self.global_state = _robust_flush_deltas(
-                    self.global_state, buffer, self.server_lr, self.robust
-                )
-            else:
-                self.global_state = _apply_buffered_deltas(
-                    self.global_state, buffer, self.server_lr
-                )
-        self.version += 1
+            merge_buffered(self, buffer, self.server_lr)
         self.applied += len(buffer)
         self.flush_count += 1
         self.record_aggregation(

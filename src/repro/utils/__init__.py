@@ -1,19 +1,11 @@
-"""Shared utilities: seeded RNG management, registries, timers, logging.
+"""Shared utilities: registries, per-client seeding, the simulated clock,
+logging, lazy package surfaces.
 
 These are deliberately dependency-free so every other subpackage can import
 them without cycles.
 """
 
 from repro.utils.registry import Registry
-from repro.utils.rng import RngManager, fork_rng, seed_everything
-from repro.utils.timer import SimClock, Timer, WallTimer
+from repro.utils.timer import SimClock
 
-__all__ = [
-    "Registry",
-    "RngManager",
-    "fork_rng",
-    "seed_everything",
-    "SimClock",
-    "Timer",
-    "WallTimer",
-]
+__all__ = ["Registry", "SimClock"]

@@ -1,75 +1,17 @@
-"""Wall-clock timers and a simulated clock.
+"""A simulated clock.
 
-Benchmarks need two notions of time:
-
-* **Wall time** — what actually elapsed on this machine (``WallTimer``).
-* **Simulated time** — what *would* elapse on the paper's deployment given a
-  network model (latency + bandwidth per link class).  Communicators account
-  simulated transfer seconds into a ``SimClock`` without sleeping, so
-  experiments like Fig. 7 (inner MPI vs outer gRPC cost) report meaningful
-  relative costs at laptop scale.
+Besides wall time, benchmarks need **simulated time** — what *would* elapse
+on the paper's deployment given a network model (latency + bandwidth per
+link class).  Communicators account simulated transfer seconds into a
+``SimClock`` without sleeping, so experiments like Fig. 7 (inner MPI vs
+outer gRPC cost) report meaningful relative costs at laptop scale.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, List
-
-
-class WallTimer:
-    """Accumulating wall-clock timer.
-
-    >>> t = WallTimer()
-    >>> with t.measure():
-    ...     pass
-    >>> t.total >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.count = 0
-        self._laps: List[float] = []
-
-    @contextmanager
-    def measure(self) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            lap = time.perf_counter() - start
-            self.total += lap
-            self.count += 1
-            self._laps.append(lap)
-
-    @property
-    def laps(self) -> List[float]:
-        return list(self._laps)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    @property
-    def median(self) -> float:
-        if not self._laps:
-            return 0.0
-        laps = sorted(self._laps)
-        n = len(laps)
-        mid = n // 2
-        return laps[mid] if n % 2 else 0.5 * (laps[mid - 1] + laps[mid])
-
-    def reset(self) -> None:
-        self.total = 0.0
-        self.count = 0
-        self._laps.clear()
-
-
-# Backwards-friendly alias: most call sites just want "a timer".
-Timer = WallTimer
+from typing import Dict
 
 
 #: every finite double is a whole number of 2**-1074 s, so simulated time kept

@@ -126,6 +126,31 @@ def test_robust_refuses_to_shadow_a_custom_aggregate(fresh_port):
         eng.shutdown()
 
 
+def test_robust_refuses_to_shadow_a_custom_aggregate_at_a_sync_outer_tier(fresh_port):
+    # the hierarchical root's barrier merge goes through aggregate() too
+    spec = ExperimentSpec(
+        topology="hierarchical",
+        topology_kwargs={
+            "num_sites": 2,
+            "clients_per_site": 2,
+            "inner_comm": {"backend": "torchdist", "master_port": fresh_port},
+            "outer_comm": {"backend": "grpc", "master_port": fresh_port + 1000,
+                           "transport": "inproc"},
+        },
+        data=DataSpec(dataset="blobs", kwargs={"train_size": 96, "test_size": 48}),
+        train=TrainSpec(algorithm="fedmom", algorithm_kwargs={"lr": 0.05, "local_epochs": 1},
+                        model="mlp", global_rounds=1),
+        scheduler={"name": "hier_async", "inner": "fedasync", "outer": "sync"},
+        aggregation={"robust": "median"},
+    )
+    eng = Engine.from_spec(spec)
+    try:
+        with pytest.raises(ValueError, match="would replace 'fedmom'"):
+            eng.run_async(total_updates=4)
+    finally:
+        eng.shutdown()
+
+
 # --------------------------------------------------------------------------
 # gossip honors robust as mixing — never silently ignores it
 # --------------------------------------------------------------------------

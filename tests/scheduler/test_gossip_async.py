@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.engine import Engine
+from repro.engine.callbacks import Callback
+from repro.engine.metrics import StopRun
 from repro.experiment import DataSpec, ExperimentSpec, PluginSpec, TrainSpec
 from repro.scheduler import GossipScheduler, build_scheduler
 
@@ -191,6 +193,43 @@ def test_round_records_carry_consensus_and_edge_bytes(fresh_port):
         for key in rec.per_edge:
             u, v = map(int, key.split("->"))
             assert abs(u - v) in (1, 3)  # ring neighbors (mod 4)
+
+
+class _Spy(Callback):
+    """Copies the gossip fields of each record at the moment it sees it."""
+
+    def __init__(self, stop_at=None):
+        self.seen = []
+        self.stop_at = stop_at
+
+    def on_update(self, record, metrics):
+        self.seen.append((record.bytes_sent, record.consensus_dist, dict(record.per_edge)))
+        if len(self.seen) == self.stop_at:
+            raise StopRun("spy")
+
+
+def test_callbacks_see_complete_gossip_records(fresh_port):
+    spy = _Spy()
+    eng = gossip_engine(fresh_port, scheduler=gossip_spec())
+    eng.metrics.callbacks.append(spy)
+    metrics = eng.run_async(total_updates=8)
+    eng.shutdown()
+    assert len(spy.seen) == len(metrics.history) == 8
+    for (bytes_sent, dist, per_edge), rec in zip(spy.seen, metrics.history):
+        assert bytes_sent == rec.bytes_sent > 0
+        assert dist is not None and dist == rec.consensus_dist
+        assert per_edge and per_edge == dict(rec.per_edge)
+
+
+def test_stopping_callback_leaves_its_gossip_record_complete(fresh_port):
+    spy = _Spy(stop_at=3)
+    eng = gossip_engine(fresh_port, scheduler=gossip_spec())
+    eng.metrics.callbacks.append(spy)
+    metrics = eng.run_async(total_updates=8)
+    eng.shutdown()
+    assert len(metrics.history) == 3
+    last = metrics.history[-1]
+    assert last.bytes_sent > 0 and last.consensus_dist is not None and last.per_edge
 
 
 def test_consensus_distance_contracts_under_pure_averaging(fresh_port):

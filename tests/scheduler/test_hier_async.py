@@ -22,6 +22,8 @@ def hier_engine(
     train_size=512,
     rounds=3,
     eval_every=1,
+    attack=None,
+    aggregation=None,
     **plugins,
 ):
     return Engine.from_spec(ExperimentSpec(
@@ -41,6 +43,8 @@ def hier_engine(
                         model="mlp", global_rounds=rounds, eval_every=eval_every),
         plugins=PluginSpec(**plugins),
         scheduler=scheduler,
+        attack=attack,
+        aggregation=aggregation,
     ))
 
 
@@ -85,6 +89,27 @@ def test_tier_combinations_complete_and_converge(fresh_port, inner, outer):
     assert all(np.isfinite(v).all() for v in state.values())
     assert metrics.final_accuracy() is not None
     assert metrics.final_accuracy() > 0.7
+
+
+@pytest.mark.parametrize("outer", ["fedasync", "fedbuff", "sync"])
+def test_robust_outer_merges_screen_attacked_sites(fresh_port, outer):
+    eng = hier_engine(
+        fresh_port,
+        scheduler=hier_spec(inner="sync", outer=outer),
+        sites={"num_sites": 3, "clients_per_site": 2},
+        attack={"kind": "sign_flip", "fraction": 0.3, "scale": 5.0},
+        aggregation={"robust": "median"},
+    )
+    metrics = eng.run_async(total_updates=18)
+    state = eng.global_state()
+    sched = eng.scheduler
+    eng.shutdown()
+    assert metrics.total_applied() >= 18
+    assert all(np.isfinite(v).all() for v in state.values())
+    assert sched.robust is not None
+    counters = sched.robust_counters()
+    assert set(counters) == {"attacked", "clipped", "rejected"}
+    assert counters["attacked"] > 0
 
 
 def test_default_scheduler_on_hierarchical_topology_is_hier_async(fresh_port):

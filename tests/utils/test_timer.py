@@ -2,34 +2,7 @@ import threading
 
 import pytest
 
-from repro.utils.timer import SimClock, WallTimer
-
-
-def test_wall_timer_accumulates():
-    t = WallTimer()
-    with t.measure():
-        pass
-    with t.measure():
-        pass
-    assert t.count == 2
-    assert t.total >= 0.0
-    assert len(t.laps) == 2
-
-
-def test_wall_timer_median_and_mean():
-    t = WallTimer()
-    t._laps.extend([1.0, 3.0, 2.0])
-    t.total, t.count = 6.0, 3
-    assert t.median == 2.0
-    assert t.mean == pytest.approx(2.0)
-
-
-def test_wall_timer_reset():
-    t = WallTimer()
-    with t.measure():
-        pass
-    t.reset()
-    assert t.count == 0 and t.total == 0.0 and t.laps == []
+from repro.utils.timer import SimClock
 
 
 def test_sim_clock_buckets():
