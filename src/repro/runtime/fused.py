@@ -52,15 +52,16 @@ __all__ = ["FusedTurnRunner"]
 class _ClientTurn:
     """One job's per-client bookkeeping across the fused pass."""
 
-    __slots__ = ("ticket", "snapshot", "view", "rng", "batches",
+    __slots__ = ("ticket", "snapshot", "view", "loader_rng", "batches",
                  "payload", "version", "lr", "load_keys",
                  "total_loss", "samples", "correct", "batches_run")
 
-    def __init__(self, ticket, snapshot, view, rng, batches) -> None:
+    def __init__(self, ticket, snapshot, view, loader_rng, batches) -> None:
         self.ticket = ticket
         self.snapshot = snapshot
         self.view = view
-        self.rng = rng
+        # the loader stream's state after this turn's batches were drawn
+        self.loader_rng = loader_rng
         self.batches = batches
         self.payload = ticket.args[0]
         self.version = int(ticket.args[1])
@@ -76,11 +77,15 @@ class FusedTurnRunner:
     """Runs batches of compatible ``local_update`` turns as stacked math.
 
     Built once per broker from a worker's :meth:`Node.fusion_context`
-    (:meth:`build`) and shared by every batch it runs: ``run_batch`` keeps
-    no state between calls and never mutates the snapshots or the payload
-    it is given — a failure at any point leaves the sequential fallback an
-    untouched starting state.  ``turn_eligible`` is called under the pool
-    lock only.
+    (:meth:`build`) and shared by every batch it runs.  The only state kept
+    between calls is the fusion verdict per payload schema (the tuple of a
+    payload's keys): which keys ``on_round_start`` loads and whether they
+    cover the model — a pure function of the schema, so ``turn_eligible``
+    and ``run_batch`` share it and a new payload per dispatch (FedAsync's
+    version moves on every merge) costs one dict lookup.  ``run_batch``
+    never mutates the snapshots or the payload it is given — a failure at
+    any point leaves the sequential fallback an untouched starting state.
+    ``turn_eligible`` is called under the pool lock only.
     """
 
     def __init__(self, context: Dict[str, Any]) -> None:
@@ -92,10 +97,8 @@ class FusedTurnRunner:
         self.algo = context["algorithm"]
         self.seed = int(context["seed"])
         self.batch_size = int(context["batch_size"])
-        # payload-coverage verdict, cached per payload object (payload
-        # identity is stable per dispatch version via the scheduler cache;
-        # the strong reference also keeps id() from being recycled)
-        self._coverage: Optional[Tuple[Any, bool]] = None
+        # payload schema -> (keys on_round_start loads, covers the model?)
+        self._schemas: Dict[Tuple[str, ...], Tuple[frozenset, bool]] = {}
 
     @classmethod
     def build(cls, context: Optional[Dict[str, Any]]) -> Optional["FusedTurnRunner"]:
@@ -124,17 +127,17 @@ class FusedTurnRunner:
         payload = ticket.args[0]
         if not isinstance(payload, Mapping) or not payload:
             return False
-        cached = self._coverage
-        if cached is not None and cached[0] is payload:
-            return cached[1]
-        load = self._load_keys(payload)
-        ok = all(k in load or k in self.persistent for k in self.state_keys)
-        self._coverage = (payload, ok)
-        return ok
+        return self._verdict(tuple(payload))[1]
 
-    def _load_keys(self, payload: Mapping[str, Any]) -> set:
-        """Model keys ``on_round_start`` would load from this payload."""
-        return set(self.algo.fused_round_start_keys(list(payload.keys()))) & set(payload)
+    def _verdict(self, schema: Tuple[str, ...]) -> Tuple[frozenset, bool]:
+        """``(model keys on_round_start loads, whether they and the
+        persisted keys cover the model)`` for a payload with these keys."""
+        verdict = self._schemas.get(schema)
+        if verdict is None:
+            load = frozenset(self.algo.fused_round_start_keys(list(schema))) & frozenset(schema)
+            ok = all(k in load or k in self.persistent for k in self.state_keys)
+            verdict = self._schemas[schema] = (load, ok)
+        return verdict
 
     # ------------------------------------------------------------------
     def run_batch(
@@ -149,34 +152,32 @@ class FusedTurnRunner:
         algo = self.algo
 
         # every client's batch sequence up front, from the DataLoader over
-        # its own rng stream (restored from the snapshot after a first turn)
+        # its own rng stream: a first turn derives it, a later turn restores
+        # it from the snapshot into the one generator this batch shares (its
+        # seed is overwritten before any draw, and each client's end state
+        # is read back before the next client's is set)
         clients: List[_ClientTurn] = []
+        shared = np.random.Generator(np.random.PCG64(0))
         for ticket, snapshot, view in jobs:
             if snapshot is None:
                 rng = client_rng(self.seed, ticket.client, DATA_STREAM)
             else:
-                # a fixed seed, overwritten at once: default_rng() would draw
-                # OS entropy per client per pass only to throw it away
-                rng = np.random.Generator(np.random.PCG64(0))
+                rng = shared
                 rng.bit_generator.state = snapshot.loader_rng
             batches = materialize_batches(
                 view, self.batch_size, rng, algo.local_epochs, algo.max_batches_per_epoch
             )
-            clients.append(_ClientTurn(ticket, snapshot, view, rng, batches))
+            clients.append(_ClientTurn(ticket, snapshot, view, rng.bit_generator.state, batches))
 
         # stacking needs rectangular slices: group clients that agree on
         # per-step batch shapes, learning rate, and payload schema (uneven
         # shards or mixed dispatch epochs split into a few groups; a
         # singleton group runs the same fused code at K=1)
-        load_cache: Dict[tuple, frozenset] = {}
         groups: Dict[tuple, List[_ClientTurn]] = {}
         for ct in clients:
             ct.lr = algo.lr_for_round(int(ct.ticket.args[2]))
             schema = tuple(ct.payload)
-            load = load_cache.get(schema)
-            if load is None:
-                load = load_cache[schema] = frozenset(self._load_keys(ct.payload))
-            ct.load_keys = load
+            ct.load_keys = self._verdict(schema)[0]
             sig = (
                 ct.lr,
                 schema,
@@ -322,7 +323,7 @@ class FusedTurnRunner:
                 algo=algo_state if not algo_state else algo.export_client_state(),
                 model=model_state,
                 fault_rng=fault_rng,
-                loader_rng=ct.rng.bit_generator.state,
+                loader_rng=ct.loader_rng,
                 compressor=None,
                 dp=None,
                 stats=dict(stats),

@@ -21,6 +21,14 @@ them through the pool, so the same members in another order give other picks
 are the seed, the sequence of pools offered, and the loss table handed in by
 the caller.  A pool is any sequence: the two samplers take its length and
 index into it, and never walk or copy it.
+
+``random`` draws a single pick (``k == 1``, one per async arrival) as
+``integers(0, len(pool))``.  For a pool of at most 2**32 members,
+``choice(n, 1, replace=False)`` runs Floyd's algorithm with one
+Lemire-bounded 32-bit draw and shuffles nothing, so both calls give the
+same pick and leave the stream in the same state;
+``tests/scheduler/test_selection.py::test_index_sampling_draws_what_list_sampling_drew``
+pins picks and stream state at ``k == 1`` for pools of 8, 1 992 and 20 000.
 """
 
 from __future__ import annotations
@@ -86,6 +94,10 @@ class RandomSelection(SelectionStrategy):
         k = min(int(k), len(pool))
         if k <= 0:
             return []
+        if k == 1:
+            # the async runtime's one pick per arrival: the single bounded
+            # draw choice() makes, without its hash set and size array
+            return [pool[int(self._rng.integers(0, len(pool)))]]
         # choice(n) draws what choice(list_of_n) draws: same stream, same picks
         picks = self._rng.choice(len(pool), size=k, replace=False).tolist()
         return sorted(pool[i] for i in picks)

@@ -8,7 +8,9 @@ per-turn execution, for every scheduling policy — fusion may only change how
 fast results arrive.  These tests pin that contract against the same spec
 with ``MemoryBroker.fusable`` patched to ``False`` (and that fusion actually
 engaged, so the identity is not vacuously comparing the per-turn path to
-itself), that configurations which cannot fuse keep eager per-turn dispatch
+itself), that returning clients get the per-turn path's loader streams
+back, that the runner's fusion verdict is computed once per payload schema,
+that configurations which cannot fuse keep eager per-turn dispatch
 and the pool-sized window and run one turn at a time on the caller's thread,
 that a long run's turns all run at one stack depth, the pump's
 defer-until-demand-or-window rule (by hand and under seeded random
@@ -20,6 +22,7 @@ import dataclasses
 import random
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -171,6 +174,97 @@ def test_one_runner_serves_fused_batches_and_singletons_on_one_node(monkeypatch,
     assert experiment.engine.pool._window == 2 * 4
     assert len(fused_batches) > 1 and max(fused_batches) > 1
     assert_identical(squeezed, plain)
+
+
+def test_later_turn_batches_hand_back_the_per_turn_loader_streams(monkeypatch):
+    # a batch restores every returning client's loader stream into one shared
+    # generator and reads it back after that client's batches are drawn: each
+    # new snapshot's loader_rng must be the state the per-turn path stores
+    per_turn = {}
+    orig_put = ClientStateStore.put
+
+    def recording_put(self, client, snapshot):
+        per_turn[(client, snapshot.turns)] = snapshot.loader_rng
+        return orig_put(self, client, snapshot)
+
+    spec = make_spec("sync")
+    with monkeypatch.context() as patch:
+        patch.setattr(ClientStateStore, "put", recording_put)
+        run_per_turn(spec, monkeypatch)
+
+    returning = []
+    orig_run = fused_mod.FusedTurnRunner.run_batch
+
+    def recording_run(self, jobs, baseline):
+        results = orig_run(self, jobs, baseline)
+        if len(jobs) > 1 and all(snapshot is not None for _, snapshot, _ in jobs):
+            returning.append([(ticket.client, new.turns, new.loader_rng)
+                              for (ticket, _, _), (_, new) in zip(jobs, results)])
+        return results
+
+    monkeypatch.setattr(fused_mod.FusedTurnRunner, "run_batch", recording_run)
+    Experiment(spec).run()
+    assert returning, "no fused batch of returning clients ran"
+    for batch in returning:
+        for client, turns, loader_rng in batch:
+            assert turns > 1 and loader_rng == per_turn[(client, turns)]
+
+
+# --------------------------------------------------------------------------
+# the fusion verdict: a pure function of the payload's keys, cached per schema
+# --------------------------------------------------------------------------
+def _training_turn(payload):
+    return types.SimpleNamespace(method="local_update", args=(payload, 0, 0), kwargs={}, client=0)
+
+
+def test_the_fusion_verdict_is_a_function_of_the_payload_schema():
+    from repro.engine.engine import Engine
+
+    engine = Engine.from_spec(make_spec("fedasync"))
+    try:
+        broker = engine.pool.broker
+        broker.start()
+        runner = broker._runner
+        assert runner is not None and not runner.persistent  # fedavg keeps no model key
+        model = broker._baseline["model"]
+        covering = {key: np.zeros_like(value) for key, value in model.items()}
+        assert runner.turn_eligible(_training_turn(covering))
+        # a missing non-persistent key is refused, with the covering schema cached
+        lacking = dict(covering)
+        del lacking[runner.state_keys[-1]]
+        assert not runner.turn_eligible(_training_turn(lacking))
+        # a new dict with the covering keys gets the cached verdict
+        assert runner.turn_eligible(_training_turn(dict(covering)))
+        assert len(runner._schemas) == 2
+    finally:
+        engine.shutdown()
+
+
+def test_fused_round_start_keys_runs_once_per_schema(monkeypatch, fused_batches):
+    # fedasync hands every dispatch a new payload (the version moves on each
+    # merge); submits and batches alike must reuse the one schema's verdict
+    from repro.algorithms.base import Algorithm
+
+    schemas, payloads = [], {}
+    orig_keys = Algorithm.fused_round_start_keys
+    orig_eligible = fused_mod.FusedTurnRunner.turn_eligible
+
+    def spy_keys(self, payload_keys):
+        schemas.append(tuple(payload_keys))
+        return orig_keys(self, payload_keys)
+
+    def spy_eligible(self, ticket):
+        payload = ticket.args[0] if ticket.args else None
+        payloads[id(payload)] = payload  # held, so ids stay distinct
+        return orig_eligible(self, ticket)
+
+    monkeypatch.setattr(Algorithm, "fused_round_start_keys", spy_keys)
+    monkeypatch.setattr(fused_mod.FusedTurnRunner, "turn_eligible", spy_eligible)
+    Experiment(make_spec("fedasync", total_updates=32)).run()
+    assert fused_batches and max(fused_batches) > 1
+    assert len(payloads) > 2
+    distinct = {tuple(p) for p in payloads.values() if isinstance(p, dict)}
+    assert len(distinct) == 1 and schemas == list(distinct)
 
 
 def _frame_depth():

@@ -243,6 +243,7 @@ def test_worker_exits_3_when_its_server_dies_under_it(link, caplog):
     server = MiniRedis().start() if link == "redis" else None
     url = f"{server.url}?lease=30" if server else "tcp://127.0.0.1:0?hb=0.1&lease=1"
     engine = Engine.from_spec(make_spec(url))
+    caplog.set_level(logging.INFO, logger="repro")
     logging.getLogger("repro").addHandler(caplog.handler)
     try:
         broker = engine.pool.broker
@@ -265,6 +266,10 @@ def test_worker_exits_3_when_its_server_dies_under_it(link, caplog):
                             "the worker to register")
         else:
             _wait_until(lambda: broker.membership.get("orphan"), "the worker to join")
+        # joined is not yet serving: the worker logs this after its first
+        # heartbeat, and the next I/O it does is a poll
+        _wait_until(lambda: any("worker orphan serving" in r.getMessage()
+                                for r in caplog.records), "the worker to serve")
         kill()
         worker.join(timeout=30)
         assert exits == [3]

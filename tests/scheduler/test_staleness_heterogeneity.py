@@ -105,6 +105,33 @@ def test_client_spread_is_persistent():
         assert m.sample(c, 0)[0] == pytest.approx(f)
 
 
+@pytest.mark.parametrize("latency", ["lognormal", "uniform", "constant"])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("spread", [0.0, 0.5])
+def test_sample_is_the_keyed_draw_written_out(latency, dropout, spread):
+    """Every sample is a pure function of ``(seed, client, dispatch)``: the
+    formula below, from fresh keyed generators.  The model skips the
+    generator when nothing is drawn and keeps each client's speed factor
+    after the first sample, so the grid revisits every client."""
+    seed, mean, sigma, low, high = 7, 0.8, 0.6, 0.2, 1.5
+    m = HeterogeneityModel(latency=latency, mean=mean, sigma=sigma, low=low, high=high,
+                           dropout=dropout, client_spread=spread, seed=seed)
+    for dispatch in range(6):
+        for client in range(12):
+            rng = np.random.default_rng((seed, client, dispatch, 0x1A7E27))
+            if latency == "lognormal":
+                delay = mean * float(np.exp(sigma * rng.standard_normal()))
+            elif latency == "uniform":
+                delay = float(rng.uniform(low, high))
+            else:
+                delay = mean
+            if spread > 0:
+                factor_rng = np.random.default_rng((seed, client, 0x5CA1E))
+                delay *= float(np.exp(spread * factor_rng.standard_normal()))
+            dropped = bool(dropout > 0 and rng.random() < dropout)
+            assert m.sample(client, dispatch) == (delay, dropped)
+
+
 def test_from_config_accepts_dict_model_none():
     m = HeterogeneityModel.from_config({"latency": "uniform", "low": 1, "high": 2}, seed=3)
     assert m.latency == "uniform" and m.seed == 3
