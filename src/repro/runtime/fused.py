@@ -153,15 +153,17 @@ class FusedTurnRunner:
 
         # every client's batch sequence up front, from the DataLoader over
         # its own rng stream: a first turn derives it, a later turn restores
-        # it from the snapshot into the one generator this batch shares (its
-        # seed is overwritten before any draw, and each client's end state
-        # is read back before the next client's is set)
+        # it from the snapshot into the one generator this batch shares, built
+        # on the first such turn (its seed is overwritten before any draw, and
+        # each client's end state is read back before the next client's is set)
         clients: List[_ClientTurn] = []
-        shared = np.random.Generator(np.random.PCG64(0))
+        shared = None
         for ticket, snapshot, view in jobs:
             if snapshot is None:
                 rng = client_rng(self.seed, ticket.client, DATA_STREAM)
             else:
+                if shared is None:
+                    shared = np.random.Generator(np.random.PCG64(0))
                 rng = shared
                 rng.bit_generator.state = snapshot.loader_rng
             batches = materialize_batches(

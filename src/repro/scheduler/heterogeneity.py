@@ -5,10 +5,7 @@ model assigns every client a persistent speed factor plus per-dispatch jitter
 drawn from a configurable distribution, and an independent dropout coin per
 dispatch.  All draws are keyed by ``(seed, client, dispatch#)`` with fresh
 generators, so outcomes are identical no matter how the runtime interleaves
-clients — the property that makes straggler experiments repeatable.  A
-model that draws nothing (``constant`` latency, no dropout — the default of
-every spec without ``heterogeneity``) builds no generator, and each
-client's speed factor is drawn once and kept.
+clients — the property that makes straggler experiments repeatable.
 
 Latency families:
 
@@ -88,9 +85,6 @@ class HeterogeneityModel:
         self.dropout = float(dropout)
         self.client_spread = float(client_spread)
         self.seed = int(seed)
-        # speed factors drawn so far: persistent by definition, so each
-        # client's keyed generator runs once
-        self._speed: Dict[int, float] = {}
 
     @classmethod
     def from_config(cls, cfg: Optional[Any], seed: int = 0) -> "HeterogeneityModel":
@@ -109,17 +103,11 @@ class HeterogeneityModel:
         """Persistent multiplier for this client (slow devices stay slow)."""
         if self.client_spread <= 0:
             return 1.0
-        factor = self._speed.get(client)
-        if factor is None:
-            rng = _keyed_rng((self.seed, client, 0x5CA1E))
-            factor = self._speed[client] = float(np.exp(self.client_spread * rng.standard_normal()))
-        return factor
+        rng = _keyed_rng((self.seed, client, 0x5CA1E))
+        return float(np.exp(self.client_spread * rng.standard_normal()))
 
     def sample(self, client: int, dispatch: int) -> Tuple[float, bool]:
         """(virtual latency seconds, dropped?) for a client's n-th dispatch."""
-        if self.latency == "constant" and self.dropout <= 0:
-            # nothing to draw: the keyed generator would be discarded unused
-            return self.mean * self.speed_factor(client), False
         rng = _keyed_rng((self.seed, client, dispatch, 0x1A7E27))
         if self.latency == "lognormal":
             delay = self.mean * float(np.exp(self.sigma * rng.standard_normal()))

@@ -110,9 +110,8 @@ def test_client_spread_is_persistent():
 @pytest.mark.parametrize("spread", [0.0, 0.5])
 def test_sample_is_the_keyed_draw_written_out(latency, dropout, spread):
     """Every sample is a pure function of ``(seed, client, dispatch)``: the
-    formula below, from fresh keyed generators.  The model skips the
-    generator when nothing is drawn and keeps each client's speed factor
-    after the first sample, so the grid revisits every client."""
+    formula below, from fresh keyed generators.  The grid revisits every
+    client, so per-client state kept between samples is checked too."""
     seed, mean, sigma, low, high = 7, 0.8, 0.6, 0.2, 1.5
     m = HeterogeneityModel(latency=latency, mean=mean, sigma=sigma, low=low, high=high,
                            dropout=dropout, client_spread=spread, seed=seed)
