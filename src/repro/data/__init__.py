@@ -1,4 +1,4 @@
-"""Data substrate: datasets, loaders, partitioners, transforms.
+"""Data substrate: datasets, loaders, partitioners.
 
 Substitutes for torchvision datasets + torch DataLoader.  Synthetic image
 tasks stand in for CIFAR10/CIFAR100/Caltech101/Caltech256 with matched class
@@ -20,7 +20,6 @@ from repro.data.synthetic import (
     make_image_classification,
     make_tabular_classification,
 )
-from repro.data.transforms import Compose, Normalize, RandomCrop, RandomHorizontalFlip
 
 __all__ = [
     "Dataset",
@@ -37,8 +36,4 @@ __all__ = [
     "SyntheticImageDataset",
     "make_image_classification",
     "make_tabular_classification",
-    "Compose",
-    "Normalize",
-    "RandomCrop",
-    "RandomHorizontalFlip",
 ]

@@ -167,7 +167,7 @@ class TrainSpec:
         _freeze(self, "algorithm_kwargs", _plain(self.algorithm_kwargs or {}))
         _freeze(self, "model_kwargs", _plain(self.model_kwargs or {}))
         if self.global_rounds < 1:
-            raise ValueError("global_rounds must be >= 1")
+            raise SpecError("train.global_rounds must be >= 1")
         if self.eval_every < 0:
             raise SpecError("train.eval_every must be >= 0")
         if self.eval_max_batches is not None and self.eval_max_batches < 1:
@@ -212,7 +212,7 @@ class FaultSpec:
     def __post_init__(self) -> None:
         _freeze(self, "selection_kwargs", _plain(self.selection_kwargs or {}))
         if not (0.0 < self.client_fraction <= 1.0):
-            raise ValueError("client_fraction must be in (0, 1]")
+            raise SpecError("faults.client_fraction must be in (0, 1]")
         for name in ("drop_prob", "straggler_prob"):
             p = getattr(self, name)
             if not (0.0 <= p <= 1.0):

@@ -8,56 +8,30 @@ exactly the training semantics the OmniFed reproduction needs:
 * :class:`~repro.nn.module.Module` — parameter containers with
   ``state_dict``/``load_state_dict``, train/eval modes and buffers;
 * layers — ``Linear``, ``Conv2d`` (grouped/depthwise), ``BatchNorm1d/2d``,
-  pooling, dropout, activations;
-* losses — cross-entropy, NLL, MSE;
+  max and global-average pooling, dropout, ``ReLU``, ``Sequential``
+  (MobileNetV3's hard-sigmoid/hard-swish are called from
+  :mod:`~repro.nn.functional`);
+* losses — cross-entropy;
 * optimizers — ``SGD`` (momentum/Nesterov/weight-decay), ``Adam``, ``AdamW``;
-* LR schedulers — step, multi-step, exponential, cosine;
 * :mod:`~repro.nn.serialization` — flat-vector packing of parameter trees,
   the currency of every FL algorithm and communicator in this repo.
 """
 
 from repro.nn import functional, init
-from repro.nn.functional import (
-    avg_pool2d,
-    batch_norm,
-    conv2d,
-    cross_entropy,
-    dropout,
-    log_softmax,
-    max_pool2d,
-    mse_loss,
-    nll_loss,
-    relu,
-    sigmoid,
-    softmax,
-)
+from repro.nn.functional import batch_norm, conv2d, cross_entropy, dropout, max_pool2d, relu
 from repro.nn.layers import (
     AdaptiveAvgPool2d,
-    AvgPool2d,
     BatchNorm1d,
     BatchNorm2d,
     Conv2d,
     Dropout,
-    Flatten,
-    HardSigmoid,
-    HardSwish,
-    Identity,
     Linear,
     MaxPool2d,
     ReLU,
     Sequential,
-    Sigmoid,
-    Tanh,
 )
-from repro.nn.loss import CrossEntropyLoss, MSELoss, NLLLoss
-from repro.nn.lr_scheduler import (
-    CosineAnnealingLR,
-    ExponentialLR,
-    LRScheduler,
-    MultiStepLR,
-    StepLR,
-)
-from repro.nn.module import Module, ModuleList, Parameter
+from repro.nn.loss import CrossEntropyLoss
+from repro.nn.module import Module, Parameter
 from repro.nn.optim import SGD, Adam, AdamW, Optimizer
 from repro.nn.serialization import (
     clone_state,
@@ -68,14 +42,12 @@ from repro.nn.serialization import (
     state_zeros_like,
     vector_to_state_dict,
 )
-from repro.nn.tensor import Tensor, no_grad, tensor
+from repro.nn.tensor import Tensor, no_grad
 
 __all__ = [
     "Tensor",
-    "tensor",
     "no_grad",
     "Module",
-    "ModuleList",
     "Parameter",
     "Sequential",
     "Linear",
@@ -83,28 +55,14 @@ __all__ = [
     "BatchNorm1d",
     "BatchNorm2d",
     "MaxPool2d",
-    "AvgPool2d",
     "AdaptiveAvgPool2d",
     "Dropout",
-    "Flatten",
-    "Identity",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
-    "HardSigmoid",
-    "HardSwish",
     "CrossEntropyLoss",
-    "NLLLoss",
-    "MSELoss",
     "Optimizer",
     "SGD",
     "Adam",
     "AdamW",
-    "LRScheduler",
-    "StepLR",
-    "MultiStepLR",
-    "ExponentialLR",
-    "CosineAnnealingLR",
     "functional",
     "init",
     "state_dict_to_vector",
@@ -115,15 +73,9 @@ __all__ = [
     "state_zeros_like",
     "clone_state",
     "relu",
-    "sigmoid",
-    "softmax",
-    "log_softmax",
     "conv2d",
     "max_pool2d",
-    "avg_pool2d",
     "batch_norm",
     "dropout",
     "cross_entropy",
-    "nll_loss",
-    "mse_loss",
 ]

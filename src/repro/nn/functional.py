@@ -44,27 +44,19 @@ from typing import Optional, Tuple, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.nn.tensor import Tensor, _as_array
+from repro.nn.tensor import Tensor
 
 __all__ = [
     "relu",
-    "leaky_relu",
-    "sigmoid",
     "hard_sigmoid",
     "hard_swish",
-    "tanh",
-    "softmax",
-    "log_softmax",
     "linear",
     "conv2d",
     "max_pool2d",
-    "avg_pool2d",
     "adaptive_avg_pool2d",
     "batch_norm",
     "dropout",
     "cross_entropy",
-    "nll_loss",
-    "mse_loss",
 ]
 
 _Pair = Union[int, Tuple[int, int]]
@@ -108,26 +100,6 @@ def relu(x: Tensor) -> Tensor:
     return Tensor._make(data, (x,), _bw)
 
 
-def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
-    mask = x.data > 0
-    scale = np.where(mask, 1.0, negative_slope).astype(x.data.dtype)
-    data = x.data * scale
-
-    def _bw(grad: np.ndarray) -> None:
-        x._accumulate(grad * scale)
-
-    return Tensor._make(data, (x,), _bw)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    data = 1.0 / (1.0 + np.exp(-x.data))
-
-    def _bw(grad: np.ndarray) -> None:
-        x._accumulate(grad * data * (1.0 - data))
-
-    return Tensor._make(data.astype(x.data.dtype, copy=False), (x,), _bw)
-
-
 def hard_sigmoid(x: Tensor) -> Tensor:
     """Piecewise-linear sigmoid used by MobileNetV3: clip(x/6 + 0.5, 0, 1)."""
     data = np.clip(x.data / 6.0 + 0.5, 0.0, 1.0).astype(x.data.dtype, copy=False)
@@ -150,36 +122,6 @@ def hard_swish(x: Tensor) -> Tensor:
         x._accumulate(grad * deriv)
 
     return Tensor._make(data, (x,), _bw)
-
-
-def tanh(x: Tensor) -> Tensor:
-    return x.tanh()
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exps = np.exp(shifted)
-    data = exps / exps.sum(axis=axis, keepdims=True)
-
-    def _bw(grad: np.ndarray) -> None:
-        g = np.asarray(grad)
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        x._accumulate(data * (g - dot))
-
-    return Tensor._make(data.astype(x.data.dtype, copy=False), (x,), _bw)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    data = shifted - logsumexp
-    soft = np.exp(data)
-
-    def _bw(grad: np.ndarray) -> None:
-        g = np.asarray(grad)
-        x._accumulate(g - soft * g.sum(axis=axis, keepdims=True))
-
-    return Tensor._make(data.astype(x.data.dtype, copy=False), (x,), _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -461,28 +403,6 @@ def max_pool2d(x: Tensor, kernel_size: _Pair, stride: Optional[_Pair] = None) ->
     return Tensor._make(np.ascontiguousarray(data), (x,), _bw)
 
 
-def avg_pool2d(x: Tensor, kernel_size: _Pair, stride: Optional[_Pair] = None) -> Tensor:
-    kh, kw = _pair(kernel_size)
-    sh, sw = _pair(stride if stride is not None else kernel_size)
-    n, c, h, w = x.data.shape
-    if h < kh or w < kw:
-        return x  # input already smaller than the window
-    windows = _windows(x.data, kh, kw, sh, sw)
-    oh, ow = windows.shape[2:4]
-    data = windows.mean(axis=(-1, -2))
-    scale = 1.0 / (kh * kw)
-
-    def _bw(grad: np.ndarray) -> None:
-        g = np.asarray(grad) * scale
-        gx = np.zeros((n, c, h, w), dtype=x.data.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                gx[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += g
-        x._accumulate(gx)
-
-    return Tensor._make(np.ascontiguousarray(data), (x,), _bw)
-
-
 def adaptive_avg_pool2d(x: Tensor, output_size: int = 1) -> Tensor:
     """Global average pooling when ``output_size == 1`` (the only case used)."""
     if output_size != 1:
@@ -630,19 +550,3 @@ def cross_entropy(logits: Tensor, target: np.ndarray, reduction: str = "mean") -
         logits._accumulate(_cross_entropy_bw(log_probs, picked, mean) * float(np.asarray(grad)))
 
     return Tensor._make(np.asarray(value, dtype=logits.data.dtype), (logits,), _bw)
-
-
-def nll_loss(log_probs: Tensor, target: np.ndarray, reduction: str = "mean") -> Tensor:
-    """Negative log-likelihood over precomputed log-probabilities."""
-    target = np.asarray(target)
-    n = log_probs.data.shape[0]
-    picked = log_probs[np.arange(n), target]
-    loss = -(picked.sum() if reduction == "sum" else picked.mean())
-    return loss
-
-
-def mse_loss(pred: Tensor, target: Union[Tensor, np.ndarray], reduction: str = "mean") -> Tensor:
-    target_t = target if isinstance(target, Tensor) else Tensor(_as_array(target, pred.data.dtype))
-    diff = pred - target_t
-    sq = diff * diff
-    return sq.mean() if reduction == "mean" else sq.sum()

@@ -12,7 +12,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["kaiming_uniform", "kaiming_normal", "xavier_uniform", "uniform", "zeros", "ones"]
+__all__ = ["kaiming_uniform", "kaiming_normal", "uniform", "zeros", "ones"]
 
 
 def _fan(shape: Tuple[int, ...]) -> Tuple[int, int]:
@@ -39,12 +39,6 @@ def kaiming_normal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarr
     fan_in, _ = _fan(shape)
     std = math.sqrt(2.0 / fan_in)
     return (rng.standard_normal(shape) * std).astype(np.float32)
-
-
-def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    fan_in, fan_out = _fan(shape)
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
 def uniform(shape: Tuple[int, ...], rng: np.random.Generator, bound: float) -> np.ndarray:

@@ -23,16 +23,9 @@ __all__ = [
     "BatchNorm1d",
     "BatchNorm2d",
     "MaxPool2d",
-    "AvgPool2d",
     "AdaptiveAvgPool2d",
     "Dropout",
-    "Flatten",
-    "Identity",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
-    "HardSigmoid",
-    "HardSwish",
     "Sequential",
 ]
 
@@ -161,16 +154,6 @@ class MaxPool2d(Module):
         return f"MaxPool2d(k={self.kernel_size}, s={self.stride or self.kernel_size})"
 
 
-class AvgPool2d(Module):
-    def __init__(self, kernel_size: _Pair, stride: Optional[_Pair] = None) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel_size, self.stride)
-
-
 class AdaptiveAvgPool2d(Module):
     def __init__(self, output_size: int = 1) -> None:
         super().__init__()
@@ -193,46 +176,12 @@ class Dropout(Module):
         return f"Dropout(p={self.p})"
 
 
-class Flatten(Module):
-    def __init__(self, start_dim: int = 1) -> None:
-        super().__init__()
-        self.start_dim = start_dim
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.flatten(self.start_dim)
-
-
-class Identity(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x
-
-
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.relu(x)
 
     def __repr__(self) -> str:
         return "ReLU()"
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.sigmoid(x)
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class HardSigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.hard_sigmoid(x)
-
-
-class HardSwish(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.hard_swish(x)
 
 
 class Sequential(Module):

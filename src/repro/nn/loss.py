@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Union
-
 import numpy as np
 
 from repro.nn import functional as F
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 
-__all__ = ["CrossEntropyLoss", "NLLLoss", "MSELoss"]
+__all__ = ["CrossEntropyLoss"]
 
 
 class CrossEntropyLoss(Module):
@@ -22,23 +20,3 @@ class CrossEntropyLoss(Module):
 
     def forward(self, logits: Tensor, target: np.ndarray) -> Tensor:
         return F.cross_entropy(logits, target, self.reduction)
-
-
-class NLLLoss(Module):
-    """Negative log-likelihood over log-probabilities (pairs with log_softmax)."""
-
-    def __init__(self, reduction: str = "mean") -> None:
-        super().__init__()
-        self.reduction = reduction
-
-    def forward(self, log_probs: Tensor, target: np.ndarray) -> Tensor:
-        return F.nll_loss(log_probs, target, self.reduction)
-
-
-class MSELoss(Module):
-    def __init__(self, reduction: str = "mean") -> None:
-        super().__init__()
-        self.reduction = reduction
-
-    def forward(self, pred: Tensor, target: Union[Tensor, np.ndarray]) -> Tensor:
-        return F.mse_loss(pred, target, self.reduction)

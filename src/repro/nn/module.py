@@ -16,13 +16,13 @@ the version of each module it covers and is rebuilt when any of them moved.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
 from repro.nn.tensor import Tensor
 
-__all__ = ["Parameter", "Module", "ModuleList"]
+__all__ = ["Parameter", "Module"]
 
 
 class Parameter(Tensor):
@@ -229,25 +229,3 @@ class Module:
             lines.append(f"  ({name}): {child_repr}")
         lines.append(")")
         return "\n".join(lines) if len(lines) > 2 else f"{type(self).__name__}()"
-
-
-class ModuleList(Module):
-    """Holds submodules in a list; indexable and iterable."""
-
-    def __init__(self, modules: Optional[List[Module]] = None) -> None:
-        super().__init__()
-        for i, m in enumerate(modules or []):
-            self.add_module(str(i), m)
-
-    def append(self, module: Module) -> "ModuleList":
-        self.add_module(str(len(self._modules)), module)
-        return self
-
-    def __getitem__(self, idx: int) -> Module:
-        return list(self._modules.values())[idx]
-
-    def __iter__(self) -> Iterator[Module]:
-        return iter(self._modules.values())
-
-    def __len__(self) -> int:
-        return len(self._modules)

@@ -19,13 +19,11 @@ __all__ = [
     "is_float",
     "state_dict_to_vector",
     "vector_to_state_dict",
-    "spec_of",
     "state_add",
     "state_sub",
     "state_scale",
     "state_zeros_like",
     "state_average",
-    "state_norm",
     "clone_state",
 ]
 
@@ -60,10 +58,6 @@ class StateSpec:
 
     def __repr__(self) -> str:
         return f"StateSpec({len(self.entries)} tensors, {self.total} scalars)"
-
-
-def spec_of(state: Mapping[str, np.ndarray]) -> StateSpec:
-    return StateSpec([(k, tuple(v.shape), v.dtype) for k, v in state.items()])
 
 
 def state_dict_to_vector(
@@ -179,12 +173,3 @@ def state_average(
         else:
             out[k] = v.copy()
     return out
-
-
-def state_norm(state: Mapping[str, np.ndarray]) -> float:
-    """Global L2 norm over the floating entries."""
-    total = 0.0
-    for v in state.values():
-        if is_float(v):
-            total += float(np.sum(np.asarray(v, dtype=np.float64) ** 2))
-    return float(np.sqrt(total))

@@ -17,7 +17,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["Tensor", "tensor", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
 _GRAD_STATE = threading.local()
 
@@ -425,28 +425,6 @@ class Tensor:
 
     def dot(self, other: "Tensor") -> "Tensor":
         return self.matmul(other)
-
-
-def tensor(data: Any, requires_grad: bool = False) -> Tensor:
-    """Convenience constructor mirroring ``torch.tensor``."""
-    return Tensor(data, requires_grad=requires_grad)
-
-
-def cat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along ``axis`` with gradient routing."""
-    arrays = [t.data for t in tensors]
-    data = np.concatenate(arrays, axis=axis)
-    sizes = [a.shape[axis] for a in arrays]
-    offsets = np.cumsum([0] + sizes)
-
-    def _bw(grad: np.ndarray) -> None:
-        g = np.asarray(grad)
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            index: List[Any] = [slice(None)] * g.ndim
-            index[axis] = slice(start, stop)
-            t._accumulate(g[tuple(index)])
-
-    return Tensor._make(data, tuple(tensors), _bw)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

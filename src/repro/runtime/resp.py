@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import socket
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
-from urllib.parse import urlparse
 
-__all__ = ["POP_SLACK", "RespClient", "RespError", "RespReader", "connect_url"]
+__all__ = ["POP_SLACK", "RespClient", "RespError", "RespReader"]
 
 Value = Union[bytes, str, int, float]
 
@@ -221,18 +220,3 @@ class RespClient:
     def hgetall(self, key: Value) -> dict:
         flat = self.execute("HGETALL", key) or []
         return {flat[i]: flat[i + 1] for i in range(0, len(flat), 2)}
-
-
-def connect_url(url: str, timeout: float = 10.0) -> RespClient:
-    """``redis://[:password@]host[:port][/db]`` -> connected client."""
-    parsed = urlparse(url)
-    host = parsed.hostname or "127.0.0.1"
-    port = parsed.port or 6379
-    db = 0
-    path = (parsed.path or "").strip("/")
-    if path:
-        try:
-            db = int(path)
-        except ValueError:
-            raise ValueError(f"invalid redis db index {path!r} in {url!r}") from None
-    return RespClient(host, port, db=db, password=parsed.password, timeout=timeout)

@@ -4,7 +4,7 @@ A :class:`~repro.topology.base.Topology` declares the participants
 (:class:`~repro.topology.base.NodeSpec`), their roles, the communicator
 group(s) each joins (inner vs outer, enabling mixed-protocol deployments),
 and — for decentralized patterns — the gossip mixing weights derived from
-the node graph (a :mod:`networkx` graph).
+the node graph (its edge list).
 """
 
 from repro.topology.base import GroupSpec, NodeRole, NodeSpec, TOPOLOGIES, Topology, build_topology

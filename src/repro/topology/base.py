@@ -4,14 +4,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.utils.registry import Registry
-
-if TYPE_CHECKING:  # pragma: no cover - networkx loads only when graph() is called
-    import networkx as nx
 
 __all__ = [
     "NodeRole",
@@ -98,8 +95,8 @@ class Topology:
 
     Subclasses implement :meth:`specs` (the participants) and
     :meth:`edges` (who communicates with whom, as pairs of spec indices).
-    The engine consumes both; :meth:`graph` offers the same structure as a
-    networkx graph to whoever wants one.
+    The engine consumes both; :meth:`neighbor_map` and the mixing matrices
+    are derived from the edge list.
     """
 
     #: coordination pattern the engine should run: "server" (broadcast/
@@ -117,17 +114,6 @@ class Topology:
     def edges(self) -> List[Tuple[int, int]]:
         """Undirected communication links, each listed once."""
         raise NotImplementedError
-
-    def graph(self) -> "nx.Graph":
-        """The node/edge structure as a networkx graph.  networkx is
-        imported here, not at module level: it costs every engine and worker
-        process 11-13 MB of RSS and no run needs it."""
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(s.index for s in self.specs())
-        g.add_edges_from(self.edges())
-        return g
 
     @property
     def world_size(self) -> int:
@@ -157,8 +143,8 @@ class Topology:
 
         Built from the specs' per-node ``mixing`` dicts when the topology
         declares them (ring/p2p carry hand-tuned weights); otherwise falls
-        back to Metropolis-Hastings weights computed from :meth:`graph`, so
-        every topology exposes a usable matrix.
+        back to Metropolis-Hastings weights computed from :meth:`neighbor_map`
+        and :meth:`edges`, so every topology exposes a usable matrix.
         """
         specs = self.specs()
         n = len(specs)

@@ -13,12 +13,9 @@ partitioning composes with any site layout.
 from __future__ import annotations
 
 import copy
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.topology.base import GroupSpec, NodeRole, NodeSpec, SiteGroup, TOPOLOGIES, Topology
-
-if TYPE_CHECKING:  # pragma: no cover
-    import networkx as nx
 
 __all__ = ["HierarchicalTopology"]
 
@@ -126,10 +123,3 @@ class HierarchicalTopology(Topology):
         return [(0, g.head) for g in groups] + [
             (g.head, trainer) for g in groups for trainer in g.trainers
         ]
-
-    def graph(self) -> "nx.Graph":
-        """Links carry the protocol tier they run over (``link``)."""
-        g = super().graph()
-        for u, v in g.edges:
-            g.edges[u, v]["link"] = "outer" if u == 0 else "inner"
-        return g

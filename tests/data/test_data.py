@@ -3,16 +3,10 @@ import pytest
 
 from repro.data import (
     ArrayDataset,
-    Compose,
     DataLoader,
-    DATAMODULES,
-    Normalize,
-    RandomCrop,
-    RandomHorizontalFlip,
     Subset,
     SyntheticImageDataset,
     build_datamodule,
-    make_image_classification,
     make_tabular_classification,
 )
 from repro.data.dataloader import materialize_batches
@@ -172,29 +166,6 @@ def test_tabular_blobs_reuse_centers(rng):
     x1, y1, centers = make_tabular_classification(50, 4, 8, rng=rng)
     x2, y2, _ = make_tabular_classification(50, 4, 8, rng=rng, centers=centers)
     assert x1.shape == (50, 8) and x2.shape == (50, 8)
-
-
-# ------------------------------------------------------------ transforms
-def test_normalize():
-    t = Normalize(mean=[1.0], std=[2.0])
-    out = t(np.full((1, 2, 2), 5.0, dtype=np.float32))
-    assert np.allclose(out, 2.0)
-    with pytest.raises(ValueError):
-        Normalize([0.0], [0.0])
-
-
-def test_flip_and_crop_shapes(rng):
-    x = rng.standard_normal((3, 8, 8)).astype(np.float32)
-    flip = RandomHorizontalFlip(p=1.0, rng=np.random.default_rng(0))
-    assert np.allclose(flip(x), x[..., ::-1])
-    crop = RandomCrop(2, rng=np.random.default_rng(0))
-    assert crop(x).shape == x.shape
-
-
-def test_compose(rng):
-    x = np.ones((1, 4, 4), dtype=np.float32)
-    pipeline = Compose([Normalize([0.0], [2.0]), lambda v: v + 1])
-    assert np.allclose(pipeline(x), 1.5)
 
 
 # ------------------------------------------------------------ datamodules

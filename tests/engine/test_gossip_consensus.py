@@ -32,12 +32,14 @@ def ring_engine(fresh_port, scheduler=None):
         ("ring", {"num_clients": 5}),
         ("p2p", {"num_clients": 4}),
         ("custom", {"num_clients": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}),
+        ("centralized", {"num_clients": 3}),
+        ("hierarchical", {"num_sites": 2, "clients_per_site": 2}),
     ],
 )
 def test_mixing_matrix_is_row_stochastic(name, kw):
     topo = build_topology(name, **kw)
     w = topo.mixing_matrix()
-    assert w.shape == (kw["num_clients"], kw["num_clients"])
+    assert w.shape == (topo.world_size, topo.world_size)
     np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-9)
     assert (w >= 0).all()
 
@@ -49,6 +51,7 @@ def test_mixing_matrix_is_row_stochastic(name, kw):
         ("p2p", {"num_clients": 4}),
         ("centralized", {"num_clients": 3}),
         ("custom", {"num_clients": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0], [0, 2]]}),
+        ("hierarchical", {"num_sites": 2, "clients_per_site": 3}),
     ],
 )
 def test_metropolis_hastings_matrix_is_doubly_stochastic(name, kw):
@@ -57,6 +60,20 @@ def test_metropolis_hastings_matrix_is_doubly_stochastic(name, kw):
     np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-9)
     np.testing.assert_allclose(w.sum(axis=0), 1.0, atol=1e-9)
     np.testing.assert_allclose(w, w.T, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name,kw",
+    [("centralized", {"num_clients": 3}), ("hierarchical", {"num_sites": 2, "clients_per_site": 2})],
+)
+def test_mixing_matrix_without_declared_weights_is_metropolis_hastings(name, kw):
+    # no spec carries mixing weights, so the matrix comes from the edge list
+    topo = build_topology(name, **kw)
+    assert not any(s.mixing for s in topo.specs())
+    np.testing.assert_array_equal(topo.mixing_matrix(), topo.metropolis_hastings_matrix())
+    neighbors = topo.neighbor_map()
+    for u, v in topo.edges():
+        assert topo.mixing_matrix()[u, v] == 1.0 / (1.0 + max(len(neighbors[u]), len(neighbors[v])))
 
 
 def test_neighbor_map_matches_graph():

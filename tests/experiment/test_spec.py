@@ -46,14 +46,14 @@ def test_mode_validated(tmp_path):
 
 
 def test_global_rounds_validated():
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecError, match=r"train\.global_rounds must be >= 1"):
         ExperimentSpec(train=TrainSpec(global_rounds=0))
 
 
 def test_client_fraction_validated():
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecError, match=r"faults\.client_fraction must be in \(0, 1\]"):
         ExperimentSpec(faults=FaultSpec(client_fraction=0.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecError, match=r"faults\.client_fraction must be in \(0, 1\]"):
         ExperimentSpec(faults=FaultSpec(client_fraction=1.5))
 
 

@@ -20,7 +20,7 @@ def f64(shape, rng):
 # ------------------------------------------------------------- activations
 @pytest.mark.parametrize(
     "fn",
-    [F.relu, F.leaky_relu, F.sigmoid, F.hard_sigmoid, F.hard_swish, F.tanh],
+    [F.relu, F.hard_sigmoid, F.hard_swish],
 )
 def test_activation_grads(fn, rng):
     x_data = f64((3, 7), rng) + 0.05  # keep away from kinks
@@ -94,39 +94,6 @@ def test_relu_value_contract_holds_on_stacks_and_strided_views(dtype):
 def test_hard_sigmoid_saturates():
     out = F.hard_sigmoid(Tensor([-10.0, 0.0, 10.0]))
     assert np.allclose(out.data, [0.0, 0.5, 1.0])
-
-
-def test_softmax_rows_sum_to_one(rng):
-    x = Tensor(f64((5, 9), rng))
-    out = F.softmax(x)
-    assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-6)
-
-
-def test_log_softmax_matches_log_of_softmax(rng):
-    x = Tensor(f64((4, 6), rng))
-    assert np.allclose(F.log_softmax(x).data, np.log(F.softmax(x).data), atol=1e-6)
-
-
-def test_softmax_grad(rng):
-    x_data = f64((3, 5), rng)
-
-    def run():
-        return (F.softmax(Tensor(x_data, requires_grad=True)) ** 2).sum()
-
-    x = Tensor(x_data, requires_grad=True)
-    (F.softmax(x) ** 2).sum().backward()
-    assert_grad_close(x.grad, numerical_grad(lambda: run().item(), x_data))
-
-
-def test_log_softmax_grad(rng):
-    x_data = f64((3, 5), rng)
-
-    def run():
-        return (F.log_softmax(Tensor(x_data, requires_grad=True)) * 0.3).sum()
-
-    x = Tensor(x_data, requires_grad=True)
-    (F.log_softmax(x) * 0.3).sum().backward()
-    assert_grad_close(x.grad, numerical_grad(lambda: run().item(), x_data))
 
 
 # ------------------------------------------------------------- linear
@@ -524,17 +491,6 @@ def test_max_pool_overlapping_stride_grad(rng):
     assert_grad_close(x.grad, numerical_grad(lambda: run().item(), x_data), atol=1e-5)
 
 
-def test_avg_pool_grad(rng):
-    x_data = f64((2, 2, 4, 4), rng)
-
-    def run():
-        return (F.avg_pool2d(Tensor(x_data, requires_grad=True), 2) * 2.0).sum()
-
-    x = Tensor(x_data, requires_grad=True)
-    (F.avg_pool2d(x, 2) * 2.0).sum().backward()
-    assert_grad_close(x.grad, numerical_grad(lambda: run().item(), x_data))
-
-
 def test_adaptive_avg_pool(rng):
     x = Tensor(f64((2, 3, 5, 5), rng))
     out = F.adaptive_avg_pool2d(x)
@@ -693,21 +649,9 @@ def test_cross_entropy_sum_reduction(rng):
     assert total == pytest.approx(4 * mean, rel=1e-6)
 
 
-def test_nll_loss_pairs_with_log_softmax(rng):
-    logits = Tensor(f64((4, 3), rng), requires_grad=True)
+def test_cross_entropy_matches_numpy_log_sum_exp(rng):
+    logits = f64((4, 3), rng)
     y = np.array([2, 0, 1, 2])
-    ce = F.cross_entropy(logits, y).item()
-    nll = F.nll_loss(F.log_softmax(logits), y).item()
-    assert ce == pytest.approx(nll, rel=1e-6)
-
-
-def test_mse_loss_grad(rng):
-    pred_data = f64((4, 3), rng)
-    target = f64((4, 3), rng)
-
-    def run():
-        return F.mse_loss(Tensor(pred_data, requires_grad=True), target)
-
-    p = Tensor(pred_data, requires_grad=True)
-    F.mse_loss(p, target).backward()
-    assert_grad_close(p.grad, numerical_grad(lambda: run().item(), pred_data))
+    log_sum_exp = np.log(np.exp(logits).sum(axis=1))
+    expected = np.mean(log_sum_exp - logits[np.arange(4), y])
+    assert F.cross_entropy(Tensor(logits), y).item() == pytest.approx(expected, rel=1e-6)

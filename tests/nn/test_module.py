@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import BatchNorm2d, Dropout, Linear, ReLU, Sequential
-from repro.nn.module import Module, ModuleList
+from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 
 
@@ -91,15 +91,6 @@ def test_num_parameters():
     assert net.num_parameters() == 4 * 8 + 8 + 8 * 3 + 3
 
 
-def test_module_list():
-    ml = ModuleList([Linear(2, 2, rng=np.random.default_rng(0)) for _ in range(3)])
-    ml.append(Linear(2, 2, rng=np.random.default_rng(1)))
-    assert len(ml) == 4
-    assert len(list(ml)) == 4
-    assert isinstance(ml[0], Linear)
-    assert len([n for n, _ in ml.named_parameters()]) == 8
-
-
 def test_attribute_reassignment_replaces_module():
     class Net(Module):
         def __init__(self):
@@ -141,7 +132,7 @@ class _Nested(Module):
         super().__init__()
         rng = np.random.default_rng(0)
         self.stem = Linear(4, 4, rng=rng)
-        self.blocks = ModuleList([Sequential(Linear(4, 4, rng=rng), BatchNorm2d(4))])
+        self.blocks = Sequential(Sequential(Linear(4, 4, rng=rng), BatchNorm2d(4)))
         self.head = Linear(4, 2, rng=rng)
 
 
@@ -189,8 +180,8 @@ def test_index_sees_every_structural_change():
     net.load_state_dict({"blocks.0.0.calls": np.asarray(5)}, strict=False)
     assert int(net.blocks[0][0]._buffers["calls"]) == 5
 
-    # grow a ModuleList
-    net.blocks.append(Linear(4, 4, rng=np.random.default_rng(2)))
+    # grow a container by one child
+    net.blocks.add_module("1", Linear(4, 4, rng=np.random.default_rng(2)))
     check()
     assert "blocks.1.weight" in net.state_dict()
 

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from repro.nn.serialization import (
     clone_state,
-    spec_of,
     state_add,
     state_average,
     state_dict_to_vector,
-    state_norm,
     state_scale,
     state_sub,
     state_zeros_like,
@@ -56,8 +54,8 @@ def test_vector_size_validation(rng):
 
 
 def test_spec_equality(rng):
-    s1 = spec_of(make_state(rng))
-    s2 = spec_of(make_state(np.random.default_rng(9)))
+    _, s1 = state_dict_to_vector(make_state(rng))
+    _, s2 = state_dict_to_vector(make_state(np.random.default_rng(9)))
     assert s1 == s2
 
 
@@ -95,11 +93,6 @@ def test_state_average_preserves_integers(rng):
     a, b = make_state(rng), make_state(np.random.default_rng(3))
     avg = state_average([a, b])
     assert avg["counter"].dtype == np.int64
-
-
-def test_state_norm(rng):
-    state = OrderedDict(a=np.asarray([3.0], np.float32), b=np.asarray([4.0], np.float32))
-    assert state_norm(state) == pytest.approx(5.0)
 
 
 def test_clone_state_independent(rng):

@@ -16,8 +16,8 @@ from repro.experiment import ExperimentSpec
 from repro.runtime.broker import BROKER_SCHEMES, TurnBroker, WorkerLink, register_broker
 from repro.runtime.liveness import Heartbeater, Marks, silent
 from repro.runtime.miniredis import MiniRedis
-from repro.runtime.resp import connect_url
 from repro.runtime.worker import Worker
+from tests.runtime.resp_helpers import connect_url
 
 
 def wait_for(predicate, timeout=5.0):

@@ -16,7 +16,8 @@ import pytest
 
 from repro.runtime import miniredis, resp
 from repro.runtime.miniredis import MiniRedis
-from repro.runtime.resp import RespClient, RespError, RespReader, connect_url
+from repro.runtime.resp import RespClient, RespError, RespReader
+from tests.runtime.resp_helpers import connect_url
 
 
 @pytest.fixture()

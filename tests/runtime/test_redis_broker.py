@@ -30,8 +30,9 @@ from repro.runtime import BrokerTurnLost, BrokerUnavailable, Broker, serde
 from repro.runtime.fused import FusedTurnRunner
 from repro.runtime.miniredis import MiniRedis
 from repro.runtime.redis import RedisBroker, RedisLink, _Entry
-from repro.runtime.resp import RespError, connect_url
+from repro.runtime.resp import RespError
 from repro.runtime.worker import Worker, run_worker
+from tests.runtime.resp_helpers import connect_url
 
 _WALL_FIELDS = ("wall_seconds",)
 

@@ -23,8 +23,8 @@ import repro
 from repro.engine.engine import Engine
 from repro.experiment import Experiment, ExperimentSpec
 from repro.runtime.miniredis import MiniRedis
-from repro.runtime.resp import connect_url
 from repro.runtime.worker import Worker, run_worker
+from tests.runtime.resp_helpers import connect_url
 
 LINKS = ("redis", "tcp")
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))

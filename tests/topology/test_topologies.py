@@ -1,4 +1,3 @@
-import networkx as nx
 import pytest
 
 from repro.topology import (
@@ -27,9 +26,10 @@ def test_centralized_structure():
 
 
 def test_centralized_graph_is_star():
-    g = CentralizedTopology(num_clients=4).graph()
-    assert g.degree(0) == 4
-    assert g.number_of_edges() == 4
+    topo = CentralizedTopology(num_clients=4)
+    assert len(topo.edges()) == 4
+    assert topo.neighbor_map()[0] == [1, 2, 3, 4]
+    assert all(topo.neighbor_map()[i] == [0] for i in range(1, 5))
 
 
 def test_centralized_requires_clients():
@@ -52,9 +52,14 @@ def test_ring_neighbors_are_adjacent():
 
 
 def test_ring_graph_is_cycle():
-    g = RingTopology(num_clients=5).graph()
-    assert all(d == 2 for _, d in g.degree())
-    assert nx.is_connected(g)
+    neighbors = RingTopology(num_clients=5).neighbor_map()
+    assert all(len(peers) == 2 for peers in neighbors.values())
+    # walking from node 0 visits every node once before returning: one cycle
+    prev, node, seen = None, 0, []
+    while node not in seen:
+        seen.append(node)
+        prev, node = node, next(p for p in neighbors[node] if p != prev)
+    assert sorted(seen) == list(range(5)) and node == 0
 
 
 def test_ring_minimum_size():
@@ -71,8 +76,9 @@ def test_p2p_uniform_mixing():
 
 
 def test_p2p_graph_complete():
-    g = PeerToPeerTopology(num_clients=5).graph()
-    assert g.number_of_edges() == 10
+    topo = PeerToPeerTopology(num_clients=5)
+    assert len(topo.edges()) == 10
+    assert all(len(peers) == 4 for peers in topo.neighbor_map().values())
 
 
 # ------------------------------------------------------------ hierarchical
@@ -117,10 +123,14 @@ def test_hierarchical_uneven_sites():
     assert topo.num_sites == 3
 
 
-def test_hierarchical_graph_links_labeled():
-    g = HierarchicalTopology(num_sites=2, clients_per_site=2).graph()
-    links = nx.get_edge_attributes(g, "link")
-    assert set(links.values()) == {"inner", "outer"}
+def test_hierarchical_edges_split_into_outer_and_inner_links():
+    topo = HierarchicalTopology(num_sites=2, clients_per_site=2)
+    heads = [g.head for g in topo.site_groups()]
+    outer = [(u, v) for u, v in topo.edges() if u == 0]
+    inner = [(u, v) for u, v in topo.edges() if u != 0]
+    assert outer == [(0, h) for h in heads]  # root to each site head
+    assert inner == [(g.head, t) for g in topo.site_groups() for t in g.trainers]
+    assert topo.neighbor_map()[0] == heads
 
 
 def test_hierarchical_validations():
@@ -161,41 +171,3 @@ def test_registry_names():
 def test_describe_mentions_counts():
     text = CentralizedTopology(num_clients=3).describe()
     assert "nodes=4" in text and "trainers=3" in text
-
-
-# ------------------------------------------------------------ import cost
-def test_runs_do_not_import_networkx():
-    # networkx is 11-13 MB of RSS per engine and worker process; edges() is
-    # the primitive every run reads, graph() the only caller of the library.
-    # A fresh interpreter, because this module imported it at the top.
-    import os
-    import subprocess
-    import sys
-
-    import repro
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    code = """
-import sys
-from repro.experiment import Experiment, ExperimentSpec
-
-common = dict(
-    data={"dataset": "blobs", "kwargs": {"train_size": 96, "test_size": 32},
-          "partition": "iid", "batch_size": 16},
-    train={"algorithm": "fedavg", "model": "mlp", "global_rounds": 1,
-           "algorithm_kwargs": {"lr": 0.05, "local_epochs": 1}},
-)
-pooled = Experiment(ExperimentSpec(topology="centralized", num_clients=4,
-                                   pool_size=2, **common)).run()
-assert pooled.mode == "async", pooled.mode
-rounds = Experiment(ExperimentSpec(
-    topology="hierarchical",
-    topology_kwargs={"num_sites": 2, "clients_per_site": 2}, **common)).run()
-assert rounds.mode == "rounds", rounds.mode
-assert "networkx" not in sys.modules, "a run imported networkx"
-from repro.topology import RingTopology
-assert RingTopology(num_clients=4).graph().number_of_edges() == 4
-assert "networkx" in sys.modules
-"""
-    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
-                   env={**os.environ, "PYTHONPATH": src})
