@@ -73,9 +73,9 @@ class DataLoader:
         arrays (``None``: row ``i``) — batches gather their own rows, so a
         turn copies what it reads, not the shard."""
         ds = self.dataset
-        if isinstance(ds, ArrayDataset) and ds.transform is None:
+        if isinstance(ds, ArrayDataset):
             return ds.x, ds.y, None
-        if isinstance(ds, Subset) and isinstance(ds.dataset, ArrayDataset) and ds.dataset.transform is None:
+        if isinstance(ds, Subset) and isinstance(ds.dataset, ArrayDataset):
             return ds.dataset.x, ds.dataset.y, ds.indices
         return None
 

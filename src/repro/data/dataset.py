@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -25,28 +25,19 @@ class Dataset:
 
 
 class ArrayDataset(Dataset):
-    """Dataset over in-memory arrays with an optional per-sample transform."""
+    """Dataset over in-memory arrays."""
 
-    def __init__(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        transform: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    ) -> None:
+    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
         if len(x) != len(y):
             raise ValueError(f"x has {len(x)} samples but y has {len(y)}")
         self.x = np.asarray(x)
         self.y = np.asarray(y)
-        self.transform = transform
 
     def __len__(self) -> int:
         return len(self.x)
 
     def __getitem__(self, index: int) -> Tuple[np.ndarray, int]:
-        sample = self.x[index]
-        if self.transform is not None:
-            sample = self.transform(sample)
-        return sample, int(self.y[index])
+        return self.x[index], int(self.y[index])
 
     @property
     def labels(self) -> np.ndarray:

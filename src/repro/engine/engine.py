@@ -339,9 +339,8 @@ class Engine:
             _LOG.info("run stopped early: %s", stop.reason)
             # mirror the scheduler runtime's _finish: a stopped run still
             # ends on an evaluated record
-            history = self.metrics.history
-            if self.eval_every > 0 and history and history[-1].eval_accuracy is None:
-                history[-1].eval_loss, history[-1].eval_accuracy = self.evaluate()
+            if self.eval_every > 0:
+                self.metrics.evaluate_last(self.evaluate)
         return self.metrics
 
     def run_async(

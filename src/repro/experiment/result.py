@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from repro.config import yaml as _yaml
-from repro.engine.metrics import MetricsCollector, RoundRecord
+from repro.engine.metrics import MetricsCollector, RecordLog, RoundRecord
 from repro.experiment.spec import ExperimentSpec
 
 __all__ = ["RunResult"]
@@ -48,7 +48,7 @@ class RunResult:
 
     # -- convenience views -------------------------------------------------
     @property
-    def history(self) -> List[RoundRecord]:
+    def history(self) -> RecordLog:
         return self.metrics.history
 
     def final_accuracy(self) -> Optional[float]:
@@ -110,7 +110,8 @@ class RunResult:
         meta = _yaml.load(os.path.join(directory, _RESULT_FILE)) or {}
         metrics = MetricsCollector()
         records = _yaml.load(os.path.join(directory, _METRICS_FILE)) or []
-        metrics.history = [RoundRecord.from_payload(rec) for rec in records]
+        for rec in records:
+            metrics.history.append(RoundRecord.from_payload(rec))
         final_state = None
         state_path = os.path.join(directory, _STATE_FILE)
         if os.path.isfile(state_path):

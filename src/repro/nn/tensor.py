@@ -295,14 +295,6 @@ class Tensor:
 
         return Tensor._make(data, (self,), _bw)
 
-    def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
-
-        def _bw(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - data * data))
-
-        return Tensor._make(data, (self,), _bw)
-
     def abs(self) -> "Tensor":
         data = np.abs(self.data)
 

@@ -22,7 +22,7 @@ per scheduler binding so hierarchical site tiers count independently.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -648,9 +648,8 @@ class Scheduler:
         the metrics (mirrors the sync engine's always-evaluate-last-round)."""
         assert self.engine is not None and self.metrics is not None
         self.drain()
-        history = self.metrics.history
-        if self._eval_updates and history and history[-1].eval_accuracy is None:
-            history[-1].eval_loss, history[-1].eval_accuracy = self.engine.evaluate()
+        if self._eval_updates:
+            self.metrics.evaluate_last(self.engine.evaluate)
         return self.metrics
 
     def __repr__(self) -> str:

@@ -11,8 +11,6 @@ from repro.compression import (
     PowerSGD,
     QSGD,
     RandomK,
-    RedSync,
-    SIDCo,
     TopK,
     build_compressor,
 )

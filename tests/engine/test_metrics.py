@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.engine import Engine
-from repro.engine.metrics import MetricsCollector, RoundRecord
+from repro.engine.metrics import MetricsCollector, RecordLog, RoundRecord
 from repro.experiment import ExperimentSpec
 
 
@@ -179,16 +179,36 @@ def test_gossip_still_fills_per_edge(fresh_port):
     _assert_own_dicts([rec for rec in history if rec.bytes_sent], "per_edge")
 
 
-# ------------------------------------------------- what a round leaves behind
-def test_rounds_history_retains_at_most_2600_bytes_per_round(fresh_port):
-    """``metrics.history`` is never trimmed, so what one round adds to it is
-    what a long run pays per round for ever: nine nodes' stats as dicts of
-    boxed floats came to 3.5 KB by this measure (freed when the records go);
-    packed behind ``NodeStats`` it is 2.2 KB."""
+# ------------------------------------------------- what a record leaves behind
+def _retained_per_record(eng, run, records):
+    """Bytes the history keeps per record for ``run()``'s ``records``
+    records: what tracemalloc sees freed when that history is dropped (the
+    engine is warmed up first, so nothing built lazily is counted)."""
     import gc
     import tracemalloc
 
-    rounds = 200
+    eng.metrics.history = RecordLog()
+    tracemalloc.start()
+    try:
+        run()
+        assert len(eng.metrics.history) == records
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        eng.metrics.history = RecordLog()
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return freed / records
+
+
+def test_rounds_history_retains_at_most_2200_bytes_per_round(fresh_port):
+    """``metrics.history`` is never trimmed, so what one round adds to it is
+    what a long run pays per round for ever: nine nodes' stats as dicts of
+    boxed floats came to 3.5 KB by this measure; packed behind ``NodeStats``
+    it was 2.2 KB, and with the record's own fields packed into a row of the
+    log it is 2.0 KB."""
+    rounds = 100
     outer = {"backend": "grpc", "master_port": fresh_port + 1000, "transport": "inproc"}
     inner = {"backend": "torchdist", "master_port": fresh_port}
     eng = Engine.from_spec(ExperimentSpec(
@@ -199,21 +219,31 @@ def test_rounds_history_retains_at_most_2600_bytes_per_round(fresh_port):
     ))
     try:
         eng.run(rounds=2)  # whatever is built lazily is built before measuring
-        history = eng.metrics.history
-        tracemalloc.start()
-        try:
-            eng.run(rounds=rounds)
-            assert len(history) == rounds + 2 and len(history[-1].per_node) == 9
-            gc.collect()
-            held = tracemalloc.get_traced_memory()[0]
-            del history[-rounds:]
-            gc.collect()
-            freed = held - tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        per_round = _retained_per_record(eng, lambda: eng.run(rounds=rounds), rounds)
+        assert len(eng.metrics.history) == 0
     finally:
         eng.shutdown()
-    assert 0 < freed / rounds <= 2600
+    assert 0 < per_round <= 2200
+
+
+def test_fedasync_history_retains_at_most_100_bytes_per_record():
+    """A pooled fedasync run keeps one record per applied update: a packed
+    row of the log, not a record object with boxed numbers (those came to
+    386 B of RSS per record)."""
+    clients, updates = 32, 1500
+    eng = Engine.from_spec(ExperimentSpec(
+        topology="centralized", num_clients=clients, pool_size=2, seed=0,
+        data={**_DATA, "kwargs": {"train_size": 4 * clients, "test_size": 16, "seed": 0},
+              "batch_size": 4},
+        train={**_TRAIN, "algorithm": "fedavg"},
+        scheduler={"name": "fedasync", "concurrency": 4},
+    ))
+    try:
+        eng.run_async(total_updates=64)
+        per_record = _retained_per_record(eng, lambda: eng.run_async(total_updates=updates), updates)
+    finally:
+        eng.shutdown()
+    assert 0 < per_record <= 100
 
 
 def test_rounds_loop_per_node_stats_still_read_like_dicts(fresh_port):

@@ -122,7 +122,6 @@ def test_broadcast_grads(rng):
         lambda x: x.exp(),
         lambda x: (x * x + 1.0).log(),
         lambda x: (x * x + 0.5).sqrt(),
-        lambda x: x.tanh(),
         lambda x: x.abs(),
         lambda x: x**3,
         lambda x: -x,

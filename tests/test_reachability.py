@@ -1,8 +1,8 @@
 """The map: what a spec can reach, and nothing else.
 
-Three rules over the stdlib ``ast`` of ``src/`` (no ``repro`` module is
-imported, so the audit sees the files as committed and runs in well under
-two seconds):
+Four rules over the stdlib ``ast`` of ``src/`` (the fourth over every
+``.py`` file of the repo; no ``repro`` module is imported, so the audit sees
+the files as committed and runs in about three seconds):
 
 * **modules** — every module is reachable from :data:`ROOTS` along import
   edges, or sits in :data:`ALLOWED` beside the paper artefact it exists for;
@@ -11,7 +11,10 @@ two seconds):
   users are dead names is dead);
 * **dependencies** — every third-party import of ``src/`` is declared in
   ``setup.py``'s ``install_requires``, and every declared requirement is
-  imported.
+  imported;
+* **imports** — every module-level import binds a name its file uses (what
+  ``ruff check``'s F401 asks of the same files, with the same exemption for
+  the registry ``__init__`` modules of ``src/repro``).
 
 Each rule is a function of a source root, so the second half of this file
 plants one defect per case in a small synthetic package and checks that the
@@ -420,6 +423,80 @@ def dependency_problems(src_root: Path, requirements: Iterable[str]) -> List[str
 
 
 # ----------------------------------------------------------------------
+# rule 4: imports
+# ----------------------------------------------------------------------
+def _module_level_imports(body: List[ast.stmt]) -> Iterator[ast.stmt]:
+    """The ``import``/``from`` statements of a module body, also inside its
+    top-level ``if``/``try``/``with`` blocks (not inside a def or class)."""
+    for stmt in body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            yield stmt
+        elif not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for _, value in ast.iter_fields(stmt):
+                for item in value if isinstance(value, list) else ():
+                    if isinstance(item, ast.stmt):
+                        yield from _module_level_imports([item])
+                    elif isinstance(item, (ast.excepthandler, ast.match_case)):
+                        yield from _module_level_imports(item.body)
+
+
+def _used_names(tree: ast.Module) -> Set[str]:
+    """Names the module loads anywhere, names inside string annotations
+    (``"Future[Any]"``) included, and the strings of its ``__all__``."""
+    used: Set[str] = set()
+    annotations: List[ast.AST] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    parsed = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                used.update(sub.id for sub in ast.walk(parsed) if isinstance(sub, ast.Name))
+    for stmt in tree.body:
+        if _assigns(stmt, "__all__") or (isinstance(stmt, ast.AugAssign)
+                                         and getattr(stmt.target, "id", None) == "__all__"):
+            used.update(node.value for node in ast.walk(stmt.value)
+                        if isinstance(node, ast.Constant) and isinstance(node.value, str))
+    return used
+
+
+def unused_imports(root: Path, exempt_package: str) -> List[str]:
+    """Module-level imports no part of their file uses, in every ``.py``
+    file under ``root`` (hidden and build directories skipped).  The
+    ``__init__`` modules of ``root/src/<exempt_package>`` re-export what
+    they import, so they are exempt; ``from __future__`` imports are not
+    names."""
+    exempt = root / "src" / exempt_package
+    problems = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root)
+        if any(part.startswith(".") or part in ("build", "dist") for part in rel.parts):
+            continue
+        if path.name == "__init__.py" and exempt in path.parents:
+            continue
+        tree = _parse(path)
+        used = _used_names(tree)
+        for stmt in _module_level_imports(tree.body):
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            for alias in stmt.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "*" and name not in used:
+                    problems.append(f"{rel.as_posix()}:{stmt.lineno}: unused import {name}")
+    return problems
+
+
+# ----------------------------------------------------------------------
 # the repo's own tree
 # ----------------------------------------------------------------------
 def test_every_module_is_reachable_or_allowed():
@@ -437,6 +514,11 @@ def test_install_requires_is_exactly_what_src_imports():
     problems = dependency_problems(SRC, requirements)
     assert not problems, "\n".join(problems)
     assert requirements == ["numpy>=1.23"]
+
+
+def test_every_module_level_import_is_used():
+    problems = unused_imports(REPO, "repro")
+    assert not problems, "\n".join(problems)
 
 
 # ----------------------------------------------------------------------
@@ -492,6 +574,7 @@ class Synthetic:
             path.write_text(text)
         bench = tmp_path / "bench.py"
         bench.write_text("from pkg.artefact import figure\n\nfigure()\n")
+        self.root = tmp_path
         self.user_files = [bench]
         self.roots = ["pkg.main"]
         self.allowed = {"pkg.artefact": "Fig. 9"}
@@ -502,6 +585,7 @@ class Synthetic:
             module_problems(self.src, self.roots, self.allowed)
             + dead_names(self.src, self.roots, self.allowed, self.user_files)
             + dependency_problems(self.src, self.requirements)
+            + unused_imports(self.root, "pkg")
         )
 
 
@@ -549,7 +633,7 @@ def test_synthetic_undeclared_third_party_import(tmp_path):
     side = (
         "from typing import TYPE_CHECKING\n\n"
         "if TYPE_CHECKING:\n    import networkx as nx\n\n\n"
-        "class Side:\n    pass\n"
+        "class Side:\n    graph: \"nx.Graph\"\n"
     )
     assert Synthetic(tmp_path, {"pkg/side.py": side}).problems() == [
         "undeclared third-party import networkx (in pkg.side)"
@@ -610,3 +694,34 @@ def test_synthetic_readme_python_block_is_a_user(tmp_path):
     assert tree.problems() == ["pkg.helpers.documented"]
     tree.user_files.append(readme)
     assert tree.problems() == []
+
+
+@pytest.mark.parametrize("path, text, expected", [
+    pytest.param("src/pkg/side.py", "import os\n\n\nclass Side:\n    pass\n",
+                 ["src/pkg/side.py:1: unused import os"], id="unused-in-src"),
+    pytest.param("tests/test_side.py", "import json\nfrom pkg.side import Side\n\nassert Side()\n",
+                 ["tests/test_side.py:1: unused import json"], id="unused-outside-src"),
+    pytest.param("src/pkg/side.py",
+                 "from typing import TYPE_CHECKING\n\nif TYPE_CHECKING:\n    import io\n    import re\n\n\n"
+                 "class Side:\n    stream: \"io.TextIOBase\"\n\n    def read(self) -> 'Optional[re.Match]':\n"
+                 "        return None\n",
+                 [], id="string-annotations-are-uses"),
+    pytest.param("src/pkg/side.py",
+                 "from os import path\nfrom os import sep as SEP\n__all__ = ['Side', 'path']\n"
+                 "__all__ += ['SEP']\n\n\nclass Side:\n    pass\n",
+                 [], id="__all__-names-are-uses"),
+    pytest.param("src/pkg/side.py",
+                 "import os.path\n\ntry:\n    import json\nexcept ImportError:\n    pass\n\n\n"
+                 "class Side:\n    sep = os.sep\n",
+                 ["src/pkg/side.py:4: unused import json"], id="dotted-and-guarded"),
+    pytest.param("src/pkg/sub/__init__.py", "from pkg.side import Side\n", [],
+                 id="package-init-re-exports"),
+])
+def test_synthetic_unused_import(tmp_path, path, text, expected):
+    tree = Synthetic(tmp_path, {} if path.startswith("tests/") else {path.removeprefix("src/"): text})
+    if path.startswith("tests/"):
+        (tmp_path / path).parent.mkdir(parents=True)
+        (tmp_path / path).write_text(text)
+    if path.endswith("__init__.py"):  # reach the new package so only the import rule speaks
+        tree.allowed["pkg.sub"] = "an artefact"
+    assert tree.problems() == expected
