@@ -1,28 +1,32 @@
 #!/usr/bin/env python3
-"""Live cluster runtime: one engine, N real worker processes, one kill.
+"""``tcp://`` runtime: one engine, N real worker processes, one kill.
 
-The same :class:`ExperimentSpec` that runs simulated switches to real
-processes by naming a ``tcp://`` broker.  This script plays both roles on
-localhost:
+The same :class:`ExperimentSpec` that runs in-process switches to real
+processes by naming a ``tcp://`` broker: the engine then hosts the turn
+queue's server itself, and workers dial it.  This script plays both roles
+on localhost:
 
-1. builds a live spec (``broker: tcp://127.0.0.1:0?min_nodes=N&…``);
-2. starts the run — the broker binds when the engine is built and the run
-   waits for the joining quorum;
+1. builds the spec (``broker: tcp://127.0.0.1:0?hb=…&lease=…``);
+2. starts the run — the broker binds its server when the engine is built,
+   and queued turns wait for the first worker;
 3. spawns ``--nodes`` ``python -m repro worker tcp://...`` subprocesses that
-   join, rebuild the trainer from the published spec, and serve turns;
-4. optionally SIGKILLs one worker mid-run (``--kill``) to demonstrate
-   lease eviction: the dead member falls silent for longer than the lease
-   and is evicted, its clients
-   orphan out of the selection set, and the run still completes.
+   rebuild the trainer from the published spec and pull turns;
+4. optionally SIGKILLs the worker holding a turn (``--kill``) to show a
+   requeue: the dead worker's lease goes unrenewed for longer than the
+   lease, its turns go back on the queue and a survivor reruns them from
+   the client's stored state — so the run still matches a ``memory://``
+   run of the same spec record for record.
 
 Run:  python examples/live_cluster.py [--nodes 3] [--updates 24] [--kill]
 
 In a real deployment you skip step 3: start the engine with
-``python -m repro broker='tcp://0.0.0.0:7070?min_nodes=3' scheduler=fedasync``
-on one machine and ``python -m repro worker tcp://host:7070`` on the others.
+``python -m repro broker='tcp://0.0.0.0:7070' scheduler=fedasync`` on one
+machine and ``python -m repro worker tcp://host:7070`` on the others.
 """
 
 import argparse
+import dataclasses
+import json
 import os
 import signal
 import subprocess
@@ -31,14 +35,15 @@ import threading
 import time
 
 from repro.experiment import Experiment, ExperimentSpec
+from repro.runtime.resp import RespClient
 
 
 def make_spec(nodes: int, updates: int) -> ExperimentSpec:
     return ExperimentSpec(
         topology="centralized",
         num_clients=2 * nodes,
-        # ephemeral port (printed below); a member silent for 1.5 s is evicted
-        broker=f"tcp://127.0.0.1:0?min_nodes={nodes}&hb=0.2&lease=1.5",
+        # ephemeral port (printed below); a turn unrenewed for 1.5 s is requeued
+        broker="tcp://127.0.0.1:0?hb=0.2&lease=1.5",
         data={"dataset": "blobs",
               "kwargs": {"train_size": 512, "test_size": 128},
               "batch_size": 32},
@@ -58,15 +63,26 @@ def spawn_worker(url: str) -> subprocess.Popen:
                             env=env, cwd=root)
 
 
+def leaseholder(conn: RespClient, broker, pids) -> int:
+    """Wait for one of ``pids`` to hold a turn's lease; returns its pid."""
+    while True:
+        for raw in conn.hgetall(broker.cfg.key("leases")).values():
+            pid = int(json.loads(raw)["worker"].rpartition("-")[2])
+            if pid in pids:
+                return pid
+        time.sleep(0.01)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--nodes", type=int, default=3)
     parser.add_argument("--updates", type=int, default=24)
     parser.add_argument("--kill", action="store_true",
-                        help="SIGKILL one worker mid-run to show eviction")
+                        help="SIGKILL one worker mid-turn to show a requeue")
     args = parser.parse_args()
 
-    experiment = Experiment(make_spec(args.nodes, args.updates))
+    spec = make_spec(args.nodes, args.updates)
+    experiment = Experiment(spec)
     outcome = {}
 
     def run():
@@ -76,18 +92,17 @@ def main() -> int:
     runner.start()
     while experiment.engine is None or experiment.engine.pool is None:
         time.sleep(0.05)
-    cluster = experiment.engine.pool.broker
-    print(f"engine: {cluster.url}  (join with `python -m repro worker {cluster.url}`)")
+    broker = experiment.engine.pool.broker
+    print(f"engine: {broker.url}  (join with `python -m repro worker {broker.url}`)")
 
-    procs = [spawn_worker(cluster.url) for _ in range(args.nodes)]
+    procs = [spawn_worker(broker.url) for _ in range(args.nodes)]
     if args.kill:
-        while cluster.membership.counts()["alive"] < args.nodes:
-            time.sleep(0.05)
         while len(experiment.engine.metrics.history) < 3:
             time.sleep(0.05)
-        victim = procs[0]
-        print(f"\n*** SIGKILL worker pid={victim.pid} mid-run ***\n")
-        os.kill(victim.pid, signal.SIGKILL)
+        with RespClient(broker.cfg.host, broker.cfg.port) as conn:
+            victim = leaseholder(conn, broker, {p.pid for p in procs})
+        print(f"\n*** SIGKILL worker pid={victim} mid-turn ***\n")
+        os.kill(victim, signal.SIGKILL)
 
     runner.join()
     result = outcome["result"]
@@ -97,15 +112,16 @@ def main() -> int:
 
     print(result.table())
     print("summary:", result.summary())
-    print("\nmembership at shutdown:")
-    for row in cluster.membership.describe():
-        print(f"  {row['node_id']:24s} {row['state']:8s} "
-              f"beats={row['heartbeats']:4d} clients={row['clients']}")
-    counts = cluster.membership.counts()
+    requeues = broker.describe()["requeues"]
+    print(f"\nturns requeued after a lost lease: {requeues}")
+    memory = Experiment(dataclasses.replace(spec, broker="memory://", pool_size=2)).run()
+    same = [r.train_loss for r in result.history] == [r.train_loss for r in memory.history]
+    print(f"records equal a memory:// run of the same spec: {same}")
+    assert same and len(result.history) == args.updates
     if args.kill:
-        assert counts["evicted"] == 1, counts
-        print("\nthe killed worker was evicted; its clients orphaned out of "
-              "selection and the run completed on the survivors")
+        assert requeues >= 1, requeues
+        print("the killed worker's turns were rerun by a survivor from the "
+              "clients' stored state")
     return 0
 
 

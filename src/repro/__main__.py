@@ -17,8 +17,8 @@ Usage::
     python -m repro run my_spec.yaml                   # run a saved spec file
     python -m repro broker=redis://localhost:6379/0    # broker-backed pool
     python -m repro worker 'redis://host:6379/0?run=<ns>'  # turn-pulling worker
-    python -m repro broker='tcp://0.0.0.0:7070?min_nodes=3' scheduler=fedasync
-    python -m repro worker tcp://hostA:7070            # live cluster member
+    python -m repro broker=tcp://0.0.0.0:7070 scheduler=fedasync  # engine-hosted queue
+    python -m repro worker tcp://hostA:7070            # a worker dialling it
     python -m repro run my_spec.yaml --save runs/exp1  # archive the RunResult
     python -m repro --config-dir my_confs --config-name exp  algorithm=moon
     python -m repro --list                             # show config groups
@@ -94,8 +94,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.overrides and args.overrides[0] == "worker":
         # worker mode: `python -m repro worker <broker-url>` — serve client
-        # turns for a running engine (redis queue or tcp cluster member,
-        # by URL scheme) until it says stop.  Dispatched before anything
+        # turns for a running engine (a redis server's queue, or the one a
+        # tcp:// engine hosts) until it says stop.  Dispatched before anything
         # below is imported: a worker loads only the turn loop.
         if len(args.overrides) != 2:
             parser.error("usage: python -m repro worker <broker-url>")

@@ -18,7 +18,6 @@ from __future__ import annotations
 import socket
 import struct
 import threading
-import time
 from typing import Callable, Dict, Optional, Tuple
 
 __all__ = [
@@ -237,42 +236,23 @@ class TcpServerTransport(ServerTransport):
 class TcpChannel(ClientChannel):
     """Persistent client connection with one in-flight request at a time.
 
-    ``connect_retries`` bounds how many *additional* connection attempts are
-    made after the first refusal/timeout, with exponential backoff starting
-    at ``connect_backoff`` seconds (capped at 2s per wait); exhaustion
-    raises :class:`TransportError` naming the endpoint.  The default of 0
-    retries preserves the historical fail-fast behavior; cluster workers dial
-    with a generous budget so they can start before their coordinator.
+    A refused or timed-out connect raises :class:`TransportError` naming
+    the endpoint at once.
     """
 
     def __init__(self, host: str, port: int, connect_timeout: float = 5.0,
-                 connect_retries: int = 0, connect_backoff: float = 0.1,
                  call_timeout: float = 120.0,
                  max_frame: int = MAX_FRAME_BYTES) -> None:
         self.host = host
         self.port = port
         self.max_frame = int(max_frame)
         self._lock = threading.Lock()
-        self._sock = self._connect(
-            connect_timeout, int(connect_retries), float(connect_backoff)
-        )
+        try:
+            self._sock = socket.create_connection((host, port), timeout=connect_timeout)
+        except OSError as exc:
+            raise TransportError(f"could not connect to {host}:{port}: {exc}") from exc
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock.settimeout(call_timeout)
-
-    def _connect(self, timeout: float, retries: int, backoff: float) -> socket.socket:
-        attempts = max(1, retries + 1)
-        last: Optional[Exception] = None
-        for attempt in range(attempts):
-            try:
-                return socket.create_connection((self.host, self.port), timeout=timeout)
-            except OSError as exc:
-                last = exc
-                if attempt + 1 < attempts:
-                    time.sleep(min(backoff * (2 ** attempt), 2.0))
-        raise TransportError(
-            f"could not connect to {self.host}:{self.port} after "
-            f"{attempts} attempt(s): {last}"
-        ) from last
 
     def call(self, frame: bytes) -> bytes:
         with self._lock:
@@ -303,7 +283,7 @@ def make_server_transport(kind: str, address: str) -> ServerTransport:
 
 def make_channel(kind: str, address: str, **options) -> ClientChannel:
     """Create a client channel; ``options`` reach the TCP constructor
-    (``connect_timeout``, ``connect_retries``, ``connect_backoff``, ...)."""
+    (``connect_timeout``, ``call_timeout``, ``max_frame``)."""
     if kind == "inproc":
         return InProcChannel(address)
     if kind == "tcp":

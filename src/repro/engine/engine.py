@@ -133,8 +133,8 @@ class Engine:
                 self.actors.append(ActorHandle(self.nodes[-1], name=nspec.name))
             if broker_class(broker_url).distributed:
                 # worker processes rebuild their own trainer nodes from the
-                # spec the broker publishes (a live broker also binds its
-                # listen address here, so workers may dial before run()); a
+                # spec the broker publishes (a tcp:// broker also binds its
+                # server here, so workers may dial before run()); a
                 # probe trainer built as theirs answers for them: evaluation
                 # convention and fused runner (what fuses is known at submit)
                 probe = make_node(NodeSpec(name="fusion_probe", index=1_000_000,
@@ -257,7 +257,6 @@ class Engine:
         futures = [actor.submit("setup_local") for actor in self.actors]
         wait_all(futures, timeout=60)
         if self.pool is not None:
-            # a live broker blocks here until its joining quorum is reached
             self.pool.start()
         self._fire_setup_callbacks()
 

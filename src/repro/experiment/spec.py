@@ -269,8 +269,8 @@ class AttackSpec:
 
     ``fraction`` of the logical clients (at least one when > 0) run the
     ``kind`` behavior; assignment is a pure function of ``(seed, fraction,
-    num_clients)`` (``seed`` defaults to the run seed) so broker workers and
-    live members derive the identical attacker set from the published spec.
+    num_clients)`` (``seed`` defaults to the run seed) so broker workers
+    derive the identical attacker set from the published spec.
     ``scale`` drives the update attacks (``sign_flip``/``scaled_update``);
     the ``target_label``/``trigger_*``/``poison_frac`` knobs drive
     ``backdoor``.  ``fraction: 0`` is byte-identical to no attack block.
@@ -376,9 +376,9 @@ class ExperimentSpec:
     pool_size: Optional[int] = None
     #: turn-queue broker URL for pooled execution: ``memory://`` (default)
     #: runs turns on the caller's thread, ``redis://host:port/db``
-    #: dispatches them to worker processes, ``tcp://host:port?min_nodes=N``
-    #: listens for live workers that join as cluster members (either kind
-    #: is a ``repro worker <url>`` process); see :mod:`repro.runtime.broker`
+    #: dispatches them to worker processes, ``tcp://host:port`` serves the
+    #: same queue from this engine for workers to dial (either kind is a
+    #: ``repro worker <url>`` process); see :mod:`repro.runtime.broker`
     #: for the scheme registry
     broker: str = "memory://"
     #: byzantine client roles (:class:`AttackSpec`): null runs an honest
@@ -428,23 +428,6 @@ class ExperimentSpec:
             broker.check_url(self.broker)
         except ValueError as exc:
             raise SpecError(str(exc)) from exc
-        if broker.live:
-            self._check_live_rules()
-
-    def _check_live_rules(self) -> None:
-        """What a live broker (real worker processes under wall-clock time)
-        rules out."""
-        if self.faults.drop_prob > 0 or self.faults.straggler_prob > 0:
-            raise SpecError(
-                "a live broker replaces the scripted fault model with real "
-                "membership: set faults.drop_prob and "
-                "faults.straggler_prob to 0 (kill worker processes instead)"
-            )
-        if self.pool_size is not None:
-            raise SpecError(
-                "a live broker serves clients from the workers that join it, "
-                "not a sized pool; leave pool_size null"
-            )
 
     # -- dispatch ----------------------------------------------------------
     def pooled(self, trainer_count: Optional[int] = None) -> bool:
@@ -761,9 +744,9 @@ def resolve_scheduler(sched: Any) -> Any:
 def resolve_attack_plan(spec: ExperimentSpec, num_clients: int, num_classes: int) -> Any:
     """The executable attack plan for this spec, or ``None`` (honest run).
 
-    Pure in ``(spec, num_clients, num_classes)``: the engine, broker
-    workers, and live cluster members all call this against the same published
-    spec and derive the identical attacker set.
+    Pure in ``(spec, num_clients, num_classes)``: the engine and every broker
+    worker call this against the same published spec and derive the
+    identical attacker set.
     """
     if spec.attack is None:
         return None

@@ -6,7 +6,7 @@ Three pieces, matching the three seams the rest of the stack exposes:
                  scaled update, backdoor trigger) applied at the
                  client-update seam inside :class:`repro.node.node.Node`,
                  so they ride every execution mode unchanged — dedicated,
-                 pooled, redis workers, live cluster members;
+                 pooled, remote workers (``redis://``, ``tcp://``);
 ``aggregators``  server/peer-side robust combination rules (coordinate-wise
                  median, trimmed mean, Krum / multi-Krum, norm clipping)
                  plugged next to the staleness-aware aggregation in every

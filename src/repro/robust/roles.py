@@ -1,6 +1,6 @@
 """Attacker role assignment: a pure function of ``(seed, fraction, n)``.
 
-Worker processes (redis or live cluster) rebuild their trainer nodes from the
+Worker processes (``redis://`` or ``tcp://``) rebuild their trainer nodes from the
 published spec YAML in a different process from the engine.  The attacker
 set therefore cannot live in engine memory — every process derives it
 independently from the spec, and they must all agree.  ``assign_attackers``

@@ -11,9 +11,9 @@ How logical clients reach execution substrates:
 * :func:`Broker` — scheme-registry factory over broker URLs:
   ``memory://`` runs turns on the caller's thread (the one pumping the
   pool), ``redis://`` on worker processes pulling from a redis queue,
-  ``tcp://`` on live worker processes that join this engine as cluster
-  members (:mod:`repro.runtime.broker`; :mod:`repro.runtime.redis` and
-  :mod:`repro.cluster.coordinator` are imported only when a URL names them);
+  ``tcp://`` on worker processes pulling from the same queue on a server
+  this engine hosts (:mod:`repro.runtime.broker`; :mod:`repro.runtime.redis`
+  is imported only when a URL names one of the two);
 * :class:`~repro.runtime.worker.Worker` — the one remote worker process,
   ``python -m repro worker <url>``, serving turns through the
   :class:`WorkerLink` the URL's scheme names.

@@ -5,7 +5,9 @@ execution: schedulers (and ``Engine.evaluate``) submit *turns* — one method
 call on one logical client — and consume the returned tickets, without
 knowing whether the client lives on a dedicated in-process node, on the
 pool's one in-process node (run on the caller's thread), or in a worker
-process on another machine behind a broker.
+process on another machine behind a broker.  Time is virtual on every
+substrate, so where a turn ran changes no record field but its wall-clock
+duration.
 
 The contract, which every implementation must honor:
 
@@ -27,18 +29,13 @@ The contract, which every implementation must honor:
     ``(mean_loss, mean_accuracy)`` over clients in sorted-id order.
     ``timeout`` bounds the wait per client result; the default waits
     indefinitely (remote substrates have no universally safe bound).
-``live`` / ``live_clients()``
-    ``live`` is ``True`` when turns run on live remote processes under
-    wall-clock time (a ``tcp://`` broker behind the pool); schedulers then
-    drop the simulated latency/fault model and select only from
-    ``live_clients()``, which is ``None`` on every simulated substrate.
 ``shutdown()``
     Release execution resources.  Pending (unstarted) turns fail with
     ``RuntimeError``; already-running turns complete.  Idempotent.
 
 Two implementations: :class:`DedicatedRuntime` here, and the pooled
 :class:`~repro.runtime.pool.ClientPool`, whose broker decides whether turns
-run on the caller's thread, redis workers or live cluster members.
+run on the caller's thread or on worker processes.
 """
 
 from __future__ import annotations
@@ -59,20 +56,9 @@ class ClientRuntime:
     #: True when clients share execution slots and state is swapped per turn
     pooled: bool = False
 
-    #: True when turns execute on live remote processes under wall-clock
-    #: time (schedulers then disable the simulated fault/latency model and
-    #: consult :meth:`live_clients` before selection)
-    live: bool = False
-
     def client_ids(self) -> List[int]:
         """Sorted logical client ids this runtime executes."""
         raise NotImplementedError
-
-    def live_clients(self) -> Optional[List[int]]:
-        """Sorted ids currently served by a live peer, or ``None`` when the
-        runtime has no liveness notion (every client is always available —
-        the simulated substrates)."""
-        return None
 
     def submit(self, client: int, method: str, *args, **kwargs):
         """Enqueue one turn; returns a ticket with ``result``/``exception``."""

@@ -6,19 +6,18 @@ FIFO, the admission window, demand semantics — and delegates *transport*
 are chosen by URL scheme through a registry, mirroring the WorQ/pymq
 ``Broker('memory://')`` pattern:
 
-===========  ===============================================================
-scheme       execution substrate
-===========  ===============================================================
-memory       one in-process worker node, turns run on the thread that pumps
-             the pool (default)
-redis        worker *processes* pulling turns from a redis list, with the
-             ``ClientStateStore`` sharded into a redis hash (see
-             :mod:`repro.runtime.redis`)
-tcp, inproc  *live* worker processes that join this engine over a socket (or
-             the in-process transport, in tests): clients are pinned to
-             members, state stays on the member, liveness is heartbeat
-             leases (see :mod:`repro.cluster.coordinator`)
-===========  ===============================================================
+======  ====================================================================
+scheme  execution substrate
+======  ====================================================================
+memory  one in-process worker node, turns run on the thread that pumps the
+        pool (default)
+redis   worker *processes* pulling turns from a redis list, with the
+        ``ClientStateStore`` sharded into a redis hash (see
+        :mod:`repro.runtime.redis`)
+tcp     the same redis turn loop, served by a MiniRedis the engine hosts at
+        the URL's address: workers dial the engine itself, no redis server
+        needed (see :class:`repro.runtime.redis.TcpBroker`)
+======  ====================================================================
 
 ``Broker(url)`` builds the right broker, raising :class:`ValueError` for
 unknown schemes with the registered schemes named.  Third parties register
@@ -59,7 +58,6 @@ __all__ = [
     "BrokerError",
     "BrokerTurnLost",
     "BrokerUnavailable",
-    "PeerLostError",
 ]
 
 #: decoded turn results a fusing ``memory://`` pool may hold unconsumed: its
@@ -72,12 +70,11 @@ RESULT_BUDGET_BYTES = 32 << 20
 MAX_INFLIGHT = 256
 
 #: scheme -> broker class, or the path of the module that registers it when
-#: first asked for (a ``memory://`` run never imports redis or the control
-#: plane, a worker only its own link); extend with :func:`register_broker`
+#: first asked for (a ``memory://`` run never imports the redis turn loop);
+#: extend with :func:`register_broker`
 BROKER_SCHEMES: Dict[str, Union[Type["TurnBroker"], str]] = {
     "redis": "repro.runtime.redis",
-    "tcp": "repro.cluster.coordinator",
-    "inproc": "repro.cluster.coordinator",
+    "tcp": "repro.runtime.redis",
 }
 
 
@@ -94,14 +91,6 @@ class BrokerTurnLost(BrokerError):
 
 class BrokerUnavailable(BrokerError, ConnectionError):
     """The broker backend cannot be reached."""
-
-
-class PeerLostError(BrokerError):
-    """A live cluster member serving this turn's client left or was evicted
-    when its lease ran out.  Unlike :class:`BrokerTurnLost` (a fatal loss
-    on a substrate that promised delivery), peer loss is an *expected* event
-    on a live broker: the scheduler maps it onto the dropped-dispatch path, so
-    the run continues on the surviving membership."""
 
 
 def register_broker(scheme: str) -> Callable[[Type["TurnBroker"]], Type["TurnBroker"]]:
@@ -170,11 +159,6 @@ class TurnBroker:
     scheme: str = "?"
     #: True when turns execute outside this process (workers are remote)
     distributed: bool = False
-    #: True when those workers are live members under wall-clock time:
-    #: schedulers then drop the simulated fault/latency model and consult
-    #: :meth:`live_clients` before selection, and specs may not script
-    #: faults or size a pool
-    live: bool = False
 
     #: where client snapshots live between turns (brokers may shard this
     #: behind the transport; the attribute always answers locally)
@@ -276,11 +260,6 @@ class TurnBroker:
         """Bytes of client state held behind this broker."""
         return self.store.nbytes()
 
-    def live_clients(self) -> Optional[List[int]]:
-        """Sorted clients a live worker currently serves; ``None`` when the
-        substrate has no liveness notion (every client always available)."""
-        return None
-
     def describe(self) -> Dict[str, Any]:
         return {"scheme": self.scheme, "url": self.url,
                 "distributed": self.distributed, "workers": self.pool_size}
@@ -338,7 +317,7 @@ class WorkerLink:
 
     def give_back(self, frames: List[bytes]) -> None:
         """Return unclaimed turn frames to the front of the queue."""
-        raise NotImplementedError(f"{type(self).__name__} serves one turn per item")
+        raise NotImplementedError
 
     def commit(self, outcomes: List[Tuple[int, int, Any, Callable[[int], bytes]]]) -> None:
         """Finish the claimed item: for each ``(turn_id, client, snapshot,

@@ -9,15 +9,14 @@ hand; its reply meta may carry the engine's ``stop`` flag or ``ok: false``
 (the engine no longer lists this worker).  Outcomes surface as events the
 turn loop polls, not as exceptions, because the loop runs on another thread.
 
-Engine side, one rule: a key — a redis worker, a redis turn lease, a
-``tcp://`` member — is dead once its liveness mark has gone unchanged for
-longer than its window on the engine's *monotonic* clock
+Engine side, one rule: a key — a worker's heartbeat, a turn's lease, on
+``redis://`` and ``tcp://`` alike — is dead once its liveness mark has gone
+unchanged for longer than its window on the engine's *monotonic* clock
 (:func:`silent`).  Marks are compared, never read as times: a worker's
 wall-clock stamp means nothing against the engine's clock across hosts or
 an NTP step, but "this value stopped changing a lease ago" does.
-:class:`Marks` turns values read back from a store into the instant each
-last changed; a member that reports straight to the engine is its own
-mark.  Callers pass ``now``, so one clock reading judges a whole sweep.
+:class:`Marks` turns values read back from the store into the instant each
+last changed.  Callers pass ``now``, so one clock reading judges a whole sweep.
 """
 
 from __future__ import annotations

@@ -1,15 +1,14 @@
-"""MiniRedis: an in-process RESP server for broker tests and benchmarks.
+"""MiniRedis: an in-process RESP server, the engine side of ``tcp://``.
 
-The container that runs this repo's test suite has neither a redis server
-nor a redis client library, yet the ``redis://`` broker's whole point is
-worker *processes* coordinating through a real network queue.  MiniRedis
-closes that gap: a tiny TCP server speaking RESP2 and implementing exactly
-the command subset the broker and workers use (strings, hashes, lists with
-blocking pops, MULTI/EXEC).  Worker subprocesses connect to it over
-loopback exactly as they would to a production redis — same wire protocol,
-same client (:mod:`repro.runtime.resp`) — so the multi-process turn loop
-is exercised for real, and CI can point the same tests at a genuine redis
-service container via ``REDIS_URL``.
+A ``tcp://host:port`` engine (:class:`~repro.runtime.redis.TcpBroker`)
+hosts one of these at its address, so workers reach the redis turn loop
+with no redis server installed: a tiny TCP server speaking RESP2 and
+implementing exactly the command subset the broker and workers use
+(strings, hashes, lists with blocking pops, MULTI/EXEC).  Workers connect
+to it exactly as they would to a production redis — same wire protocol,
+same client (:mod:`repro.runtime.resp`).  The ``redis://`` tests and the
+``redis_worker`` benchmark run against it too, and CI points the same
+tests at a genuine redis service container via ``REDIS_URL``.
 
 Fidelity notes (deliberate simplifications):
 
@@ -158,9 +157,9 @@ class MiniRedisServer(socketserver.ThreadingTCPServer):
 
 
 class MiniRedis:
-    """The datastore + server lifecycle.  ``start()`` binds an ephemeral
-    loopback port and returns the instance; ``url`` is ready for
-    ``Broker(...)`` or a worker subprocess."""
+    """The datastore + server lifecycle.  ``start()`` binds ``(host, port)``
+    (port 0: an ephemeral one, read back from :attr:`port`) and returns the
+    instance; ``url`` is ready for ``Broker(...)`` or a worker subprocess."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self._host = host

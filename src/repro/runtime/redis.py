@@ -76,6 +76,15 @@ URL parameters (``redis://host:port/db?workers=2&lease=30``):
 
 At most :data:`~repro.runtime.broker.MAX_INFLIGHT` turns are unresolved
 before a new batch is held back.
+
+``tcp://host:port`` is the same turn loop with the engine as its own
+server: :class:`TcpBroker` starts a :class:`~repro.runtime.miniredis.MiniRedis`
+on that address when the pool attaches it (a port of 0 resolves there), and
+``python -m repro worker tcp://host:port`` dials it through a
+:class:`RedisLink`.  The endpoint serves one run, so the URL takes every key
+above but ``run``; ``claim`` is how long a queued turn waits for the first
+worker to join.  A worker started before its engine keeps trying for
+:data:`ENGINE_WAIT_S`.
 """
 
 from __future__ import annotations
@@ -108,7 +117,14 @@ from repro.utils.logging import get_logger
 
 _LOG = get_logger("redis-broker")
 
-__all__ = ["RedisBroker", "RedisLink", "RedisUrl", "parse_redis_url", "RedisSnapshotStore"]
+__all__ = ["RedisBroker", "TcpBroker", "RedisLink", "RedisUrl", "parse_redis_url",
+           "RedisSnapshotStore"]
+
+#: seconds a ``tcp://`` worker keeps trying to reach an engine that has not
+#: bound its address or published its run yet
+ENGINE_WAIT_S = 30.0
+#: the namespace of the one run a ``tcp://`` endpoint serves
+_TCP_RUN = "tcp"
 
 
 @dataclass
@@ -152,6 +168,10 @@ _URL_PARAMS = {
 }
 
 
+#: the keys a ``tcp://`` URL takes: the endpoint serves one run
+_TCP_PARAMS = {k: v for k, v in _URL_PARAMS.items() if k != "run"}
+
+
 def parse_redis_url(url: str) -> RedisUrl:
     """The one parser for redis broker URLs (engine and worker side);
     ``ValueError`` on an unknown key or a bad value."""
@@ -175,6 +195,17 @@ def parse_redis_url(url: str) -> RedisUrl:
             "period requeues turns held by live workers)"
         )
     return out
+
+
+def _tcp_as_redis(url: str) -> str:
+    """The ``redis://`` URL a ``tcp://`` endpoint serves: its address and
+    keys, in the namespace of its one run (``ValueError`` on a bad key)."""
+    parsed = urlparse(url)
+    if parsed.scheme != "tcp":
+        raise ValueError(f"not a tcp URL: {url!r}")
+    url_fields(url, _TCP_PARAMS)
+    query = "&".join(filter(None, [parsed.query, f"run={_TCP_RUN}"]))
+    return f"redis://{parsed.netloc}/0?{query}"
 
 
 def _lease_holder(raw: Any) -> str:
@@ -319,7 +350,9 @@ class RedisBroker(TurnBroker):
             self.cfg.run = os.urandom(6).hex()
         self._conn = self._connect()
         self._conn.ping()
-        meta = {"num_clients": self._num_clients, "created": time.time()}
+        # workers beat at the engine's period, whatever their URL says
+        meta = {"num_clients": self._num_clients, "created": time.time(),
+                "hb": self.cfg.heartbeat}
         if self._spec is not None:
             try:
                 spec_yaml = self._spec.to_yaml()
@@ -349,12 +382,15 @@ class RedisBroker(TurnBroker):
         src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-        worker_url = self.cfg.with_run(self.cfg.run)
         for i in range(self.cfg.workers):
             self._procs.append(subprocess.Popen(
-                [sys.executable, "-m", "repro", "worker", worker_url],
+                [sys.executable, "-m", "repro", "worker", self.worker_url()],
                 env=env,
             ))
+
+    def worker_url(self) -> str:
+        """The URL a ``python -m repro worker`` process serves this run by."""
+        return self.cfg.with_run(self.cfg.run)
 
     # -- dispatch (under the pool lock) --------------------------------
     @property
@@ -506,11 +542,7 @@ class RedisBroker(TurnBroker):
                 raw_leases[int(tid_b)] = lease_b
             except (ValueError, TypeError):
                 continue
-        heartbeats = conn.hgetall(self.cfg.key("hb"))
-        live_after = max(3.0 * self.cfg.heartbeat, 1.0)
-        live = sum(not silent(self._hb_seen.see(worker, raw, mono), mono, live_after)
-                   for worker, raw in heartbeats.items())
-        self._hb_seen.retain(heartbeats)
+        live = self._live_workers(conn, mono)
         with self._entry_lock:
             # a worker holding a fused item holds one lease per turn in it
             busy = {_lease_holder(raw) for raw in raw_leases.values()}
@@ -532,7 +564,7 @@ class RedisBroker(TurnBroker):
                 self._fail_entry(turn_id, entry, (
                     f"no live workers: turn unclaimed for more than "
                     f"{self.cfg.claim:.1f}s and no worker heartbeat within "
-                    f"{live_after:.1f}s"
+                    f"{self._live_after:.1f}s"
                 ))
         # leases for turns we no longer track are stale leftovers
         for turn_id in raw_leases:
@@ -541,6 +573,19 @@ class RedisBroker(TurnBroker):
         # completed turns release their lease in the worker's MULTI: track
         # only the leases still held on turns still in flight
         self._lease_seen.retain(raw_leases.keys() & entries.keys())
+
+    @property
+    def _live_after(self) -> float:
+        """Seconds a worker's heartbeat may stay unchanged before it is dead."""
+        return max(3.0 * self.cfg.heartbeat, 1.0)
+
+    def _live_workers(self, conn: RespClient, mono: float) -> int:
+        """Workers whose heartbeat changed within :attr:`_live_after`."""
+        heartbeats = conn.hgetall(self.cfg.key("hb"))
+        live = sum(not silent(self._hb_seen.see(worker, raw, mono), mono, self._live_after)
+                   for worker, raw in heartbeats.items())
+        self._hb_seen.retain(heartbeats)
+        return live
 
     def _requeue_or_fail(self, conn: RespClient, turn_id: int,
                          entry: _Entry, reason: str) -> None:
@@ -610,13 +655,7 @@ class RedisBroker(TurnBroker):
         if self._collector is not None:
             self._collector.join(timeout=10)
             self._collector = None
-        for proc in self._procs:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=5)
-        self._procs = []
+        self._reap_workers(conn)
         self._fail_all(RuntimeError("redis broker shut down with turns in flight"))
         if conn is not None:
             try:
@@ -630,6 +669,17 @@ class RedisBroker(TurnBroker):
         if self._conn is not None:
             self._conn.close()
             self._conn = None
+
+    def _reap_workers(self, conn: Optional[RespClient]) -> None:
+        """Wait for the workers this broker spawned to exit (killing any
+        that outlive the grace period)."""
+        for proc in self._procs:
+            try:
+                proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait(timeout=5)
+        self._procs = []
 
     def describe(self) -> Dict[str, Any]:
         info = super().describe()
@@ -648,6 +698,56 @@ class RedisBroker(TurnBroker):
         return RedisLink(url, worker_id)
 
 
+@register_broker("tcp")
+class TcpBroker(RedisBroker):
+    """The redis turn loop against a MiniRedis this engine hosts at the
+    ``tcp://`` address, for workers to dial (see the module docstring)."""
+
+    def __init__(self, url: str, **kwargs: Any) -> None:
+        super().__init__(_tcp_as_redis(url), **kwargs)
+        self.url = url
+        self._server: Any = None
+
+    @classmethod
+    def check_url(cls, url: str) -> None:
+        parse_redis_url(_tcp_as_redis(url))
+
+    @classmethod
+    def worker_link(cls, url: str, worker_id: str) -> "RedisLink":
+        return RedisLink(_tcp_as_redis(url), worker_id, patience=ENGINE_WAIT_S)
+
+    def attach(self, pool: Any) -> None:
+        """Bind the server, so workers may dial before the run starts."""
+        super().attach(pool)
+        from repro.runtime.miniredis import MiniRedis  # only a tcp:// engine serves
+
+        self._server = MiniRedis(self.cfg.host, self.cfg.port).start()
+        self.cfg.port = self._server.port
+        self.url = f"tcp://{self.cfg.host}:{self.cfg.port}"
+        _LOG.info("tcp broker listening: join with `python -m repro worker %s`", self.url)
+
+    def worker_url(self) -> str:
+        return self.url
+
+    def _reap_workers(self, conn: Optional[RespClient]) -> None:
+        """Also give external workers, which heard the stop, the heartbeat
+        window to hang up before their server goes."""
+        super()._reap_workers(conn)
+        deadline = time.monotonic() + self._live_after
+        try:
+            while (conn is not None and time.monotonic() < deadline
+                   and self._live_workers(conn, time.monotonic())):
+                time.sleep(0.02)
+        except RespError:
+            pass
+
+    def shutdown(self) -> None:
+        super().shutdown()
+        if self._server is not None:
+            self._server.stop()
+            self._server = None
+
+
 class RedisLink(WorkerLink):
     """The worker's half of the turn loop drawn in the module docstring.
 
@@ -659,9 +759,11 @@ class RedisLink(WorkerLink):
     it done — so retries cannot double-advance client state.
     """
 
-    def __init__(self, url: str, worker_id: str) -> None:
+    def __init__(self, url: str, worker_id: str, patience: float = 0.0) -> None:
         super().__init__(url, worker_id)
         self.cfg = parse_redis_url(url)
+        #: seconds :meth:`open` keeps retrying an unreachable or unpublished run
+        self.patience = float(patience)
         if not self.cfg.run:
             raise ValueError(
                 "worker URL needs the broker's run namespace "
@@ -677,16 +779,30 @@ class RedisLink(WorkerLink):
                           password=self.cfg.password)
 
     def open(self):
-        self._conn = self._connect()
+        deadline = time.monotonic() + self.patience
+        while True:
+            conn = None
+            try:
+                conn = self._connect()
+                spec_yaml, meta_raw = conn.pipeline(
+                    [("GET", self.cfg.key("spec")), ("GET", self.cfg.key("meta"))])
+                if spec_yaml is None or meta_raw is None:
+                    raise RespError(
+                        f"no experiment published under namespace "
+                        f"{self.cfg.namespace()!r} — is the engine running?"
+                    )
+                break
+            except RespError:
+                if conn is not None:
+                    conn.close()
+                if time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.25)
+        self._conn = conn
         self._hb_conn = self._connect()
-        spec_yaml = self._conn.execute("GET", self.cfg.key("spec"))
-        meta_raw = self._conn.execute("GET", self.cfg.key("meta"))
-        if spec_yaml is None or meta_raw is None:
-            raise RespError(
-                f"no experiment published under namespace "
-                f"{self.cfg.namespace()!r} — is the engine running?"
-            )
-        return spec_yaml.decode("utf8"), json.loads(meta_raw).get("num_clients")
+        meta = json.loads(meta_raw)
+        self.beat_period = float(meta.get("hb", self.beat_period))
+        return spec_yaml.decode("utf8"), meta.get("num_clients")
 
     def _leases(self, turn_ids: List[int]) -> List[Any]:
         """``HSET`` field/value pairs leasing ``turn_ids`` to this worker."""

@@ -200,10 +200,6 @@ class RespClient:
     def ping(self) -> bool:
         return self.execute("PING") == b"PONG"
 
-    def brpop(self, key: Value, timeout: float) -> Optional[Tuple[bytes, bytes]]:
-        reply = self.execute("BRPOP", key, timeout, timeout=timeout + POP_SLACK)
-        return None if reply is None else (reply[0], reply[1])
-
     def multi(self, commands: List[Tuple[Value, ...]]) -> List[Any]:
         """Run ``commands`` atomically inside MULTI/EXEC, in one round trip.
 

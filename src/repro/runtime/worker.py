@@ -1,12 +1,12 @@
 """The ``repro worker`` process: serves client turns for a remote engine.
 
-Started as ``python -m repro worker <url>`` with the URL of any distributed
-broker — ``redis://host:port/0?run=<ns>`` (or auto-spawned by
-:class:`~repro.runtime.redis.RedisBroker` with ``?workers=N``) to pull turns
-from a redis queue, ``tcp://host:port`` to join a live engine as a cluster
-member.  The scheme picks the :class:`~repro.runtime.broker.WorkerLink`
-through the broker registry; everything else is one loop.  On startup the
-worker fetches the experiment spec the engine published, rebuilds an
+Started as ``python -m repro worker <url>`` with the URL of a distributed
+broker (or auto-spawned by it with ``?workers=N``):
+``redis://host:port/0?run=<ns>`` to pull turns from a redis server,
+``tcp://host:port`` to pull them from the server a ``tcp://`` engine hosts —
+the same :class:`~repro.runtime.redis.RedisLink` either way, picked through
+the broker registry; everything else is one loop.  On startup the worker
+fetches the experiment spec the engine published, rebuilds an
 identical trainer node from the same seeded factories the engine uses —
 which is what makes its turns bit-identical to in-process execution — and
 loops over queue items, each a batch of one or more turns::
@@ -15,15 +15,14 @@ loops over queue items, each a batch of one or more turns::
     fusable ones as one stacked pass, the rest one by one -> commit
     {snapshots, results}
 
-A configuration the engine cannot fuse only ever arrives one turn per item
-(the ``tcp://`` link always does).  Beside the loop runs the worker's one
-heartbeat thread (:class:`~repro.runtime.liveness.Heartbeater`), whatever
-the link: it calls the link's ``beat`` every period, and the loop ends
-cleanly once a beat hears the engine's stop flag, or as lost once beats fail
-or are rejected.  If the process dies mid-item the engine notices by the
-same rule on both links — a liveness mark unchanged for longer than its
-window — and requeues each of the item's turns (redis) or fails them as
-lost peers (tcp).
+A configuration the engine cannot fuse only ever arrives one turn per item.
+Beside the loop runs the worker's one heartbeat thread
+(:class:`~repro.runtime.liveness.Heartbeater`): it calls the link's
+``beat`` every period, and the loop ends cleanly once a beat hears the
+engine's stop flag, or as lost once beats fail or are rejected.  If the
+process dies mid-item the engine notices by the one liveness rule — a lease
+unchanged for longer than its window — and requeues each of the item's
+turns, which a survivor reruns from the client's stored snapshot.
 
 Exit codes of :func:`run_worker`: 0 after a stop request (the engine's stop
 flag, SIGTERM/SIGINT — the claimed item commits first — or the turn cap),

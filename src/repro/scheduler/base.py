@@ -30,7 +30,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from repro.runtime.broker import BrokerTurnLost, PeerLostError
+from repro.runtime.broker import BrokerTurnLost
 from repro.scheduler.events import EventQueue, PendingUpdate
 from repro.scheduler.heterogeneity import HeterogeneityModel
 from repro.scheduler.selection import SelectionStrategy, build_selector
@@ -154,11 +154,6 @@ class Scheduler:
         self.robust: Optional[Any] = None
         self._attacker_ids: frozenset = frozenset()
         self.attacked = 0
-        # live (wall-clock) execution: set at bind time from the runtime's
-        # ``live`` flag; arrival times then track real elapsed seconds and
-        # the scripted heterogeneity model is disabled
-        self._live = False
-        self._live_epoch = 0.0
         self._eval_updates = 0  # evaluate every N applied updates (0 = never)
         self._next_eval = 0
         # (version, global_state, payload): server_payload built once per
@@ -264,13 +259,6 @@ class Scheduler:
         self._client_pos = {c: i for i, c in enumerate(self.clients)}
         if len(self._client_pos) != len(self.clients):
             raise ValueError(f"scheduler {self.name!r} was bound to duplicate client ids")
-        self._live = bool(getattr(self.runtime, "live", False))
-        if self._live:
-            # wall-clock execution: real processes provide latency and
-            # failures, so the scripted model degenerates to "arrives now"
-            # (mean must stay > 0; a nanosecond never orders ahead of real
-            # elapsed time) and dropouts come only from membership
-            self.hetero = HeterogeneityModel(latency="constant", mean=1e-9, seed=seed)
         if server_idx is not None:
             self._server_idx = int(server_idx)
             if self._server_idx < 0 or self._server_idx >= len(engine.nodes):
@@ -396,15 +384,9 @@ class Scheduler:
 
     def idle_clients(self) -> Sequence[int]:
         """Clients with nothing in flight, in ``self.clients`` order."""
-        live = self.runtime.live_clients() if self.runtime is not None else None
-        if live is None:
-            # per-dispatch cost follows the window, not the cohort
-            pos = self._client_pos
-            return _IdleView(self.clients, sorted(pos[c] for c in self._in_flight if c in pos))
-        # live runtime: selection only sees clients a live member serves, so
-        # an evicted peer's clients stop being picked within one sweep
-        alive = set(live)
-        return [c for c in self.clients if c in alive and c not in self._in_flight]
+        # per-dispatch cost follows the window, not the cohort
+        pos = self._client_pos
+        return _IdleView(self.clients, sorted(pos[c] for c in self._in_flight if c in pos))
 
     def select_idle(self, k: int) -> List[int]:
         """Pick up to ``k`` idle clients via the selection strategy."""
@@ -473,16 +455,6 @@ class Scheduler:
             return {}
         try:
             result = event.result(_TRAIN_TIMEOUT)
-        except PeerLostError as exc:
-            # a live member serving this client left or was evicted: map the
-            # loss onto the dropped-dispatch path (every policy already
-            # skips dropped events) so the run continues on the survivors
-            _LOG.warning("dispatch for client %d lost: %s", event.client, exc)
-            event.dropped = True
-            self.dropped += 1
-            if self._live:
-                self.now = max(self.now, time.perf_counter() - self._live_epoch)
-            return {}
         except BrokerTurnLost as exc:
             # a broker-backed runtime lost the turn (dead worker, retries
             # exhausted): fail the run with the dispatch pinned, instead of
@@ -491,10 +463,6 @@ class Scheduler:
                 f"dispatch for client {event.client} (version "
                 f"{event.version}) failed at the broker: {exc}"
             ) from exc
-        if self._live:
-            # virtual arrival stamps only order events; the clock itself
-            # tracks real elapsed time once the result is actually here
-            self.now = max(self.now, time.perf_counter() - self._live_epoch)
         stats = result.get("stats", {})
         if "loss" in stats:
             self.last_loss[event.client] = float(stats["loss"])
@@ -616,10 +584,6 @@ class Scheduler:
             # so they skip the fleet-wide actor round-trip
             self.engine.setup_async()
         self._wall_anchor = time.perf_counter()
-        if self._live:
-            # anchor wall time so self.now continues monotonically across
-            # repeated run() calls on the same federation
-            self._live_epoch = time.perf_counter() - self.now
         if total_updates is None:
             total_updates = self.engine.global_rounds * len(self.clients)
         if total_updates < 1:

@@ -112,6 +112,7 @@ class Telemetry(Callback):
         # double-counts
         self._robust_ctrs: Optional[Dict[str, Any]] = None
         self._robust_seen: Dict[str, int] = {"attacked": 0, "clipped": 0, "rejected": 0}
+        self._requeues_seen = 0
 
     # ------------------------------------------------------------------
     # span -> registry bridge
@@ -172,11 +173,6 @@ class Telemetry(Callback):
             detail["pool_size"] = engine.pool.pool_size
             detail["num_clients"] = engine.pool.num_clients
             detail["broker"] = broker.scheme
-            if broker.live:
-                detail["cluster"] = broker.url
-                # membership/liveness gauges + join/leave/eviction counters
-                # become visible on /metrics as soon as the run registers
-                broker.membership.bind_registry(self.registry)
         self.run_info = self.runs.register(fingerprint=fingerprint, **detail)
         self.registry.gauge(
             "repro_run_active", "1 while this run is between setup and shutdown"
@@ -255,9 +251,13 @@ class Telemetry(Callback):
                     "repro_broker_fused_turns",
                     "Turns a remote worker trained in a fused batch of two or more",
                 ),
+                reg.counter(
+                    "repro_broker_requeues_total",
+                    "Turns requeued after the worker holding them lost its lease",
+                ),
             )
         (queue_g, inflight_g, turns_g, pending_g, free_g, occ_g, window_g,
-         turns_run_g, broker_depth_g, broker_bytes_g, fused_g) = self._runtime_gauges
+         turns_run_g, broker_depth_g, broker_bytes_g, fused_g, requeues_c) = self._runtime_gauges
         sched = engine.scheduler
         if sched is not None and getattr(sched, "engine", None) is engine:
             queue_g.set(len(getattr(sched, "queue", ())))
@@ -299,8 +299,13 @@ class Telemetry(Callback):
             turns_run_g.set(pool.turns_run)
             broker_depth_g.set(pool.broker.queue_depth())
             broker_bytes_g.set(pool.broker.snapshot_bytes())
-            sizes = pool.broker.describe().get("batch_sizes", {})
+            info = pool.broker.describe()
+            sizes = info.get("batch_sizes", {})
             fused_g.set(sum(n for k, n in sizes.items() if k > 1))
+            requeued = int(info.get("requeues", 0)) - self._requeues_seen
+            if requeued > 0:
+                requeues_c.inc(requeued)
+                self._requeues_seen += requeued
 
     def on_shutdown(self, engine: "Engine") -> None:
         self.registry.gauge(

@@ -1,10 +1,10 @@
 """TCP transport edge cases: framing, limits, failures, restarts.
 
-The live cluster runtime rides entirely on ``comm/transport.py``'s TCP
-seam, so the corner cases that only show up on real sockets — partial
-reads straddling frame boundaries, hostile length prefixes, a server
-dying under an in-flight call, rebinding a just-released port — get
-pinned here rather than discovered in production.
+The RPC communicator's ``tcp`` transport rides on this seam, so the corner
+cases that only show up on real sockets — partial reads straddling frame
+boundaries, hostile length prefixes, a server dying under an in-flight
+call, rebinding a just-released port — get pinned here rather than
+discovered in production.
 """
 
 import socket
@@ -188,64 +188,21 @@ def test_port_reuse_after_restart():
         second.stop()
 
 
-# ------------------------------------------------------------ connect retry
-def test_connect_refused_fails_fast_by_default():
+# ------------------------------------------------------------ connect
+def test_connect_refused_fails_fast_naming_the_endpoint():
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         free_port = probe.getsockname()[1]
     start = time.perf_counter()
-    with pytest.raises(TransportError, match="after 1 attempt"):
+    with pytest.raises(TransportError, match=f"could not connect to 127.0.0.1:{free_port}"):
         TcpChannel("127.0.0.1", free_port, connect_timeout=0.5)
     assert time.perf_counter() - start < 2.0
 
 
-def test_connect_retries_until_server_appears():
-    """A client dialed before its server exists wins once the server binds."""
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-    srv = TcpServerTransport("127.0.0.1", port)
-
-    def start_late():
-        time.sleep(0.4)
-        srv.start(echo_handler)
-
-    t = threading.Thread(target=start_late, daemon=True)
-    t.start()
+def test_make_channel_forwards_tcp_options(server):
+    chan = make_channel("tcp", f"127.0.0.1:{server.port}", connect_timeout=0.5, max_frame=8)
     try:
-        chan = TcpChannel(
-            "127.0.0.1", port,
-            connect_timeout=0.5, connect_retries=20, connect_backoff=0.05,
-        )
-        try:
-            assert chan.call(b"late") == b"echo:late"
-        finally:
-            chan.close()
+        with pytest.raises(TransportError, match="exceeds"):
+            chan.call(b"this reply will exceed eight bytes")
     finally:
-        t.join(timeout=5)
-        srv.stop()
-
-
-def test_connect_retries_exhausted_names_endpoint():
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        free_port = probe.getsockname()[1]
-    with pytest.raises(TransportError) as err:
-        TcpChannel(
-            "127.0.0.1", free_port,
-            connect_timeout=0.2, connect_retries=2, connect_backoff=0.01,
-        )
-    msg = str(err.value)
-    assert f"127.0.0.1:{free_port}" in msg
-    assert "3 attempt(s)" in msg
-
-
-def test_make_channel_forwards_tcp_options():
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        free_port = probe.getsockname()[1]
-    with pytest.raises(TransportError, match="2 attempt"):
-        make_channel(
-            "tcp", f"127.0.0.1:{free_port}",
-            connect_timeout=0.2, connect_retries=1, connect_backoff=0.01,
-        )
+        chan.close()

@@ -1,71 +1,52 @@
-"""Cluster URL validation, live-broker constraints, and YAML roundtrip.
+"""``tcp://`` broker URLs in a spec: validation, run mode and YAML roundtrip.
 
-The live control plane is configured by the broker URL alone
-(``broker: tcp://host:port?min_nodes=3&hb=0.5&lease=3``): the liveness
-parameters validate at spec construction with the bounds the old
-``cluster:`` block had, and the rules a live run imposes on the rest of the
-spec key on the broker class's ``live`` flag.
+A ``tcp://host:port`` broker is the redis turn loop served by the engine
+itself (:class:`~repro.runtime.redis.TcpBroker`), so its URL takes the redis
+keys — ``workers``, ``lease``, ``claim``, ``hb``, ``requeues`` — validated
+at spec construction by the same parser, and nothing else: not ``run`` (the
+endpoint serves one run), nor the keys of the removed cluster control plane.
 """
 
 import pytest
 
-from repro.cluster.protocol import ClusterUrl, parse_cluster_url
 from repro.conf import builtin_store
 from repro.config import compose
 from repro.experiment import ExperimentSpec, SpecError
 from repro.experiment.spec import FaultSpec
-from repro.runtime import broker_class
+from repro.runtime import Broker, broker_class
 
 LIVE = "tcp://127.0.0.1:0"
 
-#: ClusterUrl field -> its URL query key
-_QUERY_KEY = {"min_nodes": "min_nodes", "join_timeout": "join", "heartbeat": "hb",
-              "lease": "lease"}
-
-
-def cluster_url(transport="tcp", **fields):
-    query = "&".join(f"{_QUERY_KEY[k]}={v}" for k, v in fields.items())
-    return f"{transport}://127.0.0.1:0" + (f"?{query}" if query else "")
-
 
 # ------------------------------------------------------------ the URL
-def test_cluster_defaults():
-    cl = parse_cluster_url(LIVE)
-    assert cl.address == "127.0.0.1:0"
-    assert cl.kind == "tcp"
-    assert cl.min_nodes == 1
-    assert cl.lease > cl.heartbeat
+def test_tcp_url_takes_the_redis_keys():
+    spec = ExperimentSpec.from_dict(
+        {"broker": "tcp://10.0.0.1:7070?workers=2&lease=5&claim=3&hb=0.5&requeues=1"})
+    cfg = Broker(spec.broker, spec=spec, num_clients=2).cfg
+    assert (cfg.host, cfg.port, cfg.workers) == ("10.0.0.1", 7070, 2)
+    assert (cfg.lease, cfg.claim, cfg.heartbeat, cfg.max_requeues) == (5.0, 3.0, 0.5, 1)
 
 
-@pytest.mark.parametrize("kwargs,match", [
-    ({"transport": "carrier-pigeon"}, "transport"),
-    ({"min_nodes": 0}, "min_nodes"),
-    ({"join_timeout": 0}, "join_timeout"),
-    ({"heartbeat": 0}, "heartbeat"),
-    ({"heartbeat": 1.0, "lease": 0.5}, "lease"),
+@pytest.mark.parametrize("query,match", [
+    ("lease=0", "must be positive"),
+    ("claim=-1", "must be positive"),
+    ("hb=0", "must be positive"),
+    ("hb=1&lease=0.5", "lease must exceed hb"),
 ])
-def test_cluster_spec_validation(kwargs, match):
-    url = cluster_url(**kwargs)
-    with pytest.raises(ValueError, match=match):
-        parse_cluster_url(url)
-    if "transport" not in kwargs:
-        # ...and a spec naming that URL fails at construction, as a SpecError
-        # (an unknown transport is an unknown scheme: the registry's error)
-        with pytest.raises(SpecError, match=match):
-            ExperimentSpec(broker=url)
+def test_tcp_url_timing_is_validated_at_spec_construction(query, match):
+    with pytest.raises(SpecError, match=match):
+        ExperimentSpec(broker=f"{LIVE}?{query}")
 
 
-def test_failure_detector_keys_are_gone():
-    # one liveness rule: a member is dead once silent for longer than the
-    # lease, so the detector/phi knobs are unknown keys, not ignored ones
-    for key in ("detector=phi", "phi=8"):
-        with pytest.raises(ValueError, match=r"unknown parameters \['(detector|phi)'\]"):
-            parse_cluster_url(f"{LIVE}?{key}")
-        with pytest.raises(SpecError, match="unknown parameters"):
-            ExperimentSpec(broker=f"{LIVE}?{key}")
+@pytest.mark.parametrize("key", ["min_nodes=3", "join=60", "detector=phi", "phi=8", "run=ns"])
+def test_keys_beyond_the_redis_ones_are_unknown(key):
+    # the quorum, join timeout and failure-detector knobs went with the
+    # control plane, and one endpoint serves one run
+    with pytest.raises(SpecError, match=r"unknown parameters \['(min_nodes|join|detector|phi|run)'\]"):
+        ExperimentSpec(broker=f"{LIVE}?{key}")
 
 
-# ------------------------------------------------------------ live-broker rules
+# ------------------------------------------------------------ what a spec may combine
 def test_live_mode_requires_cluster():
     # mode is gone — a saved `mode: live` points at the broker that implies it
     with pytest.raises(SpecError, match="'mode' was removed.*tcp:// broker"):
@@ -74,14 +55,11 @@ def test_live_mode_requires_cluster():
         ExperimentSpec.from_dict({"cluster": {"min_nodes": 3}})
 
 
-def test_live_mode_forbids_scripted_faults():
-    with pytest.raises(SpecError, match="scripted fault model"):
-        ExperimentSpec(broker=LIVE, faults=FaultSpec(drop_prob=0.2))
-
-
-def test_live_mode_forbids_pool():
-    with pytest.raises(SpecError, match="pool_size"):
-        ExperimentSpec(broker=LIVE, pool_size=2)
+def test_tcp_takes_scripted_faults_and_a_sized_pool():
+    # virtual time on every substrate: a tcp:// run scripts faults and sizes
+    # its worker fleet exactly as a redis:// run does
+    spec = ExperimentSpec(broker=LIVE, faults=FaultSpec(drop_prob=0.2), pool_size=2)
+    assert spec.faults.drop_prob == 0.2 and spec.pool_size == 2
 
 
 def test_live_mode_forbids_batch_turns():
@@ -93,9 +71,6 @@ def test_live_mode_forbids_batch_turns():
             ExperimentSpec.from_dict({"broker": broker, "batch_turns": 4})
     with pytest.raises(SpecError, match="'batch_turns' was removed"):
         ExperimentSpec.from_yaml("batch_turns: 4\n")
-    from repro.conf import builtin_store
-    from repro.config import compose
-
     cfg = compose(builtin_store(), "experiment", overrides=["+batch_turns=4"])
     with pytest.raises(SpecError, match="config: 'batch_turns' was removed"):
         ExperimentSpec.from_config(cfg)
@@ -104,26 +79,14 @@ def test_live_mode_forbids_batch_turns():
 def test_cluster_under_rounds_mode_rejected():
     with pytest.raises(SpecError, match="'mode' was removed"):
         ExperimentSpec.from_dict({"mode": "rounds", "broker": LIVE})
-    # the simulated distributed broker is not bound by the live rules
-    assert ExperimentSpec(broker="redis://localhost:6379/0", pool_size=2).pool_size == 2
-
-
-def test_cluster_mapping_becomes_dataclass():
-    spec = ExperimentSpec.from_dict({"broker": "tcp://10.0.0.1:7070?min_nodes=3&lease=5.0"})
-    cl = parse_cluster_url(spec.broker)
-    assert isinstance(cl, ClusterUrl)
-    assert cl.min_nodes == 3
-    assert cl.lease == 5.0
 
 
 # ------------------------------------------------------------ mode resolution
 def test_auto_with_cluster_resolves_live():
-    # nothing selects it: a live broker runs the scheduler runtime, and
-    # "live" is a property of the broker class the URL names
+    # nothing selects it: a distributed broker runs the scheduler runtime
     spec = ExperimentSpec(broker=LIVE)
     assert spec.run_mode() == "async"
-    assert broker_class(spec.broker).live
-    assert not broker_class("redis://localhost:6379/0").live
+    assert broker_class(spec.broker).distributed
 
 
 def test_auto_without_cluster_unchanged():
@@ -133,7 +96,7 @@ def test_auto_without_cluster_unchanged():
 
 # ------------------------------------------------------------ serialization
 def test_cluster_yaml_roundtrip():
-    spec = ExperimentSpec(broker="tcp://0.0.0.0:7070?min_nodes=3&hb=0.25&lease=2")
+    spec = ExperimentSpec(broker="tcp://0.0.0.0:7070?workers=3&hb=0.25&lease=2")
     clone = ExperimentSpec.from_yaml(spec.to_yaml())
     assert clone.broker == spec.broker
     assert clone == spec
@@ -159,10 +122,9 @@ def test_cluster_changes_fingerprint():
 # ------------------------------------------------------------ config compose
 def test_compose_live_overrides():
     cfg = compose(builtin_store(), "experiment", overrides=[
-        "broker=tcp://127.0.0.1:7070?min_nodes=3", "scheduler=fedasync",
+        "broker=tcp://127.0.0.1:7070?workers=3", "scheduler=fedasync",
     ])
     spec = ExperimentSpec.from_config(cfg)
     assert spec.run_mode() == "async"
-    cl = parse_cluster_url(spec.broker)
-    assert cl.address == "127.0.0.1:7070"
-    assert cl.min_nodes == 3
+    cfg = Broker(spec.broker, spec=spec, num_clients=2).cfg
+    assert (cfg.host, cfg.port, cfg.workers) == ("127.0.0.1", 7070, 3)

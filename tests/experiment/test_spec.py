@@ -93,7 +93,6 @@ _RUN_MODE_TABLE = [
     ("scheduler instance", {"scheduler": build_scheduler("fedbuff")}, "async", False),
     ("redis broker", {"broker": "redis://localhost:6379/0"}, "async", False),
     ("tcp broker", {"broker": "tcp://127.0.0.1:0"}, "async", False),
-    ("inproc broker", {"broker": "inproc://derivation?min_nodes=1"}, "async", False),
     ("pool below the cohort", {"pool_size": 3}, "async", True),
     ("pool equal to the cohort", {"pool_size": 4}, "rounds", True),
     ("pool above the cohort", {"pool_size": 5}, "rounds", False),
@@ -134,7 +133,8 @@ def test_unknown_keys_rejected():
     ("redis://localhost:6379/0?lease=0", "must be positive"),
     ("redis://localhost:6379/0?lease=1&hb=1", "lease must exceed hb"),
     ("tcp://127.0.0.1:0?leese=5", r"unknown parameters \['leese'\]"),
-    ("inproc://spec-url-check?leese=5", r"unknown parameters \['leese'\]"),
+    ("tcp://127.0.0.1:0?min_nodes=2", r"unknown parameters \['min_nodes'\]"),
+    ("tcp://127.0.0.1:0?run=ns", r"unknown parameters \['run'\]"),
 ])
 def test_every_scheme_validates_its_url_at_construction(url, match):
     # a typo in a URL parameter fails where the spec is written, not when a
@@ -146,8 +146,7 @@ def test_every_scheme_validates_its_url_at_construction(url, match):
 def test_known_url_parameters_stay_valid():
     for url in ("memory://", "redis://127.0.0.1:6379/0?run=bench7x1&claim=60",
                 "redis://h:6379/1?workers=2&lease=30&hb=0.5&requeues=1",
-                "tcp://127.0.0.1:0?min_nodes=2&hb=0.5&lease=3",
-                "inproc://spec-url-check?min_nodes=1"):
+                "tcp://127.0.0.1:0?workers=2&hb=0.5&lease=3&claim=60&requeues=1"):
         assert ExperimentSpec(broker=url).broker == url
 
 

@@ -19,7 +19,7 @@ from repro.runtime import (
     register_broker,
 )
 from repro.runtime.broker import MAX_INFLIGHT
-from repro.runtime.redis import RedisLink, parse_redis_url
+from repro.runtime.redis import ENGINE_WAIT_S, RedisLink, TcpBroker, parse_redis_url
 
 
 def test_builtin_schemes_registered():
@@ -29,24 +29,23 @@ def test_builtin_schemes_registered():
     assert RedisBroker.scheme == "redis"
     assert not MemoryBroker.distributed
     assert RedisBroker.distributed
-    assert sorted(BROKER_SCHEMES) == ["inproc", "memory", "redis", "tcp"]
-    assert not MemoryBroker.live and not RedisBroker.live
+    assert sorted(BROKER_SCHEMES) == ["memory", "redis", "tcp"]
 
 
-@pytest.mark.parametrize("url", ["tcp://127.0.0.1:0?min_nodes=2", "inproc://registry-test"])
-def test_cluster_schemes_build_the_live_broker(url):
+def test_tcp_scheme_builds_the_redis_turn_loop():
     # registered by module path and imported on first use, so a memory://
-    # run never loads the control plane (pinned in a fresh interpreter below)
+    # run never loads the redis turn loop (pinned in a fresh interpreter below)
     from repro.experiment import ExperimentSpec
 
+    url = "tcp://127.0.0.1:0?hb=0.5&lease=3"
     cls = broker_class(url)
-    assert cls.__name__ == "ClusterCoordinator" and BROKER_SCHEMES["tcp"] is cls
-    assert cls.distributed and cls.live
+    assert cls is TcpBroker and BROKER_SCHEMES["tcp"] is cls
+    assert issubclass(cls, RedisBroker) and cls.distributed
     broker = Broker(url, spec=ExperimentSpec(), num_clients=2)
     assert isinstance(broker, cls)
-    assert broker.scheme == url.split(":")[0]
-    assert broker.live_clients() == []  # nobody joined
-    assert broker.describe()["scheme"] == broker.scheme
+    assert broker.scheme == "tcp" and broker.url == url  # no server until attached
+    assert (broker.cfg.heartbeat, broker.cfg.lease) == (0.5, 3.0)
+    assert broker.describe()["scheme"] == "tcp"
 
 
 def test_memory_run_does_not_import_the_control_plane():
@@ -60,9 +59,10 @@ def test_memory_run_does_not_import_the_control_plane():
     code = (
         "import sys; from repro.experiment import ExperimentSpec; "
         "from repro.runtime import broker_class; "
-        "ExperimentSpec(pool_size=2); broker_class('redis://h:1/0'); "
-        "assert not [m for m in sys.modules if m.startswith('repro.cluster')], 'eager'; "
-        "broker_class('tcp://h:1'); assert 'repro.cluster.coordinator' in sys.modules"
+        "ExperimentSpec(pool_size=2); "
+        "assert not {'repro.runtime.redis', 'repro.runtime.miniredis'} & set(sys.modules), 'eager'; "
+        "broker_class('tcp://h:1'); assert 'repro.runtime.redis' in sys.modules; "
+        "assert 'repro.runtime.miniredis' not in sys.modules, 'a tcp:// engine binds at attach'"
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
                    env={**os.environ, "PYTHONPATH": src})
@@ -71,8 +71,11 @@ def test_memory_run_does_not_import_the_control_plane():
 def test_worker_link_comes_from_the_same_registry():
     link = broker_class("redis://h:1/0").worker_link("redis://h:1/0?run=ns", "w1")
     assert isinstance(link, RedisLink) and link.worker_id == "w1"
-    link = broker_class("inproc://x").worker_link("inproc://x", "w2")
-    assert type(link).__name__ == "ClusterLink" and link.cfg.address == "x"
+    # a tcp:// worker speaks redis to the engine's own server, in the one
+    # run it serves, and waits for an engine not up yet
+    link = broker_class("tcp://h:7070").worker_link("tcp://h:7070", "w2")
+    assert isinstance(link, RedisLink) and (link.cfg.host, link.cfg.port) == ("h", 7070)
+    assert link.cfg.run and link.patience == ENGINE_WAIT_S
     with pytest.raises(ValueError, match="no worker to start"):
         MemoryBroker.worker_link("memory://", "w3")
 

@@ -1,9 +1,9 @@
 """Liveness: the worker's one heartbeat thread and the engine's one rule.
 
-The rule (:func:`silent` over :class:`Marks`) decides death for redis
-workers, redis turn leases and ``tcp://`` members alike; the
-:class:`Heartbeater` is the only heartbeat thread a worker runs, whichever
-link it serves.
+The rule (:func:`silent` over :class:`Marks`) decides death for workers
+and turn leases alike, on ``redis://`` and on ``tcp://`` (the same turn loop
+against the engine's own server); the :class:`Heartbeater` is the only
+heartbeat thread a worker runs.
 """
 
 import threading
@@ -273,26 +273,19 @@ def miniredis():
 
 @pytest.mark.parametrize("link", ["redis", "tcp"])
 def test_one_heartbeat_thread_per_serving_worker(link, miniredis):
-    url = f"{miniredis.url}?lease=30" if link == "redis" else "inproc://census?hb=0.1"
+    url = f"{miniredis.url}?lease=30" if link == "redis" else "tcp://127.0.0.1:0?hb=0.1&lease=30"
     engine = Engine.from_spec(make_spec(url))
     pool, serving = engine.pool, None
     try:
-        if link == "redis":
-            pool.start()  # publishes the spec the worker loads
-            worker_url = pool.broker.cfg.with_run(pool.broker.cfg.run)
-        else:
-            worker_url = pool.broker.url
-        worker = Worker(worker_url, worker_id="census")
+        pool.start()  # publishes the spec the worker loads
+        broker = pool.broker
+        worker = Worker(broker.worker_url(), worker_id="census")
         worker.load()
         assert not heartbeat_threads()
         serving = threading.Thread(target=worker.run, daemon=True)
         serving.start()
-        pool.start()
-        if link == "redis":
-            with connect_url(miniredis.url) as conn:
-                assert wait_for(lambda: b"census" in conn.hgetall(pool.broker.cfg.key("hb")))
-        else:
-            assert wait_for(lambda: pool.broker.membership.get("census") is not None)
+        with connect_url(f"redis://{broker.cfg.host}:{broker.cfg.port}") as conn:
+            assert wait_for(lambda: b"census" in conn.hgetall(broker.cfg.key("hb")))
         assert pool.submit(0, "evaluate", None, 1).result(timeout=30)
         assert len(heartbeat_threads()) == 1
         assert [t.name for t in threading.enumerate() if "heartbeat" in t.name] \

@@ -127,14 +127,14 @@ def test_lists_fifo_order(conn):
     conn.execute("RPUSH", "q", "0")
     assert conn.execute("LLEN", "q") == 3
     # LPUSH head-inserts, RPUSH tail-appends; BRPOP drains the tail
-    assert conn.brpop("q", 1.0) == (b"q", b"0")
-    assert conn.brpop("q", 1.0) == (b"q", b"1")
+    assert conn.execute("BRPOP", "q", 1.0) == [b"q", b"0"]
+    assert conn.execute("BRPOP", "q", 1.0) == [b"q", b"1"]
     assert conn.execute("LPOP", "q") == b"2"
 
 
 def test_brpop_times_out_with_nil(conn):
     start = time.monotonic()
-    assert conn.brpop("empty", 0.2) is None
+    assert conn.execute("BRPOP", "empty", 0.2) is None
     assert time.monotonic() - start >= 0.15
 
 
@@ -148,9 +148,9 @@ def test_brpop_wakes_on_push_from_another_connection(server, conn):
 
     thread = threading.Thread(target=pusher)
     thread.start()
-    got["item"] = conn.brpop("wake", 5.0)
+    got["item"] = conn.execute("BRPOP", "wake", 5.0, timeout=5.0 + resp.POP_SLACK)
     thread.join()
-    assert got["item"] == (b"wake", b"v")
+    assert got["item"] == [b"wake", b"v"]
 
 
 def test_multi_exec_is_atomic(server, conn):
@@ -308,7 +308,7 @@ def test_a_pop_woken_by_stop_still_gets_its_nil_reply():
 
     def pop(client):
         try:
-            got["reply"] = client.brpop("q", 30.0)
+            got["reply"] = client.execute("BRPOP", "q", 30.0, timeout=30.0 + resp.POP_SLACK)
         except RespError as exc:
             got["error"] = exc
 

@@ -1,11 +1,11 @@
 """Worker endings: graceful stop, SIGTERM mid-turn, and a lost server.
 
 ``Worker.stop()`` (the SIGTERM/SIGINT path) must not abandon a claimed
-turn: the in-flight turn commits normally — on redis its MULTI releases the
-lease, on tcp its result frame is posted — the worker deregisters, the
-remaining work drains to surviving workers, and the process exits 0.  A
-worker whose server dies under it exits 3 instead, so a supervisor can tell
-the two apart.  Both endings are checked on both links.
+turn: the in-flight turn commits normally — its MULTI releases the lease —
+the worker deregisters, the remaining work drains to surviving workers, and
+the process exits 0.  A worker whose server dies under it exits 3 instead,
+so a supervisor can tell the two apart.  Both endings are checked on a
+redis server the test runs and on the one a ``tcp://`` engine hosts.
 """
 
 import json
@@ -89,13 +89,23 @@ def _run_in_thread(experiment):
     return thread, outcome
 
 
-def _wait_for_published_broker(experiment, url, timeout=30.0):
+def server_url(broker):
+    """The redis server a redis:// or tcp:// broker queues its turns on."""
+    return f"redis://{broker.cfg.host}:{broker.cfg.port}/0"
+
+
+def broker_url(link, miniredis):
+    """A broker URL for ``link`` (a tcp:// engine hosts its own server)."""
+    return f"{miniredis.url}?lease=30" if link == "redis" else "tcp://127.0.0.1:0?lease=30"
+
+
+def _wait_for_published_broker(experiment, timeout=30.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         engine = experiment.engine
         pool = getattr(engine, "pool", None) if engine is not None else None
         if pool is not None and getattr(pool.broker, "cfg", None) is not None:
-            with connect_url(url) as conn:
+            with connect_url(server_url(pool.broker)) as conn:
                 if conn.execute("GET", pool.broker.cfg.key("spec")) is not None:
                     return pool.broker
         time.sleep(0.02)
@@ -111,8 +121,8 @@ def test_stop_finishes_in_flight_turn_and_deregisters(miniredis, monkeypatch):
     monkeypatch.setenv("REPRO_WORKER_TURN_DELAY", "0.3")
     experiment = Experiment(make_spec(f"{miniredis.url}?lease=30"))
     thread, outcome = _run_in_thread(experiment)
-    broker = _wait_for_published_broker(experiment, miniredis.url)
-    worker_url = broker.cfg.with_run(broker.cfg.run)
+    broker = _wait_for_published_broker(experiment)
+    worker_url = broker.worker_url()
 
     stopper = Worker(worker_url, worker_id="stopper")
     survivor = Worker(worker_url, worker_id="survivor")
@@ -170,58 +180,37 @@ def _wait_until(predicate, what, timeout=30.0):
 def test_sigterm_to_worker_process_is_graceful(link, miniredis):
     # worker *processes* get the signal handler; SIGTERM mid-turn must
     # commit the in-flight turn and exit 0, and the survivor finishes the run
-    url = (f"{miniredis.url}?lease=30" if link == "redis"
-           else "tcp://127.0.0.1:0?min_nodes=2&hb=0.1&lease=2&join=60")
-    experiment = Experiment(make_spec(url, total_updates=6))
+    experiment = Experiment(make_spec(broker_url(link, miniredis), total_updates=6))
     thread, outcome = _run_in_thread(experiment)
-    if link == "redis":
-        broker = _wait_for_published_broker(experiment, miniredis.url)
-        worker_url = broker.cfg.with_run(broker.cfg.run)
-    else:
-        broker = _wait_until(
-            lambda: experiment.engine is not None and experiment.engine.pool is not None
-            and experiment.engine.pool.broker, "the tcp broker to bind")
-        worker_url = broker.url
-
+    broker = _wait_for_published_broker(experiment)
     env = {**os.environ, "PYTHONPATH": SRC, "REPRO_WORKER_TURN_DELAY": "0.3"}
 
     def spawn():
-        return subprocess.Popen([sys.executable, "-m", "repro", "worker", worker_url], env=env,
-                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro", "worker", broker.worker_url()], env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
 
-    # on redis one queue item carries a whole fused batch, so a survivor
-    # started alongside could drain the run before the victim claims
-    # anything: it joins once the victim holds a lease.  A tcp run starts
-    # only when both members have joined.
-    procs = [spawn()] if link == "redis" else [spawn(), spawn()]
+    # one queue item carries a whole fused batch, so a survivor started
+    # alongside could drain the run before the victim claims anything: it
+    # joins once the victim holds a lease
+    procs = [spawn()]
     victim, suffix = procs[0], f"-{procs[0].pid}"
+
+    def victim_leases(conn):
+        return [v for v in conn.hgetall(broker.cfg.key("leases")).values()
+                if json.loads(v).get("worker", "").endswith(suffix)]
+
     try:
         # wait until the victim is mid-turn so SIGTERM lands on a claimed turn
-        if link == "redis":
-            with connect_url(miniredis.url) as conn:
-                _wait_until(lambda: any(
-                    json.loads(v).get("worker", "").endswith(suffix)
-                    for v in conn.hgetall(broker.cfg.key("leases")).values()
-                ), "the victim to lease a turn")
-            procs.append(spawn())
-        else:
-            turn_id = _wait_until(lambda: next(
-                (t for t, owner in dict(broker._in_flight).items() if owner.endswith(suffix)),
-                None,
-            ), "the victim to poll a turn")
-            ticket = broker._tickets[turn_id]
+        with connect_url(server_url(broker)) as conn:
+            _wait_until(lambda: victim_leases(conn), "the victim to lease a turn")
+        procs.append(spawn())
         os.kill(victim.pid, signal.SIGTERM)
 
         # graceful exit: returncode 0, not a signal death or a lost server
         assert victim.wait(timeout=30) == 0
-        if link == "redis":
-            with connect_url(miniredis.url) as conn:  # lease released by the commit
-                assert not any(
-                    json.loads(v).get("worker", "").endswith(suffix)
-                    for v in conn.hgetall(broker.cfg.key("leases")).values()
-                )
-        else:  # the claimed turn's result was posted before the member left
-            assert ticket.done() and ticket._exc is None
+        with connect_url(server_url(broker)) as conn:  # lease released by the commit
+            assert not victim_leases(conn)
 
         thread.join(timeout=120)
         assert not thread.is_alive(), "run stalled after SIGTERM to a worker"
@@ -241,31 +230,24 @@ def test_worker_exits_3_when_its_server_dies_under_it(link, caplog):
     # under an idle worker.  That is not a finished run — exit 3, and the
     # error names the worker, its last turn and the stage it was in.
     server = MiniRedis().start() if link == "redis" else None
-    url = f"{server.url}?lease=30" if server else "tcp://127.0.0.1:0?hb=0.1&lease=1"
+    url = f"{server.url}?lease=30" if server else "tcp://127.0.0.1:0?lease=30"
     engine = Engine.from_spec(make_spec(url))
     caplog.set_level(logging.INFO, logger="repro")
     logging.getLogger("repro").addHandler(caplog.handler)
     try:
         broker = engine.pool.broker
-        if link == "redis":
-            broker.start()  # publishes the spec the worker loads
-            worker_url = broker.cfg.with_run(broker.cfg.run)
-            kill = server.stop
-        else:
-            worker_url = broker.url
-            kill = broker._server.stop  # the socket dies; nothing says "stop"
+        broker.start()  # publishes the spec the worker loads
+        # the socket dies; nothing says "stop"
+        kill = server.stop if server else broker._server.stop
         exits = []
         worker = threading.Thread(
-            target=lambda: exits.append(run_worker(worker_url, worker_id="orphan")),
+            target=lambda: exits.append(run_worker(broker.worker_url(), worker_id="orphan")),
             daemon=True,
         )
         worker.start()
-        if link == "redis":
-            with connect_url(server.url) as conn:
-                _wait_until(lambda: b"orphan" in conn.hgetall(broker.cfg.key("hb")),
-                            "the worker to register")
-        else:
-            _wait_until(lambda: broker.membership.get("orphan"), "the worker to join")
+        with connect_url(server_url(broker)) as conn:
+            _wait_until(lambda: b"orphan" in conn.hgetall(broker.cfg.key("hb")),
+                        "the worker to register")
         # joined is not yet serving: the worker logs this after its first
         # heartbeat, and the next I/O it does is a poll
         _wait_until(lambda: any("worker orphan serving" in r.getMessage()
@@ -289,19 +271,13 @@ def test_failed_turn_reports_its_error_and_the_worker_keeps_serving(link, minire
     # the one turn routine hands back (value | error, snapshot): a turn that
     # raises still swaps out, travels back as an error frame with the
     # worker's traceback, and does not take the worker down
-    url = f"{miniredis.url}?lease=30" if link == "redis" else "inproc://failed-turn?hb=0.1"
-    engine = Engine.from_spec(make_spec(url))
+    engine = Engine.from_spec(make_spec(broker_url(link, miniredis)))
     pool, serving = engine.pool, None
     try:
-        if link == "redis":
-            pool.start()  # publishes the spec the worker loads
-            worker_url = pool.broker.cfg.with_run(pool.broker.cfg.run)
-        else:
-            worker_url = pool.broker.url  # bound already; start() waits for the worker
-        worker = Worker(worker_url, worker_id="w")
+        pool.start()  # publishes the spec the worker loads
+        worker = Worker(pool.broker.worker_url(), worker_id="w")
         serving = threading.Thread(target=worker.run, daemon=True)
         serving.start()
-        pool.start()
 
         bad = pool.submit(0, "no_such_method")
         with pytest.raises(RuntimeError, match="AttributeError") as err:
@@ -312,8 +288,8 @@ def test_failed_turn_reports_its_error_and_the_worker_keeps_serving(link, minire
         assert loss > 0 and 0 <= accuracy <= 1
         _wait_until(lambda: worker.turns_run == 2, "the worker to count both turns")
         assert not worker.lost
-        if link == "tcp":  # the failed turn's swap-out was kept, then advanced
-            assert worker.link._snapshots[0].turns == 2
+        # the failed turn's swap-out was kept, then advanced
+        assert pool.store.get(0).turns == 2
     finally:
         engine.shutdown()
         if serving is not None:

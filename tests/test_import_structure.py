@@ -28,14 +28,18 @@ LAZY_PACKAGES = [
 ]
 
 #: what a worker never needs: the rounds loop and its communicators, the
-#: schedulers, the ops HTTP server, HE/SA, the live-cluster control plane
+#: schedulers, the ops HTTP server, HE/SA, the RESP server a tcp:// engine hosts
 WORKER_NEVER_IMPORTS = [
     "repro.engine.engine", "repro.scheduler", "repro.comm.rpc", "repro.comm.pubsub",
     "repro.comm.torchdist", "repro.comm.collectives", "repro.comm.transport",
     "repro.telemetry.server", "repro.privacy.paillier", "repro.privacy.he",
-    "repro.privacy.secure_agg", "repro.cluster", "repro.experiment.experiment",
+    "repro.privacy.secure_agg", "repro.runtime.miniredis", "repro.experiment.experiment",
     "http.server",
 ]
+
+#: what a memory:// run never needs: the redis turn loop and the server a
+#: tcp:// engine hosts
+MEMORY_RUN_NEVER_IMPORTS = ["repro.runtime.redis", "repro.runtime.miniredis"]
 
 
 def _run(code: str, stdin: str = "") -> str:
@@ -81,6 +85,25 @@ never = {WORKER_NEVER_IMPORTS!r}
 print(sorted(m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in never)))
 """
     assert _run(code, stdin=spec.to_yaml()).strip() == "[]"
+
+
+def test_memory_run_imports_no_remote_broker():
+    code = f"""
+import sys
+from repro.experiment import Experiment, ExperimentSpec
+
+spec = ExperimentSpec(
+    topology="centralized", num_clients=4, pool_size=2,
+    data={{"dataset": "blobs", "kwargs": {{"train_size": 32, "test_size": 16}},
+           "partition": "iid", "batch_size": 8}},
+    train={{"algorithm": "fedavg", "model": "mlp", "global_rounds": 1}},
+    scheduler="fedasync", total_updates=2,
+)
+assert len(Experiment(spec).run().history) == 2
+never = {MEMORY_RUN_NEVER_IMPORTS!r}
+print(sorted(m for m in sys.modules if m in never))
+"""
+    assert _run(code).strip() == "[]"
 
 
 def _definitions(package: str) -> dict:

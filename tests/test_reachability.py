@@ -62,8 +62,6 @@ ALLOWED = {
     "repro.privacy.secure_agg": "Table 3b — SA column of benchmarks/bench_table3b_privacy_overhead.py",
     "repro.privacy.diffie_hellman": "Table 3b — the key agreement under repro.privacy.secure_agg",
     "repro.omnifed.*": "the paper's Fig. 2 config namespace (src.omnifed.* targets)",
-    "repro.runtime.miniredis": "the RESP server the redis tests and benchmarks/perf's "
-                               "redis_worker workload run against",
 }
 
 #: files outside ``src/`` whose uses keep a name alive (``tests/`` is not one)
