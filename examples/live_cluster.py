@@ -58,19 +58,25 @@ def spawn_worker(url: str) -> subprocess.Popen:
     env = dict(os.environ)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env["PYTHONPATH"] = os.path.join(root, "src")
-    env.setdefault("REPRO_WORKER_TURN_DELAY", "0.1")  # visible kill window
+    env.setdefault("REPRO_WORKER_TURN_DELAY", "0.2")  # visible kill window
     return subprocess.Popen([sys.executable, "-m", "repro", "worker", url],
                             env=env, cwd=root)
 
 
-def leaseholder(conn: RespClient, broker, pids) -> int:
-    """Wait for one of ``pids`` to hold a turn's lease; returns its pid."""
-    while True:
-        for raw in conn.hgetall(broker.cfg.key("leases")).values():
-            pid = int(json.loads(raw)["worker"].rpartition("-")[2])
-            if pid in pids:
-                return pid
+def leaseholder(conn: RespClient, broker, pids, running) -> int:
+    """Wait for one of ``pids`` to claim a turn while ``running()``; returns
+    its pid.  Only a lease that appeared since the last look counts: its
+    worker is still in its turn delay, so the kill lands before the commit."""
+    seen = set(conn.hgetall(broker.cfg.key("leases")))
+    while running():
         time.sleep(0.01)
+        leases = conn.hgetall(broker.cfg.key("leases"))
+        for turn, raw in leases.items():
+            pid = int(json.loads(raw)["worker"].rpartition("-")[2])
+            if turn not in seen and pid in pids:
+                return pid
+        seen.update(leases)
+    raise RuntimeError("the run ended before a worker claimed another turn")
 
 
 def main() -> int:
@@ -100,7 +106,7 @@ def main() -> int:
         while len(experiment.engine.metrics.history) < 3:
             time.sleep(0.05)
         with RespClient(broker.cfg.host, broker.cfg.port) as conn:
-            victim = leaseholder(conn, broker, {p.pid for p in procs})
+            victim = leaseholder(conn, broker, {p.pid for p in procs}, runner.is_alive)
         print(f"\n*** SIGKILL worker pid={victim} mid-turn ***\n")
         os.kill(victim, signal.SIGKILL)
 

@@ -2,9 +2,9 @@
 
 A ``tcp://host:port`` broker is the redis turn loop served by the engine
 itself (:class:`~repro.runtime.redis.TcpBroker`), so its URL takes the redis
-keys — ``workers``, ``lease``, ``claim``, ``hb``, ``requeues`` — validated
-at spec construction by the same parser, and nothing else: not ``run`` (the
-endpoint serves one run), nor the keys of the removed cluster control plane.
+keys ``workers``, ``lease``, ``claim``, ``hb`` and ``requeues``, validated
+at spec construction by the same parser.  It takes nothing else, not even
+``run``: the endpoint serves one run.
 """
 
 import pytest
@@ -40,8 +40,7 @@ def test_tcp_url_timing_is_validated_at_spec_construction(query, match):
 
 @pytest.mark.parametrize("key", ["min_nodes=3", "join=60", "detector=phi", "phi=8", "run=ns"])
 def test_keys_beyond_the_redis_ones_are_unknown(key):
-    # the quorum, join timeout and failure-detector knobs went with the
-    # control plane, and one endpoint serves one run
+    # only the redis keys, and one endpoint serves one run
     with pytest.raises(SpecError, match=r"unknown parameters \['(min_nodes|join|detector|phi|run)'\]"):
         ExperimentSpec(broker=f"{LIVE}?{key}")
 

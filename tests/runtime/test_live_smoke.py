@@ -49,7 +49,7 @@ def make_spec():
 def spawn_worker(url, repo_root):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(repo_root, "src")
-    env["REPRO_WORKER_TURN_DELAY"] = "0.2"  # widen the kill window
+    env["REPRO_WORKER_TURN_DELAY"] = "0.3"  # widen the kill window
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "worker", url],
         env=env, cwd=repo_root,
@@ -100,13 +100,19 @@ def test_tcp_run_survives_a_worker_kill_bit_for_bit():
 
     procs = [spawn_worker(url, repo_root) for _ in range(NUM_WORKERS)]
     conn = RespClient(broker.cfg.host, broker.cfg.port)
+    seen = set()
     try:
         def leaseholder():
-            """The pid of a worker process holding a turn, once the run is going."""
+            """The pid of a worker process that claimed a turn since the last
+            look (so it is still in its delay, far from its commit), once the
+            run is going."""
+            leases = conn.hgetall(broker.cfg.key("leases"))
+            fresh = [raw for turn, raw in leases.items() if turn not in seen]
+            seen.update(leases)
             if len(experiment.engine.metrics.history) < 2:
                 return None
             pids = {p.pid for p in procs}
-            for raw in conn.hgetall(broker.cfg.key("leases")).values():
+            for raw in fresh:
                 pid = int(json.loads(raw)["worker"].rpartition("-")[2])
                 if pid in pids:
                     return pid
