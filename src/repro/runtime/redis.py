@@ -182,7 +182,7 @@ def parse_redis_url(url: str) -> RedisUrl:
     out = RedisUrl(
         url=url,
         host=parsed.hostname or "127.0.0.1",
-        port=parsed.port or 6379,
+        port=6379 if parsed.port is None else parsed.port,  # tcp:// binds port 0
         db=int(path) if path else 0,
         password=parsed.password,
         **url_fields(url, _URL_PARAMS),

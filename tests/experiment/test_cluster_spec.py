@@ -27,6 +27,19 @@ def test_tcp_url_takes_the_redis_keys():
     assert (cfg.lease, cfg.claim, cfg.heartbeat, cfg.max_requeues) == (5.0, 3.0, 0.5, 1)
 
 
+def test_tcp_url_defaults_are_the_redis_ones():
+    cfg = Broker(LIVE, spec=ExperimentSpec(), num_clients=2).cfg
+    assert (cfg.host, cfg.port, cfg.db, cfg.workers) == ("127.0.0.1", 0, 0, 0)
+    assert (cfg.lease, cfg.claim, cfg.heartbeat, cfg.max_requeues) == (30.0, 10.0, 1.0, 2)
+    assert cfg.run == "tcp"  # the one run the endpoint serves
+
+
+@pytest.mark.parametrize("query", ["workers=two", "lease=soon", "requeues=1.5"])
+def test_tcp_url_values_are_parsed_at_spec_construction(query):
+    with pytest.raises(SpecError, match="invalid literal|could not convert"):
+        ExperimentSpec(broker=f"{LIVE}?{query}")
+
+
 @pytest.mark.parametrize("query,match", [
     ("lease=0", "must be positive"),
     ("claim=-1", "must be positive"),

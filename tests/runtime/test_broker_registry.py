@@ -179,6 +179,13 @@ def test_parse_redis_url_rejects_unknown_keys():
         parse_redis_url("redis://localhost:6379/0?leese=5")
 
 
+def test_parse_redis_url_keeps_an_explicit_port_0():
+    # a tcp:// engine binds an ephemeral port from it; only an absent port
+    # means redis's default
+    assert parse_redis_url("redis://h:0/0").port == 0
+    assert parse_redis_url("redis://h/0").port == 6379
+
+
 def test_with_run_pins_the_namespace():
     cfg = parse_redis_url("redis://h:6379/0?workers=2&run=old")
     url = cfg.with_run("fresh")

@@ -49,6 +49,14 @@ def test_bad_override_fails_loudly():
         main(["node", "tcp://127.0.0.1:7070"])
 
 
+def test_worker_command_takes_exactly_one_url(capsys):
+    for argv in (["worker"], ["worker", "tcp://127.0.0.1:7070", "extra"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "usage: python -m repro worker <broker-url>" in capsys.readouterr().err
+
+
 TINY = [
     "model=mlp",
     "datamodule=blobs",
@@ -131,3 +139,10 @@ def test_async_cli_prints_scheduler_summary(capsys, fresh_port):
     out = capsys.readouterr().out
     assert "scheduler: fedasync" in out
     assert "updates applied" in out
+
+
+def test_tcp_broker_run_with_a_spawned_worker(capsys):
+    rc = main([*TINY, "broker=tcp://127.0.0.1:0?workers=1&hb=0.2&lease=5",
+               "scheduler=fedasync", "+total_updates=4"])
+    assert rc == 0
+    assert "summary:" in capsys.readouterr().out
