@@ -20,8 +20,9 @@ on localhost:
 Run:  python examples/live_cluster.py [--nodes 3] [--updates 24] [--kill]
 
 In a real deployment you skip step 3: start the engine with
-``python -m repro broker='tcp://0.0.0.0:7070' scheduler=fedasync`` on one
-machine and ``python -m repro worker tcp://host:7070`` on the others.
+``python -m repro broker='tcp://:<password>@0.0.0.0:7070' scheduler=fedasync``
+on one machine and ``python -m repro worker tcp://:<password>@host:7070`` on
+the others.
 """
 
 import argparse

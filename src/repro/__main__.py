@@ -17,8 +17,8 @@ Usage::
     python -m repro run my_spec.yaml                   # run a saved spec file
     python -m repro broker=redis://localhost:6379/0    # broker-backed pool
     python -m repro worker 'redis://host:6379/0?run=<ns>'  # turn-pulling worker
-    python -m repro broker=tcp://0.0.0.0:7070 scheduler=fedasync  # engine-hosted queue
-    python -m repro worker tcp://hostA:7070            # a worker dialling it
+    python -m repro broker=tcp://:pw@0.0.0.0:7070 scheduler=fedasync  # engine-hosted queue
+    python -m repro worker tcp://:pw@hostA:7070        # a worker dialling it
     python -m repro run my_spec.yaml --save runs/exp1  # archive the RunResult
     python -m repro --config-dir my_confs --config-name exp  algorithm=moon
     python -m repro --list                             # show config groups

@@ -297,7 +297,7 @@ class WorkerLink:
     def beat(self) -> Dict[str, Any]:
         """Send one heartbeat — renewing this worker's liveness mark and the
         leases of the item in hand — and return the engine's reply meta
-        (``stop``: the run is over; ``ok: False``: this worker was revoked)."""
+        (``stop``: the run is over)."""
         raise NotImplementedError
 
     def next_item(self) -> Union[None, bytes, List[bytes]]:

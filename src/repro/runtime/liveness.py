@@ -5,9 +5,9 @@ Worker side, a :class:`Heartbeater` — started by the
 link's ``beat()`` every period on its own daemon thread (the first beat
 synchronously, so the engine counts the worker before it pulls anything).
 A beat renews the worker's liveness mark and the leases of the item in
-hand; its reply meta may carry the engine's ``stop`` flag or ``ok: false``
-(the engine no longer lists this worker).  Outcomes surface as events the
-turn loop polls, not as exceptions, because the loop runs on another thread.
+hand; its reply meta may carry the engine's ``stop`` flag.  Outcomes surface
+as events the turn loop polls, not as exceptions, because the loop runs on
+another thread.
 
 Engine side, one rule: a key — a worker's heartbeat, a turn's lease, on
 ``redis://`` and ``tcp://`` alike — is dead once its liveness mark has gone
@@ -82,7 +82,7 @@ class Heartbeater:
         self.period = float(period)
         self.max_failures = int(max_failures)
         self.stopped = threading.Event()   # the engine asked us to stop
-        self.lost = threading.Event()      # engine unreachable, or it revoked us
+        self.lost = threading.Event()      # engine unreachable
         self._shutdown = threading.Event()
         self._failures = 0
         self.beats_sent = 0
@@ -108,12 +108,6 @@ class Heartbeater:
         """Account one answered beat; False once it ended the heartbeat."""
         self._failures = 0
         self.beats_sent += 1
-        if not reply.get("ok", True):
-            # the engine no longer knows us (evicted during a partition):
-            # stop serving rather than train into the void
-            _LOG.warning("heartbeat rejected: membership revoked")
-            self.lost.set()
-            return False
         if reply.get("stop"):
             self.stopped.set()
             return False

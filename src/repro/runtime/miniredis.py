@@ -22,11 +22,16 @@ Fidelity notes (deliberate simplifications):
 * ``MULTI``/``EXEC`` queue per-connection and execute under the lock
   (no WATCH); an unknown command refused while queueing aborts the
   transaction with ``EXECABORT``;
+* started with a ``password``, a connection is refused every command
+  (``NOAUTH``) until it sends ``AUTH`` with that password (``WRONGPASS``
+  otherwise), as redis's ``requirepass`` does; started without one, any
+  ``AUTH`` is accepted;
 * no persistence, expiry, or pub/sub.
 """
 
 from __future__ import annotations
 
+import hmac
 import socket
 import socketserver
 import threading
@@ -42,7 +47,7 @@ _NIL = object()  # sentinel distinguishing "no reply value" from None (nil)
 #: the one gate in front of :meth:`MiniRedis.dispatch` and MULTI (which then
 #: discards the transaction at EXEC, as redis does): a handler added without
 #: its name here is refused everywhere, not only inside MULTI
-_COMMANDS = frozenset("PING ECHO SELECT AUTH FLUSHDB FLUSHALL SET GET INCR DEL EXISTS KEYS HSET "
+_COMMANDS = frozenset("PING ECHO SELECT FLUSHDB FLUSHALL SET GET INCR DEL EXISTS KEYS HSET "
                       "HGET HMGET HDEL HEXISTS HLEN HGETALL LPUSH RPUSH LPOP RPOP LLEN LRANGE "
                       "BLPOP BRPOP".split())
 
@@ -67,6 +72,7 @@ class _Handler(socketserver.BaseRequestHandler):
         self._reader = RespReader(self.request.recv)
         self._multi: Optional[List[List[bytes]]] = None
         self._multi_refused = False
+        self._authed = self.server.mini.password is None
 
     # -- RESP framing: the client's reader -----------------------------
     def _read_command(self) -> List[bytes]:
@@ -100,7 +106,13 @@ class _Handler(socketserver.BaseRequestHandler):
                 continue
             cmd = args[0].upper().decode("ascii", "replace")
             try:
-                if cmd == "MULTI":
+                if cmd == "AUTH":
+                    self.server.mini.authenticate(args[1:])
+                    self._authed = True
+                    self._send(_OK)
+                elif not self._authed:
+                    raise _Error("NOAUTH Authentication required.")
+                elif cmd == "MULTI":
                     self._multi, self._multi_refused = [], False
                     self._send(_OK)
                 elif cmd == "DISCARD":
@@ -161,9 +173,11 @@ class MiniRedis:
     (port 0: an ephemeral one, read back from :attr:`port`) and returns the
     instance; ``url`` is ready for ``Broker(...)`` or a worker subprocess."""
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
+    def __init__(self, host: str = "127.0.0.1", port: int = 0,
+                 password: Optional[str] = None) -> None:
         self._host = host
         self._port = int(port)
+        self.password = password
         self.data: Dict[bytes, Any] = {}
         self.lock = threading.Lock()
         self.wakeup = threading.Condition(self.lock)
@@ -209,7 +223,17 @@ class MiniRedis:
 
     @property
     def url(self) -> str:
-        return f"redis://{self._host}:{self._port}/0"
+        auth = "" if self.password is None else f":{self.password}@"
+        return f"redis://{auth}{self._host}:{self._port}/0"
+
+    def authenticate(self, args: List[bytes]) -> None:
+        """Check ``AUTH [user] password``'s password (a server started
+        without one takes any)."""
+        if len(args) not in (1, 2):
+            raise _Error("ERR wrong number of arguments for 'auth' command")
+        if self.password is not None and not hmac.compare_digest(
+                args[-1], self.password.encode("utf8")):
+            raise _Error("WRONGPASS invalid username-password pair or user is disabled.")
 
     # -- command dispatch (atomic under self.lock) ---------------------
     def dispatch(self, args: List[bytes]) -> Any:
@@ -274,8 +298,6 @@ class MiniRedis:
             return args[0]
         if cmd == "SELECT":
             return _OK  # single keyspace; db index accepted and ignored
-        if cmd == "AUTH":
-            return _OK
         if cmd in ("FLUSHDB", "FLUSHALL"):
             data.clear()
             return _OK

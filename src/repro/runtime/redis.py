@@ -84,7 +84,10 @@ on that address when the pool attaches it (a port of 0 resolves there), and
 :class:`RedisLink`.  The endpoint serves one run, so the URL takes every key
 above but ``run``; ``claim`` is how long a queued turn waits for the first
 worker to join.  A worker started before its engine keeps trying for
-:data:`ENGINE_WAIT_S`.
+:data:`ENGINE_WAIT_S`.  The URL's password (``tcp://:<password>@host:port``)
+is the server's: every connection must ``AUTH`` with it before any command,
+and an engine bound beyond loopback refuses to start without one, since a
+worker builds its trainer from the spec the server holds.
 """
 
 from __future__ import annotations
@@ -125,6 +128,8 @@ __all__ = ["RedisBroker", "TcpBroker", "RedisLink", "RedisUrl", "parse_redis_url
 ENGINE_WAIT_S = 30.0
 #: the namespace of the one run a ``tcp://`` endpoint serves
 _TCP_RUN = "tcp"
+#: how a server's reply to a missing or wrong password begins
+_REFUSED = ("NOAUTH", "WRONGPASS")
 
 
 @dataclass
@@ -198,14 +203,22 @@ def parse_redis_url(url: str) -> RedisUrl:
 
 
 def _tcp_as_redis(url: str) -> str:
-    """The ``redis://`` URL a ``tcp://`` endpoint serves: its address and
-    keys, in the namespace of its one run (``ValueError`` on a bad key)."""
+    """The ``redis://`` URL a ``tcp://`` endpoint serves: its address,
+    password and keys, in the namespace of its one run (``ValueError`` on a
+    missing port or a bad key)."""
     parsed = urlparse(url)
     if parsed.scheme != "tcp":
         raise ValueError(f"not a tcp URL: {url!r}")
+    if parsed.port is None:
+        raise ValueError(f"a tcp:// URL names its port (0: any free one): {url!r}")
     url_fields(url, _TCP_PARAMS)
     query = "&".join(filter(None, [parsed.query, f"run={_TCP_RUN}"]))
     return f"redis://{parsed.netloc}/0?{query}"
+
+
+def _loopback(host: str) -> bool:
+    """Whether ``host`` names this machine's loopback interface only."""
+    return host in ("localhost", "::1") or host.startswith("127.")
 
 
 def _lease_holder(raw: Any) -> str:
@@ -704,13 +717,19 @@ class TcpBroker(RedisBroker):
     ``tcp://`` address, for workers to dial (see the module docstring)."""
 
     def __init__(self, url: str, **kwargs: Any) -> None:
+        self.check_url(url)
         super().__init__(_tcp_as_redis(url), **kwargs)
         self.url = url
         self._server: Any = None
 
     @classmethod
     def check_url(cls, url: str) -> None:
-        parse_redis_url(_tcp_as_redis(url))
+        cfg = parse_redis_url(_tcp_as_redis(url))
+        if not cfg.password and not _loopback(cfg.host):
+            raise ValueError(
+                f"a tcp:// engine bound beyond loopback takes a password "
+                f"(tcp://:<password>@{cfg.host}:{cfg.port}): anyone who reaches "
+                f"an open port can rewrite the spec its workers build: {url!r}")
 
     @classmethod
     def worker_link(cls, url: str, worker_id: str) -> "RedisLink":
@@ -721,13 +740,17 @@ class TcpBroker(RedisBroker):
         super().attach(pool)
         from repro.runtime.miniredis import MiniRedis  # only a tcp:// engine serves
 
-        self._server = MiniRedis(self.cfg.host, self.cfg.port).start()
+        self._server = MiniRedis(self.cfg.host, self.cfg.port, self.cfg.password or None).start()
         self.cfg.port = self._server.port
         self.url = f"tcp://{self.cfg.host}:{self.cfg.port}"
-        _LOG.info("tcp broker listening: join with `python -m repro worker %s`", self.url)
+        _LOG.info("tcp broker listening: join with `python -m repro worker %s`",
+                  self.url if not self.cfg.password
+                  else f"tcp://:<password>@{self.cfg.host}:{self.cfg.port}")
 
     def worker_url(self) -> str:
-        return self.url
+        if not self.cfg.password:
+            return self.url
+        return f"tcp://:{self.cfg.password}@{self.cfg.host}:{self.cfg.port}"
 
     def _reap_workers(self, conn: Optional[RespClient]) -> None:
         """Also give external workers, which heard the stop, the heartbeat
@@ -792,10 +815,11 @@ class RedisLink(WorkerLink):
                         f"{self.cfg.namespace()!r} — is the engine running?"
                     )
                 break
-            except RespError:
+            except RespError as exc:
                 if conn is not None:
                     conn.close()
-                if time.monotonic() >= deadline:
+                # a refused password will not be accepted later
+                if time.monotonic() >= deadline or str(exc).startswith(_REFUSED):
                     raise
                 time.sleep(0.25)
         self._conn = conn

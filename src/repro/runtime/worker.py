@@ -27,7 +27,7 @@ turns, which a survivor reruns from the client's stored snapshot.
 Exit codes of :func:`run_worker`: 0 after a stop request (the engine's stop
 flag, SIGTERM/SIGINT — the claimed item commits first — or the turn cap),
 2 when startup failed, 3 when the serve loop ended because the server was
-lost or revoked this worker.
+lost.
 
 Environment knobs (used by the regression tests):
 
@@ -141,8 +141,7 @@ class Worker:
                 self._stage = "poll"
                 if heart.lost.is_set():
                     raise ConnectionError(
-                        "heartbeats failed or were rejected: the engine is "
-                        "unreachable or revoked this worker"
+                        "heartbeats failed: the engine is unreachable"
                     )
                 frames = link.next_item()
                 if frames is None:

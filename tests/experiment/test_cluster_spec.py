@@ -21,9 +21,9 @@ LIVE = "tcp://127.0.0.1:0"
 # ------------------------------------------------------------ the URL
 def test_tcp_url_takes_the_redis_keys():
     spec = ExperimentSpec.from_dict(
-        {"broker": "tcp://10.0.0.1:7070?workers=2&lease=5&claim=3&hb=0.5&requeues=1"})
+        {"broker": "tcp://:pw@10.0.0.1:7070?workers=2&lease=5&claim=3&hb=0.5&requeues=1"})
     cfg = Broker(spec.broker, spec=spec, num_clients=2).cfg
-    assert (cfg.host, cfg.port, cfg.workers) == ("10.0.0.1", 7070, 2)
+    assert (cfg.host, cfg.port, cfg.workers, cfg.password) == ("10.0.0.1", 7070, 2, "pw")
     assert (cfg.lease, cfg.claim, cfg.heartbeat, cfg.max_requeues) == (5.0, 3.0, 0.5, 1)
 
 
@@ -32,6 +32,7 @@ def test_tcp_url_defaults_are_the_redis_ones():
     assert (cfg.host, cfg.port, cfg.db, cfg.workers) == ("127.0.0.1", 0, 0, 0)
     assert (cfg.lease, cfg.claim, cfg.heartbeat, cfg.max_requeues) == (30.0, 10.0, 1.0, 2)
     assert cfg.run == "tcp"  # the one run the endpoint serves
+    assert cfg.password is None  # loopback: none needed
 
 
 @pytest.mark.parametrize("query", ["workers=two", "lease=soon", "requeues=1.5"])
@@ -108,7 +109,7 @@ def test_auto_without_cluster_unchanged():
 
 # ------------------------------------------------------------ serialization
 def test_cluster_yaml_roundtrip():
-    spec = ExperimentSpec(broker="tcp://0.0.0.0:7070?workers=3&hb=0.25&lease=2")
+    spec = ExperimentSpec(broker="tcp://:pw@0.0.0.0:7070?workers=3&hb=0.25&lease=2")
     clone = ExperimentSpec.from_yaml(spec.to_yaml())
     assert clone.broker == spec.broker
     assert clone == spec

@@ -135,6 +135,9 @@ def test_unknown_keys_rejected():
     ("tcp://127.0.0.1:0?leese=5", r"unknown parameters \['leese'\]"),
     ("tcp://127.0.0.1:0?min_nodes=2", r"unknown parameters \['min_nodes'\]"),
     ("tcp://127.0.0.1:0?run=ns", r"unknown parameters \['run'\]"),
+    ("tcp://127.0.0.1", "names its port"),
+    ("tcp://0.0.0.0:7070", "beyond loopback takes a password"),
+    ("tcp://:@10.0.0.1:7070", "beyond loopback takes a password"),
 ])
 def test_every_scheme_validates_its_url_at_construction(url, match):
     # a typo in a URL parameter fails where the spec is written, not when a
@@ -146,7 +149,8 @@ def test_every_scheme_validates_its_url_at_construction(url, match):
 def test_known_url_parameters_stay_valid():
     for url in ("memory://", "redis://127.0.0.1:6379/0?run=bench7x1&claim=60",
                 "redis://h:6379/1?workers=2&lease=30&hb=0.5&requeues=1",
-                "tcp://127.0.0.1:0?workers=2&hb=0.5&lease=3&claim=60&requeues=1"):
+                "tcp://127.0.0.1:0?workers=2&hb=0.5&lease=3&claim=60&requeues=1",
+                "tcp://localhost:7070", "tcp://:pw@0.0.0.0:7070?hb=0.5"):
         assert ExperimentSpec(broker=url).broker == url
 
 

@@ -78,7 +78,7 @@ def test_first_beat_is_sent_synchronously():
 
     def beat():
         callers.append(threading.current_thread().name)
-        return {"ok": True}
+        return {"stop": False}
 
     hb = Heartbeater(beat, period=60.0)
     try:
@@ -101,7 +101,7 @@ def test_a_failing_first_beat_raises():
 
 
 def test_beats_flow_and_counter_advances():
-    hb = Heartbeater(lambda: {"ok": True}, period=0.02).start()
+    hb = Heartbeater(lambda: {"stop": False}, period=0.02).start()
     try:
         assert wait_for(lambda: hb.beats_sent >= 3)
     finally:
@@ -115,7 +115,7 @@ def test_stop_flag_in_reply_fires_on_stop_once():
 
     def beat():
         beats.append(1)
-        return {"ok": True, "stop": len(beats) > 1}
+        return {"stop": len(beats) > 1}
 
     hb = Heartbeater(beat, period=0.02).start()
     try:
@@ -128,18 +128,9 @@ def test_stop_flag_in_reply_fires_on_stop_once():
 
 
 def test_stop_in_the_first_reply_starts_no_thread():
-    hb = Heartbeater(lambda: {"ok": True, "stop": True}, period=0.01).start()
+    hb = Heartbeater(lambda: {"stop": True}, period=0.01).start()
     assert hb.stopped.is_set()
     assert not heartbeat_threads()
-
-
-def test_membership_revoked_sets_lost():
-    hb = Heartbeater(lambda: {"ok": False}, period=0.02).start()
-    try:
-        assert wait_for(hb.lost.is_set)
-        assert not hb.stopped.is_set()
-    finally:
-        hb.stop()
 
 
 def test_transient_failures_are_forgiven():
@@ -149,7 +140,7 @@ def test_transient_failures_are_forgiven():
         state["n"] += 1
         if state["n"] % 2 == 0:  # every other beat fails
             raise ConnectionError("blip")
-        return {"ok": True}
+        return {"stop": False}
 
     hb = Heartbeater(flaky, period=0.01, max_failures=3).start()
     try:
@@ -166,7 +157,7 @@ def test_consecutive_failures_declare_the_engine_lost():
         state["n"] += 1
         if state["n"] > 1:
             raise ConnectionError("gone")
-        return {"ok": True}
+        return {"stop": False}
 
     hb = Heartbeater(dying, period=0.01, max_failures=3).start()
     try:
@@ -177,7 +168,7 @@ def test_consecutive_failures_declare_the_engine_lost():
 
 def test_rejects_non_positive_period():
     with pytest.raises(ValueError):
-        Heartbeater(lambda: {"ok": True}, period=0.0)
+        Heartbeater(lambda: {"stop": False}, period=0.0)
 
 
 # ------------------------------------------------------------ the worker loop
@@ -193,7 +184,7 @@ class StubLink(WorkerLink):
 
     def beat(self):
         self.beats.append(threading.current_thread().name)
-        return {"ok": True, "stop": len(self.beats) > 1}
+        return {"stop": len(self.beats) > 1}
 
     def next_item(self):
         if self.beats_at_first_pull is None:
@@ -242,7 +233,7 @@ def test_the_worker_beats_before_its_first_pull(stub_worker):
 @pytest.mark.parametrize("stopped", [True, False], ids=["after-stop", "mid-run"])
 def test_a_failed_commit_is_lost_only_before_the_engine_said_stop(stub_worker, stopped):
     if not stopped:
-        stub_worker.link.beat = lambda: {"ok": True}
+        stub_worker.link.beat = lambda: {"stop": False}
         stub_worker.link.next_item = lambda: [b"turn"]
 
     def commit_fails(frames):
@@ -252,16 +243,6 @@ def test_a_failed_commit_is_lost_only_before_the_engine_said_stop(stub_worker, s
     run_to_the_end(stub_worker)
     # the engine went away after saying stop: nobody waited for the result
     assert stub_worker.lost is not stopped
-    assert not heartbeat_threads()
-
-
-def test_a_revoked_worker_ends_as_lost(stub_worker):
-    # the engine no longer lists this worker: it stops serving, exit 3
-    replies = iter([{"ok": True}])
-    stub_worker.link.beat = lambda: next(replies, {"ok": False})
-    stub_worker.link.next_item = lambda: None
-    run_to_the_end(stub_worker)
-    assert stub_worker.lost
     assert not heartbeat_threads()
 
 

@@ -191,6 +191,41 @@ def test_select_and_auth_accepted(server):
         assert client.ping()
 
 
+@pytest.fixture()
+def locked():
+    with MiniRedis(password="s3cret") as srv:
+        yield srv
+
+
+@pytest.mark.parametrize("command", [("PING",), ("SET", "k", "v"), ("KEYS", "*"),
+                                     ("FLUSHALL",), ("MULTI",), ("EXEC",)])
+def test_a_password_server_refuses_every_command_before_auth(locked, command):
+    with RespClient("127.0.0.1", locked.port) as client:
+        with pytest.raises(RespError, match="NOAUTH"):
+            client.execute(*command)
+    assert locked.data == {}
+
+
+def test_a_wrong_password_is_refused_and_opens_nothing(locked):
+    with pytest.raises(RespError, match="WRONGPASS"):
+        RespClient("127.0.0.1", locked.port, password="guess")
+    with RespClient("127.0.0.1", locked.port) as client:
+        with pytest.raises(RespError, match="WRONGPASS"):
+            client.execute("AUTH", "default", "guess")
+        with pytest.raises(RespError, match="NOAUTH"):
+            client.execute("SET", "k", "v")
+    assert locked.data == {}
+
+
+def test_the_password_opens_its_connection_only(locked):
+    with connect_url(locked.url) as client, RespClient("127.0.0.1", locked.port) as other:
+        assert locked.url.startswith("redis://:s3cret@")
+        assert client.execute("SET", "k", "v") == b"OK"
+        assert client.execute("AUTH", "default", "s3cret") == b"OK"  # the user form
+        with pytest.raises(RespError, match="NOAUTH"):
+            other.execute("GET", "k")
+
+
 def test_connect_refused_raises_resp_error():
     with pytest.raises(RespError, match="cannot connect"):
         RespClient("127.0.0.1", 1, timeout=0.5)

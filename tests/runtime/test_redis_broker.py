@@ -9,6 +9,10 @@ can ever finish the turn, instead of stalling the run.
 Fusable turns cross the queue as one item and train as one stacked pass;
 lease, dedupe, requeue and loss stay per turn (the fused-item tests below).
 
+The run-level tests take a ``scheme``: ``redis`` serves the run on a
+shared server, ``tcp`` on the one its own engine hosts (the same turn loop;
+``test_tcp_broker.py`` checks what ``tcp://`` adds).
+
 Runs against any real redis the same way: set ``REDIS_URL`` to point the
 fused-item tests and the final test at an external server (the final test
 skips cleanly otherwise).
@@ -30,11 +34,12 @@ from repro.runtime import BrokerTurnLost, BrokerUnavailable, Broker, serde
 from repro.runtime.fused import FusedTurnRunner
 from repro.runtime.miniredis import MiniRedis
 from repro.runtime.redis import RedisBroker, RedisLink, _Entry
-from repro.runtime.resp import RespError
+from repro.runtime.resp import RespClient, RespError
 from repro.runtime.worker import Worker, run_worker
 from tests.runtime.resp_helpers import connect_url
 
 _WALL_FIELDS = ("wall_seconds",)
+SCHEMES = ["redis", "tcp"]
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +52,19 @@ def miniredis():
 def redis_url(miniredis):
     """The external server when ``REDIS_URL`` names one, else MiniRedis."""
     return os.environ.get("REDIS_URL", "").rstrip("/") or miniredis.url
+
+
+def served(scheme, server_url, query=""):
+    """A run's broker URL: on ``server_url`` (``redis``), or on a server its
+    own engine hosts (``tcp``)."""
+    base = server_url if scheme == "redis" else "tcp://127.0.0.1:0"
+    return f"{base}?{query}" if query else base
+
+
+def server_conn(broker):
+    """A plain RESP client on the server ``broker`` runs its turn loop on."""
+    cfg = broker.cfg
+    return RespClient(cfg.host, cfg.port, db=cfg.db, password=cfg.password)
 
 
 def make_spec(broker, pool_size=None, total_updates=10):
@@ -142,14 +160,14 @@ def _leases_of(conn, broker, pid):
                   if json.loads(raw).get("worker", "").endswith(f"-{pid}"))
 
 
-def _wait_for_published(experiment, url, timeout=30.0):
+def _wait_for_published(experiment, timeout=30.0):
     """Poll until the broker has published the experiment's spec."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         engine = experiment.engine
         pool = getattr(engine, "pool", None) if engine is not None else None
-        if pool is not None and getattr(pool.broker, "cfg", None) is not None:
-            with connect_url(url) as conn:
+        if pool is not None and pool.broker.cfg.port:  # a tcp:// one is bound
+            with server_conn(pool.broker) as conn:
                 if conn.execute("GET", pool.broker.cfg.key("spec")) is not None:
                     return pool.broker
         time.sleep(0.02)
@@ -159,15 +177,16 @@ def _wait_for_published(experiment, url, timeout=30.0):
 # --------------------------------------------------------------------------
 # the headline pin: worker processes == in-process pool, bit for bit
 # --------------------------------------------------------------------------
-def test_two_worker_processes_match_memory_broker(miniredis):
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_two_worker_processes_match_memory_broker(scheme, miniredis):
     memory = Experiment(make_spec("memory://", pool_size=2)).run()
-    experiment = Experiment(make_spec(f"{miniredis.url}?workers=2&lease=30"))
+    experiment = Experiment(make_spec(served(scheme, miniredis.url, "workers=2&lease=30")))
     redis_result = experiment.run()
     assert_identical(redis_result, memory)
 
     pool = experiment.engine.pool
     broker = pool.broker
-    assert broker.distributed and broker.scheme == "redis"
+    assert broker.distributed and broker.scheme == scheme
     assert broker.pool_size == 2
     # the training turns crossed as fused items and trained in stacked
     # passes; each result frame says how many turns its pass held
@@ -176,16 +195,20 @@ def test_two_worker_processes_match_memory_broker(miniredis):
     assert sum(info["batch_sizes"].values()) == pool.turns_run
     assert info["requeues"] == 0
     assert broker._procs == []  # workers reaped at shutdown
-    # the run's namespace is cleaned out of the server
+    if scheme == "tcp":
+        return  # its server went with the engine
+    # the run's namespace is cleaned out of the shared server
     with connect_url(miniredis.url) as conn:
         leftovers = [k for k in (conn.execute("KEYS", "*") or [])
                      if k.startswith(broker.cfg.namespace().encode("utf8"))]
     assert leftovers == []
 
 
-def test_pool_size_maps_to_worker_count_when_url_has_none(miniredis):
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_pool_size_maps_to_worker_count_when_url_has_none(scheme, miniredis):
     # legacy knob: pool_size picks the worker count if the URL doesn't
-    experiment = Experiment(make_spec(miniredis.url, pool_size=2, total_updates=4))
+    experiment = Experiment(make_spec(served(scheme, miniredis.url), pool_size=2,
+                                      total_updates=4))
     experiment.run()
     broker = experiment.engine.pool.broker
     assert broker.cfg.workers == 2
@@ -195,7 +218,8 @@ def test_pool_size_maps_to_worker_count_when_url_has_none(miniredis):
 # --------------------------------------------------------------------------
 # failure protocol: kill a worker mid-item
 # --------------------------------------------------------------------------
-def test_worker_killed_mid_turn_requeues_to_survivor(redis_url, monkeypatch):
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_worker_killed_mid_turn_requeues_to_survivor(scheme, redis_url, monkeypatch):
     # the victim sleeps once per claimed item, so it is killed holding the
     # leases of a whole fused item; each of its turns must requeue on its
     # own (an item of one) and rerun on the survivor from its pre-turn
@@ -203,13 +227,13 @@ def test_worker_killed_mid_turn_requeues_to_survivor(redis_url, monkeypatch):
     memory = Experiment(make_spec("memory://", pool_size=2, total_updates=6)).run()
     monkeypatch.setenv("REPRO_WORKER_TURN_DELAY", "0.6")
     experiment = Experiment(make_spec(
-        f"{redis_url}?workers=2&lease=2&hb=0.25&requeues=4", total_updates=6,
+        served(scheme, redis_url, "workers=2&lease=2&hb=0.25&requeues=4"), total_updates=6,
     ))
     thread, outcome = _run_in_thread(experiment)
     broker = _wait_for_procs(experiment)
     deadline = time.monotonic() + 30
     held = victim = None
-    with connect_url(redis_url) as conn:
+    with server_conn(broker) as conn:
         while victim is None:
             assert time.monotonic() < deadline, "no worker ever held a fused item"
             for proc in broker._procs:
@@ -228,18 +252,19 @@ def test_worker_killed_mid_turn_requeues_to_survivor(redis_url, monkeypatch):
     assert info["batch_sizes"].get(1, 0) >= len(held)  # each reran alone
 
 
-def test_sole_worker_death_fails_ticket_instead_of_stalling(miniredis, monkeypatch):
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_sole_worker_death_fails_ticket_instead_of_stalling(scheme, miniredis, monkeypatch):
     # the regression: one worker, no retry budget, admission window full of
     # waiting turns — killing the worker mid-turn must surface
     # BrokerTurnLost through the blocked scheduler, not hang the run
     monkeypatch.setenv("REPRO_WORKER_TURN_DELAY", "60")
     experiment = Experiment(make_spec(
-        f"{miniredis.url}?workers=1&lease=1&hb=0.25&claim=2&requeues=0",
+        served(scheme, miniredis.url, "workers=1&lease=1&hb=0.25&claim=2&requeues=0"),
         total_updates=6,
     ))
     thread, outcome = _run_in_thread(experiment)
     broker = _wait_for_procs(experiment)
-    with connect_url(miniredis.url) as conn:
+    with server_conn(broker) as conn:
         pids = [p.pid for p in broker._procs]
         _wait_for_lease(conn, broker, pids)
     broker._procs[0].kill()
@@ -254,18 +279,19 @@ def test_sole_worker_death_fails_ticket_instead_of_stalling(miniredis, monkeypat
 # --------------------------------------------------------------------------
 # fused items: one queue item per batch, failure handling per turn
 # --------------------------------------------------------------------------
-def test_worker_turn_cap_gives_the_rest_of_its_item_back(redis_url, monkeypatch):
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_worker_turn_cap_gives_the_rest_of_its_item_back(scheme, redis_url, monkeypatch):
     memory = Experiment(make_spec("memory://", pool_size=2, total_updates=6)).run()
-    experiment = Experiment(make_spec(f"{redis_url}?lease=30", total_updates=6))
+    experiment = Experiment(make_spec(served(scheme, redis_url, "lease=30"), total_updates=6))
     thread, outcome = _run_in_thread(experiment)
-    broker = _wait_for_published(experiment, redis_url)
-    worker_url = broker.cfg.with_run(broker.cfg.run)
+    broker = _wait_for_published(experiment)
+    worker_url = broker.worker_url()
     monkeypatch.setenv("REPRO_WORKER_MAX_TURNS", "1")
     capped = Worker(worker_url, worker_id="capped")
     # the first item is the initial cohort, fused: one turn runs, the rest
     # go back to the front of the queue unclaimed, and the worker stops
     assert capped.run() == 1 and not capped.lost
-    with connect_url(redis_url) as conn:
+    with server_conn(broker) as conn:
         (item,) = conn.execute("LRANGE", broker.cfg.key("turns"), -1, -1)
         returned = [serde.decode_turn(f)[0] for f in serde.unpack_frames(item)]
         leased = {int(t) for t in conn.hgetall(broker.cfg.key("leases"))}
@@ -282,7 +308,8 @@ def test_worker_turn_cap_gives_the_rest_of_its_item_back(redis_url, monkeypatch)
     assert_identical(outcome["result"], memory)
 
 
-def test_a_fused_pass_that_fails_reruns_its_turns_one_by_one(miniredis, monkeypatch):
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_fused_pass_that_fails_reruns_its_turns_one_by_one(scheme, miniredis, monkeypatch):
     # the worker's fallback is the memory broker's: the runner mutates
     # nothing it is handed, so the exact per-turn path reproduces the item
     memory = Experiment(make_spec("memory://", pool_size=2)).run()
@@ -291,12 +318,12 @@ def test_a_fused_pass_that_fails_reruns_its_turns_one_by_one(miniredis, monkeypa
         raise FloatingPointError("injected failure in the stacked pass")
 
     monkeypatch.setattr(FusedTurnRunner, "run_batch", failing)
-    experiment = Experiment(make_spec(f"{miniredis.url}?lease=30"))
+    experiment = Experiment(make_spec(served(scheme, miniredis.url, "lease=30")))
     thread, outcome = _run_in_thread(experiment)
-    broker = _wait_for_published(experiment, miniredis.url)
+    broker = _wait_for_published(experiment)
     exits = []
     worker = threading.Thread(target=lambda: exits.append(run_worker(
-        broker.cfg.with_run(broker.cfg.run), worker_id="fallback")), daemon=True)
+        broker.worker_url(), worker_id="fallback")), daemon=True)
     worker.start()
     thread.join(timeout=120)
     assert not thread.is_alive() and "error" not in outcome, outcome.get("error")
@@ -342,7 +369,8 @@ def _until(predicate, what, timeout=30.0):
         time.sleep(0.01)
 
 
-def test_a_requeued_turn_that_resolves_keeps_its_done_mark(redis_url):
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_requeued_turn_that_resolves_keeps_its_done_mark(scheme, redis_url):
     # the race: a stalled worker's lease expires and the sweep requeues turn
     # 7; the stalled worker then commits 7 and the collector resolves it.
     # The duplicate is still queued, so 7's done mark must survive the
@@ -351,11 +379,12 @@ def test_a_requeued_turn_that_resolves_keeps_its_done_mark(redis_url):
     resolved = []
     pool = type("Pool", (), {"turns_done_batch": staticmethod(resolved.extend),
                              "turn_done": lambda *args, **kwargs: None})()
-    broker = RedisBroker(f"{redis_url}?run=keepmark{os.getpid()}&lease=30")
+    query = "lease=30" if scheme == "tcp" else f"run=keepmark{os.getpid()}&lease=30"
+    broker = Broker(served(scheme, redis_url, query))
     broker.attach(pool)
     broker.start()
-    key, worker_url = broker.cfg.key, broker.cfg.with_run(broker.cfg.run)
-    stalled, other = RedisLink(worker_url, "stalled"), RedisLink(worker_url, "other")
+    key, worker_url = broker.cfg.key, broker.worker_url()
+    stalled, other = (type(broker).worker_link(worker_url, name) for name in ("stalled", "other"))
     stalled._conn, other._conn = stalled._connect(), other._connect()
     try:
         entry = _Entry(ticket=SimpleNamespace(client=0, method="local_update"),
@@ -461,17 +490,18 @@ def test_pipeline_and_multi_keep_replies_aligned(redis_url):
 # --------------------------------------------------------------------------
 # external workers join a run by URL (the `python -m repro worker` path)
 # --------------------------------------------------------------------------
-def test_external_workers_join_by_url_and_match_memory(miniredis):
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_external_workers_join_by_url_and_match_memory(scheme, miniredis):
     # ?workers is absent and pool_size is null, so the broker spawns
     # nothing and waits for workers started elsewhere with the namespaced
     # URL it logs — here, run_worker() on two in-process threads
     memory = Experiment(make_spec("memory://", pool_size=2)).run()
-    experiment = Experiment(make_spec(f"{miniredis.url}?lease=30"))
+    experiment = Experiment(make_spec(served(scheme, miniredis.url, "lease=30")))
     thread, outcome = _run_in_thread(experiment)
-    broker = _wait_for_published(experiment, miniredis.url)
+    broker = _wait_for_published(experiment)
     assert broker.cfg.workers == 0
 
-    worker_url = broker.cfg.with_run(broker.cfg.run)
+    worker_url = broker.worker_url()
     exits = []
     joiners = [
         threading.Thread(target=lambda: exits.append(run_worker(

@@ -15,6 +15,8 @@ Also pins the gstate interning half of the round-decode cache: one
 dispatch epoch's payload is shipped to the ``gstate`` hash once, turn
 frames carry a sentinel instead of a model copy, and entries no in-flight
 turn references get pruned.
+
+Every test runs on a ``redis://`` and a ``tcp://`` broker: both sweep alike.
 """
 
 import json
@@ -23,8 +25,8 @@ import numpy as np
 import pytest
 
 from repro.runtime import serde
-from repro.runtime.broker import BrokerTurnLost
-from repro.runtime.redis import RedisBroker, _Entry
+from repro.runtime.broker import Broker, BrokerTurnLost
+from repro.runtime.redis import _Entry
 
 
 class FakeClock:
@@ -96,13 +98,18 @@ class FakeTicket:
         self.kwargs = kwargs or {}
 
 
-@pytest.fixture
-def broker(monkeypatch):
+#: the same sweep behind both remote schemes: ``tcp://`` only adds the server
+URLS = {"redis": "redis://127.0.0.1:6399/0?run=t&lease=5&hb=1&claim=2&requeues=1",
+        "tcp": "tcp://127.0.0.1:6399?lease=5&hb=1&claim=2&requeues=1"}
+
+
+@pytest.fixture(params=sorted(URLS))
+def broker(request, monkeypatch):
     clock = FakeClock()
     import repro.runtime.redis as redis_mod
 
     monkeypatch.setattr(redis_mod, "time", clock)
-    b = RedisBroker("redis://127.0.0.1:6399/0?run=t&lease=5&hb=1&claim=2&requeues=1")
+    b = Broker(URLS[request.param])
     b.pool = FakePool()
     b._conn = FakeConn()
     return b, clock, b._conn
